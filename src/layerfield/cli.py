@@ -60,6 +60,10 @@ _GEOMETRY_KEYS = {
     "disk_coupled": {"R", "k"},
     "annulus": {"R"},
 }
+#: largest radial mode index accepted from a config; a disk field stores
+#: dense coefficient arrays up to its highest index
+MAX_RADIAL_MODE = 10_000
+
 # pde_residual is dominated by 5-point stencil truncation at the default
 # step (1e-3), not by solution error; the bound reflects that
 _DEFAULT_TOLS = {
@@ -71,9 +75,19 @@ _DEFAULT_TOLS = {
 
 
 def _reject_unknown(mapping, allowed, where):
+    if not isinstance(mapping, dict):
+        raise ValidationError(f"{where} must be a JSON object, got {mapping!r}")
     unknown = set(mapping) - set(allowed)
     if unknown:
         raise ValidationError(f"unknown {where} field(s): {sorted(unknown)}")
+
+
+def _number(value, what, kind=float):
+    """Convert a config value with `kind`, failing validation instead of raising."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{what} must be a number, got {value!r}") from None
 
 
 def load_config(path) -> dict:
@@ -130,29 +144,44 @@ def geometry_config(cfg):
             k=g.get("k", 0.0),
             a1=g.get("a1", 1.0),
             a2=g.get("a2", 1.0),
-            lambda1=g.get("lambda1"),
-            lambda2=g.get("lambda2"),
+            lambda1=None if g.get("lambda1") is None else _number(g["lambda1"], "lambda1"),
+            lambda2=None if g.get("lambda2") is None else _number(g["lambda2"], "lambda2"),
         )
-    return RadialLayerConfig(R=g.get("R", 0.0), k=g.get("k", 0.0))
+    return RadialLayerConfig(R=_number(g.get("R", 0.0), "R"), k=_number(g.get("k", 0.0), "k"))
 
 
 def _planar_modes(raw):
+    if not isinstance(raw, list):
+        raise ValidationError("boundary modes must be a list")
     modes = []
     for m in raw:
         _reject_unknown(m, {"omega", "A", "phi"}, "planar mode")
         if "omega" not in m:
             raise ValidationError("planar mode needs omega")
-        modes.append((float(m.get("A", 1.0)), float(m["omega"]), float(m.get("phi", 0.0))))
+        modes.append((
+            _number(m.get("A", 1.0), "planar mode A"),
+            _number(m["omega"], "planar mode omega"),
+            _number(m.get("phi", 0.0), "planar mode phi"),
+        ))
     return modes
 
 
 def _radial_modes(raw):
+    if not isinstance(raw, list):
+        raise ValidationError("boundary modes must be a list")
     modes = []
     for m in raw:
         _reject_unknown(m, {"n", "a", "b"}, "radial mode")
         if "n" not in m:
             raise ValidationError("radial mode needs n")
-        modes.append((int(m["n"]), float(m.get("a", 1.0)), float(m.get("b", 0.0))))
+        n = _number(m["n"], "radial mode n", int)
+        if not 0 <= n <= MAX_RADIAL_MODE:
+            raise ValidationError(f"radial mode n must lie in [0, {MAX_RADIAL_MODE}], got {n}")
+        modes.append((
+            n,
+            _number(m.get("a", 1.0), "radial mode a"),
+            _number(m.get("b", 0.0), "radial mode b"),
+        ))
     return modes
 
 
@@ -194,8 +223,12 @@ def truncation_policy(cfg):
     if "J" in t and "tol" in t:
         raise ValidationError("truncation takes either J or tol, not both")
     if "J" in t:
-        return MaxTerms(int(t["J"]))
-    return TailTol(float(t.get("tol", 1e-10)), sup_bound=t.get("sup_bound"))
+        return MaxTerms(_number(t["J"], "truncation J", int))
+    sup = t.get("sup_bound")
+    return TailTol(
+        _number(t.get("tol", 1e-10), "truncation tol"),
+        sup_bound=None if sup is None else _number(sup, "truncation sup_bound"),
+    )
 
 
 def _modes_for_oracle(cfg):
@@ -308,7 +341,11 @@ def build_solution(cfg, method, field, geo, trunc):
 def _axis(triple, name):
     if (not isinstance(triple, (list, tuple))) or len(triple) != 3:
         raise ValidationError(f"grid axis {name} must be [start, stop, count]")
-    start, stop, count = float(triple[0]), float(triple[1]), int(triple[2])
+    start = _number(triple[0], f"grid axis {name} start")
+    stop = _number(triple[1], f"grid axis {name} stop")
+    count = _number(triple[2], f"grid axis {name} count", int)
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValidationError(f"grid axis {name} must have finite ends")
     if count < 1 or stop < start:
         raise ValidationError(f"grid axis {name} must have stop >= start and count >= 1")
     return np.linspace(start, stop, count)
@@ -394,7 +431,7 @@ def _thread_count(args):
     if args.threads is not None:
         return max(1, args.threads)
     env = os.environ.get("LAYERFIELD_THREADS")
-    return max(1, int(env)) if env else 1
+    return max(1, _number(env, "LAYERFIELD_THREADS", int)) if env else 1
 
 
 def _out_path(cfg, args, default):
@@ -405,11 +442,17 @@ def _out_path(cfg, args, default):
     return default
 
 
-def _strict_regime_gate(cfg, geo, args):
+def _regime_diagnostic(cfg, geo):
     reg = cfg.get("regime", {})
-    diag = convergence_diagnostic(
-        geo, tol=float(reg.get("tol", 1e-10)), threshold=int(reg.get("threshold", 1000))
+    return convergence_diagnostic(
+        geo,
+        tol=_number(reg.get("tol", 1e-10), "regime tol"),
+        threshold=_number(reg.get("threshold", 1000), "regime threshold", int),
     )
+
+
+def _strict_regime_gate(cfg, geo, args):
+    diag = _regime_diagnostic(cfg, geo)
     if diag.recommendation != "series":
         print(
             json.dumps(
@@ -520,11 +563,11 @@ def _sweep_geometry(problem, geo, value):
     h = geo.robin_h
     sign = 1.0 if geo.rho > 0 else -1.0
     if problem == "halfplane_coupled":
-        l = float(value)
+        l = _number(value, "sweep l")
         rho = sign * math.exp(2.0 * h * l)
         k = (1.0 - rho) / (1.0 + rho)
         return PlanarLayerConfig(l=l, k=k), l
-    R = float(value)
+    R = _number(value, "sweep R")
     rho = sign * R ** (2.0 * h)
     k = (1.0 - rho) / (1.0 + rho)
     return RadialLayerConfig(R=R, k=k), 1.0 - R
@@ -623,7 +666,7 @@ def cmd_verify(cfg, args) -> int:
     solution = build_solution(cfg, method, field, geo, trunc)
     report = residual_report(solution, field)
     tols = dict(_DEFAULT_TOLS)
-    tols.update(cfg.get("tolerances", {}))
+    tols.update({k: _number(v, f"tolerances {k}") for k, v in cfg.get("tolerances", {}).items()})
     checks = {}
     all_pass = True
     for name in ("pde_residual", "boundary_mismatch", "value_jump", "flux_jump"):
@@ -681,10 +724,7 @@ def cmd_regimes(cfg, args) -> int:
     if problem not in ("halfplane_coupled", "disk_coupled"):
         raise ValidationError("the regime diagnostic applies to the coupled problems")
     geo = geometry_config(cfg)
-    reg = cfg.get("regime", {})
-    diag = convergence_diagnostic(
-        geo, tol=float(reg.get("tol", 1e-10)), threshold=int(reg.get("threshold", 1000))
-    )
+    diag = _regime_diagnostic(cfg, geo)
     result = {
         "problem": problem,
         "rho": diag.rho,

@@ -79,6 +79,22 @@ def as_polar(p) -> PolarPoint:
     return PolarPoint(float(r), float(theta))
 
 
+def geometric_weights(ratio: float, decay, terms: int) -> np.ndarray:
+    """G(q, J) = sum_{j<J} q^j elementwise, for q = ratio * exp(-decay).
+
+    For q > 0 the sum is expm1(J log q) / expm1(log q), with log q taken
+    as log(ratio) - decay so that it stays accurate as q approaches 1;
+    q = 1 gives J.  For q <= 0 the plain (1 - q^J) / (1 - q) is stable.
+    """
+    decay = np.asarray(decay, dtype=float)
+    if ratio > 0:
+        log_q = math.log(ratio) - decay
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(log_q == 0.0, float(terms), np.expm1(terms * log_q) / np.expm1(log_q))
+    q = ratio * np.exp(-decay)
+    return (1.0 - q**terms) / (1.0 - q)
+
+
 class HalfPlaneField:
     """Harmonic field on the right half-plane.
 
@@ -146,31 +162,61 @@ class HalfPlaneField:
             total += float(np.sum(np.abs(self._src_q)) / (math.pi * x_min))
         return total
 
-    def value(self, x, y):
-        """Evaluate at scalar or array coordinates (no domain check)."""
+    def _add_modes(self, out, x, y, amp, deriv):
+        for a, w, p in zip(amp, self._omega, self._phase):
+            if deriv:
+                out += -w * a * np.exp(-w * x) * np.cos(w * y + p)
+            else:
+                out += a * np.exp(-w * x) * np.cos(w * y + p)
+
+    def _add_sources(self, out, x, y, deriv, weight=1.0):
+        for t, q in zip(self._src_t, self._src_q):
+            c2 = (y - t) ** 2
+            if deriv:
+                denom = (x * x + c2) ** 2
+                num = c2 - x * x
+            else:
+                denom = x * x + c2
+                num = x
+            with np.errstate(divide="ignore", invalid="ignore"):
+                kernel = np.where(denom > 0, num / np.where(denom > 0, denom, 1.0), np.nan)
+            out += (weight * q / math.pi) * kernel
+
+    def _evaluate(self, x, y, deriv):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         out = np.zeros(np.broadcast(x, y).shape)
-        for a, w, p in zip(self._amp, self._omega, self._phase):
-            out += a * np.exp(-w * x) * np.cos(w * y + p)
-        for t, q in zip(self._src_t, self._src_q):
-            denom = x * x + (y - t) ** 2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out += (q / math.pi) * np.where(denom > 0, x / np.where(denom > 0, denom, 1.0), np.nan)
+        self._add_modes(out, x, y, self._amp, deriv)
+        self._add_sources(out, x, y, deriv)
         return out if out.shape else float(out)
+
+    def value(self, x, y):
+        """Evaluate at scalar or array coordinates (no domain check)."""
+        return self._evaluate(x, y, deriv=False)
 
     def deriv_x(self, x, y):
         """Exact partial derivative in x."""
+        return self._evaluate(x, y, deriv=True)
+
+    def ladder(self, x, y, shift, ratio, terms, deriv=False):
+        """Image ladder sum_{j<terms} ratio^j u(x + j*shift, y), or of du/dx.
+
+        The j-th image of a mode is the mode itself times q^j with
+        q = ratio*exp(-w*shift), so the mode part is one mode sum with
+        every amplitude scaled by the geometric sum over j: its cost does
+        not grow with `terms`.  Boundary sources have no such shortcut
+        and are summed image by image.
+        """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         out = np.zeros(np.broadcast(x, y).shape)
-        for a, w, p in zip(self._amp, self._omega, self._phase):
-            out += -w * a * np.exp(-w * x) * np.cos(w * y + p)
-        for t, q in zip(self._src_t, self._src_q):
-            c2 = (y - t) ** 2
-            denom = (x * x + c2) ** 2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out += (q / math.pi) * np.where(denom > 0, (c2 - x * x) / np.where(denom > 0, denom, 1.0), np.nan)
+        weights = geometric_weights(ratio, self._omega * shift, terms)
+        self._add_modes(out, x, y, self._amp * weights, deriv)
+        if self.has_sources:
+            w = 1.0
+            for j in range(terms):
+                self._add_sources(out, x + j * shift, y, deriv, w)
+                w *= ratio
         return out if out.shape else float(out)
 
     def eval(self, p) -> float:
@@ -248,26 +294,36 @@ class DiskField:
         """Upper bound for |u| on the closed unit disk."""
         return float(abs(self._a[0]) / 2 + np.sum(np.abs(self._a[1:])) + np.sum(np.abs(self._b[1:])))
 
-    def value(self, r, theta):
+    def _mode_sum(self, r, theta, a, b, deriv):
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float)
-        out = np.full(np.broadcast(r, theta).shape, self._a[0] / 2.0)
-        for n in range(1, self._a.size):
-            if self._a[n] == 0.0 and self._b[n] == 0.0:
+        out = np.full(np.broadcast(r, theta).shape, 0.0 if deriv else a[0] / 2.0)
+        for n in range(1, a.size):
+            if a[n] == 0.0 and b[n] == 0.0:
                 continue
-            out += r**n * (self._a[n] * np.cos(n * theta) + self._b[n] * np.sin(n * theta))
+            rn = n * r**n if deriv else r**n
+            out += rn * (a[n] * np.cos(n * theta) + b[n] * np.sin(n * theta))
         return out if out.shape else float(out)
+
+    def value(self, r, theta):
+        return self._mode_sum(r, theta, self._a, self._b, deriv=False)
 
     def radial_derivative(self, r, theta):
         """Radial scaling derivative r * du/dr, exact on Fourier modes."""
-        r = np.asarray(r, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros(np.broadcast(r, theta).shape)
-        for n in range(1, self._a.size):
-            if self._a[n] == 0.0 and self._b[n] == 0.0:
-                continue
-            out += n * r**n * (self._a[n] * np.cos(n * theta) + self._b[n] * np.sin(n * theta))
-        return out if out.shape else float(out)
+        return self._mode_sum(r, theta, self._a, self._b, deriv=True)
+
+    def ladder(self, r, theta, scale, ratio, terms, deriv=False):
+        """Image ladder sum_{j<terms} ratio^j u(scale^j r, theta), or of r du/dr.
+
+        Mode n picks up q = ratio*scale^n per image, so the ladder is one
+        Fourier sum with every coefficient scaled by the geometric sum
+        over j: its cost does not grow with `terms`.
+        """
+        if not scale > 0:
+            raise ValidationError("ladder scale must be > 0")
+        decay = -math.log(scale) * np.arange(self._a.size)
+        weights = geometric_weights(ratio, decay, terms)
+        return self._mode_sum(r, theta, self._a * weights, self._b * weights, deriv)
 
     def eval(self, p) -> float:
         p = as_polar(p)

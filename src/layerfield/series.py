@@ -213,23 +213,19 @@ class StripSolution:
         self.terms = int(terms)
         self.tail_bound = float(tail_bound)
 
-    def value(self, x, y):
+    def _images(self, x, y, deriv):
+        # d/dx of -u0(2l - x + s) is +u0_x, hence the flipped image sign
+        s = 2.0 * self.l
         x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(np.broadcast(x, y).shape)
-        for j in range(self.terms):
-            s = 2.0 * self.l * j
-            out += self.field.value(x + s, y) - self.field.value(2.0 * self.l - x + s, y)
-        return out if out.shape else float(out)
+        direct = self.field.ladder(x, y, s, 1.0, self.terms, deriv=deriv)
+        image = self.field.ladder(s - x, y, s, 1.0, self.terms, deriv=deriv)
+        return direct + image if deriv else direct - image
+
+    def value(self, x, y):
+        return self._images(x, y, deriv=False)
 
     def deriv_x(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(np.broadcast(x, y).shape)
-        for j in range(self.terms):
-            s = 2.0 * self.l * j
-            out += self.field.deriv_x(x + s, y) + self.field.deriv_x(2.0 * self.l - x + s, y)
-        return out if out.shape else float(out)
+        return self._images(x, y, deriv=True)
 
     def classify(self, p) -> str:
         p = as_point2(p)
@@ -260,49 +256,32 @@ class PlanarLayeredSolution:
 
     def _images_u1(self, x, y, deriv):
         cfg = self.config
-        rho = cfg.rho
-        f = self.field.deriv_x if deriv else self.field.value
-        out = np.zeros(np.broadcast(np.asarray(x, float), np.asarray(y, float)).shape)
+        s = 2.0 * cfg.l
+        x = np.asarray(x, dtype=float)
+        direct = self.field.ladder(x, y, s, cfg.rho, self.terms, deriv=deriv)
+        image = self.field.ladder(s - x, y, s, cfg.rho, self.terms, deriv=deriv)
         refl_sign = 1.0 if deriv else -1.0
-        w = 1.0
-        for j in range(self.terms):
-            s = 2.0 * cfg.l * j
-            out = out + w * (f(x + s, y) + refl_sign * rho * f(2.0 * cfg.l - x + s, y))
-            w *= rho
-        return out
+        return direct + refl_sign * cfg.rho * image
 
     def u1_value(self, x, y):
-        out = self._images_u1(np.asarray(x, float), np.asarray(y, float), deriv=False)
-        return out if out.shape else float(out)
+        return self._images_u1(x, y, deriv=False)
 
     def u1_deriv_x(self, x, y):
-        out = self._images_u1(np.asarray(x, float), np.asarray(y, float), deriv=True)
-        return out if out.shape else float(out)
+        return self._images_u1(x, y, deriv=True)
 
     def _images_u2(self, x, y, deriv):
         cfg = self.config
-        rho = cfg.rho
         stretch = cfg.a1 / cfg.a2
-        f = self.field.deriv_x if deriv else self.field.value
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        base = stretch * (x - cfg.l) + cfg.l
-        out = np.zeros(np.broadcast(base, y).shape)
-        w = 2.0 * cfg.k / (cfg.k + 1.0)
-        for j in range(self.terms):
-            out = out + w * f(base + 2.0 * cfg.l * j, y)
-            w *= rho
-        if deriv:
-            out = out * stretch
-        return out
+        base = stretch * (np.asarray(x, dtype=float) - cfg.l) + cfg.l
+        ladder = self.field.ladder(base, y, 2.0 * cfg.l, cfg.rho, self.terms, deriv=deriv)
+        out = 2.0 * cfg.k / (cfg.k + 1.0) * ladder
+        return out * stretch if deriv else out
 
     def u2_value(self, x, y):
-        out = self._images_u2(x, y, deriv=False)
-        return out if out.shape else float(out)
+        return self._images_u2(x, y, deriv=False)
 
     def u2_deriv_x(self, x, y):
-        out = self._images_u2(x, y, deriv=True)
-        return out if out.shape else float(out)
+        return self._images_u2(x, y, deriv=True)
 
     def classify(self, p) -> str:
         p = as_point2(p)
@@ -330,53 +309,32 @@ class DiskLayeredSolution:
         self.terms = int(terms)
         self.tail_bound = float(tail_bound)
 
-    def _sum_u1(self, r, theta, f_direct, f_image, image_sign):
+    def _sum_u1(self, r, theta, deriv):
+        # r*d/dr of u0(c/r) is -(L0 u0)(c/r), hence the flipped image sign
         cfg = self.config
-        rho = cfg.rho
+        R2 = cfg.R**2
         r = np.asarray(r, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros(np.broadcast(r, theta).shape)
-        r_image = cfg.R**2 / r
-        w = 1.0
-        scale = 1.0
-        for _ in range(self.terms):
-            out = out + w * (f_direct(r * scale, theta) + image_sign * rho * f_image(r_image * scale, theta))
-            w *= rho
-            scale *= cfg.R**2
-        return out
+        direct = self.field.ladder(r, theta, R2, cfg.rho, self.terms, deriv=deriv)
+        image = self.field.ladder(R2 / r, theta, R2, cfg.rho, self.terms, deriv=deriv)
+        image_sign = 1.0 if deriv else -1.0
+        return direct + image_sign * cfg.rho * image
 
     def u1_value(self, r, theta):
-        out = self._sum_u1(r, theta, self.field.value, self.field.value, image_sign=-1.0)
-        return out if out.shape else float(out)
+        return self._sum_u1(r, theta, deriv=False)
 
     def u1_radial_derivative(self, r, theta):
-        # r*d/dr of u0(c/r) is -(L0 u0)(c/r), hence the flipped image sign
-        out = self._sum_u1(
-            r, theta, self.field.radial_derivative, self.field.radial_derivative, image_sign=1.0
-        )
-        return out if out.shape else float(out)
+        return self._sum_u1(r, theta, deriv=True)
 
-    def _sum_u2(self, r, theta, f):
+    def _sum_u2(self, r, theta, deriv):
         cfg = self.config
-        rho = cfg.rho
-        r = np.asarray(r, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros(np.broadcast(r, theta).shape)
-        w = 2.0 * cfg.k / (cfg.k + 1.0)
-        scale = 1.0
-        for _ in range(self.terms):
-            out = out + w * f(r * scale, theta)
-            w *= rho
-            scale *= cfg.R**2
-        return out
+        ladder = self.field.ladder(r, theta, cfg.R**2, cfg.rho, self.terms, deriv=deriv)
+        return 2.0 * cfg.k / (cfg.k + 1.0) * ladder
 
     def u2_value(self, r, theta):
-        out = self._sum_u2(r, theta, self.field.value)
-        return out if out.shape else float(out)
+        return self._sum_u2(r, theta, deriv=False)
 
     def u2_radial_derivative(self, r, theta):
-        out = self._sum_u2(r, theta, self.field.radial_derivative)
-        return out if out.shape else float(out)
+        return self._sum_u2(r, theta, deriv=True)
 
     def classify(self, p) -> str:
         p = as_polar(p)
@@ -410,24 +368,18 @@ class AnnulusSolution:
         self.terms = int(terms)
         self.tail_bound = float(tail_bound)
 
-    def _sum(self, r, theta, f, image_sign):
+    def _sum(self, r, theta, deriv):
+        R2 = self.R**2
         r = np.asarray(r, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros(np.broadcast(r, theta).shape)
-        r_image = self.R**2 / r
-        scale = 1.0
-        for _ in range(self.terms):
-            out = out + f(r * scale, theta) + image_sign * f(r_image * scale, theta)
-            scale *= self.R**2
-        return out
+        direct = self.field.ladder(r, theta, R2, 1.0, self.terms, deriv=deriv)
+        image = self.field.ladder(R2 / r, theta, R2, 1.0, self.terms, deriv=deriv)
+        return direct + image if deriv else direct - image
 
     def value(self, r, theta):
-        out = self._sum(r, theta, self.field.value, image_sign=-1.0)
-        return out if out.shape else float(out)
+        return self._sum(r, theta, deriv=False)
 
     def radial_derivative(self, r, theta):
-        out = self._sum(r, theta, self.field.radial_derivative, image_sign=1.0)
-        return out if out.shape else float(out)
+        return self._sum(r, theta, deriv=True)
 
     def classify(self, p) -> str:
         p = as_polar(p)

@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import layerfield
 from layerfield.cli import main
 
 
@@ -318,9 +320,58 @@ def test_oracle_fd_solve_with_samples(tmp_path, capsys):
 
 
 def test_console_script_entry():
+    # the child must import the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(layerfield.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "layerfield.cli"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 2  # argparse usage error: no subcommand
+
+
+def annulus_config(modes):
+    return {
+        "problem": "annulus",
+        "geometry": {"R": 0.7},
+        "boundary": {"modes": modes},
+        "grid": {"r": [0.7, 1.0, 4], "theta": [0.0, 6.0, 4]},
+    }
+
+
+@pytest.mark.parametrize(
+    "cfg, env",
+    [
+        (strip_config(truncation={"J": "abc"}), None),
+        (strip_config(truncation={"tol": "x"}), None),
+        (strip_config(grid={"x": [0.0, 0.5, "a"], "y": [-1.0, 1.0, 5]}), None),
+        (strip_config(boundary={"modes": [1]}), None),
+        (annulus_config([{"n": -1}]), None),
+        (strip_config(), "abc"),
+    ],
+    ids=["J-text", "tol-text", "grid-count-text", "mode-not-object", "negative-n", "threads-env-text"],
+)
+def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, cfg, env):
+    if env is not None:
+        monkeypatch.setenv("LAYERFIELD_THREADS", env)
+    path = write_config(tmp_path, "bad.json", cfg)
+    code, _, err = run_cli(["solve", "--config", path, "--out", str(tmp_path / "g.csv")], capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_huge_radial_mode_index_rejected_before_allocation(tmp_path, capsys):
+    import tracemalloc
+
+    path = write_config(tmp_path, "huge.json", annulus_config([{"n": 100_000_000}]))
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(["solve", "--config", path, "--out", str(tmp_path / "g.csv")], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "radial mode n" in err
+    assert peak < 10 * 2**20
