@@ -77,14 +77,12 @@ from .oracle import (
     residual_report,
 )
 from .series import (
-    AnnulusSolution,
-    DiskLayeredSolution,
+    Geometry,
+    LayeredSolution,
     MaxTerms,
     PlanarLayerConfig,
-    PlanarLayeredSolution,
     RadialLayerConfig,
     RegimeReport,
-    StripSolution,
     TailTol,
     annulus_dirichlet,
     convergence_diagnostic,

@@ -18,8 +18,8 @@ import numpy as np
 from scipy import integrate
 
 from ..errors import DivergentLinkError, SolvabilityError, ValidationError
-from ..harmonic import DiskField, HalfPlaneField, as_point2, as_polar
-from ..series import PlanarLayerConfig, RadialLayerConfig
+from ..harmonic import DiskField, HalfPlaneField
+from ..series import Geometry, LayeredSolution, PlanarLayerConfig, RadialLayerConfig
 from .summation import total_variation, ray_total_variation, ray_window
 
 
@@ -71,6 +71,12 @@ class _QuadratureRobinHalfPlane:
     def deriv_x(self, x, y):
         # d/dx of the link obeys  d/dx u3 = -h*u3 - u  exactly
         return -self.h * self.value(x, y) - self.field.value(x, y)
+
+    def ladder(self, x, y, shift, ratio, terms, deriv=False):
+        """sum_{j<terms} ratio^j u3(x + j*shift, y), or of d/dx u3, image by image."""
+        fn = self.deriv_x if deriv else self.value
+        x = np.asarray(x, dtype=float)
+        return sum(ratio**j * fn(x + j * shift, y) for j in range(terms))
 
 
 def robin_link_halfplane(field: HalfPlaneField, h: float):
@@ -138,235 +144,6 @@ class ApproxResult:
     bound_at: Callable | None = None
 
 
-class PlanarRobinApprox:
-    """Leading-order coupled half-plane solution from the Robin companion."""
-
-    kind = "halfplane_coupled"
-
-    def __init__(self, u3, config: PlanarLayerConfig, rho: float):
-        self.u3 = u3
-        self.config = config
-        self.rho = rho
-        self.tail_bound = None
-
-    def u1_value(self, x, y):
-        l = self.config.l
-        return (self.u3.value(x, y) - self.rho * self.u3.value(2 * l - x, y)) / (2 * l)
-
-    def u1_deriv_x(self, x, y):
-        l = self.config.l
-        return (self.u3.deriv_x(x, y) + self.rho * self.u3.deriv_x(2 * l - x, y)) / (2 * l)
-
-    def u2_value(self, x, y):
-        l = self.config.l
-        return (1.0 - self.rho) / (2 * l) * self.u3.value(x, y)
-
-    def u2_deriv_x(self, x, y):
-        l = self.config.l
-        return (1.0 - self.rho) / (2 * l) * self.u3.deriv_x(x, y)
-
-    def classify(self, p) -> str:
-        p = as_point2(p)
-        if p.x < 0:
-            return "outside"
-        return "layer1" if p.x <= self.config.l else "layer2"
-
-    def eval(self, p) -> float:
-        p = as_point2(p)
-        region = self.classify(p)
-        if region == "outside":
-            raise ValidationError("point lies outside the coupled half-plane")
-        fn = self.u1_value if region == "layer1" else self.u2_value
-        return float(fn(p.x, p.y))
-
-
-class PlanarRobinApproxAlt(PlanarRobinApprox):
-    """High-contrast variant: even/odd ladder split, four-image combination."""
-
-    def u1_value(self, x, y):
-        l = self.config.l
-        m = abs(self.rho)
-        u3 = self.u3.value
-        return (
-            u3(x, y)
-            - m * u3(x + 2 * l, y)
-            + m * (u3(2 * l - x, y) - m * u3(4 * l - x, y))
-        ) / (4 * l)
-
-    def u1_deriv_x(self, x, y):
-        l = self.config.l
-        m = abs(self.rho)
-        d = self.u3.deriv_x
-        return (
-            d(x, y)
-            - m * d(x + 2 * l, y)
-            + m * (-d(2 * l - x, y) + m * d(4 * l - x, y))
-        ) / (4 * l)
-
-    def u2_value(self, x, y):
-        cfg = self.config
-        m = abs(self.rho)
-        coef = 2 * cfg.k / (cfg.k + 1) / (4 * cfg.l)
-        return coef * (self.u3.value(x, y) - m * self.u3.value(x + 2 * cfg.l, y))
-
-    def u2_deriv_x(self, x, y):
-        cfg = self.config
-        m = abs(self.rho)
-        coef = 2 * cfg.k / (cfg.k + 1) / (4 * cfg.l)
-        return coef * (self.u3.deriv_x(x, y) - m * self.u3.deriv_x(x + 2 * cfg.l, y))
-
-
-class DiskRobinApprox:
-    """Leading-order coupled disk solution from the radial Robin companion."""
-
-    kind = "disk_coupled"
-
-    def __init__(self, u3: DiskField, config: RadialLayerConfig, rho: float):
-        self.u3 = u3
-        self.config = config
-        self.rho = rho
-        self.s = math.log(1.0 / config.R**2)
-        self.tail_bound = None
-
-    def u1_value(self, r, theta):
-        R = self.config.R
-        return (self.u3.value(r, theta) - self.rho * self.u3.value(R**2 / np.asarray(r, float), theta)) / self.s
-
-    def u1_radial_derivative(self, r, theta):
-        R = self.config.R
-        return (
-            self.u3.radial_derivative(r, theta)
-            + self.rho * self.u3.radial_derivative(R**2 / np.asarray(r, float), theta)
-        ) / self.s
-
-    def u2_value(self, r, theta):
-        return (1.0 - self.rho) / self.s * self.u3.value(r, theta)
-
-    def u2_radial_derivative(self, r, theta):
-        return (1.0 - self.rho) / self.s * self.u3.radial_derivative(r, theta)
-
-    def classify(self, p) -> str:
-        p = as_polar(p)
-        if p.r > 1.0 + 1e-12:
-            return "outside"
-        return "layer2" if p.r < self.config.R else "layer1"
-
-    def eval(self, p) -> float:
-        p = as_polar(p)
-        region = self.classify(p)
-        if region == "outside":
-            raise ValidationError("point lies outside the unit disk")
-        fn = self.u1_value if region == "layer1" else self.u2_value
-        return float(fn(p.r, p.theta))
-
-
-class DiskRobinApproxAlt(DiskRobinApprox):
-    """High-contrast variant on the disk: even/odd split with R^2 rescaling."""
-
-    def u1_value(self, r, theta):
-        R = self.config.R
-        m = abs(self.rho)
-        r = np.asarray(r, dtype=float)
-        u3 = self.u3.value
-        return (
-            u3(r, theta)
-            - m * u3(R**2 * r, theta)
-            + m * (u3(R**2 / r, theta) - m * u3(R**4 / r, theta))
-        ) / (2 * self.s)
-
-    def u1_radial_derivative(self, r, theta):
-        R = self.config.R
-        m = abs(self.rho)
-        r = np.asarray(r, dtype=float)
-        d = self.u3.radial_derivative
-        return (
-            d(r, theta)
-            - m * d(R**2 * r, theta)
-            + m * (-d(R**2 / r, theta) + m * d(R**4 / r, theta))
-        ) / (2 * self.s)
-
-    def u2_value(self, r, theta):
-        cfg = self.config
-        m = abs(self.rho)
-        coef = 2 * cfg.k / (cfg.k + 1) / (2 * self.s)
-        r = np.asarray(r, dtype=float)
-        return coef * (self.u3.value(r, theta) - m * self.u3.value(cfg.R**2 * r, theta))
-
-    def u2_radial_derivative(self, r, theta):
-        cfg = self.config
-        m = abs(self.rho)
-        coef = 2 * cfg.k / (cfg.k + 1) / (2 * self.s)
-        r = np.asarray(r, dtype=float)
-        return coef * (
-            self.u3.radial_derivative(r, theta)
-            - m * self.u3.radial_derivative(cfg.R**2 * r, theta)
-        )
-
-
-class StripApprox:
-    """Thin-strip Dirichlet approximation from the Neumann companion."""
-
-    kind = "strip"
-
-    def __init__(self, u2: HalfPlaneField, field: HalfPlaneField, l: float):
-        self.u2 = u2
-        self.field = field
-        self.l = float(l)
-        self.tail_bound = None
-
-    def value(self, x, y):
-        l = self.l
-        return (self.u2.value(2 * l - x, y) - self.u2.value(x, y)) / (2 * l)
-
-    def deriv_x(self, x, y):
-        l = self.l
-        return -(self.u2.deriv_x(2 * l - x, y) + self.u2.deriv_x(x, y)) / (2 * l)
-
-    def classify(self, p) -> str:
-        p = as_point2(p)
-        return "layer1" if 0.0 <= p.x <= self.l else "outside"
-
-    def eval(self, p) -> float:
-        p = as_point2(p)
-        if self.classify(p) == "outside":
-            raise ValidationError("point lies outside the strip")
-        return float(self.value(p.x, p.y))
-
-
-class AnnulusApprox:
-    """Thin-annulus Dirichlet approximation from the radial Neumann companion."""
-
-    kind = "annulus"
-
-    def __init__(self, u2: DiskField, field: DiskField, R: float):
-        self.u2 = u2
-        self.field = field
-        self.R = float(R)
-        self.s = math.log(1.0 / R**2)
-        self.tail_bound = None
-
-    def value(self, r, theta):
-        r = np.asarray(r, dtype=float)
-        return (self.u2.value(r, theta) - self.u2.value(self.R**2 / r, theta)) / self.s
-
-    def radial_derivative(self, r, theta):
-        r = np.asarray(r, dtype=float)
-        return (
-            self.u2.radial_derivative(r, theta)
-            + self.u2.radial_derivative(self.R**2 / r, theta)
-        ) / self.s
-
-    def classify(self, p) -> str:
-        p = as_polar(p)
-        return "layer1" if self.R <= p.r <= 1.0 + 1e-12 else "outside"
-
-    def eval(self, p) -> float:
-        p = as_polar(p)
-        if self.classify(p) == "outside":
-            raise ValidationError("point lies outside the annulus")
-        return float(self.value(p.r, p.theta))
-
-
 def _planar_bound_at(field: HalfPlaneField, rho: float, h: float):
     """Pointwise assessment (1-rho) * V(e^(he) u(x+e, y)) over e >= 0."""
 
@@ -391,7 +168,7 @@ def _radial_bound_at(field: DiskField, rho: float, h: float):
 def halfplane_small_contrast(field: HalfPlaneField, config: PlanarLayerConfig) -> ApproxResult:
     """Low-contrast (k < 1) thin-layer approximation of the coupled half-plane.
 
-    u2 ~ (1 - rho)/(2l) * u3 and u1 ~ (u3(x,y) - rho*u3(2l-x,y))/(2l),
+    u2 ~ (1 - rho)/(2l) * u3(outer(x),y) and u1 ~ (u3(x,y) - rho*u3(2l-x,y))/(2l),
     where u3 is the Robin companion at h = ln(rho)/(2l).  The returned
     bound is the variation assessment of the leading quadrature step,
     maximised along the interface; bound_at gives it pointwise.
@@ -401,7 +178,7 @@ def halfplane_small_contrast(field: HalfPlaneField, config: PlanarLayerConfig) -
     rho = config.rho
     h = config.robin_h
     u3 = robin_link_halfplane(field, h)
-    sol = PlanarRobinApprox(u3, config, rho)
+    sol = LayeredSolution(Geometry.of("halfplane_coupled", config), u3, 1.0 / (2 * config.l), rho)
     bound_at = _planar_bound_at(field, rho, h)
     probes = _planar_probes(field)
     bound = max(bound_at(config.l, y) for y in probes)
@@ -409,12 +186,17 @@ def halfplane_small_contrast(field: HalfPlaneField, config: PlanarLayerConfig) -
 
 
 def halfplane_large_contrast(field: HalfPlaneField, config: PlanarLayerConfig) -> ApproxResult:
-    """High-contrast (k > 1) variant via the even/odd ladder split."""
+    """High-contrast (k > 1) variant via the even/odd ladder split.
+
+    The transfer field is the two-term ladder u3(x,y) - |rho|*u3(x+2l,y),
+    weighted by 1/(4l).
+    """
     if not (config.k > 1.0):
         raise ValidationError("high-contrast approximation needs k > 1")
     h = config.robin_h  # ln|rho| / (2l) < 0
     u3 = robin_link_halfplane(field, h)
-    return ApproxResult(solution=PlanarRobinApproxAlt(u3, config, config.rho))
+    geometry = Geometry.of("halfplane_coupled", config)
+    return ApproxResult(solution=LayeredSolution(geometry, u3, 1.0 / (4 * config.l), config.rho, images=2))
 
 
 def strip_thin_layer(field: HalfPlaneField, l: float) -> ApproxResult:
@@ -422,7 +204,7 @@ def strip_thin_layer(field: HalfPlaneField, l: float) -> ApproxResult:
     if l <= 0:
         raise ValidationError("strip width must be > 0")
     u2 = neumann_link_halfplane(field)
-    return ApproxResult(solution=StripApprox(u2, field, l))
+    return ApproxResult(solution=LayeredSolution(Geometry("strip", float(l)), u2, -1.0 / (2 * l), 1.0))
 
 
 def disk_small_contrast(field: DiskField, config: RadialLayerConfig) -> ApproxResult:
@@ -432,7 +214,7 @@ def disk_small_contrast(field: DiskField, config: RadialLayerConfig) -> ApproxRe
     rho = config.rho
     h = config.robin_h
     u3 = robin_link_disk(field, h)
-    sol = DiskRobinApprox(u3, config, rho)
+    sol = LayeredSolution(Geometry.of("disk_coupled", config), u3, 1.0 / math.log(1.0 / config.R**2), rho)
     bound_at = _radial_bound_at(field, rho, h)
     thetas = np.linspace(0.0, 2 * math.pi, 17)
     bound = max(bound_at(config.R, t) for t in thetas)
@@ -440,12 +222,17 @@ def disk_small_contrast(field: DiskField, config: RadialLayerConfig) -> ApproxRe
 
 
 def disk_large_contrast(field: DiskField, config: RadialLayerConfig) -> ApproxResult:
-    """High-contrast (k > 1) disk variant via the even/odd ladder split."""
+    """High-contrast (k > 1) disk variant via the even/odd ladder split.
+
+    The transfer field is the two-term ladder u3(r,t) - |rho|*u3(R^2 r,t),
+    weighted by 1/(2 ln(1/R^2)).
+    """
     if not (config.k > 1.0):
         raise ValidationError("high-contrast approximation needs k > 1")
     h = config.robin_h  # ln|rho| / (2 ln R) > 0
     u3 = robin_link_disk(field, h)
-    return ApproxResult(solution=DiskRobinApproxAlt(u3, config, config.rho))
+    c = 1.0 / (2 * math.log(1.0 / config.R**2))
+    return ApproxResult(solution=LayeredSolution(Geometry.of("disk_coupled", config), u3, c, config.rho, images=2))
 
 
 def annulus_thin_layer(field: DiskField, R: float) -> ApproxResult:
@@ -453,7 +240,7 @@ def annulus_thin_layer(field: DiskField, R: float) -> ApproxResult:
     if not (0.0 < R < 1.0):
         raise ValidationError("inner radius must lie in (0, 1)")
     u2 = neumann_link_disk(field)
-    return ApproxResult(solution=AnnulusApprox(u2, field, R))
+    return ApproxResult(solution=LayeredSolution(Geometry("annulus", float(R)), u2, 1.0 / math.log(1.0 / R**2), 1.0))
 
 
 def _planar_probes(field: HalfPlaneField):

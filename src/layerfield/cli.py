@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -32,6 +31,8 @@ from .errors import ConvergenceError, LayerFieldError, ValidationError
 from .harmonic import BoundaryTrace, DiskField, HalfPlaneField, disk_from_boundary
 from .oracle import fd_annulus, fd_disk_coupled, fd_strip, mode_exact, residual_report
 from .series import (
+    Geometry,
+    LayeredSolution,
     MaxTerms,
     PlanarLayerConfig,
     RadialLayerConfig,
@@ -239,66 +240,12 @@ def _modes_for_oracle(cfg):
     return _planar_modes(cfg["boundary"]["modes"])
 
 
-class IdentitySolution:
-    """The untransformed model field presented as a candidate solution."""
-
-    def __init__(self, field, problem, geo):
-        self.field = field
-        self.kind = problem
-        self._geo = geo
-        self.tail_bound = None
-        if problem == "strip":
-            self.l = geo
-        elif problem == "annulus":
-            self.R = geo
-        else:
-            self.config = geo
-
-    def value(self, a, b):
-        return self.field.value(a, b)
-
-    def deriv_x(self, a, b):
-        return self.field.deriv_x(a, b)
-
-    def radial_derivative(self, a, b):
-        return self.field.radial_derivative(a, b)
-
-    u1_value = value
-    u2_value = value
-
-    def u1_deriv_x(self, a, b):
-        return self.field.deriv_x(a, b)
-
-    u2_deriv_x = u1_deriv_x
-
-    def u1_radial_derivative(self, a, b):
-        return self.field.radial_derivative(a, b)
-
-    u2_radial_derivative = u1_radial_derivative
-
-    def classify(self, p):
-        from .harmonic import as_point2, as_polar
-
-        if self.kind == "strip":
-            return "layer1" if 0 <= as_point2(p).x <= self.l else "outside"
-        if self.kind == "annulus":
-            return "layer1" if self.R <= as_polar(p).r <= 1 + 1e-12 else "outside"
-        if self.kind == "halfplane_coupled":
-            x = as_point2(p).x
-            if x < 0:
-                return "outside"
-            return "layer1" if x <= self.config.l else "layer2"
-        r = as_polar(p).r
-        if r > 1 + 1e-12:
-            return "outside"
-        return "layer2" if r < self.config.R else "layer1"
-
-
 def build_solution(cfg, method, field, geo, trunc):
     """Assemble the evaluator for one (problem, method) pair."""
     problem = cfg["problem"]
     if method == "identity":
-        return IdentitySolution(field, problem, geo)
+        # the untransformed model field: F = u0 with c = 1 and rho = 0
+        return LayeredSolution(Geometry.of(problem, geo), field, 1.0, 0.0)
     if method == "series":
         if problem == "strip":
             return strip_dirichlet(field, geo, trunc)
@@ -376,48 +323,28 @@ def build_grid(cfg, geo):
     return x, y
 
 
-def _region_code(solution, problem, c1):
-    if problem == "strip" or problem == "annulus":
-        return "1"
-    if problem == "halfplane_coupled":
-        return "1" if c1 <= solution.config.l else "2"
-    return "2" if c1 < solution.config.R else "1"
+def evaluate_grid(solution, problem, axis1, axis2):
+    """Values on the tensor grid axis1 x axis2, rows along axis1.
 
-
-def _row_values(solution, problem, c1, axis2):
-    if problem == "strip":
-        return solution.value(c1, axis2)
-    if problem == "annulus":
-        return solution.value(c1, axis2)
-    if problem == "halfplane_coupled":
-        fn = solution.u1_value if c1 <= solution.config.l else solution.u2_value
-        return fn(c1, axis2)
-    fn = solution.u2_value if c1 < solution.config.R else solution.u1_value
-    return fn(c1, axis2)
-
-
-def evaluate_grid(solution, problem, axis1, axis2, threads=1):
-    """Values on the tensor grid, rows split across threads, assembled in order."""
-    rows = [None] * axis1.size
-
-    def work(i):
-        rows[i] = np.atleast_1d(np.asarray(_row_values(solution, problem, float(axis1[i]), axis2), dtype=float))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(axis1.size)))
-    else:
-        for i in range(axis1.size):
-            work(i)
-    return np.vstack(rows)
+    The rows of each layer, from the solution's region test, are
+    evaluated in one broadcast call: a mode is evaluated once per row
+    and once per column, not once per node.
+    """
+    layer2 = solution.geometry.in_layer2(axis1)
+    values = np.empty((axis1.size, axis2.size))
+    values[~layer2] = solution.u1_value(axis1[~layer2, None], axis2)
+    if layer2.any():
+        values[layer2] = solution.u2_value(axis1[layer2, None], axis2)
+    return values
 
 
 def write_grid_csv(path, problem, solution, axis1, axis2, values):
     header = "r,theta,region,u" if problem in RADIAL else "x,y,region,u"
+    regions = np.where(solution.geometry.in_layer2(axis1), "2", "1")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for i, c1 in enumerate(axis1):
-            region = _region_code(solution, problem, float(c1))
+            region = regions[i]
             for j, c2 in enumerate(axis2):
                 fh.write(f"{float(c1)!r},{float(c2)!r},{region},{float(values[i, j])!r}\n")
 
@@ -427,11 +354,15 @@ def write_grid_csv(path, problem, solution, axis1, axis2, values):
 # ---------------------------------------------------------------------------
 
 
-def _thread_count(args):
-    if args.threads is not None:
-        return max(1, args.threads)
+def _check_threads(args):
+    """Validate LAYERFIELD_THREADS when --threads is not given.
+
+    Both are still accepted, but change nothing: grid evaluation is one
+    vectorised call per layer.
+    """
     env = os.environ.get("LAYERFIELD_THREADS")
-    return max(1, _number(env, "LAYERFIELD_THREADS", int)) if env else 1
+    if args.threads is None and env:
+        _number(env, "LAYERFIELD_THREADS", int)
 
 
 def _out_path(cfg, args, default):
@@ -485,13 +416,14 @@ def cmd_solve(cfg, args) -> int:
     trunc = truncation_policy(cfg)
     solution = build_solution(cfg, method, field, geo, trunc)
     axis1, axis2 = build_grid(cfg, geo)
-    values = evaluate_grid(solution, problem, axis1, axis2, threads=_thread_count(args))
+    _check_threads(args)
+    values = evaluate_grid(solution, problem, axis1, axis2)
     out = _out_path(cfg, args, "grid.csv")
     write_grid_csv(out, problem, solution, axis1, axis2, values)
     summary = {"problem": problem, "method": method, "rows": int(values.size), "output": out}
     if getattr(solution, "tail_bound", None) not in (None, float("inf")):
         summary["tail_bound"] = solution.tail_bound
-    if hasattr(solution, "terms"):
+    if getattr(solution, "terms", None) is not None:
         summary["terms"] = solution.terms
     print(json.dumps(summary, sort_keys=True))
     return 0
@@ -585,10 +517,10 @@ def cmd_compare(cfg, args) -> int:
     field = boundary_field(cfg, config_dir=os.path.dirname(os.path.abspath(args.config)))
     trunc = truncation_policy(cfg)
     axis1, axis2 = build_grid(cfg, geo)
-    threads = _thread_count(args)
+    _check_threads(args)
 
     solutions = [build_solution(cfg, m, field, geo, trunc) for m in methods]
-    grids = [evaluate_grid(s, problem, axis1, axis2, threads=threads) for s in solutions]
+    grids = [evaluate_grid(s, problem, axis1, axis2) for s in solutions]
 
     summary = {"problem": problem, "methods": methods, "grid_points": int(grids[0].size)}
     diffs = {}
@@ -694,29 +626,25 @@ def cmd_verify(cfg, args) -> int:
 
 
 def _check_grid_file(path, solution, problem) -> int:
-    """Re-evaluate the solution at a solve output's nodes; count mismatches."""
-    mismatches = 0
+    """Re-evaluate the solution at a solve output's nodes; count the rows
+    whose region code or value differs."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            c1s, c2s, region, us = line.split(",")
-            c1, c2, u = float(c1s), float(c2s), float(us)
-            if region == "outside":
-                continue
-            if problem in ("strip", "annulus"):
-                v = float(solution.value(c1, c2))
-            elif problem == "halfplane_coupled":
-                fn = solution.u1_value if region == "1" else solution.u2_value
-                v = float(fn(c1, c2))
-            else:
-                fn = solution.u1_value if region == "1" else solution.u2_value
-                v = float(fn(c1, c2))
-            if repr(v) != us:
-                mismatches += 1
-    return mismatches
+        fh.readline()
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    if not rows:
+        return 0
+    p = np.array([float(c1) for c1, _, _, _ in rows])
+    q = np.array([float(c2) for _, c2, _, _ in rows])
+    layer2 = solution.geometry.in_layer2(p)
+    values = np.empty(p.shape)
+    values[~layer2] = solution.u1_value(p[~layer2], q[~layer2])
+    if layer2.any():
+        values[layer2] = solution.u2_value(p[layer2], q[layer2])
+    regions = np.where(layer2, "2", "1")
+    return sum(
+        region != want or repr(v) != us
+        for (_, _, region, us), want, v in zip(rows, regions, values.tolist())
+    )
 
 
 def cmd_regimes(cfg, args) -> int:
@@ -759,7 +687,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (overrides config output.path)")
         p.add_argument("--strict", action="store_true", help="escalate regime warnings to exit 4")
         p.add_argument("--threads", type=int, default=None,
-                       help="grid-evaluation threads (default: LAYERFIELD_THREADS or 1)")
+                       help="accepted for compatibility; grid evaluation uses no threads")
         if name == "verify":
             p.add_argument("--grid", help="previously solved grid CSV to re-check")
         p.set_defaults(fn=fn)

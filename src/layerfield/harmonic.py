@@ -501,10 +501,3 @@ def laplacian_residual(evaluator: Callable, p, step: float, a: float = 1.0, insi
                 raise StencilError(f"stencil point {q} leaves the evaluator's region")
     xp, xm, yp, ym, f0 = (float(evaluator(q[0], q[1])) for q in pts)
     return (a * a * (xp + xm - 2.0 * f0) + (yp + ym - 2.0 * f0)) / step**2
-
-
-def cartesian_evaluator(field) -> Callable:
-    """Adapt a field to an (x, y) callable for stencil checks."""
-    if isinstance(field, DiskField):
-        return lambda x, y: field.value(np.hypot(x, y), np.arctan2(y, x))
-    return field.value

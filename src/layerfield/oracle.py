@@ -19,8 +19,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import spsolve
 
 from .errors import ArbiterInsufficientError, ValidationError
-from .harmonic import DiskField, HalfPlaneField, as_point2, as_polar, laplacian_residual
-from .series import MAX_LADDER_TERMS, PlanarLayerConfig, RadialLayerConfig, geometric_tail_terms
+from .harmonic import laplacian_residual
+from .series import MAX_LADDER_TERMS, Geometry, PlanarLayerConfig, RadialLayerConfig, geometric_tail_terms
 
 TWO_PI = 2.0 * math.pi
 
@@ -73,11 +73,10 @@ class StripModeExact:
     A sinh(w (l - x)) cos(w y + phi) / sinh(w l).
     """
 
-    kind = "strip"
-
     def __init__(self, modes, l: float):
         self.modes = [(float(a), float(w), float(p)) for a, w, p in modes]
         self.l = float(l)
+        self.geometry = Geometry("strip", self.l)
         self.tail_bound = 0.0
 
     def value(self, x, y):
@@ -88,7 +87,7 @@ class StripModeExact:
             out += a * np.sinh(w * (self.l - x)) / math.sinh(w * self.l) * np.cos(w * y + p)
         return out if out.shape else float(out)
 
-    def deriv_x(self, x, y):
+    def deriv(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         out = np.zeros(np.broadcast(x, y).shape)
@@ -96,19 +95,12 @@ class StripModeExact:
             out += -a * w * np.cosh(w * (self.l - x)) / math.sinh(w * self.l) * np.cos(w * y + p)
         return out if out.shape else float(out)
 
-    def classify(self, p) -> str:
-        p = as_point2(p)
-        return "layer1" if 0.0 <= p.x <= self.l else "outside"
-
-    def eval(self, p) -> float:
-        p = as_point2(p)
-        return float(self.value(p.x, p.y))
+    u1_value = value
+    u1_deriv = deriv
 
 
 class AnnulusModeExact:
     """Annulus Dirichlet solution (r^n - (R^2/r)^n)/(1 - R^(2n)) per mode."""
-
-    kind = "annulus"
 
     def __init__(self, modes, R: float):
         # modes: iterable of (n, cos_amp, sin_amp), n >= 1
@@ -118,6 +110,7 @@ class AnnulusModeExact:
                 raise ValidationError("annulus mode solution needs n >= 1")
             self.modes.append((int(n), float(a), float(b)))
         self.R = float(R)
+        self.geometry = Geometry("annulus", self.R)
         self.tail_bound = 0.0
 
     def _radial(self, n, r):
@@ -131,7 +124,7 @@ class AnnulusModeExact:
             out += self._radial(n, r) * (a * np.cos(n * theta) + b * np.sin(n * theta))
         return out if out.shape else float(out)
 
-    def radial_derivative(self, r, theta):
+    def deriv(self, r, theta):
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float)
         out = np.zeros(np.broadcast(r, theta).shape)
@@ -140,23 +133,17 @@ class AnnulusModeExact:
             out += grad * (a * np.cos(n * theta) + b * np.sin(n * theta))
         return out if out.shape else float(out)
 
-    def classify(self, p) -> str:
-        p = as_polar(p)
-        return "layer1" if self.R <= p.r <= 1.0 + 1e-12 else "outside"
-
-    def eval(self, p) -> float:
-        p = as_polar(p)
-        return float(self.value(p.r, p.theta))
+    u1_value = value
+    u1_deriv = deriv
 
 
 class PlanarCoupledModeExact:
     """Geometric summation of the coupled half-plane ladder on modes."""
 
-    kind = "halfplane_coupled"
-
     def __init__(self, modes, config: PlanarLayerConfig):
         self.modes = [(float(a), float(w), float(p)) for a, w, p in modes]
         self.config = config
+        self.geometry = Geometry.of("halfplane_coupled", config)
         self.tail_bound = 0.0
 
     def _denom(self, w):
@@ -173,7 +160,7 @@ class PlanarCoupledModeExact:
             out += amp * (np.exp(-w * x) - cfg.rho * np.exp(-w * (2 * cfg.l - x))) * np.cos(w * y + p)
         return out if out.shape else float(out)
 
-    def u1_deriv_x(self, x, y):
+    def u1_deriv(self, x, y):
         cfg = self.config
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -194,7 +181,7 @@ class PlanarCoupledModeExact:
             out += amp * np.exp(-w * arg) * np.cos(w * y + p)
         return out if out.shape else float(out)
 
-    def u2_deriv_x(self, x, y):
+    def u2_deriv(self, x, y):
         cfg = self.config
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -206,22 +193,9 @@ class PlanarCoupledModeExact:
             out += -w * stretch * amp * np.exp(-w * arg) * np.cos(w * y + p)
         return out if out.shape else float(out)
 
-    def classify(self, p) -> str:
-        p = as_point2(p)
-        if p.x < 0:
-            return "outside"
-        return "layer1" if p.x <= self.config.l else "layer2"
-
-    def eval(self, p) -> float:
-        p = as_point2(p)
-        fn = self.u1_value if self.classify(p) == "layer1" else self.u2_value
-        return float(fn(p.x, p.y))
-
 
 class DiskCoupledModeExact:
     """Geometric summation of the coupled disk ladder on Fourier modes."""
-
-    kind = "disk_coupled"
 
     def __init__(self, modes, config: RadialLayerConfig):
         self.modes = []
@@ -230,6 +204,7 @@ class DiskCoupledModeExact:
                 raise ValidationError("coupled disk mode solution needs n >= 1")
             self.modes.append((int(n), float(a), float(b)))
         self.config = config
+        self.geometry = Geometry.of("disk_coupled", config)
         self.tail_bound = 0.0
 
     def _denom(self, n):
@@ -246,7 +221,7 @@ class DiskCoupledModeExact:
             out += radial * (a * np.cos(n * theta) + b * np.sin(n * theta))
         return out if out.shape else float(out)
 
-    def u1_radial_derivative(self, r, theta):
+    def u1_deriv(self, r, theta):
         cfg = self.config
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float)
@@ -266,7 +241,7 @@ class DiskCoupledModeExact:
             out += radial * (a * np.cos(n * theta) + b * np.sin(n * theta))
         return out if out.shape else float(out)
 
-    def u2_radial_derivative(self, r, theta):
+    def u2_deriv(self, r, theta):
         cfg = self.config
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float)
@@ -275,17 +250,6 @@ class DiskCoupledModeExact:
             radial = 2 * cfg.k / (cfg.k + 1) * n * r**n / self._denom(n)
             out += radial * (a * np.cos(n * theta) + b * np.sin(n * theta))
         return out if out.shape else float(out)
-
-    def classify(self, p) -> str:
-        p = as_polar(p)
-        if p.r > 1.0 + 1e-12:
-            return "outside"
-        return "layer2" if p.r < self.config.R else "layer1"
-
-    def eval(self, p) -> float:
-        p = as_polar(p)
-        fn = self.u1_value if self.classify(p) == "layer1" else self.u2_value
-        return float(fn(p.r, p.theta))
 
 
 def mode_exact(problem: str, modes, **geometry):
@@ -585,144 +549,75 @@ def residual_report(solution, boundary_field, n_samples: int = 50,
                     flux: str = "auto") -> ErrorReport:
     """Check a candidate solution against its defining conditions.
 
-    flux: "auto" uses the solution's exact derivative methods when
-    present, otherwise one-sided fourth-order differences taken five
-    steps away from the interface.
+    The solution's `geometry` says where its layers lie.  flux: "auto"
+    uses the solution's exact derivatives u1_deriv and u2_deriv; "fd"
+    takes one-sided fourth-order differences five steps away from the
+    interface instead.
     """
     rng = np.random.default_rng(seed)
-    kind = solution.kind
+    geo = solution.geometry
     h = stencil_step
+    s = geo.interface
     bounds = {}
     if getattr(solution, "tail_bound", None) is not None:
         bounds["tail_bound"] = float(solution.tail_bound)
 
-    if kind == "strip":
-        l = solution.l if hasattr(solution, "l") else solution.config.l
-        xs = rng.uniform(2 * h, l - 2 * h, n_samples)
-        ys = rng.uniform(-1.0, 1.0, n_samples)
-        pde = max(abs(laplacian_residual(solution.value, (x, y), h)) for x, y in zip(xs, ys))
-        yb = rng.uniform(-1.0, 1.0, n_samples)
-        outer = max(abs(float(solution.value(0.0, y)) - float(boundary_field.value(0.0, y))) for y in yb)
-        inner = max(abs(float(solution.value(l, y))) for y in yb)
+    if geo.radial:
+        across, edge = (0.0, TWO_PI), 1.0
+        spans = [(s + 2 * h, 1.0 - 2 * h), (2 * h, s - 2 * h)]
+
+        def residual(fn, r, t, a):
+            cartesian = lambda x, y: float(fn(math.hypot(x, y), math.atan2(y, x)))
+            return laplacian_residual(cartesian, (r * math.cos(t), r * math.sin(t)), h, a=a)
+    else:
+        across, edge = (-1.0, 1.0), 0.0
+        spans = [(2 * h, s - 2 * h), (s + 2 * h, s + 2.0)]
+
+        def residual(fn, x, y, a):
+            return laplacian_residual(fn, (x, y), h, a=a)
+
+    layers = [(solution.u1_value, geo.a1)]
+    if geo.coupled:
+        layers.append((solution.u2_value, geo.a2))
+    pde = 0.0
+    for (lo, hi), (fn, a) in zip(spans, layers):
+        ps = rng.uniform(lo, hi, n_samples)
+        qs = rng.uniform(*across, n_samples)
+        pde = max(pde, max(abs(residual(fn, p, q, a)) for p, q in zip(ps, qs)))
+    qb = rng.uniform(*across, n_samples)
+    bmis = max(abs(float(solution.u1_value(edge, q)) - float(boundary_field.value(edge, q))) for q in qb)
+
+    if not geo.coupled:
+        inner = max(abs(float(solution.u1_value(s, q))) for q in qb)
         return ErrorReport(
             pde_residual=pde,
-            boundary_mismatch=max(outer, inner),
+            boundary_mismatch=max(bmis, inner),
             value_jump=0.0,
             flux_jump=0.0,
             samples={"interior": n_samples, "boundary": 2 * n_samples},
             bounds=bounds,
         )
 
-    if kind == "annulus":
-        R = solution.R
-        rs = rng.uniform(R + 2 * h, 1.0 - 2 * h, n_samples)
-        ts = rng.uniform(0.0, TWO_PI, n_samples)
-        fn = lambda x, y: float(solution.value(math.hypot(x, y), math.atan2(y, x)))
-        pde = max(
-            abs(laplacian_residual(fn, (r * math.cos(t), r * math.sin(t)), h))
-            for r, t in zip(rs, ts)
-        )
-        tb = rng.uniform(0.0, TWO_PI, n_samples)
-        outer = max(abs(float(solution.value(1.0, t)) - float(boundary_field.value(1.0, t))) for t in tb)
-        inner = max(abs(float(solution.value(R, t))) for t in tb)
-        return ErrorReport(
-            pde_residual=pde,
-            boundary_mismatch=max(outer, inner),
-            value_jump=0.0,
-            flux_jump=0.0,
-            samples={"interior": n_samples, "boundary": 2 * n_samples},
-            bounds=bounds,
-        )
-
-    if kind == "halfplane_coupled":
-        cfg = solution.config
-        l, k = cfg.l, cfg.k
-        xs1 = rng.uniform(2 * h, l - 2 * h, n_samples)
-        ys1 = rng.uniform(-1.0, 1.0, n_samples)
-        pde1 = max(
-            abs(laplacian_residual(solution.u1_value, (x, y), h, a=cfg.a1))
-            for x, y in zip(xs1, ys1)
-        )
-        xs2 = rng.uniform(l + 2 * h, l + 2.0, n_samples)
-        ys2 = rng.uniform(-1.0, 1.0, n_samples)
-        pde2 = max(
-            abs(laplacian_residual(solution.u2_value, (x, y), h, a=cfg.a2))
-            for x, y in zip(xs2, ys2)
-        )
-        yb = rng.uniform(-1.0, 1.0, n_samples)
-        bmis = max(abs(float(solution.u1_value(0.0, y)) - float(boundary_field.value(0.0, y))) for y in yb)
-        yi = rng.uniform(-1.0, 1.0, n_samples)
-        vjump = max(abs(float(solution.u1_value(l, y)) - float(solution.u2_value(l, y))) for y in yi)
-        use_exact = flux != "fd" and hasattr(solution, "u1_deriv_x")
-        if use_exact:
-            fjump = max(
-                abs(k * float(solution.u1_deriv_x(l, y)) - float(solution.u2_deriv_x(l, y)))
-                for y in yi
+    qi = rng.uniform(*across, n_samples)
+    vjump = max(abs(float(solution.u1_value(s, q)) - float(solution.u2_value(s, q))) for q in qi)
+    if flux == "fd":
+        # layer 1 lies above the interface on the disk, below it on the
+        # plane; r d/dr is the radial flux
+        side, scale = (1, s) if geo.radial else (-1, 1.0)
+        fjump = max(
+            abs(
+                geo.k * scale * _one_sided_dx(solution.u1_value, s, q, h, side=side)
+                - scale * _one_sided_dx(solution.u2_value, s, q, h, side=-side)
             )
-        else:
-            fjump = max(
-                abs(
-                    k * _one_sided_dx(solution.u1_value, l, y, h, side=-1)
-                    - _one_sided_dx(solution.u2_value, l, y, h, side=+1)
-                )
-                for y in yi
-            )
-        return ErrorReport(
-            pde_residual=max(pde1, pde2),
-            boundary_mismatch=bmis,
-            value_jump=vjump,
-            flux_jump=fjump,
-            samples={"interior": 2 * n_samples, "boundary": n_samples, "interface": n_samples},
-            bounds=bounds,
+            for q in qi
         )
-
-    if kind == "disk_coupled":
-        cfg = solution.config
-        R, k = cfg.R, cfg.k
-        rs1 = rng.uniform(R + 2 * h, 1.0 - 2 * h, n_samples)
-        ts1 = rng.uniform(0.0, TWO_PI, n_samples)
-        f1 = lambda x, y: float(solution.u1_value(math.hypot(x, y), math.atan2(y, x)))
-        pde1 = max(
-            abs(laplacian_residual(f1, (r * math.cos(t), r * math.sin(t)), h))
-            for r, t in zip(rs1, ts1)
-        )
-        rs2 = rng.uniform(2 * h, R - 2 * h, n_samples)
-        ts2 = rng.uniform(0.0, TWO_PI, n_samples)
-        f2 = lambda x, y: float(solution.u2_value(math.hypot(x, y), math.atan2(y, x)))
-        pde2 = max(
-            abs(laplacian_residual(f2, (r * math.cos(t), r * math.sin(t)), h))
-            for r, t in zip(rs2, ts2)
-        )
-        tb = rng.uniform(0.0, TWO_PI, n_samples)
-        bmis = max(abs(float(solution.u1_value(1.0, t)) - float(boundary_field.value(1.0, t))) for t in tb)
-        ti = rng.uniform(0.0, TWO_PI, n_samples)
-        vjump = max(abs(float(solution.u1_value(R, t)) - float(solution.u2_value(R, t))) for t in ti)
-        use_exact = flux != "fd" and hasattr(solution, "u1_radial_derivative")
-        if use_exact:
-            fjump = max(
-                abs(
-                    k * float(solution.u1_radial_derivative(R, t))
-                    - float(solution.u2_radial_derivative(R, t))
-                )
-                for t in ti
-            )
-        else:
-            g1 = lambda r, t: float(solution.u1_value(r, t))
-            g2 = lambda r, t: float(solution.u2_value(r, t))
-            fjump = max(
-                abs(
-                    k * R * _one_sided_dx(g1, R, t, h, side=+1)
-                    - R * _one_sided_dx(g2, R, t, h, side=-1)
-                )
-                for t in ti
-            )
-        return ErrorReport(
-            pde_residual=max(pde1, pde2),
-            boundary_mismatch=bmis,
-            value_jump=vjump,
-            flux_jump=fjump,
-            samples={"interior": 2 * n_samples, "boundary": n_samples, "interface": n_samples},
-            bounds=bounds,
-        )
-
-    raise ValidationError(f"unknown solution kind: {kind!r}")
+    else:
+        fjump = max(abs(geo.k * float(solution.u1_deriv(s, q)) - float(solution.u2_deriv(s, q))) for q in qi)
+    return ErrorReport(
+        pde_residual=pde,
+        boundary_mismatch=bmis,
+        value_jump=vjump,
+        flux_jump=fjump,
+        samples={"interior": 2 * n_samples, "boundary": n_samples, "interface": n_samples},
+        bounds=bounds,
+    )

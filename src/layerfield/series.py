@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, ConvergenceError, ValidationError
-from .harmonic import DiskField, HalfPlaneField, as_point2, as_polar
+from .harmonic import DiskField, HalfPlaneField
 
 #: hard cap on ladder terms when resolving a tail tolerance
 MAX_LADDER_TERMS = 100_000
@@ -197,211 +197,139 @@ def _planar_ladder_bounds(field: HalfPlaneField, l: float, rho: float, trunc):
     return ratio, M
 
 
-class StripSolution:
-    """Dirichlet strip field from the reflected image ladder.
+@dataclass(frozen=True)
+class Geometry:
+    """Where a problem's layers lie, in its own coordinate p.
 
-    u(x,y) = sum_j [u0(x+2lj, y) - u0(2l-x+2lj, y)] on 0 < x < l, with
-    u(0,y) = u0(0,y) by telescoping and u(l,y) = 0 by pairwise
-    cancellation.
+    p is x on the plane and r on the disk; the second coordinate (y or
+    theta) is never mapped.  Layer 1 is 0 <= x <= l (interface l) or
+    R <= r <= 1 (interface R).  The coupled problems (k given) add
+    layer 2 beyond the interface, x > l or r < R; the strip and the
+    annulus have none.
     """
 
-    kind = "strip"
+    kind: str
+    interface: float
+    k: float | None = None
+    a1: float = 1.0
+    a2: float = 1.0
 
-    def __init__(self, field, l, terms, tail_bound):
-        self.field = field
-        self.l = float(l)
-        self.terms = int(terms)
-        self.tail_bound = float(tail_bound)
+    @classmethod
+    def of(cls, kind: str, config) -> "Geometry":
+        """From a layer config, or from l / R for the strip and the annulus."""
+        if kind == "halfplane_coupled":
+            return cls(kind, config.l, config.k, config.a1, config.a2)
+        if kind == "disk_coupled":
+            return cls(kind, config.R, config.k)
+        return cls(kind, float(config))
 
-    def _images(self, x, y, deriv):
-        # d/dx of -u0(2l - x + s) is +u0_x, hence the flipped image sign
-        s = 2.0 * self.l
-        x = np.asarray(x, dtype=float)
-        direct = self.field.ladder(x, y, s, 1.0, self.terms, deriv=deriv)
-        image = self.field.ladder(s - x, y, s, 1.0, self.terms, deriv=deriv)
-        return direct + image if deriv else direct - image
+    @property
+    def radial(self) -> bool:
+        return self.kind in ("annulus", "disk_coupled")
 
-    def value(self, x, y):
-        return self._images(x, y, deriv=False)
+    @property
+    def coupled(self) -> bool:
+        return self.k is not None
 
-    def deriv_x(self, x, y):
-        return self._images(x, y, deriv=True)
+    @property
+    def step(self) -> float:
+        """Ladder step: the shift 2l on the plane, the scale R^2 on the disk."""
+        return self.interface**2 if self.radial else 2.0 * self.interface
 
-    def classify(self, p) -> str:
-        p = as_point2(p)
-        return "layer1" if 0.0 <= p.x <= self.l else "outside"
+    @property
+    def stretch(self) -> float:
+        """d outer(p)/dp: a1/a2 on the plane, 1 on the disk."""
+        return 1.0 if self.radial else self.a1 / self.a2
 
-    def eval(self, p) -> float:
-        p = as_point2(p)
-        if self.classify(p) == "outside":
-            raise ValidationError("point lies outside the strip")
-        return float(self.value(p.x, p.y))
+    def image(self, p):
+        """Mirror 2l - x on the plane, Kelvin image R^2/r on the disk."""
+        return self.interface**2 / p if self.radial else 2.0 * self.interface - p
+
+    def outer(self, p):
+        """Layer-2 argument: (a1/a2)(x - l) + l on the plane, r on the disk."""
+        return p if self.radial else self.stretch * (p - self.interface) + self.interface
+
+    def in_layer2(self, p):
+        """Region test: True where p lies in layer 2."""
+        p = np.asarray(p, dtype=float)
+        if not self.coupled:
+            return np.zeros(p.shape, dtype=bool)
+        return p < self.interface if self.radial else p > self.interface
 
 
-class PlanarLayeredSolution:
-    """Coupled two-layer half-plane field.
+class LayeredSolution:
+    """A layered solution built by any route, as one transfer field F.
 
-    Layer 1 (0 < x < l) sums rho-weighted direct and reflected images;
-    layer 2 (x > l) is the transmitted ladder scaled by 2k/(k+1), with
-    the a1/a2 argument stretch applied beyond the interface.
+    F is the `images`-term image ladder of `field` with ratio rho and
+    the geometry's step (images=1 is the field itself).  With p* the
+    mirror or Kelvin image of p:
+
+        layer 1:  c*[F(p) - rho*F(p*)],   derivative c*[F'(p) + rho*F'(p*)]
+        layer 2:  c*(1 - rho)*F(outer(p)), derivative times a1/a2 on the plane
+
+    The derivative is d/dx on the plane and r d/dr on the disk.  The
+    strip and the annulus take rho = 1, so they vanish on the interface;
+    `log_coeff` adds log_coeff*ln(r/R) in layer 1, the annulus profile of
+    a constant boundary mode, which cancels inside F(p) - F(p*).
+
+    `tail_bound` is set for the truncated series only, and `terms` (the
+    ladder length) is reported for those alone.
     """
 
-    kind = "halfplane_coupled"
-
-    def __init__(self, field, config: PlanarLayerConfig, terms, tail_bound):
+    def __init__(self, geometry: Geometry, field, c: float, rho: float, images: int = 1,
+                 tail_bound: float | None = None, log_coeff: float = 0.0):
+        self.geometry = geometry
         self.field = field
-        self.config = config
-        self.terms = int(terms)
-        self.tail_bound = float(tail_bound)
+        self.c = float(c)
+        self.rho = float(rho)
+        self.images = int(images)
+        self.tail_bound = None if tail_bound is None else float(tail_bound)
+        self.log_coeff = float(log_coeff)
 
-    def _images_u1(self, x, y, deriv):
-        cfg = self.config
-        s = 2.0 * cfg.l
-        x = np.asarray(x, dtype=float)
-        direct = self.field.ladder(x, y, s, cfg.rho, self.terms, deriv=deriv)
-        image = self.field.ladder(s - x, y, s, cfg.rho, self.terms, deriv=deriv)
-        refl_sign = 1.0 if deriv else -1.0
-        return direct + refl_sign * cfg.rho * image
+    @property
+    def terms(self):
+        return self.images if self.tail_bound is not None else None
 
-    def u1_value(self, x, y):
-        return self._images_u1(x, y, deriv=False)
+    def _transfer(self, p, q, deriv):
+        return self.field.ladder(p, q, self.geometry.step, self.rho, self.images, deriv=deriv)
 
-    def u1_deriv_x(self, x, y):
-        return self._images_u1(x, y, deriv=True)
+    def u1_value(self, p, q):
+        p = np.asarray(p, dtype=float)
+        image = self.geometry.image(p)
+        out = self.c * (self._transfer(p, q, False) - self.rho * self._transfer(image, q, False))
+        if self.log_coeff:
+            out = out + self.log_coeff * np.log(p / self.geometry.interface)
+        return out
 
-    def _images_u2(self, x, y, deriv):
-        cfg = self.config
-        stretch = cfg.a1 / cfg.a2
-        base = stretch * (np.asarray(x, dtype=float) - cfg.l) + cfg.l
-        ladder = self.field.ladder(base, y, 2.0 * cfg.l, cfg.rho, self.terms, deriv=deriv)
-        out = 2.0 * cfg.k / (cfg.k + 1.0) * ladder
-        return out * stretch if deriv else out
+    def u1_deriv(self, p, q):
+        p = np.asarray(p, dtype=float)
+        image = self.geometry.image(p)
+        out = self.c * (self._transfer(p, q, True) + self.rho * self._transfer(image, q, True))
+        return out + self.log_coeff if self.log_coeff else out
 
-    def u2_value(self, x, y):
-        return self._images_u2(x, y, deriv=False)
+    def u2_value(self, p, q):
+        outer = self.geometry.outer(np.asarray(p, dtype=float))
+        return self.c * (1.0 - self.rho) * self._transfer(outer, q, False)
 
-    def u2_deriv_x(self, x, y):
-        return self._images_u2(x, y, deriv=True)
+    def u2_deriv(self, p, q):
+        outer = self.geometry.outer(np.asarray(p, dtype=float))
+        return self.c * (1.0 - self.rho) * self.geometry.stretch * self._transfer(outer, q, True)
 
-    def classify(self, p) -> str:
-        p = as_point2(p)
-        if p.x < 0:
-            return "outside"
-        return "layer1" if p.x <= self.config.l else "layer2"
-
-    def eval(self, p) -> float:
-        p = as_point2(p)
-        region = self.classify(p)
-        if region == "outside":
-            raise ValidationError("point lies outside the coupled half-plane")
-        fn = self.u1_value if region == "layer1" else self.u2_value
-        return float(fn(p.x, p.y))
+    # the strip and the annulus have layer 1 only
+    value = u1_value
+    deriv = u1_deriv
 
 
-class DiskLayeredSolution:
-    """Coupled disk field: annular layer over a core, Kelvin-image ladder."""
-
-    kind = "disk_coupled"
-
-    def __init__(self, field: DiskField, config: RadialLayerConfig, terms, tail_bound):
-        self.field = field
-        self.config = config
-        self.terms = int(terms)
-        self.tail_bound = float(tail_bound)
-
-    def _sum_u1(self, r, theta, deriv):
-        # r*d/dr of u0(c/r) is -(L0 u0)(c/r), hence the flipped image sign
-        cfg = self.config
-        R2 = cfg.R**2
-        r = np.asarray(r, dtype=float)
-        direct = self.field.ladder(r, theta, R2, cfg.rho, self.terms, deriv=deriv)
-        image = self.field.ladder(R2 / r, theta, R2, cfg.rho, self.terms, deriv=deriv)
-        image_sign = 1.0 if deriv else -1.0
-        return direct + image_sign * cfg.rho * image
-
-    def u1_value(self, r, theta):
-        return self._sum_u1(r, theta, deriv=False)
-
-    def u1_radial_derivative(self, r, theta):
-        return self._sum_u1(r, theta, deriv=True)
-
-    def _sum_u2(self, r, theta, deriv):
-        cfg = self.config
-        ladder = self.field.ladder(r, theta, cfg.R**2, cfg.rho, self.terms, deriv=deriv)
-        return 2.0 * cfg.k / (cfg.k + 1.0) * ladder
-
-    def u2_value(self, r, theta):
-        return self._sum_u2(r, theta, deriv=False)
-
-    def u2_radial_derivative(self, r, theta):
-        return self._sum_u2(r, theta, deriv=True)
-
-    def classify(self, p) -> str:
-        p = as_polar(p)
-        if p.r > 1.0 + 1e-12:
-            return "outside"
-        return "layer2" if p.r < self.config.R else "layer1"
-
-    def eval(self, p) -> float:
-        p = as_polar(p)
-        region = self.classify(p)
-        if region == "outside":
-            raise ValidationError("point lies outside the unit disk")
-        fn = self.u1_value if region == "layer1" else self.u2_value
-        return float(fn(p.r, p.theta))
-
-
-class AnnulusSolution:
-    """Dirichlet annulus field from the Kelvin-image ladder.
-
-    Vanishes on r=R by pairwise cancellation and telescopes to the model
-    trace on r=1.  The constant boundary mode cancels identically inside
-    each pair, so it contributes nothing (documented limitation: the true
-    Dirichlet solution for constant data is the log-harmonic profile).
-    """
-
-    kind = "annulus"
-
-    def __init__(self, field: DiskField, R, terms, tail_bound):
-        self.field = field
-        self.R = float(R)
-        self.terms = int(terms)
-        self.tail_bound = float(tail_bound)
-
-    def _sum(self, r, theta, deriv):
-        R2 = self.R**2
-        r = np.asarray(r, dtype=float)
-        direct = self.field.ladder(r, theta, R2, 1.0, self.terms, deriv=deriv)
-        image = self.field.ladder(R2 / r, theta, R2, 1.0, self.terms, deriv=deriv)
-        return direct + image if deriv else direct - image
-
-    def value(self, r, theta):
-        return self._sum(r, theta, deriv=False)
-
-    def radial_derivative(self, r, theta):
-        return self._sum(r, theta, deriv=True)
-
-    def classify(self, p) -> str:
-        p = as_polar(p)
-        return "layer1" if self.R <= p.r <= 1.0 + 1e-12 else "outside"
-
-    def eval(self, p) -> float:
-        p = as_polar(p)
-        if self.classify(p) == "outside":
-            raise ValidationError("point lies outside the annulus")
-        return float(self.value(p.r, p.theta))
-
-
-def halfplane_coupled(field: HalfPlaneField, config: PlanarLayerConfig, trunc) -> PlanarLayeredSolution:
+def halfplane_coupled(field: HalfPlaneField, config: PlanarLayerConfig, trunc) -> LayeredSolution:
     """Deform a half-plane field into the coupled two-layer solution."""
     if abs(config.rho) >= 1.0:
         raise ValidationError("reflection ratio must satisfy |rho| < 1")
     ratio, M = _planar_ladder_bounds(field, config.l, config.rho, trunc)
     terms, tail = _resolve_truncation(trunc, ratio, M)
-    return PlanarLayeredSolution(field, config, terms, tail)
+    return LayeredSolution(Geometry.of("halfplane_coupled", config), field, 1.0, config.rho, terms, tail)
 
 
-def strip_dirichlet(field: HalfPlaneField, l: float, trunc) -> StripSolution:
+def strip_dirichlet(field: HalfPlaneField, l: float, trunc) -> LayeredSolution:
     """Dirichlet strip solution built from an unweighted reflected ladder."""
     if l <= 0:
         raise ValidationError("strip width must be > 0")
@@ -416,10 +344,10 @@ def strip_dirichlet(field: HalfPlaneField, l: float, trunc) -> StripSolution:
         ratio = math.exp(-2.0 * l * field.min_frequency)
         M = 2.0 * field.sup_bound(0.0)
     terms, tail = _resolve_truncation(trunc, ratio, M)
-    return StripSolution(field, l, terms, tail)
+    return LayeredSolution(Geometry("strip", float(l)), field, 1.0, 1.0, terms, tail)
 
 
-def disk_coupled(field: DiskField, config: RadialLayerConfig, trunc) -> DiskLayeredSolution:
+def disk_coupled(field: DiskField, config: RadialLayerConfig, trunc) -> LayeredSolution:
     """Deform a disk field into the coupled annulus-over-core solution."""
     if abs(config.rho) >= 1.0:
         raise ValidationError("reflection ratio must satisfy |rho| < 1")
@@ -431,21 +359,27 @@ def disk_coupled(field: DiskField, config: RadialLayerConfig, trunc) -> DiskLaye
     else:
         M = (1.0 + abs(config.rho)) * field.sup_bound()
     terms, tail = _resolve_truncation(trunc, ratio, M)
-    return DiskLayeredSolution(field, config, terms, tail)
+    return LayeredSolution(Geometry.of("disk_coupled", config), field, 1.0, config.rho, terms, tail)
 
 
-def annulus_dirichlet(field: DiskField, R: float, trunc) -> AnnulusSolution:
-    """Dirichlet annulus solution from the unweighted Kelvin ladder."""
+def annulus_dirichlet(field: DiskField, R: float, trunc) -> LayeredSolution:
+    """Dirichlet annulus solution from the unweighted Kelvin ladder.
+
+    The ladder vanishes on r = R pair by pair, which cancels the constant
+    mode c entirely; it is added back as its exact profile
+    c*ln(r/R)/ln(1/R).
+    """
     if not (0.0 < R < 1.0):
         raise ValidationError("inner radius must lie in (0, 1)")
+    geometry = Geometry("annulus", float(R))
+    log_coeff = field.constant_coeff / 2.0 / math.log(1.0 / R)
     n_min = field.min_active_mode
     if n_min is None:
-        # pure constant data: every ladder pair cancels exactly
-        return AnnulusSolution(field, R, terms=1, tail_bound=0.0)
+        return LayeredSolution(geometry, field, 1.0, 1.0, 1, 0.0, log_coeff)
     ratio = R ** (2 * n_min)
     M = 2.0 * field.sup_bound()
     terms, tail = _resolve_truncation(trunc, ratio, M)
-    return AnnulusSolution(field, R, terms, tail)
+    return LayeredSolution(geometry, field, 1.0, 1.0, terms, tail, log_coeff)
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,32 @@ def test_verify_series_passes_and_roundtrip(tmp_path, capsys):
     }
 
 
+ROUNDTRIP = {
+    "strip": ({"l": 0.37}, {"x": [0.0, 0.37, 7], "y": [-2.0, 2.0, 9]}),
+    "halfplane_coupled": ({"l": 0.21, "k": 0.3, "a1": 1.0, "a2": 1.7}, {"x": [0.0, 1.3, 9], "y": [-2.0, 2.0, 9]}),
+    "annulus": ({"R": 0.63}, {"r": [0.63, 1.0, 7], "theta": [0.0, 6.28, 9]}),
+    "disk_coupled": ({"R": 0.71, "k": 3.0}, {"r": [0.0, 1.0, 9], "theta": [0.0, 6.28, 9]}),
+}
+
+
+@pytest.mark.parametrize("method", ["series", "asymptotic", "oracle", "identity"])
+@pytest.mark.parametrize("problem", sorted(ROUNDTRIP))
+def test_verify_grid_reproduces_every_route(tmp_path, capsys, problem, method):
+    # solve evaluates whole layers of the grid at once, the re-check the
+    # file's nodes one list at a time: both must give the same bits
+    geometry, grid = ROUNDTRIP[problem]
+    if problem in ("annulus", "disk_coupled"):
+        modes = [{"n": 1, "a": 0.7, "b": 0.1}, {"n": 4, "a": -0.2, "b": 0.5}]
+    else:
+        modes = [{"omega": 1.3, "A": 0.7, "phi": 0.2}, {"omega": 3.1, "A": -0.4, "phi": 1.0}]
+    cfg = {"problem": problem, "geometry": geometry, "grid": grid, "boundary": {"modes": modes}, "method": method}
+    path = write_config(tmp_path, "rt.json", cfg)
+    out = tmp_path / "rt.csv"
+    assert run_cli(["solve", "--config", path, "--out", str(out)], capsys)[0] == 0
+    _, stdout, _ = run_cli(["verify", "--config", path, "--grid", str(out)], capsys)
+    assert json.loads(stdout)["grid_mismatches"] == 0
+
+
 def test_verify_identity_method_fails_inner_boundary(tmp_path, capsys):
     cfg = write_config(tmp_path, "fake.json", strip_config(method="identity"))
     code, stdout, _ = run_cli(["verify", "--config", cfg], capsys)
@@ -339,6 +365,24 @@ def annulus_config(modes):
         "boundary": {"modes": modes},
         "grid": {"r": [0.7, 1.0, 4], "theta": [0.0, 6.0, 4]},
     }
+
+
+def test_annulus_constant_mode_solve_and_verify(tmp_path, capsys):
+    # boundary value 1: the Dirichlet profile is ln(r/R)/ln(1/R), not 0.  The
+    # 5-point stencil's own truncation on ln r near r = R is ~1.1e-5, so the
+    # pde check gets the stencil-level tolerance
+    cfg = annulus_config([{"n": 0, "a": 1}])
+    cfg["tolerances"] = {"pde_residual": 1e-4}
+    path = write_config(tmp_path, "const.json", cfg)
+    out = tmp_path / "const.csv"
+    code, _, _ = run_cli(["solve", "--config", path, "--out", str(out)], capsys)
+    assert code == 0
+    for row in out.read_text().strip().splitlines()[1:]:
+        r, _, _, u = map(float, row.split(","))
+        assert abs(u - math.log(r / 0.7) / math.log(1 / 0.7)) <= 1e-15
+    code, stdout, _ = run_cli(["verify", "--config", path], capsys)
+    assert code == 0
+    assert json.loads(stdout)["all_pass"] is True
 
 
 @pytest.mark.parametrize(

@@ -174,6 +174,18 @@ def test_halfplane_small_contrast_bounded_by_assessment():
     assert approx.bound > 0
 
 
+def test_halfplane_small_contrast_layer2_follows_anisotropic_stretch():
+    # layer 2 is evaluated at the stretched argument (a1/a2)(x - l) + l, as
+    # in the series; without it the deviation is 0.17, four times the bound
+    cfg = PlanarLayerConfig(l=0.01, k=0.02, a1=1.0, a2=2.0)
+    approx = halfplane_small_contrast(MODE, cfg)
+    series = halfplane_coupled(MODE, cfg, TailTol(1e-12))
+    xs = cfg.l + np.linspace(0.0, 1.5, 31)[:, None]
+    ys = np.linspace(-2.0, 2.0, 21)
+    dev = np.max(np.abs(approx.solution.u2_value(xs, ys) - series.u2_value(xs, ys)))
+    assert dev <= approx.bound
+
+
 def test_halfplane_small_contrast_thickness_scaling():
     base = PlanarLayerConfig(l=0.01, k=0.05)
     h = base.robin_h

@@ -6,6 +6,7 @@ import pytest
 from layerfield import (
     ArbiterInsufficientError,
     DiskField,
+    Geometry,
     HalfPlaneField,
     PlanarLayerConfig,
     RadialLayerConfig,
@@ -217,11 +218,10 @@ def test_residual_report_flux_by_finite_differences():
 def test_residual_report_flags_wrong_solution():
     # the untransformed model field is not the strip solution
     class Fake:
-        kind = "strip"
-        l = 0.5
+        geometry = Geometry("strip", 0.5)
         tail_bound = None
 
-        def value(self, x, y):
+        def u1_value(self, x, y):
             return MODE.value(x, y)
 
     rep = residual_report(Fake(), MODE)

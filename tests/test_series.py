@@ -174,7 +174,7 @@ def test_halfplane_coupling_conditions_on_modes():
         sol = halfplane_coupled(MODE, cfg, TailTol(1e-10))
         ys = np.linspace(-2, 2, 50)
         vj = np.max(np.abs(sol.u1_value(cfg.l, ys) - sol.u2_value(cfg.l, ys)))
-        fj = np.max(np.abs(k * sol.u1_deriv_x(cfg.l, ys) - sol.u2_deriv_x(cfg.l, ys)))
+        fj = np.max(np.abs(k * sol.u1_deriv(cfg.l, ys) - sol.u2_deriv(cfg.l, ys)))
         assert vj <= 10 * 1e-10
         assert fj <= 10 * 1e-10
 
@@ -230,7 +230,7 @@ def test_disk_coupling_conditions_on_modes():
         ts = np.linspace(0, 2 * math.pi, 50)
         vj = np.max(np.abs(sol.u1_value(cfg.R, ts) - sol.u2_value(cfg.R, ts)))
         fj = np.max(
-            np.abs(k * sol.u1_radial_derivative(cfg.R, ts) - sol.u2_radial_derivative(cfg.R, ts))
+            np.abs(k * sol.u1_deriv(cfg.R, ts) - sol.u2_deriv(cfg.R, ts))
         )
         assert vj <= 10 * 1e-10
         assert fj <= 10 * 1e-10
@@ -253,12 +253,21 @@ def test_annulus_closed_form_point():
     assert expected == pytest.approx(0.5363321799, abs=1e-9)
 
 
-def test_annulus_constant_mode_cancels():
-    # literal ladder pairing annihilates constant data (documented limitation)
+def test_annulus_constant_mode_log_profile():
+    # boundary value c = 1 (coefficient 2): u = c ln(r/R)/ln(1/R), r du/dr = c/ln(1/R)
     const = DiskField.single_mode(0, 2.0)
     sol = annulus_dirichlet(const, 0.7, TailTol(1e-10))
     assert sol.tail_bound == 0.0
-    assert float(sol.value(0.85, 1.0)) == 0.0
+    rs = np.linspace(0.7, 1.0, 7)
+    assert np.max(np.abs(sol.value(rs, 1.0) - np.log(rs / 0.7) / math.log(1 / 0.7))) <= 1e-15
+    assert np.max(np.abs(sol.deriv(rs, 1.0) - 1.0 / math.log(1 / 0.7))) <= 1e-15
+    assert float(sol.value(0.7, 1.0)) == 0.0
+    # mixed data: the log profile rides on top of the ladder for the other modes
+    mixed = DiskField(np.array([2.0, 1.0]), np.array([0.0, 0.0]))
+    sol = annulus_dirichlet(mixed, 0.7, TailTol(1e-12))
+    exact = mode_exact("annulus", [(1, 1.0, 0.0)], R=0.7)
+    want = exact.value(rs, 1.0) + np.log(rs / 0.7) / math.log(1 / 0.7)
+    assert np.max(np.abs(sol.value(rs, 1.0) - want)) <= 1e-11
 
 
 # --- regimes -------------------------------------------------------------------
