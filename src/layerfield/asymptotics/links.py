@@ -15,12 +15,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from ..errors import DivergentLinkError, SolvabilityError, ValidationError
 from ..harmonic import DiskField, HalfPlaneField
 from ..series import Geometry, LayeredSolution, PlanarLayerConfig, RadialLayerConfig
-from .summation import total_variation, ray_total_variation, ray_window
+from .summation import quad, total_variation, ray_total_variation, ray_window
 
 
 @dataclass(frozen=True)
@@ -60,11 +59,8 @@ class _QuadratureRobinHalfPlane:
         xs = np.broadcast_to(x, out.shape).reshape(-1)
         ys = np.broadcast_to(y, out.shape).reshape(-1)
         for i, (xi, yi) in enumerate(zip(xs, ys)):
-            flat[i], _ = integrate.quad(
-                lambda e: math.exp(self.h * e) * float(self.field.value(xi + e, yi)),
-                0.0,
-                math.inf,
-                limit=200,
+            flat[i] = quad(
+                lambda e: math.exp(self.h * e) * float(self.field.value(xi + e, yi)), 0.0, math.inf
             )
         return out if out.shape else float(out)
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 import numpy as np
-from scipy import integrate
 
 from ..errors import (
     CapabilityError,
@@ -35,6 +34,17 @@ MAX_ORDER = 5
 
 #: correction-order cap when derivatives come from finite differences
 FD_ORDER_CAP = 3
+
+
+def quad(fn, lo: float, hi: float) -> float:
+    """Adaptive quadrature of fn over [lo, hi].
+
+    scipy is imported here, on first use, so that mode-only runs never
+    load it.
+    """
+    from scipy import integrate
+
+    return integrate.quad(fn, lo, hi, limit=200)[0]
 
 
 def _check_order(order: int, cap: int = MAX_ORDER):
@@ -169,14 +179,10 @@ class FuncProfile:
     def integral(self) -> float:
         if self._integral is not None:
             return self._integral
-        val, _ = integrate.quad(self.fn, self.domain[0], self.domain[1], limit=200)
-        return val
+        return quad(self.fn, self.domain[0], self.domain[1])
 
     def weighted_integral(self, h: float, shift: float = 0.0) -> float:
-        val, _ = integrate.quad(
-            lambda e: math.exp(h * e) * float(self.fn(shift + e)), 0.0, math.inf, limit=200
-        )
-        return val
+        return quad(lambda e: math.exp(h * e) * float(self.fn(shift + e)), 0.0, math.inf)
 
     def lh_power(self, h: float, order: int, x: float) -> float:
         if order > 2 * FD_ORDER_CAP - 1:
@@ -191,8 +197,7 @@ class FuncProfile:
         if h <= 0:
             raise DivergentLinkError("radially weighted integral needs h > 0")
         # substitute e = u^(1/h): integrand becomes smooth at the origin
-        val, _ = integrate.quad(lambda u: float(self.fn(r * u ** (1.0 / h))) / h, 0.0, 1.0, limit=200)
-        return val
+        return quad(lambda u: float(self.fn(r * u ** (1.0 / h))) / h, 0.0, 1.0)
 
     def radial_lh_power(self, h: float, order: int, r: float) -> float:
         if order > 2 * FD_ORDER_CAP - 1:
@@ -258,7 +263,7 @@ def em_log_sum(f, R: float, order: int = 2) -> float:
             raise ValidationError(
                 "integral of f(x)/x over [0,1] diverges; f must vanish at 0"
             )
-        val, _ = integrate.quad(lambda x: float(f(x)) / x, 0.0, 1.0, limit=200)
+        val = quad(lambda x: float(f(x)) / x, 0.0, 1.0)
         g = FuncProfile(lambda t: float(f(math.exp(-t))), integral=val)
     return em_ray_sum(g, math.log(1.0 / R**2), order)
 

@@ -28,6 +28,7 @@ from .asymptotics import (
     strip_thin_layer,
 )
 from .errors import ConvergenceError, LayerFieldError, ValidationError
+from .gridcsv import write_grid
 from .harmonic import BoundaryTrace, DiskField, HalfPlaneField, disk_from_boundary
 from .oracle import fd_annulus, fd_disk_coupled, fd_strip, mode_exact, residual_report
 from .series import (
@@ -64,6 +65,12 @@ _GEOMETRY_KEYS = {
 #: largest radial mode index accepted from a config; a disk field stores
 #: dense coefficient arrays up to its highest index
 MAX_RADIAL_MODE = 10_000
+#: largest number of grid nodes accepted from a config; a grid holds one
+#: value per node and route
+MAX_GRID_NODES = 10_000_000
+#: largest number of thicknesses in a compare sweep; each builds and
+#: evaluates two solutions
+MAX_SWEEP_VALUES = 1_000
 
 # pde_residual is dominated by 5-point stencil truncation at the default
 # step (1e-3), not by solution error; the bound reflects that
@@ -286,6 +293,7 @@ def build_solution(cfg, method, field, geo, trunc):
 
 
 def _axis(triple, name):
+    """(start, stop, count) of a grid axis, validated but not yet allocated."""
     if (not isinstance(triple, (list, tuple))) or len(triple) != 3:
         raise ValidationError(f"grid axis {name} must be [start, stop, count]")
     start = _number(triple[0], f"grid axis {name} start")
@@ -295,25 +303,34 @@ def _axis(triple, name):
         raise ValidationError(f"grid axis {name} must have finite ends")
     if count < 1 or stop < start:
         raise ValidationError(f"grid axis {name} must have stop >= start and count >= 1")
-    return np.linspace(start, stop, count)
+    return start, stop, count
+
+
+def _grid_axes(cfg):
+    """The config grid's two axes, allocated only once their node count is bounded."""
+    grid = cfg.get("grid")
+    if grid is None:
+        raise ValidationError("config needs a grid for this command")
+    names = ("r", "theta") if cfg["problem"] in RADIAL else ("x", "y")
+    axes = [_axis(grid.get(name), name) for name in names]
+    nodes = axes[0][2] * axes[1][2]
+    if nodes > MAX_GRID_NODES:
+        raise ValidationError(f"grid has {nodes} nodes; at most {MAX_GRID_NODES} are allowed")
+    return [np.linspace(*axis) for axis in axes]
 
 
 def build_grid(cfg, geo):
     problem = cfg["problem"]
-    grid = cfg.get("grid")
-    if grid is None:
-        raise ValidationError("config needs a grid for this command")
+    axis1, axis2 = _grid_axes(cfg)
     eps = 1e-9
     if problem in RADIAL:
-        r = _axis(grid.get("r"), "r")
-        theta = _axis(grid.get("theta"), "theta")
+        r, theta = axis1, axis2
         if r[0] < -eps or r[-1] > 1.0 + eps:
             raise ValidationError("grid radius must stay inside the unit disk")
         if problem == "annulus" and r[0] < geo - eps:
             raise ValidationError("annulus grid must keep r >= R")
         return r, theta
-    x = _axis(grid.get("x"), "x")
-    y = _axis(grid.get("y"), "y")
+    x, y = axis1, axis2
     if x[0] < -eps:
         raise ValidationError("grid must keep x >= 0")
     if problem == "strip":
@@ -341,12 +358,7 @@ def evaluate_grid(solution, problem, axis1, axis2):
 def write_grid_csv(path, problem, solution, axis1, axis2, values):
     header = "r,theta,region,u" if problem in RADIAL else "x,y,region,u"
     regions = np.where(solution.geometry.in_layer2(axis1), "2", "1")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for i, c1 in enumerate(axis1):
-            region = regions[i]
-            for j, c2 in enumerate(axis2):
-                fh.write(f"{float(c1)!r},{float(c2)!r},{region},{float(values[i, j])!r}\n")
+    write_grid(path, header, axis1, axis2, [values], regions)
 
 
 # ---------------------------------------------------------------------------
@@ -436,24 +448,16 @@ def _solve_fd(cfg, args, geo) -> int:
     if not os.path.isabs(path):
         path = os.path.join(os.path.dirname(os.path.abspath(args.config)), path)
     trace = BoundaryTrace.from_csv(path)
-    grid = cfg.get("grid")
-    if grid is None:
-        raise ValidationError("config needs a grid for this command")
+    axis1, axis2 = _grid_axes(cfg)
     if problem == "strip":
-        x = _axis(grid.get("x"), "x")
-        y = _axis(grid.get("y"), "y")
         fn = lambda yy: float(np.interp(yy, trace.abscissae, trace.values))
-        gs = fd_strip(fn, geo, (y[0], y[-1]), x.size, y.size)
+        gs = fd_strip(fn, geo, (axis2[0], axis2[-1]), axis1.size, axis2.size)
     elif problem == "annulus":
-        r = _axis(grid.get("r"), "r")
-        theta = _axis(grid.get("theta"), "theta")
         fn = lambda t: float(np.interp(t % TWO_PI, trace.abscissae, trace.values, period=TWO_PI))
-        gs = fd_annulus(fn, geo, r.size, theta.size)
+        gs = fd_annulus(fn, geo, axis1.size, axis2.size)
     elif problem == "disk_coupled":
-        r = _axis(grid.get("r"), "r")
-        theta = _axis(grid.get("theta"), "theta")
         fn = lambda t: float(np.interp(t % TWO_PI, trace.abscissae, trace.values, period=TWO_PI))
-        gs = fd_disk_coupled(fn, geo, r.size, theta.size)
+        gs = fd_disk_coupled(fn, geo, axis1.size, axis2.size)
     else:
         raise ValidationError("no bounded-domain oracle for the coupled half-plane")
     out = _out_path(cfg, args, "grid.csv")
@@ -505,6 +509,23 @@ def _sweep_geometry(problem, geo, value):
     return RadialLayerConfig(R=R, k=k), 1.0 - R
 
 
+def _sweep_values(cfg, problem, methods):
+    """The thicknesses of the config's compare sweep, or None without one."""
+    if "sweep" not in cfg:
+        return None
+    if sorted(methods) != ["asymptotic", "series"]:
+        raise ValidationError("a thickness sweep compares exactly [series, asymptotic]")
+    if problem not in ("halfplane_coupled", "disk_coupled"):
+        raise ValidationError("thickness sweeps apply to the coupled problems")
+    key = "l" if problem == "halfplane_coupled" else "R"
+    values = cfg["sweep"].get(key)
+    if not isinstance(values, list) or len(values) < 2:
+        raise ValidationError(f"sweep.{key} must list at least two values")
+    if len(values) > MAX_SWEEP_VALUES:
+        raise ValidationError(f"sweep.{key} lists {len(values)} values; at most {MAX_SWEEP_VALUES} are allowed")
+    return values
+
+
 def cmd_compare(cfg, args) -> int:
     problem = cfg["problem"]
     geo = geometry_config(cfg)
@@ -514,6 +535,7 @@ def cmd_compare(cfg, args) -> int:
     for m in methods:
         if m not in METHODS:
             raise ValidationError(f"method must be one of {METHODS}")
+    sweep = _sweep_values(cfg, problem, methods)
     field = boundary_field(cfg, config_dir=os.path.dirname(os.path.abspath(args.config)))
     trunc = truncation_policy(cfg)
     axis1, axis2 = build_grid(cfg, geo)
@@ -537,17 +559,9 @@ def cmd_compare(cfg, args) -> int:
     if bounds:
         summary["bounds"] = bounds
 
-    if "sweep" in cfg:
-        if sorted(methods) != ["asymptotic", "series"]:
-            raise ValidationError("a thickness sweep compares exactly [series, asymptotic]")
-        if problem not in ("halfplane_coupled", "disk_coupled"):
-            raise ValidationError("thickness sweeps apply to the coupled problems")
-        key = "l" if problem == "halfplane_coupled" else "R"
-        values = cfg["sweep"].get(key)
-        if not isinstance(values, list) or len(values) < 2:
-            raise ValidationError(f"sweep.{key} must list at least two values")
+    if sweep is not None:
         thicknesses, errs, ks = [], [], []
-        for v in values:
+        for v in sweep:
             sub_geo, thickness = _sweep_geometry(problem, geo, v)
             plan = _sweep_points(problem, sub_geo)
             s_series = build_solution(cfg, "series", field, sub_geo, trunc)
@@ -570,23 +584,10 @@ def cmd_compare(cfg, args) -> int:
 def _write_compare_csv(path, problem, methods, axis1, axis2, grids):
     cols = "r,theta" if problem in RADIAL else "x,y"
     names = ",".join(f"u_{m}" for m in methods)
-    pair_names = []
-    for i in range(len(methods)):
-        for j in range(i + 1, len(methods)):
-            pair_names.append(f"absdiff_{methods[i]}_{methods[j]}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{cols},{names},{','.join(pair_names)}\n")
-        for i, c1 in enumerate(axis1):
-            for j, c2 in enumerate(axis2):
-                vals = [g[i, j] for g in grids]
-                pairs = []
-                for a in range(len(methods)):
-                    for b in range(a + 1, len(methods)):
-                        pairs.append(abs(vals[a] - vals[b]))
-                row = [repr(float(c1)), repr(float(c2))]
-                row += [repr(float(v)) for v in vals]
-                row += [repr(float(p)) for p in pairs]
-                fh.write(",".join(row) + "\n")
+    pairs = [(a, b) for a in range(len(methods)) for b in range(a + 1, len(methods))]
+    pair_names = ",".join(f"absdiff_{methods[a]}_{methods[b]}" for a, b in pairs)
+    diffs = [np.abs(grids[a] - grids[b]) for a, b in pairs]
+    write_grid(path, f"{cols},{names},{pair_names}", axis1, axis2, grids + diffs)
 
 
 def cmd_verify(cfg, args) -> int:

@@ -15,10 +15,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import spsolve
 
 from .errors import ArbiterInsufficientError, ValidationError
+from .gridcsv import write_grid
 from .harmonic import laplacian_residual
 from .series import MAX_LADDER_TERMS, Geometry, PlanarLayerConfig, RadialLayerConfig, geometric_tail_terms
 
@@ -292,14 +291,28 @@ class GridSolution:
         header = "r,theta,region,u" if polar else "x,y,region,u"
         a1, a2 = self.axes
         interface = self.meta.get("interface")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for i, c1 in enumerate(a1):
-                for j, c2 in enumerate(a2):
-                    region = "1"
-                    if interface is not None and c1 < interface:
-                        region = "2"
-                    fh.write(f"{float(c1)!r},{float(c2)!r},{region},{float(self.values[i, j])!r}\n")
+        inner = np.zeros(len(a1), dtype=bool) if interface is None else np.asarray(a1) < interface
+        write_grid(path, header, a1, a2, [self.values], np.where(inner, "2", "1"))
+
+
+def spsolve(mat, rhs):
+    """Solve mat @ u = rhs for a scipy CSR matrix `mat`."""
+    from scipy.sparse.linalg import spsolve as sparse_solve
+
+    return sparse_solve(mat, rhs)
+
+
+def _solve_sparse(rows, cols, data, rhs):
+    """Solve the square system whose nonzeros are the (rows, cols, data) triplets.
+
+    scipy.sparse is imported here, on first use, so that only the FD
+    solvers load it, and before spsolve is called, so that spsolve does
+    no importing of its own.
+    """
+    import scipy.sparse.linalg
+
+    n = rhs.size
+    return spsolve(scipy.sparse.csr_matrix((data, (rows, cols)), shape=(n, n)), rhs)
 
 
 def fd_strip(boundary_fn, l: float, y_window, n_x: int, n_y: int, lateral_fn=None) -> GridSolution:
@@ -341,8 +354,7 @@ def fd_strip(boundary_fn, l: float, y_window, n_x: int, n_y: int, lateral_fn=Non
                 data.append(c)
             else:
                 rhs[m] -= c * u[ii, jj]
-    mat = csr_matrix((data, (rows, cols)), shape=(len(interior), len(interior)))
-    sol = spsolve(mat, rhs)
+    sol = _solve_sparse(rows, cols, data, rhs)
     for m, (i, j) in enumerate(interior):
         u[i, j] = sol[m]
     return GridSolution(kind="strip", axes=(x, y), values=u, spacings=(dx, dy))
@@ -392,8 +404,7 @@ def fd_annulus(boundary_fn, R: float, n_r: int, n_theta: int) -> GridSolution:
     rhs = np.zeros(len(interior))
     for m, (i, j) in enumerate(interior):
         _polar_row(rows, cols, data, rhs, m, i, j, idx, u, r[i], dr, dth, n_theta)
-    mat = csr_matrix((data, (rows, cols)), shape=(len(interior), len(interior)))
-    sol = spsolve(mat, rhs)
+    sol = _solve_sparse(rows, cols, data, rhs)
     for m, (i, j) in enumerate(interior):
         u[i, j] = sol[m]
     return GridSolution(kind="annulus", axes=(r, theta), values=u, spacings=(dr, dth))
@@ -492,8 +503,7 @@ def fd_disk_coupled(boundary_fn, config: RadialLayerConfig, n_r: int, n_theta: i
                     cols.append(idx[node])
                     data.append(c)
 
-    mat = csr_matrix((data, (rows, cols)), shape=(count, count))
-    sol = spsolve(mat, rhs)
+    sol = _solve_sparse(rows, cols, data, rhs)
     u[0, :] = sol[center_id]
     for i in range(1, n_rad - 1):
         for j in range(n_theta):

@@ -406,16 +406,68 @@ def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, cfg, env):
     assert err.startswith("error: ")
 
 
-def test_huge_radial_mode_index_rejected_before_allocation(tmp_path, capsys):
+def run_cli_traced(args, capsys):
+    """Exit code, stderr and peak traced allocation of one CLI call."""
     import tracemalloc
 
-    path = write_config(tmp_path, "huge.json", annulus_config([{"n": 100_000_000}]))
     tracemalloc.start()
     try:
-        code, _, err = run_cli(["solve", "--config", path, "--out", str(tmp_path / "g.csv")], capsys)
+        code, _, err = run_cli(args, capsys)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return code, err, peak
+
+
+def test_huge_radial_mode_index_rejected_before_allocation(tmp_path, capsys):
+    path = write_config(tmp_path, "huge.json", annulus_config([{"n": 100_000_000}]))
+    code, err, peak = run_cli_traced(["solve", "--config", path, "--out", str(tmp_path / "g.csv")], capsys)
     assert code == 2
     assert "radial mode n" in err
+    assert peak < 10 * 2**20
+
+
+#: one node over the cap; should the check go, a case costs a few 80 MB arrays, not more
+OVER = 10_000_001
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("compare", strip_config(grid={"x": [0.0, 0.5, 3163], "y": [-1.0, 1.0, 3163]})),
+        ("compare", strip_config(grid={"x": [0.0, 0.5, 1], "y": [-1.0, 1.0, OVER]})),
+        ("compare", {**annulus_config([{"n": 1}]), "grid": {"r": [0.7, 1.0, OVER], "theta": [0.0, 6.0, 1]}}),
+        ("solve", {**strip_config(method="oracle", boundary={"samples": "trace.csv"}),
+                   "grid": {"x": [0.0, 0.5, 1], "y": [-1.0, 1.0, OVER]}}),
+    ],
+    ids=["square", "one-row", "one-column", "fd-samples"],
+)
+def test_huge_grid_rejected_before_allocation(tmp_path, capsys, command, cfg):
+    (tmp_path / "trace.csv").write_text("-1.0,0.5\n0.0,1.0\n1.0,0.5\n")
+    # compare writes no CSV without --out
+    if command == "compare":
+        cfg, out = {**cfg, "methods": ["identity", "identity"]}, []
+    else:
+        out = ["--out", str(tmp_path / "g.csv")]
+    path = write_config(tmp_path, "huge.json", cfg)
+    code, err, peak = run_cli_traced([command, "--config", path, *out], capsys)
+    assert code == 2
+    assert "nodes; at most 10000000" in err
+    assert peak < 10 * 2**20
+
+
+def test_long_sweep_rejected_before_evaluation(tmp_path, capsys):
+    # 1500 x 1500 nodes take 18 MB per route: rejection must come before the grid
+    cfg = {
+        "problem": "disk_coupled",
+        "geometry": {"R": 0.96, "k": 0.05},
+        "boundary": {"modes": [{"n": 1, "a": 1.0}]},
+        "methods": ["series", "asymptotic"],
+        "grid": {"r": [0.0, 1.0, 1500], "theta": [0.0, 6.0, 1500]},
+        "sweep": {"R": [0.99 - 1e-5 * i for i in range(1001)]},
+    }
+    path = write_config(tmp_path, "sweep.json", cfg)
+    code, err, peak = run_cli_traced(["compare", "--config", path], capsys)
+    assert code == 2
+    assert "sweep.R lists 1001 values; at most 1000" in err
     assert peak < 10 * 2**20
