@@ -71,6 +71,10 @@ MAX_GRID_NODES = 10_000_000
 #: largest number of thicknesses in a compare sweep; each builds and
 #: evaluates two solutions
 MAX_SWEEP_VALUES = 1_000
+#: largest number of grid nodes accepted for a finite-difference solve;
+#: the sparse LU fill grows faster than the node count (the disk peaks at
+#: about 250 MB RSS at 90k nodes, 510 MB at 202k)
+MAX_FD_NODES = 250_000
 
 # pde_residual is dominated by 5-point stencil truncation at the default
 # step (1e-3), not by solution error; the bound reflects that
@@ -306,8 +310,8 @@ def _axis(triple, name):
     return start, stop, count
 
 
-def _grid_axes(cfg):
-    """The config grid's two axes, allocated only once their node count is bounded."""
+def _grid_spec(cfg):
+    """The config grid's two axes as (start, stop, count), with their node count bounded."""
     grid = cfg.get("grid")
     if grid is None:
         raise ValidationError("config needs a grid for this command")
@@ -316,7 +320,12 @@ def _grid_axes(cfg):
     nodes = axes[0][2] * axes[1][2]
     if nodes > MAX_GRID_NODES:
         raise ValidationError(f"grid has {nodes} nodes; at most {MAX_GRID_NODES} are allowed")
-    return [np.linspace(*axis) for axis in axes]
+    return axes
+
+
+def _grid_axes(cfg):
+    """The config grid's two axes, allocated only once their node count is bounded."""
+    return [np.linspace(*axis) for axis in _grid_spec(cfg)]
 
 
 def build_grid(cfg, geo):
@@ -385,17 +394,24 @@ def _out_path(cfg, args, default):
     return default
 
 
-def _regime_diagnostic(cfg, geo):
+def _config_dir(args):
+    return os.path.dirname(os.path.abspath(args.config))
+
+
+def _regime_diagnostic(cfg, geo, field):
+    """The regime report for the ladder the series would build from `field`."""
     reg = cfg.get("regime", {})
     return convergence_diagnostic(
         geo,
         tol=_number(reg.get("tol", 1e-10), "regime tol"),
         threshold=_number(reg.get("threshold", 1000), "regime threshold", int),
+        sup_bound=getattr(truncation_policy(cfg), "sup_bound", None),
+        field=field,
     )
 
 
-def _strict_regime_gate(cfg, geo, args):
-    diag = _regime_diagnostic(cfg, geo)
+def _strict_regime_gate(cfg, geo, field):
+    diag = _regime_diagnostic(cfg, geo, field)
     if diag.recommendation != "series":
         print(
             json.dumps(
@@ -419,12 +435,12 @@ def cmd_solve(cfg, args) -> int:
     method = cfg.get("method", "series")
     if method not in METHODS:
         raise ValidationError(f"method must be one of {METHODS}")
-    if args.strict and method == "series" and problem in ("halfplane_coupled", "disk_coupled"):
-        if _strict_regime_gate(cfg, geo, args):
-            return 4
     if method == "oracle" and "samples" in cfg["boundary"]:
         return _solve_fd(cfg, args, geo)
-    field = boundary_field(cfg, config_dir=os.path.dirname(os.path.abspath(args.config)))
+    field = boundary_field(cfg, config_dir=_config_dir(args))
+    if args.strict and method == "series" and problem in ("halfplane_coupled", "disk_coupled"):
+        if _strict_regime_gate(cfg, geo, field):
+            return 4
     trunc = truncation_policy(cfg)
     solution = build_solution(cfg, method, field, geo, trunc)
     axis1, axis2 = build_grid(cfg, geo)
@@ -444,11 +460,15 @@ def cmd_solve(cfg, args) -> int:
 def _solve_fd(cfg, args, geo) -> int:
     """FD fallback for sample-backed boundaries."""
     problem = cfg["problem"]
+    spec = _grid_spec(cfg)
+    nodes = spec[0][2] * spec[1][2]
+    if nodes > MAX_FD_NODES:
+        raise ValidationError(f"FD grid has {nodes} nodes; the FD oracle allows at most {MAX_FD_NODES}")
     path = cfg["boundary"]["samples"]
     if not os.path.isabs(path):
-        path = os.path.join(os.path.dirname(os.path.abspath(args.config)), path)
+        path = os.path.join(_config_dir(args), path)
     trace = BoundaryTrace.from_csv(path)
-    axis1, axis2 = _grid_axes(cfg)
+    axis1, axis2 = (np.linspace(*axis) for axis in spec)
     if problem == "strip":
         fn = lambda yy: float(np.interp(yy, trace.abscissae, trace.values))
         gs = fd_strip(fn, geo, (axis2[0], axis2[-1]), axis1.size, axis2.size)
@@ -536,7 +556,7 @@ def cmd_compare(cfg, args) -> int:
         if m not in METHODS:
             raise ValidationError(f"method must be one of {METHODS}")
     sweep = _sweep_values(cfg, problem, methods)
-    field = boundary_field(cfg, config_dir=os.path.dirname(os.path.abspath(args.config)))
+    field = boundary_field(cfg, config_dir=_config_dir(args))
     trunc = truncation_policy(cfg)
     axis1, axis2 = build_grid(cfg, geo)
     _check_threads(args)
@@ -594,7 +614,7 @@ def cmd_verify(cfg, args) -> int:
     problem = cfg["problem"]
     geo = geometry_config(cfg)
     method = cfg.get("method", "series")
-    field = boundary_field(cfg, config_dir=os.path.dirname(os.path.abspath(args.config)))
+    field = boundary_field(cfg, config_dir=_config_dir(args))
     trunc = truncation_policy(cfg)
     solution = build_solution(cfg, method, field, geo, trunc)
     report = residual_report(solution, field)
@@ -653,7 +673,7 @@ def cmd_regimes(cfg, args) -> int:
     if problem not in ("halfplane_coupled", "disk_coupled"):
         raise ValidationError("the regime diagnostic applies to the coupled problems")
     geo = geometry_config(cfg)
-    diag = _regime_diagnostic(cfg, geo)
+    diag = _regime_diagnostic(cfg, geo, boundary_field(cfg, config_dir=_config_dir(args)))
     result = {
         "problem": problem,
         "rho": diag.rho,

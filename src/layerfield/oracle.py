@@ -315,6 +315,34 @@ def _solve_sparse(rows, cols, data, rhs):
     return spsolve(scipy.sparse.csr_matrix((data, (rows, cols)), shape=(n, n)), rhs)
 
 
+class _StencilSystem:
+    """COO triplets and right-hand side of an FD system, one stencil term at a time."""
+
+    def __init__(self, n: int):
+        self.rows, self.cols, self.data = [], [], []
+        self.rhs = np.zeros(n)
+
+    def add(self, eq, col, coeff, known):
+        """Add coeff * u[col] to the equations `eq`, all at once.
+
+        col < 0 marks a node whose value is known: coeff * known is
+        subtracted from the right-hand side instead.  An equation takes at
+        most one known term per call, so its right-hand side is reduced in
+        the order of the calls.
+        """
+        eq, col, coeff, known = (a.ravel() for a in np.broadcast_arrays(eq, col, coeff, known))
+        unknown = col >= 0
+        self.rows.append(eq[unknown])
+        self.cols.append(col[unknown])
+        self.data.append(coeff[unknown])
+        fixed = ~unknown
+        self.rhs[eq[fixed]] -= coeff[fixed] * known[fixed]
+
+    def solve(self):
+        cat = np.concatenate
+        return _solve_sparse(cat(self.rows), cat(self.cols), cat(self.data), self.rhs)
+
+
 def fd_strip(boundary_fn, l: float, y_window, n_x: int, n_y: int, lateral_fn=None) -> GridSolution:
     """Sparse 5-point solve of the strip Dirichlet problem.
 
@@ -336,50 +364,38 @@ def fd_strip(boundary_fn, l: float, y_window, n_x: int, n_y: int, lateral_fn=Non
         u[0, :] = [float(boundary_fn(yy)) for yy in y]
         u[-1, :] = 0.0
 
+    # unknowns: the interior nodes, row-major; -1 marks a known edge node
+    inner = (slice(1, -1), slice(1, -1))
     idx = -np.ones((n_x, n_y), dtype=int)
-    interior = [(i, j) for i in range(1, n_x - 1) for j in range(1, n_y - 1)]
-    for m, (i, j) in enumerate(interior):
-        idx[i, j] = m
-    rows, cols, data = [], [], []
-    rhs = np.zeros(len(interior))
+    idx[inner] = np.arange((n_x - 2) * (n_y - 2)).reshape(n_x - 2, n_y - 2)
+    eq = idx[inner]
+    system = _StencilSystem(eq.size)
     cx, cy = 1.0 / dx**2, 1.0 / dy**2
-    for m, (i, j) in enumerate(interior):
-        rows.append(m)
-        cols.append(m)
-        data.append(-2.0 * (cx + cy))
-        for (ii, jj, c) in ((i + 1, j, cx), (i - 1, j, cx), (i, j + 1, cy), (i, j - 1, cy)):
-            if idx[ii, jj] >= 0:
-                rows.append(m)
-                cols.append(idx[ii, jj])
-                data.append(c)
-            else:
-                rhs[m] -= c * u[ii, jj]
-    sol = _solve_sparse(rows, cols, data, rhs)
-    for m, (i, j) in enumerate(interior):
-        u[i, j] = sol[m]
+    system.add(eq, eq, -2.0 * (cx + cy), 0.0)
+    for di, dj, c in ((1, 0, cx), (-1, 0, cx), (0, 1, cy), (0, -1, cy)):
+        nbr = (slice(1 + di, n_x - 1 + di), slice(1 + dj, n_y - 1 + dj))
+        system.add(eq, idx[nbr], c, u[nbr])
+    u[inner] = system.solve().reshape(eq.shape)
     return GridSolution(kind="strip", axes=(x, y), values=u, spacings=(dx, dy))
 
 
-def _polar_row(rows, cols, data, rhs, m, i_r, j, idx, known, r, dr, dth, n_theta):
-    """Append one interior polar 5-point equation."""
+def _polar_laplacian(system, idx, known, r, lo, hi, dr, dth):
+    """Add the polar 5-point equations of rings lo..hi-1, periodic in theta."""
+    eq = idx[lo:hi]
+    ring = r[lo:hi, None]
     cr = 1.0 / dr**2
-    cc = 1.0 / (2.0 * r * dr)
-    ct = 1.0 / (r**2 * dth**2)
-    rows.append(m)
-    cols.append(m)
-    data.append(-2.0 * cr - 2.0 * ct)
-    for (nbr, c) in (
-        ((i_r + 1, j), cr + cc),
-        ((i_r - 1, j), cr - cc),
-        ((i_r, (j + 1) % n_theta), ct),
-        ((i_r, (j - 1) % n_theta), ct),
+    cc = 1.0 / (2.0 * ring * dr)
+    # libm pow, as a scalar r**2 uses: an array's r**2 multiplies, which
+    # now and then rounds the last bit differently and so moves FD output
+    ct = 1.0 / (np.float_power(ring, 2) * dth**2)
+    system.add(eq, eq, -2.0 * cr - 2.0 * ct, 0.0)
+    for rings, shift, c in (
+        (slice(lo + 1, hi + 1), 0, cr + cc),
+        (slice(lo - 1, hi - 1), 0, cr - cc),
+        (slice(lo, hi), -1, ct),  # theta index j + 1
+        (slice(lo, hi), 1, ct),  # theta index j - 1
     ):
-        if idx[nbr] >= 0:
-            rows.append(m)
-            cols.append(idx[nbr])
-            data.append(c)
-        else:
-            rhs[m] -= c * known[nbr]
+        system.add(eq, np.roll(idx[rings], shift, axis=1), c, np.roll(known[rings], shift, axis=1))
 
 
 def fd_annulus(boundary_fn, R: float, n_r: int, n_theta: int) -> GridSolution:
@@ -396,17 +412,12 @@ def fd_annulus(boundary_fn, R: float, n_r: int, n_theta: int) -> GridSolution:
     u = np.zeros((n_r, n_theta))
     u[-1, :] = [float(boundary_fn(t)) for t in theta]
 
+    # unknowns: rings 1..n_r-2, row-major
     idx = -np.ones((n_r, n_theta), dtype=int)
-    interior = [(i, j) for i in range(1, n_r - 1) for j in range(n_theta)]
-    for m, node in enumerate(interior):
-        idx[node] = m
-    rows, cols, data = [], [], []
-    rhs = np.zeros(len(interior))
-    for m, (i, j) in enumerate(interior):
-        _polar_row(rows, cols, data, rhs, m, i, j, idx, u, r[i], dr, dth, n_theta)
-    sol = _solve_sparse(rows, cols, data, rhs)
-    for m, (i, j) in enumerate(interior):
-        u[i, j] = sol[m]
+    idx[1:-1] = np.arange((n_r - 2) * n_theta).reshape(n_r - 2, n_theta)
+    system = _StencilSystem((n_r - 2) * n_theta)
+    _polar_laplacian(system, idx, u, r, 1, n_r - 1, dr, dth)
+    u[1:-1] = system.solve().reshape(n_r - 2, n_theta)
     return GridSolution(kind="annulus", axes=(r, theta), values=u, spacings=(dr, dth))
 
 
@@ -433,81 +444,33 @@ def fd_disk_coupled(boundary_fn, config: RadialLayerConfig, n_r: int, n_theta: i
     u = np.zeros((n_rad, n_theta))
     u[-1, :] = [float(boundary_fn(t)) for t in theta]
 
-    # unknowns: center (one), rings 1..n_rad-2 (all theta)
+    # unknowns: the centre (0, every theta of ring 0), then rings
+    # 1..n_rad-2 row-major
     idx = -np.ones((n_rad, n_theta), dtype=int)
-    center_id = 0
-    count = 1
-    for i in range(1, n_rad - 1):
-        for j in range(n_theta):
-            idx[i, j] = count
-            count += 1
-    rows, cols, data = [], [], []
-    rhs = np.zeros(count)
+    idx[0] = 0
+    idx[1:-1] = np.arange(1, 1 + (n_rad - 2) * n_theta).reshape(n_rad - 2, n_theta)
+    system = _StencilSystem(1 + (n_rad - 2) * n_theta)
 
-    # center: mean-value property over the first ring
-    rows.append(center_id)
-    cols.append(center_id)
-    data.append(1.0)
-    for j in range(n_theta):
-        rows.append(center_id)
-        cols.append(idx[1, j])
-        data.append(-1.0 / n_theta)
+    # centre: mean-value property over the first ring
+    system.add(0, 0, 1.0, 0.0)
+    system.add(0, idx[1], -1.0 / n_theta, u[1])
+    _polar_laplacian(system, idx, u, radii, 1, m_in, dr_in, dth)
+    # flux matching row: k * forward(R+) - backward(R-) = 0
+    f = k / (2.0 * dr_out)
+    b = 1.0 / (2.0 * dr_in)
+    for i, c in (
+        (m_in, -3.0 * f - 3.0 * b),
+        (m_in + 1, 4.0 * f),
+        (m_in + 2, -1.0 * f),
+        (m_in - 1, 4.0 * b),
+        (m_in - 2, -1.0 * b),
+    ):
+        system.add(idx[m_in], idx[i], c, u[i])
+    _polar_laplacian(system, idx, u, radii, m_in + 1, n_rad - 1, dr_out, dth)
 
-    for i in range(1, n_rad - 1):
-        dr = dr_in if i <= m_in else dr_out
-        for j in range(n_theta):
-            m = idx[i, j]
-            if i == m_in:
-                # flux matching row: k * forward(R+) - backward(R-) = 0
-                f = k / (2.0 * dr_out)
-                b = 1.0 / (2.0 * dr_in)
-                entries = [
-                    ((i, j), -3.0 * f - 3.0 * b),
-                    ((i + 1, j), 4.0 * f),
-                    ((i + 2, j), -1.0 * f),
-                    ((i - 1, j), 4.0 * b),
-                    ((i - 2, j), -1.0 * b),
-                ]
-                for (node, c) in entries:
-                    if node[0] == n_rad - 1:
-                        rhs[m] -= c * u[node]
-                    elif node[0] == 0:
-                        rows.append(m)
-                        cols.append(center_id)
-                        data.append(c)
-                    else:
-                        rows.append(m)
-                        cols.append(idx[node])
-                        data.append(c)
-                continue
-            cr = 1.0 / dr**2
-            cc = 1.0 / (2.0 * radii[i] * dr)
-            ct = 1.0 / (radii[i] ** 2 * dth**2)
-            rows.append(m)
-            cols.append(m)
-            data.append(-2.0 * cr - 2.0 * ct)
-            for (node, c) in (
-                ((i + 1, j), cr + cc),
-                ((i - 1, j), cr - cc),
-                ((i, (j + 1) % n_theta), ct),
-                ((i, (j - 1) % n_theta), ct),
-            ):
-                if node[0] == n_rad - 1:
-                    rhs[m] -= c * u[node]
-                elif node[0] == 0:
-                    rows.append(m)
-                    cols.append(center_id)
-                    data.append(c)
-                else:
-                    rows.append(m)
-                    cols.append(idx[node])
-                    data.append(c)
-
-    sol = _solve_sparse(rows, cols, data, rhs)
-    u[0, :] = sol[center_id]
-    for i in range(1, n_rad - 1):
-        for j in range(n_theta):
-            u[i, j] = sol[idx[i, j]]
+    sol = system.solve()
+    u[0] = sol[0]
+    u[1:-1] = sol[1:].reshape(n_rad - 2, n_theta)
     return GridSolution(
         kind="disk_coupled",
         axes=(radii, theta),

@@ -197,6 +197,17 @@ def _planar_ladder_bounds(field: HalfPlaneField, l: float, rho: float, trunc):
     return ratio, M
 
 
+def _disk_ladder_bounds(field: DiskField, config: RadialLayerConfig, trunc):
+    """Geometric (ratio, M) for the coupled disk ladder of one config."""
+    n_min = field.min_active_mode
+    decay = config.R ** (2 * n_min) if n_min is not None else 1.0
+    if isinstance(trunc, TailTol) and trunc.sup_bound is not None:
+        sup = trunc.sup_bound
+    else:
+        sup = field.sup_bound()
+    return abs(config.rho) * decay, (1.0 + abs(config.rho)) * sup
+
+
 @dataclass(frozen=True)
 class Geometry:
     """Where a problem's layers lie, in its own coordinate p.
@@ -351,13 +362,7 @@ def disk_coupled(field: DiskField, config: RadialLayerConfig, trunc) -> LayeredS
     """Deform a disk field into the coupled annulus-over-core solution."""
     if abs(config.rho) >= 1.0:
         raise ValidationError("reflection ratio must satisfy |rho| < 1")
-    n_min = field.min_active_mode
-    decay = config.R ** (2 * n_min) if n_min is not None else 1.0
-    ratio = abs(config.rho) * decay
-    if isinstance(trunc, TailTol) and trunc.sup_bound is not None:
-        M = (1.0 + abs(config.rho)) * trunc.sup_bound
-    else:
-        M = (1.0 + abs(config.rho)) * field.sup_bound()
+    ratio, M = _disk_ladder_bounds(field, config, trunc)
     terms, tail = _resolve_truncation(trunc, ratio, M)
     return LayeredSolution(Geometry.of("disk_coupled", config), field, 1.0, config.rho, terms, tail)
 
@@ -393,13 +398,32 @@ class RegimeReport:
     recommendation: str
 
 
-def convergence_diagnostic(config, tol: float = 1e-10, threshold: int = 1000, sup_bound: float = 1.0) -> RegimeReport:
-    """How many ladder terms the geometry needs, and whether to bother.
+def convergence_diagnostic(config, tol: float = 1e-10, threshold: int = 1000,
+                           sup_bound: float | None = None, field=None) -> RegimeReport:
+    """How many ladder terms the series needs at tolerance `tol`, and whether to bother.
 
-    The recommendation flips to "asymptotic" when the pure-rho ladder
-    needs more than `threshold` terms at tolerance `tol`.
+    With the boundary `field`, the count uses the (ratio, M) that the
+    coupled series truncates with: |rho| times the slowest mode's decay
+    per image, and (1 + |rho|) times the field's sup bound (or
+    `sup_bound`).  A ladder of modes is summed per mode, at the same cost
+    for any count, so the recommendation is "asymptotic" only for a field
+    with boundary sources, summed image by image, whose count exceeds
+    `threshold`.  Without a field the count is that of the pure-rho ladder
+    with first-term bound `sup_bound` (default 1), judged the same way.
     """
     rho = config.rho
-    j = geometric_tail_terms(rho, tol, sup_bound)
-    rec = "asymptotic" if j > threshold else "series"
+    if field is None:
+        ratio, M, per_mode = abs(rho), 1.0 if sup_bound is None else sup_bound, False
+    else:
+        trunc = TailTol(tol, sup_bound)
+        if isinstance(config, PlanarLayerConfig):
+            ratio, M = _planar_ladder_bounds(field, config.l, rho, trunc)
+        else:
+            ratio, M = _disk_ladder_bounds(field, config, trunc)
+        per_mode = not (isinstance(field, HalfPlaneField) and field.has_sources)
+        if M is None:
+            # boundary sources leave the field unbounded there: count with sup 1
+            M = 1.0 + abs(rho)
+    j = 1 if M == 0.0 else geometric_tail_terms(ratio, tol, M)
+    rec = "asymptotic" if j > threshold and not per_mode else "series"
     return RegimeReport(rho=rho, j_needed=j, tol=tol, threshold=threshold, recommendation=rec)

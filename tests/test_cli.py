@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 import layerfield
+from layerfield import cli
 from layerfield.cli import main
+from layerfield.harmonic import HalfPlaneField
+from layerfield.series import PlanarLayerConfig
 
 
 def write_config(tmp_path, name, cfg):
@@ -99,21 +102,57 @@ def test_solve_grid_must_stay_inside_region(tmp_path, capsys):
     assert code == 2
 
 
-def test_solve_strict_escalates_slow_regime(tmp_path, capsys):
+def test_solve_strict_escalates_slow_regime(capsys):
+    # a config's boundary modes are summed per mode at any ladder length,
+    # so only a field with boundary sources, summed image by image, reaches
+    # the gate's escalation
+    cfg = {"problem": "halfplane_coupled", "geometry": {"l": 0.01, "k": 0.01}}
+    geo = PlanarLayerConfig(l=0.01, k=0.01)
+    sources = HalfPlaneField(modes=[(1.0, 1.0, 0.0)], sources=[(0.0, 1.0)])
+    assert cli._strict_regime_gate(cfg, geo, sources)
+    err = capsys.readouterr().err
+    assert "asymptotic" in err and json.loads(err)["j_needed"] > 1000
+    assert not cli._strict_regime_gate(cfg, geo, HalfPlaneField(modes=[(1.0, 1.0, 0.0)]))
+
+
+def test_solve_strict_passes_mode_field_in_thin_layer(tmp_path, capsys):
+    # l=0.1, k=0.005: rho alone needs 2764 terms, the modes' e^{-2 l omega}
+    # decay brings the ladder the series builds down to 125
     cfg = {
         "problem": "halfplane_coupled",
-        "geometry": {"l": 0.01, "k": 0.01},
-        "boundary": {"modes": [{"omega": 1.0}]},
+        "geometry": {"l": 0.1, "k": 0.005},
+        "boundary": {"modes": [{"omega": 1.0}, {"omega": 3.0}]},
         "method": "series",
         "grid": {"x": [0.0, 0.5, 4], "y": [-1.0, 1.0, 4]},
     }
-    path = write_config(tmp_path, "slow.json", cfg)
-    code, _, err = run_cli(["solve", "--config", path, "--strict", "--out", str(tmp_path / "g.csv")], capsys)
-    assert code == 4
-    assert "asymptotic" in err
-    # without --strict the solve still runs
-    code, _, _ = run_cli(["solve", "--config", path, "--out", str(tmp_path / "g.csv")], capsys)
+    path = write_config(tmp_path, "thin.json", cfg)
+    code, stdout, _ = run_cli(["regimes", "--config", path], capsys)
     assert code == 0
+    rep = json.loads(stdout)
+    assert rep["recommendation"] == "series"
+    code, stdout, _ = run_cli(["solve", "--config", path, "--strict", "--out", str(tmp_path / "g.csv")], capsys)
+    assert code == 0
+    assert json.loads(stdout)["terms"] == rep["j_needed"] == 125
+
+
+def test_regimes_counts_the_disk_ladder_the_series_builds(tmp_path, capsys):
+    cfg = {
+        "problem": "disk_coupled",
+        "geometry": {"R": 0.99, "k": 0.01},
+        "boundary": {"modes": [{"n": 2, "a": 0.5}, {"n": 5, "b": 0.25}]},
+        "method": "series",
+        "truncation": {"tol": 1e-10, "sup_bound": 2.0},
+        "regime": {"tol": 1e-10, "threshold": 10},
+        "grid": {"r": [0.1, 0.99, 4], "theta": [0.0, 6.0, 4]},
+    }
+    path = write_config(tmp_path, "disk.json", cfg)
+    code, stdout, _ = run_cli(["regimes", "--config", path], capsys)
+    assert code == 0
+    rep = json.loads(stdout)
+    assert rep["j_needed"] > rep["threshold"] and rep["recommendation"] == "series"
+    code, stdout, _ = run_cli(["solve", "--config", path, "--strict", "--out", str(tmp_path / "g.csv")], capsys)
+    assert code == 0
+    assert json.loads(stdout)["terms"] == rep["j_needed"]
 
 
 def test_solve_convergence_failure_exit_code(tmp_path, capsys):
@@ -283,13 +322,18 @@ def test_regimes_examples(tmp_path, capsys):
         "boundary": {"modes": [{"omega": 1.0}]},
         "grid": {"x": [0.0, 0.5, 4], "y": [-1.0, 1.0, 4]},
     }
-    for k, l, expect in ((1.0, 1.0, "series"), (0.01, 0.01, "asymptotic"), (0.5, 1.0, "series")):
+    # j_needed is the series' own term count; a mode field's ladder is
+    # summed per mode, so even the slow (0.01, 0.01) one stays with the series
+    for k, l in ((1.0, 1.0), (0.01, 0.01), (0.5, 1.0)):
         cfg = dict(base, geometry={"l": l, "k": k})
         path = write_config(tmp_path, f"reg_{k}.json", cfg)
         code, stdout, _ = run_cli(["regimes", "--config", path], capsys)
         assert code == 0
         rep = json.loads(stdout)
-        assert rep["recommendation"] == expect
+        assert rep["recommendation"] == "series"
+        code, stdout, _ = run_cli(["solve", "--config", path, "--out", str(tmp_path / "g.csv")], capsys)
+        assert code == 0
+        assert json.loads(stdout)["terms"] == rep["j_needed"]
     rep_k1 = dict(base, geometry={"l": 1.0, "k": 1.0})
     path = write_config(tmp_path, "k1.json", rep_k1)
     _, stdout, _ = run_cli(["regimes", "--config", path], capsys)
@@ -453,6 +497,22 @@ def test_huge_grid_rejected_before_allocation(tmp_path, capsys, command, cfg):
     code, err, peak = run_cli_traced([command, "--config", path, *out], capsys)
     assert code == 2
     assert "nodes; at most 10000000" in err
+    assert peak < 10 * 2**20
+
+
+def test_huge_fd_grid_rejected_before_allocation(tmp_path, capsys):
+    (tmp_path / "trace.csv").write_text("0.0,1.0\n3.0,0.5\n6.0,1.0\n")
+    cfg = {
+        "problem": "disk_coupled",
+        "geometry": {"R": 0.5, "k": 0.5},
+        "boundary": {"samples": "trace.csv"},
+        "method": "oracle",
+        "grid": {"r": [0.0, 1.0, 1], "theta": [0.0, 6.0, cli.MAX_FD_NODES + 1]},
+    }
+    path = write_config(tmp_path, "huge_fd.json", cfg)
+    code, err, peak = run_cli_traced(["solve", "--config", path, "--out", str(tmp_path / "g.csv")], capsys)
+    assert code == 2
+    assert f"FD grid has {cli.MAX_FD_NODES + 1} nodes; the FD oracle allows at most {cli.MAX_FD_NODES}" in err
     assert peak < 10 * 2**20
 
 

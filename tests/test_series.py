@@ -288,3 +288,26 @@ def test_convergence_diagnostic_threshold_configurable():
     cfg = PlanarLayerConfig(l=0.01, k=0.01)
     assert convergence_diagnostic(cfg, threshold=10_000).recommendation == "series"
     assert convergence_diagnostic(cfg, threshold=1000).recommendation == "asymptotic"
+
+
+def test_convergence_diagnostic_counts_the_ladder_the_series_builds():
+    planar = PlanarLayerConfig(l=0.1, k=0.005)
+    modes = HalfPlaneField(modes=[(1.0, 1.0, 0.0), (0.5, 3.0, 0.2)])
+    rep = convergence_diagnostic(planar, field=modes, threshold=10)
+    assert rep.j_needed == halfplane_coupled(modes, planar, TailTol(1e-10)).terms
+    assert rep.j_needed > 10 and rep.recommendation == "series"
+    radial = RadialLayerConfig(R=0.95, k=0.02)
+    disk = DiskField.single_mode(3, 0.5, 0.5)
+    rep = convergence_diagnostic(radial, tol=1e-8, sup_bound=3.0, field=disk)
+    assert rep.j_needed == disk_coupled(disk, radial, TailTol(1e-8, sup_bound=3.0)).terms
+    assert rep.recommendation == "series"
+    zero = DiskField([0.0])
+    assert convergence_diagnostic(radial, field=zero).j_needed == disk_coupled(zero, radial, TailTol(1e-10)).terms == 1
+
+
+def test_convergence_diagnostic_sends_slow_source_ladders_to_asymptotics():
+    cfg = PlanarLayerConfig(l=0.01, k=0.01)
+    sources = HalfPlaneField(modes=[(1.0, 1.0, 0.0)], sources=[(0.0, 1.0)])
+    rep = convergence_diagnostic(cfg, field=sources)
+    assert rep.j_needed > 1000 and rep.recommendation == "asymptotic"
+    assert convergence_diagnostic(cfg, field=sources, threshold=10_000).recommendation == "series"
