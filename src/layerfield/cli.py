@@ -95,11 +95,20 @@ def _reject_unknown(mapping, allowed, where):
 
 
 def _number(value, what, kind=float):
-    """Convert a config value with `kind`, failing validation instead of raising."""
+    """Convert a config value with `kind`, failing validation instead of raising.
+
+    A JSON boolean is not a number, and an integer field takes no
+    fraction: int(2.5) would silently truncate it to 2.
+    """
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{what} must be a number, got {value!r}") from None
+        number = None
+    if number is None or isinstance(value, bool):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    if kind is int and isinstance(value, float) and number != value:
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return number
 
 
 def load_config(path) -> dict:
@@ -142,7 +151,7 @@ def geometry_config(cfg):
     g = cfg["geometry"]
     if problem == "strip":
         l = g.get("l")
-        if not (isinstance(l, (int, float)) and l > 0):
+        if isinstance(l, bool) or not (isinstance(l, (int, float)) and l > 0):
             raise ValidationError("strip geometry needs l > 0")
         return float(l)
     if problem == "annulus":
@@ -457,13 +466,43 @@ def cmd_solve(cfg, args) -> int:
     return 0
 
 
+def _check_fd_span(problem, geo, spec):
+    """Reject grid ranges the FD solve would not honour.
+
+    The FD solvers solve on x in [0, l], r in [R, 1] or r in [0, 1], and
+    on the periodic theta nodes 2*pi*j/n, taking only the node counts of
+    those axes; the strip's y window is honoured.
+    """
+    (start, stop, _), (t_start, t_stop, t_count) = spec
+    eps = 1e-9
+    if problem == "strip":
+        name, lo, hi = "x", 0.0, geo
+    elif problem == "annulus":
+        name, lo, hi = "r", geo, 1.0
+    else:
+        name, lo, hi = "r", 0.0, 1.0
+    if abs(start - lo) > eps or abs(stop - hi) > eps:
+        raise ValidationError(f"the FD oracle solves on {name} in [{lo!r}, {hi!r}]; grid axis {name} must span it")
+    if problem in RADIAL and (
+        abs(t_start) > eps
+        or min(abs(t_stop - TWO_PI), abs(t_stop - TWO_PI * (t_count - 1) / t_count)) > eps
+    ):
+        raise ValidationError(
+            "the FD oracle solves on the periodic theta nodes 2*pi*j/n; "
+            "grid axis theta must start at 0 and stop at 2*pi or 2*pi*(n-1)/n"
+        )
+
+
 def _solve_fd(cfg, args, geo) -> int:
     """FD fallback for sample-backed boundaries."""
     problem = cfg["problem"]
+    if problem == "halfplane_coupled":
+        raise ValidationError("no bounded-domain oracle for the coupled half-plane")
     spec = _grid_spec(cfg)
     nodes = spec[0][2] * spec[1][2]
     if nodes > MAX_FD_NODES:
         raise ValidationError(f"FD grid has {nodes} nodes; the FD oracle allows at most {MAX_FD_NODES}")
+    _check_fd_span(problem, geo, spec)
     path = cfg["boundary"]["samples"]
     if not os.path.isabs(path):
         path = os.path.join(_config_dir(args), path)
@@ -475,11 +514,9 @@ def _solve_fd(cfg, args, geo) -> int:
     elif problem == "annulus":
         fn = lambda t: float(np.interp(t % TWO_PI, trace.abscissae, trace.values, period=TWO_PI))
         gs = fd_annulus(fn, geo, axis1.size, axis2.size)
-    elif problem == "disk_coupled":
+    else:
         fn = lambda t: float(np.interp(t % TWO_PI, trace.abscissae, trace.values, period=TWO_PI))
         gs = fd_disk_coupled(fn, geo, axis1.size, axis2.size)
-    else:
-        raise ValidationError("no bounded-domain oracle for the coupled half-plane")
     out = _out_path(cfg, args, "grid.csv")
     gs.to_csv(out)
     print(json.dumps({"problem": problem, "method": "oracle", "output": out}, sort_keys=True))
@@ -492,26 +529,20 @@ def _sweep_points(problem, geo):
         x1 = geo.l * np.linspace(0.05, 0.95, 10)
         x2 = geo.l + np.linspace(0.02, 1.0, 10)
         ys = np.linspace(-1.0, 1.0, 7)
-        return ("planar", x1, x2, ys)
+        return (x1, x2, ys)
     R = geo.R
     r1 = R + (1.0 - R) * np.linspace(0.05, 0.95, 10)
     r2 = R * np.linspace(0.3, 0.95, 10)
     ts = np.linspace(0.0, TWO_PI, 9)
-    return ("radial", r1, r2, ts)
+    return (r1, r2, ts)
 
 
 def _max_diff_layered(sa, sb, plan):
-    tag, c1a, c1b, c2 = plan
-    m = 0.0
-    for c1 in c1a:
-        va = np.asarray(sa.u1_value(c1, c2), dtype=float)
-        vb = np.asarray(sb.u1_value(c1, c2), dtype=float)
-        m = max(m, float(np.max(np.abs(va - vb))))
-    for c1 in c1b:
-        va = np.asarray(sa.u2_value(c1, c2), dtype=float)
-        vb = np.asarray(sb.u2_value(c1, c2), dtype=float)
-        m = max(m, float(np.max(np.abs(va - vb))))
-    return m
+    """Largest |sa - sb| over the plan's layer-1 and layer-2 rows, one call per layer."""
+    c1a, c1b, c2 = plan
+    d1 = np.abs(sa.u1_value(c1a[:, None], c2) - sb.u1_value(c1a[:, None], c2))
+    d2 = np.abs(sa.u2_value(c1b[:, None], c2) - sb.u2_value(c1b[:, None], c2))
+    return float(max(np.max(d1), np.max(d2)))
 
 
 def _sweep_geometry(problem, geo, value):

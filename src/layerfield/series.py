@@ -39,7 +39,7 @@ class PlanarLayerConfig:
     def __post_init__(self):
         for name in ("l", "k", "a1", "a2"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ValidationError(f"{name} must be a positive finite number")
         if (self.lambda1 is None) != (self.lambda2 is None):
             raise ValidationError("give both conductivities or neither")

@@ -438,8 +438,18 @@ def test_annulus_constant_mode_solve_and_verify(tmp_path, capsys):
         (strip_config(boundary={"modes": [1]}), None),
         (annulus_config([{"n": -1}]), None),
         (strip_config(), "abc"),
+        (strip_config(geometry={"l": True}), None),
+        (strip_config(boundary={"modes": [{"omega": True}]}), None),
+        (strip_config(truncation={"J": True}), None),
+        ({**strip_config(problem="halfplane_coupled"), "geometry": {"l": 0.5, "k": True}}, None),
+        (strip_config(truncation={"J": 2.5}), None),
+        (annulus_config([{"n": 1.5}]), None),
+        (strip_config(grid={"x": [0.0, 0.5, 5.5], "y": [-1.0, 1.0, 5]}), None),
     ],
-    ids=["J-text", "tol-text", "grid-count-text", "mode-not-object", "negative-n", "threads-env-text"],
+    ids=[
+        "J-text", "tol-text", "grid-count-text", "mode-not-object", "negative-n", "threads-env-text",
+        "l-bool", "omega-bool", "J-bool", "k-bool", "J-fraction", "n-fraction", "grid-count-fraction",
+    ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, cfg, env):
     if env is not None:
@@ -531,3 +541,43 @@ def test_long_sweep_rejected_before_evaluation(tmp_path, capsys):
     assert code == 2
     assert "sweep.R lists 1001 values; at most 1000" in err
     assert peak < 10 * 2**20
+
+
+def fd_trace_config(tmp_path, problem, geometry, grid):
+    """A sample-backed FD solve config; the trace is cos(theta) (or cos(y))."""
+    ts = np.linspace(-3.0, 3.0, 65) if problem == "strip" else np.linspace(0.0, 2.0 * math.pi, 65)[:-1]
+    (tmp_path / "trace.csv").write_text("\n".join(f"{float(t)!r},{math.cos(t)!r}" for t in ts) + "\n")
+    cfg = {"problem": problem, "geometry": geometry, "boundary": {"samples": "trace.csv"},
+           "method": "oracle", "grid": grid}
+    return write_config(tmp_path, "fd.json", cfg)
+
+
+@pytest.mark.parametrize(
+    "problem, geometry, grid, axis",
+    [
+        ("annulus", {"R": 0.5}, {"r": [0.8, 0.9, 5], "theta": [1.0, 2.0, 8]}, "r"),
+        ("annulus", {"R": 0.5}, {"r": [0.5, 1.0, 5], "theta": [1.0, 2.0, 8]}, "theta"),
+        ("annulus", {"R": 0.5}, {"r": [0.5, 1.0, 5], "theta": [0.0, 6.0, 8]}, "theta"),
+        ("disk_coupled", {"R": 0.5, "k": 0.5}, {"r": [0.0, 0.9, 8], "theta": [0.0, 2.0 * math.pi, 8]}, "r"),
+        ("strip", {"l": 0.5}, {"x": [0.1, 0.5, 5], "y": [-1.0, 1.0, 5]}, "x"),
+    ],
+    ids=["annulus-r-and-theta", "annulus-theta", "annulus-theta-stop", "disk-r", "strip-x"],
+)
+def test_fd_grid_range_it_would_not_honour_exits_2(tmp_path, capsys, problem, geometry, grid, axis):
+    path = fd_trace_config(tmp_path, problem, geometry, grid)
+    out = tmp_path / "fd.csv"
+    code, _, err = run_cli(["solve", "--config", path, "--out", str(out)], capsys)
+    assert code == 2
+    assert f"grid axis {axis} must" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stop", [2.0 * math.pi, 2.0 * math.pi * 7 / 8], ids=["2pi", "last-periodic-node"])
+def test_fd_grid_over_the_whole_annulus_is_solved(tmp_path, capsys, stop):
+    path = fd_trace_config(tmp_path, "annulus", {"R": 0.5}, {"r": [0.5, 1.0, 5], "theta": [0.0, stop, 8]})
+    out = tmp_path / "fd.csv"
+    code, _, _ = run_cli(["solve", "--config", path, "--out", str(out)], capsys)
+    assert code == 0
+    rows = [tuple(map(float, line.split(",")[:2])) for line in out.read_text().splitlines()[1:]]
+    assert sorted({r for r, _ in rows}) == pytest.approx(np.linspace(0.5, 1.0, 5).tolist())
+    assert sorted({t for _, t in rows}) == pytest.approx((np.arange(8) * 2.0 * math.pi / 8).tolist())
