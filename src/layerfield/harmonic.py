@@ -359,22 +359,25 @@ class BoundaryTrace:
 
     @classmethod
     def from_csv(cls, path):
-        """Read a two-column CSV (abscissa, value); a header line is optional."""
-        rows = []
+        """Read a two-column CSV (abscissa, value).
+
+        The first non-empty line may be a header if it has no digit in it;
+        any other row that is not two numbers is rejected with its line
+        number.
+        """
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                parts = [p.strip() for p in line.split(",")]
-                if len(parts) < 2:
-                    raise ValidationError(f"expected two columns in {path!s}")
-                try:
-                    rows.append((float(parts[0]), float(parts[1])))
-                except ValueError:
-                    if rows:
-                        raise ValidationError(f"non-numeric row in {path!s}: {line!r}")
-                    continue  # header line
+            lines = [(number, line.strip()) for number, line in enumerate(fh, start=1) if line.strip()]
+        if lines and not any(c.isdigit() for c in lines[0][1]):
+            lines = lines[1:]  # header
+        rows = []
+        for number, line in lines:
+            parts = [p.strip() for p in line.split(",")]
+            if len(parts) < 2:
+                raise ValidationError(f"expected two columns in {path!s}, line {number}")
+            try:
+                rows.append((float(parts[0]), float(parts[1])))
+            except ValueError:
+                raise ValidationError(f"non-numeric row in {path!s}, line {number}: {line!r}") from None
         if len(rows) < 2:
             raise ValidationError(f"no usable samples in {path!s}")
         t, v = zip(*rows)

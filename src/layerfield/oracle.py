@@ -3,7 +3,7 @@
 Three unrelated routes are kept deliberately separate so they can
 arbitrate each other: brute-force partial sums with geometric tail
 bounds, closed-form single-mode solutions obtained by summing the image
-ladders analytically, and sparse finite-difference solves of the
+ladders analytically, and fast-transform finite-difference solves of the
 underlying boundary problems.  A residual report aggregates the checks
 every candidate solution must pass: interior harmonicity, boundary
 match, and interface value/flux continuity.
@@ -219,56 +219,57 @@ class GridSolution:
         write_grid(path, header, a1, a2, [self.values], np.where(inner, "2", "1"))
 
 
-def spsolve(mat, rhs):
-    """Solve mat @ u = rhs for a scipy CSR matrix `mat`."""
-    from scipy.sparse.linalg import spsolve as sparse_solve
+class ModeSystem:
+    """An FD system split by a transform into one tridiagonal system per mode.
 
-    return sparse_solve(mat, rhs)
-
-
-def _solve_sparse(rows, cols, data, rhs):
-    """Solve the square system whose nonzeros are the (rows, cols, data) triplets.
-
-    scipy.sparse is imported here, on first use, so that only the FD
-    solvers load it, and before spsolve is called, so that spsolve does
-    no importing of its own.
+    Row i of mode m reads
+    lower[i, m] x[i-1, m] + diag[i, m] x[i, m] + upper[i, m] x[i+1, m] = rhs[i, m];
+    lower[0] and upper[-1] are unused.  `shape` is that of the grid
+    system before the transform, one row per unknown node, and `nnz`
+    counts the stored coefficients.
     """
-    import scipy.sparse.linalg
 
-    n = rhs.size
-    return spsolve(scipy.sparse.csr_matrix((data, (rows, cols)), shape=(n, n)), rhs)
+    def __init__(self, lower, diag, upper, unknowns: int):
+        self.lower, self.diag, self.upper = lower, diag, upper
+        self.shape = (unknowns, unknowns)
+        self.nnz = lower.size + diag.size + upper.size
 
 
-class _StencilSystem:
-    """COO triplets and right-hand side of an FD system, one stencil term at a time."""
+def spsolve(system: ModeSystem, rhs):
+    """Solve the tridiagonal systems of `system` for `rhs`, rows by modes.
 
-    def __init__(self, n: int):
-        self.rows, self.cols, self.data = [], [], []
-        self.rhs = np.zeros(n)
+    One Thomas sweep down the rows and back, each step one array
+    operation over all modes.  It does not pivot: every row but the
+    disk's flux row is diagonally dominant.  Every FD solve goes through
+    here.
+    """
+    lower, diag, upper = system.lower, system.diag, system.upper
+    ratio = np.empty(diag.shape)
+    x = np.empty(rhs.shape, dtype=rhs.dtype)
+    ratio[0] = upper[0] / diag[0]
+    x[0] = rhs[0] / diag[0]
+    for i in range(1, diag.shape[0]):
+        pivot = diag[i] - lower[i] * ratio[i - 1]
+        ratio[i] = upper[i] / pivot
+        x[i] = (rhs[i] - lower[i] * x[i - 1]) / pivot
+    for i in range(diag.shape[0] - 2, -1, -1):
+        x[i] -= ratio[i] * x[i + 1]
+    return x
 
-    def add(self, eq, col, coeff, known):
-        """Add coeff * u[col] to the equations `eq`, all at once.
 
-        col < 0 marks a node whose value is known: coeff * known is
-        subtracted from the right-hand side instead.  An equation takes at
-        most one known term per call, so its right-hand side is reduced in
-        the order of the calls.
-        """
-        eq, col, coeff, known = (a.ravel() for a in np.broadcast_arrays(eq, col, coeff, known))
-        unknown = col >= 0
-        self.rows.append(eq[unknown])
-        self.cols.append(col[unknown])
-        self.data.append(coeff[unknown])
-        fixed = ~unknown
-        self.rhs[eq[fixed]] -= coeff[fixed] * known[fixed]
+def _dst1(v):
+    """DST-I along the last axis, from the rfft of the odd extension.
 
-    def solve(self):
-        cat = np.concatenate
-        return _solve_sparse(cat(self.rows), cat(self.cols), cat(self.data), self.rhs)
+    Entry p is sum_n v[n] sin(pi (p+1) (n+1) / (K+1)) for K = v.shape[-1];
+    applying it twice multiplies by (K+1)/2.
+    """
+    zero = np.zeros(v.shape[:-1] + (1,))
+    odd = np.concatenate([zero, v, zero, -v[..., ::-1]], axis=-1)
+    return -0.5 * np.fft.rfft(odd, axis=-1).imag[..., 1:v.shape[-1] + 1]
 
 
 def fd_strip(boundary_fn, l: float, y_window, n_x: int, n_y: int, lateral_fn=None) -> GridSolution:
-    """Sparse 5-point solve of the strip Dirichlet problem.
+    """5-point solve of the strip Dirichlet problem, by a DST-I in y.
 
     boundary_fn(y) supplies the data on x=0; the x=l side is 0; lateral
     edges default to 0 (use lateral_fn for data that does not decay in y).
@@ -281,49 +282,40 @@ def fd_strip(boundary_fn, l: float, y_window, n_x: int, n_y: int, lateral_fn=Non
     dx = x[1] - x[0]
     dy = y[1] - y[0]
     u = np.zeros((n_x, n_y))
-    u[0, :] = [float(boundary_fn(yy)) for yy in y]
     if lateral_fn is not None:
         u[:, 0] = [float(lateral_fn(xx, y0)) for xx in x]
         u[:, -1] = [float(lateral_fn(xx, y1)) for xx in x]
-        u[0, :] = [float(boundary_fn(yy)) for yy in y]
-        u[-1, :] = 0.0
+    u[0, :] = [float(boundary_fn(yy)) for yy in y]
+    u[-1, :] = 0.0
 
-    # unknowns: the interior nodes, row-major; -1 marks a known edge node
-    inner = (slice(1, -1), slice(1, -1))
-    idx = -np.ones((n_x, n_y), dtype=int)
-    idx[inner] = np.arange((n_x - 2) * (n_y - 2)).reshape(n_x - 2, n_y - 2)
-    eq = idx[inner]
-    system = _StencilSystem(eq.size)
+    # u is still zero inside, so the neighbour sums are the known edge terms
     cx, cy = 1.0 / dx**2, 1.0 / dy**2
-    system.add(eq, eq, -2.0 * (cx + cy), 0.0)
-    for di, dj, c in ((1, 0, cx), (-1, 0, cx), (0, 1, cy), (0, -1, cy)):
-        nbr = (slice(1 + di, n_x - 1 + di), slice(1 + dj, n_y - 1 + dj))
-        system.add(eq, idx[nbr], c, u[nbr])
-    u[inner] = system.solve().reshape(eq.shape)
+    rhs = -(cx * (u[2:, 1:-1] + u[:-2, 1:-1]) + cy * (u[1:-1, 2:] + u[1:-1, :-2]))
+    # the y neighbours of DST mode p sum to 2 cos(pi p / (n_y-1)) times it
+    wave = np.sin(np.pi * np.arange(1, n_y - 1) / (2 * (n_y - 1))) ** 2
+    side = np.broadcast_to(cx, rhs.shape)
+    system = ModeSystem(side, np.broadcast_to(-2.0 * cx - 4.0 * cy * wave, rhs.shape), side, rhs.size)
+    u[1:-1, 1:-1] = _dst1(spsolve(system, _dst1(rhs))) * (2.0 / (n_y - 1))
     return GridSolution(kind="strip", axes=(x, y), values=u, spacings=(dx, dy))
 
 
-def _polar_laplacian(system, idx, known, r, lo, hi, dr, dth):
-    """Add the polar 5-point equations of rings lo..hi-1, periodic in theta."""
-    eq = idx[lo:hi]
-    ring = r[lo:hi, None]
+def _theta_waves(n_theta):
+    """sin^2(pi m / n_theta) for the rfft modes m: the theta neighbours of
+    mode m sum to 2 cos(2 pi m / n_theta) = 2 - 4 sin^2(pi m / n_theta) times it."""
+    return np.sin(np.pi * np.arange(n_theta // 2 + 1) / n_theta) ** 2
+
+
+def _polar_rows(ring, dr, dth, wave):
+    """Lower, diagonal and upper per-mode coefficients of the polar 5-point rows at radii `ring`."""
+    ring = ring[:, None]
     cr = 1.0 / dr**2
     cc = 1.0 / (2.0 * ring * dr)
-    # libm pow, as a scalar r**2 uses: an array's r**2 multiplies, which
-    # now and then rounds the last bit differently and so moves FD output
     ct = 1.0 / (np.float_power(ring, 2) * dth**2)
-    system.add(eq, eq, -2.0 * cr - 2.0 * ct, 0.0)
-    for rings, shift, c in (
-        (slice(lo + 1, hi + 1), 0, cr + cc),
-        (slice(lo - 1, hi - 1), 0, cr - cc),
-        (slice(lo, hi), -1, ct),  # theta index j + 1
-        (slice(lo, hi), 1, ct),  # theta index j - 1
-    ):
-        system.add(eq, np.roll(idx[rings], shift, axis=1), c, np.roll(known[rings], shift, axis=1))
+    return cr - cc, -2.0 * cr - 4.0 * ct * wave, cr + cc
 
 
 def fd_annulus(boundary_fn, R: float, n_r: int, n_theta: int) -> GridSolution:
-    """Polar 5-point solve of the annulus Dirichlet problem.
+    """Polar 5-point solve of the annulus Dirichlet problem, by an rfft in theta.
 
     boundary_fn(theta) on r=1, zero data on r=R, periodic in theta.
     """
@@ -336,17 +328,17 @@ def fd_annulus(boundary_fn, R: float, n_r: int, n_theta: int) -> GridSolution:
     u = np.zeros((n_r, n_theta))
     u[-1, :] = [float(boundary_fn(t)) for t in theta]
 
-    # unknowns: rings 1..n_r-2, row-major
-    idx = -np.ones((n_r, n_theta), dtype=int)
-    idx[1:-1] = np.arange((n_r - 2) * n_theta).reshape(n_r - 2, n_theta)
-    system = _StencilSystem((n_r - 2) * n_theta)
-    _polar_laplacian(system, idx, u, r, 1, n_r - 1, dr, dth)
-    u[1:-1] = system.solve().reshape(n_r - 2, n_theta)
+    # rows: rings 1..n_r-2
+    lower, diag, upper = np.broadcast_arrays(*_polar_rows(r[1:-1], dr, dth, _theta_waves(n_theta)))
+    rhs = np.zeros(diag.shape, dtype=complex)
+    rhs[-1] = -upper[-1] * np.fft.rfft(u[-1])
+    sol = spsolve(ModeSystem(lower, diag, upper, (n_r - 2) * n_theta), rhs)
+    u[1:-1] = np.fft.irfft(sol, n=n_theta, axis=1)
     return GridSolution(kind="annulus", axes=(r, theta), values=u, spacings=(dr, dth))
 
 
 def fd_disk_coupled(boundary_fn, config: RadialLayerConfig, n_r: int, n_theta: int) -> GridSolution:
-    """Two-region polar solve of the coupled disk problem.
+    """Two-region polar solve of the coupled disk problem, by an rfft in theta.
 
     Value continuity holds by sharing the interface unknowns; the flux
     row enforces k * du/dr(R+) = du/dr(R-) with one-sided second-order
@@ -368,33 +360,31 @@ def fd_disk_coupled(boundary_fn, config: RadialLayerConfig, n_r: int, n_theta: i
     u = np.zeros((n_rad, n_theta))
     u[-1, :] = [float(boundary_fn(t)) for t in theta]
 
-    # unknowns: the centre (0, every theta of ring 0), then rings
-    # 1..n_rad-2 row-major
-    idx = -np.ones((n_rad, n_theta), dtype=int)
-    idx[0] = 0
-    idx[1:-1] = np.arange(1, 1 + (n_rad - 2) * n_theta).reshape(n_rad - 2, n_theta)
-    system = _StencilSystem(1 + (n_rad - 2) * n_theta)
-
-    # centre: mean-value property over the first ring
-    system.add(0, 0, 1.0, 0.0)
-    system.add(0, idx[1], -1.0 / n_theta, u[1])
-    _polar_laplacian(system, idx, u, radii, 1, m_in, dr_in, dth)
-    # flux matching row: k * forward(R+) - backward(R-) = 0
+    # rows: the centre, then rings 1..n_rad-2; row 0 holds the rfft of a
+    # ring of centre values, n_theta u(0) in mode 0 and nothing elsewhere
+    wave = _theta_waves(n_theta)
+    lower, diag, upper = (np.zeros((n_rad - 1, wave.size)) for _ in range(3))
+    # centre: the mean-value property over the first ring, mode 0 only
+    diag[0] = 1.0
+    upper[0, 0] = -1.0
+    for lo, hi, dr in ((1, m_in, dr_in), (m_in + 1, n_rad - 1, dr_out)):
+        lower[lo:hi], diag[lo:hi], upper[lo:hi] = _polar_rows(radii[lo:hi], dr, dth, wave)
+    # flux matching row: k * forward(R+) - backward(R-) = 0; its entries
+    # -b at ring m_in-2 and -f at m_in+2 are eliminated with the rows of
+    # rings m_in-1 and m_in+1, whose right-hand sides are zero
     f = k / (2.0 * dr_out)
     b = 1.0 / (2.0 * dr_in)
-    for i, c in (
-        (m_in, -3.0 * f - 3.0 * b),
-        (m_in + 1, 4.0 * f),
-        (m_in + 2, -1.0 * f),
-        (m_in - 1, 4.0 * b),
-        (m_in - 2, -1.0 * b),
-    ):
-        system.add(idx[m_in], idx[i], c, u[i])
-    _polar_laplacian(system, idx, u, radii, m_in + 1, n_rad - 1, dr_out, dth)
+    below = b / lower[m_in - 1]
+    above = f / upper[m_in + 1]
+    lower[m_in] = 4.0 * b + below * diag[m_in - 1]
+    diag[m_in] = -3.0 * f - 3.0 * b + below * upper[m_in - 1] + above * lower[m_in + 1]
+    upper[m_in] = 4.0 * f + above * diag[m_in + 1]
 
-    sol = system.solve()
-    u[0] = sol[0]
-    u[1:-1] = sol[1:].reshape(n_rad - 2, n_theta)
+    rhs = np.zeros(diag.shape, dtype=complex)
+    rhs[-1] = -upper[-1] * np.fft.rfft(u[-1])
+    sol = spsolve(ModeSystem(lower, diag, upper, 1 + (n_rad - 2) * n_theta), rhs)
+    u[0] = sol[0, 0].real / n_theta
+    u[1:-1] = np.fft.irfft(sol[1:], n=n_theta, axis=1)
     return GridSolution(
         kind="disk_coupled",
         axes=(radii, theta),

@@ -389,6 +389,40 @@ def test_oracle_fd_solve_with_samples(tmp_path, capsys):
     assert out.read_text().startswith("x,y,region,u")
 
 
+def test_fd_strip_lateral_edges_follow_the_trace(tmp_path, capsys):
+    # trace cos(y) on [-3, 3]: the exact solution is cos(y) sinh(l - x) / sinh(l); the lateral
+    # edges carry the interpolant cos(+-3) (1 - x/l) instead of 0
+    ys = np.linspace(-3.0, 3.0, 201)
+    (tmp_path / "trace.csv").write_text("\n".join(f"{float(y)!r},{math.cos(y)!r}" for y in ys) + "\n")
+    cfg = {"problem": "strip", "geometry": {"l": 0.5}, "boundary": {"samples": "trace.csv"},
+           "method": "oracle", "grid": {"x": [0.0, 0.5, 9], "y": [-3.0, 3.0, 33]}}
+    out = tmp_path / "fd.csv"
+    code, _, _ = run_cli(["solve", "--config", write_config(tmp_path, "fd.json", cfg), "--out", str(out)], capsys)
+    assert code == 0
+    x, y, _, u = np.loadtxt(out, delimiter=",", skiprows=1, unpack=True)
+    exact = np.cos(y) * np.sinh(0.5 - x) / math.sinh(0.5)
+    edge = (x == 0.25) & (np.abs(y) == 3.0)
+    assert edge.sum() == 2
+    assert u[edge] == pytest.approx(0.5 * np.interp(3.0, ys, np.cos(ys)), abs=1e-12)
+    assert np.max(np.abs(u - exact)) < 0.02
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("np.float64(0.0),np.float64(1.0)\n1.0,0.5\n2.0,0.3\n", 1),
+     ("\nt,u\n0.0,1.0\n1.0,nan?\n2.0,0.3\n", 4)],
+    ids=["numpy-repr", "bad-row-after-header"],
+)
+def test_fd_trace_with_a_non_numeric_row_exits_2(tmp_path, capsys, text, line):
+    (tmp_path / "trace.csv").write_text(text)
+    cfg = {"problem": "strip", "geometry": {"l": 0.5}, "boundary": {"samples": "trace.csv"},
+           "method": "oracle", "grid": {"x": [0.0, 0.5, 5], "y": [0.0, 2.0, 5]}}
+    code, _, err = run_cli(["solve", "--config", write_config(tmp_path, "fd.json", cfg),
+                            "--out", str(tmp_path / "fd.csv")], capsys)
+    assert code == 2
+    assert f"line {line}:" in err
+
+
 def test_console_script_entry():
     # the child must import the same package as this process, installed or not
     src = os.path.dirname(os.path.dirname(layerfield.__file__))
@@ -517,12 +551,12 @@ def test_huge_fd_grid_rejected_before_allocation(tmp_path, capsys):
         "geometry": {"R": 0.5, "k": 0.5},
         "boundary": {"samples": "trace.csv"},
         "method": "oracle",
-        "grid": {"r": [0.0, 1.0, 1], "theta": [0.0, 6.0, cli.MAX_FD_NODES + 1]},
+        "grid": {"r": [0.0, 1.0, 1], "theta": [0.0, 6.0, cli.MAX_GRID_NODES + 1]},
     }
     path = write_config(tmp_path, "huge_fd.json", cfg)
     code, err, peak = run_cli_traced(["solve", "--config", path, "--out", str(tmp_path / "g.csv")], capsys)
     assert code == 2
-    assert f"FD grid has {cli.MAX_FD_NODES + 1} nodes; the FD oracle allows at most {cli.MAX_FD_NODES}" in err
+    assert f"grid has {cli.MAX_GRID_NODES + 1} nodes; at most {cli.MAX_GRID_NODES} are allowed" in err
     assert peak < 10 * 2**20
 
 

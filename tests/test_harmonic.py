@@ -228,3 +228,27 @@ def test_trace_csv_roundtrip(tmp_path):
     assert BoundaryTrace.from_csv(path2).abscissae[1] == 1.0
     with pytest.raises(ValidationError):
         BoundaryTrace(np.array([0.0, 0.0, 1.0]), np.array([1.0, 2.0, 3.0]))
+
+
+def test_trace_csv_header_only_on_the_first_line(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("\n  t, value\n\n0.0,1.0\n1.0,2.0\n")
+    assert BoundaryTrace.from_csv(path).values.tolist() == [1.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("np.float64(0.0),np.float64(1.0)\nnp.float64(1.0),np.float64(2.0)\n", 1),
+        ("t1,u1\n0.0,1.0\n1.0,2.0\n", 1),
+        ("t,u\nangle,value\n0.0,1.0\n1.0,2.0\n", 2),
+        ("0.0,1.0\n1.0,2.0\n2.0,x\n", 3),
+        ("t,u\n0.0,1.0\n\n1.0\n", 4),
+    ],
+    ids=["numpy-repr", "digit-in-header", "second-header", "late-text", "one-column"],
+)
+def test_trace_csv_rejects_a_non_numeric_row_by_line(tmp_path, text, line):
+    path = tmp_path / "trace.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=f"line {line}\\b"):
+        BoundaryTrace.from_csv(path)

@@ -1,10 +1,11 @@
-"""scipy is loaded only by the FD oracle and the quadrature companions.
+"""scipy is loaded only by the quadrature companions of Poisson sources.
 
 Each case runs in a fresh interpreter, because a module imported by an
 earlier test stays in this process's sys.modules.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -80,20 +81,25 @@ def test_mode_runs_load_no_scipy(tmp_path, problem):
     assert run_child(cli_calls(calls), tmp_path) == []
 
 
-def test_fd_solve_from_samples_loads_scipy_sparse(tmp_path):
-    lines = [f"{-3.0 + 0.03 * i!r},{1.0 / (1.0 + (-3.0 + 0.03 * i) ** 2)!r}" for i in range(201)]
+@pytest.mark.parametrize("problem", ["strip", "annulus", "disk_coupled"])
+def test_fd_solve_from_samples_loads_no_scipy(tmp_path, problem):
+    if problem == "strip":
+        ts = [-3.0 + 0.03 * i for i in range(201)]
+        geometry, grid = {"l": 0.5}, {"x": [0.0, 0.5, 9], "y": [-3.0, 3.0, 17]}
+    else:
+        ts = [0.0628 * i for i in range(100)]
+        r0 = 0.6 if problem == "annulus" else 0.0
+        geometry = {"R": 0.6} if problem == "annulus" else {"R": 0.6, "k": 0.4}
+        grid = {"r": [r0, 1.0, 9], "theta": [0.0, 2.0 * math.pi, 16]}
+    lines = [f"{t!r},{1.0 / (1.0 + t * t)!r}" for t in ts]
     (tmp_path / "trace.csv").write_text("\n".join(lines) + "\n")
-    cfg = {
-        "problem": "strip",
-        "geometry": {"l": 0.5},
-        "boundary": {"samples": "trace.csv"},
-        "method": "oracle",
-        "grid": {"x": [0.0, 0.5, 9], "y": [-3.0, 3.0, 17]},
-    }
+    cfg = {"problem": problem, "geometry": geometry, "boundary": {"samples": "trace.csv"},
+           "method": "oracle", "grid": grid}
     (tmp_path / "fd.json").write_text(json.dumps(cfg))
     loaded = run_child(cli_calls([(["solve", "--config", "fd.json", "--out", "fd.csv"], [0])]), tmp_path)
-    assert "scipy.sparse" in loaded
-    assert (tmp_path / "fd.csv").read_text().startswith("x,y,region,u\n")
+    assert loaded == []
+    header = "x,y,region,u" if problem == "strip" else "r,theta,region,u"
+    assert (tmp_path / "fd.csv").read_text().startswith(header + "\n")
 
 
 def test_source_bearing_asymptotic_loads_scipy_integrate(tmp_path):
