@@ -7,89 +7,61 @@ thin-layer / high-contrast regimes where that series crawls, through
 Euler-Maclaurin asymptotics built on Robin and Neumann companion fields.
 Everything is checkable against built-in closed-form and
 finite-difference oracles.
+
+The exported names are resolved on first use (PEP 562), so importing the
+package, or one of its modules, loads only the submodules that code needs.
 """
 
-from .asymptotics import (
-    ApproxResult,
-    BernoulliTable,
-    ExpProfile,
-    FuncProfile,
-    PowerProfile,
-    RobinParameter,
-    SumProfile,
-    TVEstimate,
-    annulus_thin_layer,
-    bernoulli,
-    disk_large_contrast,
-    disk_small_contrast,
-    em_log_sum,
-    em_ray_sum,
-    halfplane_large_contrast,
-    halfplane_small_contrast,
-    log_sum_bound,
-    neumann_link_disk,
-    neumann_link_halfplane,
-    ray_sum_bound,
-    robin_link_disk,
-    robin_link_halfplane,
-    strip_thin_layer,
-    total_variation,
-    weighted_radial_asym,
-    weighted_radial_asym_alt,
-    weighted_ray_asym,
-    weighted_ray_asym_alt,
-)
-from .errors import (
-    ArbiterInsufficientError,
-    CapabilityError,
-    CapacityError,
-    ConvergenceError,
-    DivergentLinkError,
-    EstimationError,
-    LayerFieldError,
-    SolvabilityError,
-    StencilError,
-    UndersamplingError,
-    ValidationError,
-    WindowTooSmallError,
-)
-from .harmonic import (
-    BoundaryTrace,
-    DiskField,
-    HalfPlaneField,
-    Point2,
-    PolarPoint,
-    disk_from_boundary,
-    halfplane_poisson_eval,
-    kelvin_argument,
-    laplacian_residual,
-    radial_derivative,
-)
-from .oracle import (
-    BruteSum,
-    ErrorReport,
-    GridSolution,
-    brute_series,
-    fd_annulus,
-    fd_disk_coupled,
-    fd_strip,
-    mode_exact,
-    residual_report,
-)
-from .series import (
-    Geometry,
-    LayeredSolution,
-    MaxTerms,
-    PlanarLayerConfig,
-    RadialLayerConfig,
-    RegimeReport,
-    TailTol,
-    annulus_dirichlet,
-    convergence_diagnostic,
-    disk_coupled,
-    geometric_tail_terms,
-    halfplane_coupled,
-    strip_dirichlet,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+#: submodule defining each exported name
+_EXPORTS = {
+    **dict.fromkeys([
+        "ApproxResult", "BernoulliTable", "ExpProfile", "FuncProfile", "PowerProfile",
+        "SumProfile", "TVEstimate", "annulus_thin_layer", "bernoulli",
+        "disk_large_contrast", "disk_small_contrast", "em_log_sum", "em_ray_sum",
+        "halfplane_large_contrast", "halfplane_small_contrast", "log_sum_bound",
+        "neumann_link_disk", "neumann_link_halfplane", "ray_sum_bound",
+        "robin_link_disk", "robin_link_halfplane", "strip_thin_layer",
+        "total_variation", "weighted_radial_asym", "weighted_radial_asym_alt",
+        "weighted_ray_asym", "weighted_ray_asym_alt"
+    ], ".asymptotics"),
+    **dict.fromkeys([
+        "ArbiterInsufficientError", "CapabilityError", "CapacityError",
+        "ConvergenceError", "DivergentLinkError", "EstimationError", "LayerFieldError",
+        "SolvabilityError", "StencilError", "UndersamplingError", "ValidationError",
+        "WindowTooSmallError"
+    ], ".errors"),
+    **dict.fromkeys([
+        "BoundaryTrace", "DiskField", "HalfPlaneField", "disk_from_boundary",
+        "halfplane_poisson_eval", "laplacian_residual"
+    ], ".harmonic"),
+    **dict.fromkeys([
+        "BruteSum", "ErrorReport", "GridSolution", "brute_series", "fd_annulus",
+        "fd_disk_coupled", "fd_strip", "mode_exact", "residual_report"
+    ], ".oracle"),
+    **dict.fromkeys([
+        "Geometry", "LayeredSolution", "MaxTerms", "PlanarLayerConfig",
+        "RadialLayerConfig", "RegimeReport", "TailTol", "annulus_dirichlet",
+        "convergence_diagnostic", "disk_coupled", "geometric_tail_terms",
+        "halfplane_coupled", "strip_dirichlet"
+    ], ".series"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module, __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

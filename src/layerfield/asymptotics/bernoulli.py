@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -31,11 +30,11 @@ def bernoulli(n: int) -> Fraction:
     return _cache[n]
 
 
-@dataclass(frozen=True)
 class BernoulliTable:
-    """Immutable slice B_0..B_n of exact Bernoulli numbers."""
+    """Slice B_0..B_n of exact Bernoulli numbers, held as a tuple."""
 
-    values: tuple[Fraction, ...]
+    def __init__(self, values: tuple[Fraction, ...]):
+        self.values = values
 
     @classmethod
     def up_to(cls, n: int) -> "BernoulliTable":

@@ -11,7 +11,6 @@ together with the rigorous variation bounds of the leading-order step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -20,28 +19,6 @@ from ..errors import DivergentLinkError, SolvabilityError, ValidationError
 from ..harmonic import DiskField, HalfPlaneField
 from ..series import Geometry, LayeredSolution, PlanarLayerConfig, RadialLayerConfig
 from .summation import quad, total_variation, ray_total_variation, ray_window
-
-
-@dataclass(frozen=True)
-class RobinParameter:
-    """Robin coefficient h tied to a layer geometry's reflection ratio."""
-
-    h: float
-    kind: str  # "planar" (|rho| = exp(2hl)) or "radial" (|rho| = R^(2h))
-
-    @classmethod
-    def from_planar(cls, config: PlanarLayerConfig) -> "RobinParameter":
-        h = config.robin_h
-        if abs(math.exp(2 * h * config.l) - abs(config.rho)) > 1e-12:
-            raise ValidationError("Robin parameter inconsistent with rho")
-        return cls(h=h, kind="planar")
-
-    @classmethod
-    def from_radial(cls, config: RadialLayerConfig) -> "RobinParameter":
-        h = config.robin_h
-        if abs(config.R ** (2 * h) - abs(config.rho)) > 1e-12:
-            raise ValidationError("Robin parameter inconsistent with rho")
-        return cls(h=h, kind="radial")
 
 
 class _QuadratureRobinHalfPlane:
@@ -131,13 +108,11 @@ def neumann_link_disk(field: DiskField) -> DiskField:
     return DiskField(out_a, out_b)
 
 
-@dataclass(frozen=True)
 class ApproxResult:
     """Thin-layer approximation plus its pointwise assessment bound."""
 
-    solution: object
-    bound: float | None = None
-    bound_at: Callable | None = None
+    def __init__(self, solution, bound: float | None = None, bound_at: Callable | None = None):
+        self.solution, self.bound, self.bound_at = solution, bound, bound_at
 
 
 def _planar_bound_at(field: HalfPlaneField, rho: float, h: float):

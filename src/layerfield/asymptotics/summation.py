@@ -16,7 +16,6 @@ approximations and the refinement-based variation estimator they need.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import comb, factorial
 
 import numpy as np
@@ -268,17 +267,13 @@ def em_log_sum(f, R: float, order: int = 2) -> float:
     return em_ray_sum(g, math.log(1.0 / R**2), order)
 
 
-@dataclass(frozen=True)
 class TVEstimate:
     """Total variation estimate from nested grid refinement."""
 
-    value: float
-    points: int
-    segments: int
-
-    def __post_init__(self):
-        if self.value < 0:
+    def __init__(self, value: float, points: int, segments: int):
+        if value < 0:
             raise ValidationError("total variation cannot be negative")
+        self.value, self.points, self.segments = value, points, segments
 
 
 def total_variation(fn, lower: float, upper: float, initial: int = 257,

@@ -3,17 +3,16 @@
 Two concrete representations are used throughout the package: decaying
 cosine modes (optionally with boundary point sources) on the right
 half-plane, and finite Fourier sums on the unit disk.  Both evaluate
-exactly, expose exact first derivatives, and validate their natural
-domains.  The module also provides the argument transforms the layered
-constructions are built from (shifts come for free, the Kelvin inversion
-and the radial scaling derivative are explicit) and a five-point stencil
-residual used everywhere as a harmonicity check.
+exactly on arrays, expose exact first derivatives (d/dx on the plane,
+r d/dr on the disk) and sum their own image ladders per mode.  The
+module also reads sampled boundary traces, projects circle traces onto
+disk modes, extends planar traces by the Poisson integral, and provides
+a five-point stencil residual as a harmonicity check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -29,54 +28,12 @@ from .errors import (
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class Point2:
-    """Cartesian point in dimensionless plate coordinates."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValidationError("point coordinates must be finite")
-
-
-@dataclass(frozen=True)
-class PolarPoint:
-    """Polar point; the angle is normalised to [0, 2*pi)."""
-
-    r: float
-    theta: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.r) and math.isfinite(self.theta)):
-            raise ValidationError("polar coordinates must be finite")
-        if self.r < 0:
-            raise ValidationError("radius must be non-negative")
-        object.__setattr__(self, "theta", self.theta % TWO_PI)
-
-    def to_cartesian(self) -> Point2:
-        return Point2(self.r * math.cos(self.theta), self.r * math.sin(self.theta))
-
-
-def as_point2(p) -> Point2:
-    """Coerce a Point2, PolarPoint, or (x, y) pair to Point2."""
-    if isinstance(p, Point2):
-        return p
-    if isinstance(p, PolarPoint):
-        return p.to_cartesian()
-    x, y = p
-    return Point2(float(x), float(y))
-
-
-def as_polar(p) -> PolarPoint:
-    """Coerce a PolarPoint, Point2, or (r, theta) pair to PolarPoint."""
-    if isinstance(p, PolarPoint):
-        return p
-    if isinstance(p, Point2):
-        return PolarPoint(math.hypot(p.x, p.y), math.atan2(p.y, p.x))
-    r, theta = p
-    return PolarPoint(float(r), float(theta))
+def _xy(p):
+    """An (x, y) pair as two finite floats."""
+    x, y = float(p[0]), float(p[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValidationError("point coordinates must be finite")
+    return x, y
 
 
 def geometric_weights(ratio: float, decay, terms: int) -> np.ndarray:
@@ -219,12 +176,6 @@ class HalfPlaneField:
                 w *= ratio
         return out if out.shape else float(out)
 
-    def eval(self, p) -> float:
-        p = as_point2(p)
-        if p.x < 0:
-            raise ValidationError("half-plane field requires x >= 0")
-        return float(self.value(p.x, p.y))
-
 
 class DiskField:
     """Finite Fourier sum on the unit disk.
@@ -325,23 +276,13 @@ class DiskField:
         weights = geometric_weights(ratio, decay, terms)
         return self._mode_sum(r, theta, self._a * weights, self._b * weights, deriv)
 
-    def eval(self, p) -> float:
-        p = as_polar(p)
-        if p.r > 1.0 + 1e-12:
-            raise ValidationError("disk field requires r <= 1")
-        return float(self.value(p.r, p.theta))
 
-
-@dataclass(frozen=True)
 class BoundaryTrace:
     """Sampled boundary values over a closed window of abscissae."""
 
-    abscissae: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.abscissae, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+    def __init__(self, abscissae, values):
+        t = np.asarray(abscissae, dtype=float)
+        v = np.asarray(values, dtype=float)
         if t.ndim != 1 or v.ndim != 1 or t.size != v.size:
             raise ValidationError("trace needs matching 1-D abscissae and values")
         if t.size < 2:
@@ -350,8 +291,8 @@ class BoundaryTrace:
             raise ValidationError("trace samples must be finite")
         if not np.all(np.diff(t) > 0):
             raise ValidationError("trace abscissae must be strictly increasing")
-        object.__setattr__(self, "abscissae", t)
-        object.__setattr__(self, "values", v)
+        self.abscissae = t
+        self.values = v
 
     @property
     def window(self):
@@ -408,24 +349,24 @@ class PoissonEval(NamedTuple):
 
 
 def halfplane_poisson_eval(trace: BoundaryTrace, p, tol=1e-6) -> PoissonEval:
-    """Harmonic extension of boundary samples into the half-plane.
+    """Harmonic extension of boundary samples to the point p = (x, y), x > 0.
 
     Trapezoid rule for (1/pi) * integral of x f(t) / (x^2 + (y-t)^2)
     over the trace window, plus a rigorous bound for the omitted tail
     assuming |f| stays below its edge magnitude outside the window.
     """
-    p = as_point2(p)
-    if p.x <= 0:
+    x, y = _xy(p)
+    if x <= 0:
         raise ValidationError("Poisson evaluation requires x > 0")
     _check_halfplane_decay(trace)
     t = trace.abscissae
     f = trace.values
-    kernel = (p.x / math.pi) / (p.x**2 + (p.y - t) ** 2)
+    kernel = (x / math.pi) / (x**2 + (y - t) ** 2)
     value = float(np.trapezoid(kernel * f, t))
     edge = max(abs(f[0]), abs(f[-1]))
     lo, hi = trace.window
-    left = 0.5 - math.atan((p.y - lo) / p.x) / math.pi
-    right = 0.5 - math.atan((hi - p.y) / p.x) / math.pi
+    left = 0.5 - math.atan((y - lo) / x) / math.pi
+    right = 0.5 - math.atan((hi - y) / x) / math.pi
     tail = edge * (left + right)
     if tail > tol:
         raise WindowTooSmallError(
@@ -464,39 +405,21 @@ def disk_from_boundary(trace: BoundaryTrace, n_max: int) -> DiskField:
     return DiskField(a, b)
 
 
-def kelvin_argument(p, rho2: float) -> PolarPoint:
-    """Inversion across the circle of radius sqrt(rho2): r -> rho2/r, angle fixed."""
-    p = as_polar(p)
-    if rho2 <= 0:
-        raise ValidationError("inversion radius squared must be > 0")
-    if p.r == 0:
-        raise ValidationError("Kelvin inversion is singular at the origin")
-    return PolarPoint(rho2 / p.r, p.theta)
-
-
-def radial_derivative(field: DiskField, p) -> float:
-    """r * du/dr of a disk field at a point, closed form on Fourier modes."""
-    p = as_polar(p)
-    if p.r > 1.0 + 1e-12:
-        raise ValidationError("disk field requires r <= 1")
-    return float(field.radial_derivative(p.r, p.theta))
-
-
 def laplacian_residual(evaluator: Callable, p, step: float, a: float = 1.0, inside=None) -> float:
-    """Five-point stencil residual a^2*u_xx + u_yy at a Cartesian point.
+    """Five-point stencil residual a^2*u_xx + u_yy at the point p = (x, y).
 
     `evaluator` is called as evaluator(x, y).  When `inside` is given,
     every stencil point must satisfy it or a StencilError is raised.
     """
-    p = as_point2(p)
+    x, y = _xy(p)
     if step <= 0:
         raise ValidationError("stencil step must be > 0")
     pts = [
-        (p.x + step, p.y),
-        (p.x - step, p.y),
-        (p.x, p.y + step),
-        (p.x, p.y - step),
-        (p.x, p.y),
+        (x + step, y),
+        (x - step, y),
+        (x, y + step),
+        (x, y - step),
+        (x, y),
     ]
     if inside is not None:
         for q in pts:

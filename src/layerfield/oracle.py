@@ -12,7 +12,6 @@ match, and interface value/flux continuity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,13 +22,11 @@ from .series import MAX_LADDER_TERMS, Geometry, PlanarLayerConfig, RadialLayerCo
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
 class BruteSum:
     """Partial sum with its geometric tail bound."""
 
-    value: float
-    tail_bound: float
-    terms: int
+    def __init__(self, value: float, tail_bound: float, terms: int):
+        self.value, self.tail_bound, self.terms = value, tail_bound, terms
 
 
 def brute_series(term, rho: float, M: float = 1.0, J: int | None = None,
@@ -143,7 +140,8 @@ def _planar_coupled_exact(modes, cfg: PlanarLayerConfig) -> ModeExact:
 def _radial_exact(modes, geometry: Geometry, rho: float) -> ModeExact:
     """(r^n - rho (R^2/r)^n) / (1 - rho R^(2n)) per mode, and the transmitted r^n inside.
 
-    rho = 1 is the annulus Dirichlet solution (r^n - (R^2/r)^n)/(1 - R^(2n));
+    rho = 1 is the annulus Dirichlet solution (r^n - (R^2/r)^n)/(1 - R^(2n)),
+    whose constant mode n = 0 is ln(r/R)/ln(1/R), with r d/dr = 1/ln(1/R);
     otherwise the coupled disk ladder summed geometrically.
     """
     R = geometry.interface
@@ -151,10 +149,17 @@ def _radial_exact(modes, geometry: Geometry, rho: float) -> ModeExact:
     def denom(n):
         return 1.0 - rho * R ** (2 * n)
 
-    profiles = {
-        "u1_value": lambda r, n, *_: (r**n - rho * (R**2 / r) ** n) / denom(n),
-        "u1_deriv": lambda r, n, *_: n * (r**n + rho * (R**2 / r) ** n) / denom(n),
-    }
+    def value(r, n, *_):
+        if n == 0:
+            return np.log(r / R) / math.log(1.0 / R)
+        return (r**n - rho * (R**2 / r) ** n) / denom(n)
+
+    def deriv(r, n, *_):
+        if n == 0:
+            return np.full(r.shape, 1.0 / math.log(1.0 / R))
+        return n * (r**n + rho * (R**2 / r) ** n) / denom(n)
+
+    profiles = {"u1_value": value, "u1_deriv": deriv}
     if geometry.coupled:
         transmit = 2 * geometry.k / (geometry.k + 1)
         profiles["u2_value"] = lambda r, n, *_: transmit * r**n / denom(n)
@@ -162,11 +167,11 @@ def _radial_exact(modes, geometry: Geometry, rho: float) -> ModeExact:
     return ModeExact(geometry, modes, _radial_wave, profiles)
 
 
-def _positive_radial_modes(modes, what):
+def _radial_modes(modes, what, n_min):
     out = []
     for n, a, b in modes:
-        if n < 1:
-            raise ValidationError(f"{what} mode solution needs n >= 1")
+        if n < n_min:
+            raise ValidationError(f"{what} mode solution needs n >= {n_min}")
         out.append((int(n), float(a), float(b)))
     return out
 
@@ -176,8 +181,9 @@ def mode_exact(problem: str, modes, **geometry) -> ModeExact:
 
     problem: strip | annulus | halfplane_coupled | disk_coupled.
     Planar modes are (amplitude, frequency, phase); radial modes are
-    (n, cos_amp, sin_amp) with n >= 1 (the constant disk mode has no
-    ladder-summed closed form and is rejected).
+    (n, cos_amp, sin_amp), with n >= 0 on the annulus and n >= 1 on the
+    coupled disk (its constant mode has no ladder-summed closed form and
+    is rejected).
     """
     if problem in ("strip", "halfplane_coupled"):
         modes = [(float(a), float(w), float(p)) for a, w, p in modes]
@@ -185,10 +191,10 @@ def mode_exact(problem: str, modes, **geometry) -> ModeExact:
             return _strip_exact(modes, float(geometry["l"]))
         return _planar_coupled_exact(modes, geometry["config"])
     if problem == "annulus":
-        modes = _positive_radial_modes(modes, "annulus")
+        modes = _radial_modes(modes, "annulus", 0)
         return _radial_exact(modes, Geometry("annulus", float(geometry["R"])), 1.0)
     if problem == "disk_coupled":
-        modes = _positive_radial_modes(modes, "coupled disk")
+        modes = _radial_modes(modes, "coupled disk", 1)
         cfg = geometry["config"]
         return _radial_exact(modes, Geometry.of("disk_coupled", cfg), cfg.rho)
     raise ValidationError(f"unknown problem tag: {problem!r}")
@@ -199,15 +205,12 @@ def mode_exact(problem: str, modes, **geometry) -> ModeExact:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class GridSolution:
     """Node values of a finite-difference solve on a structured grid."""
 
-    kind: str
-    axes: tuple
-    values: np.ndarray
-    spacings: tuple
-    meta: dict = field(default_factory=dict)
+    def __init__(self, kind: str, axes: tuple, values: np.ndarray, spacings: tuple, meta: dict | None = None):
+        self.kind, self.axes, self.values, self.spacings = kind, axes, values, spacings
+        self.meta = {} if meta is None else meta
 
     def to_csv(self, path):
         """Write the grid in the x,y,region,u (or r,theta,region,u) format."""
@@ -399,23 +402,20 @@ def fd_disk_coupled(boundary_fn, config: RadialLayerConfig, n_r: int, n_theta: i
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ErrorReport:
     """Maxima of the defect checks over a sample plan."""
 
-    pde_residual: float
-    boundary_mismatch: float
-    value_jump: float
-    flux_jump: float
-    samples: dict
-    bounds: dict
-
-    def __post_init__(self):
-        for name in ("pde_residual", "boundary_mismatch", "value_jump", "flux_jump"):
-            if getattr(self, name) < 0:
+    def __init__(self, pde_residual: float, boundary_mismatch: float, value_jump: float,
+                 flux_jump: float, samples: dict, bounds: dict):
+        for name, value in (("pde_residual", pde_residual), ("boundary_mismatch", boundary_mismatch),
+                            ("value_jump", value_jump), ("flux_jump", flux_jump)):
+            if value < 0:
                 raise ValidationError(f"{name} cannot be negative")
-        if any(v <= 0 for v in self.samples.values()):
+        if any(v <= 0 for v in samples.values()):
             raise ValidationError("sample counts must be positive")
+        self.pde_residual, self.boundary_mismatch = pde_residual, boundary_mismatch
+        self.value_jump, self.flux_jump = value_jump, flux_jump
+        self.samples, self.bounds = samples, bounds
 
 
 def _one_sided_dx(fn, x, y, step, side):
@@ -442,19 +442,28 @@ def residual_report(solution, boundary_field, n_samples: int = 50,
     The solution's `geometry` says where its layers lie.  Each check is
     one array call per layer: the 5-point stencils of all interior
     samples are evaluated together, as Cartesian offsets (mapped back to
-    polar coordinates on the disk).  flux: "auto" uses the solution's
-    exact derivatives u1_deriv and u2_deriv; "fd" takes one-sided
-    fourth-order differences five steps away from the interface instead.
+    polar coordinates on the disk).  The step is `stencil_step`, or an
+    eighth of the thinnest bounded layer sampled if that is smaller, so
+    that every sample sits at least two steps inside its layer.  flux:
+    "auto" uses the solution's exact derivatives u1_deriv and u2_deriv;
+    "fd" takes one-sided fourth-order differences five steps away from
+    the interface instead.
     """
     if stencil_step <= 0:
         raise ValidationError("stencil step must be > 0")
     rng = np.random.default_rng(seed)
     geo = solution.geometry
-    h = stencil_step
     s = geo.interface
     bounds = {}
     if getattr(solution, "tail_bound", None) is not None:
         bounds["tail_bound"] = float(solution.tail_bound)
+
+    # the thinnest bounded layer sampled (the plane's layer 2 is unbounded)
+    if geo.radial:
+        thickness = min(1.0 - s, s) if geo.coupled else 1.0 - s
+    else:
+        thickness = s
+    h = min(stencil_step, thickness / 8.0)
 
     # stencil points (x+h, y), (x-h, y), (x, y+h), (x, y-h), (x, y)
     dx = np.array([h, -h, 0.0, 0.0, 0.0])[:, None]

@@ -10,7 +10,6 @@ an explicit term count or by a geometric tail tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .harmonic import DiskField, HalfPlaneField
 MAX_LADDER_TERMS = 100_000
 
 
-@dataclass(frozen=True)
 class PlanarLayerConfig:
     """Two-layer half-plane geometry: layer 1 on 0 < x < l, layer 2 beyond.
 
@@ -29,28 +27,21 @@ class PlanarLayerConfig:
     are supplied, k must equal (lambda1/lambda2)*(a2/a1).
     """
 
-    l: float
-    k: float
-    a1: float = 1.0
-    a2: float = 1.0
-    lambda1: float | None = None
-    lambda2: float | None = None
-
-    def __post_init__(self):
-        for name in ("l", "k", "a1", "a2"):
-            v = getattr(self, name)
+    def __init__(self, l: float, k: float, a1: float = 1.0, a2: float = 1.0,
+                 lambda1: float | None = None, lambda2: float | None = None):
+        for name, v in (("l", l), ("k", k), ("a1", a1), ("a2", a2)):
             if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ValidationError(f"{name} must be a positive finite number")
-        if (self.lambda1 is None) != (self.lambda2 is None):
+        if (lambda1 is None) != (lambda2 is None):
             raise ValidationError("give both conductivities or neither")
-        if self.lambda1 is not None:
-            if self.lambda1 <= 0 or self.lambda2 <= 0:
+        if lambda1 is not None:
+            if lambda1 <= 0 or lambda2 <= 0:
                 raise ValidationError("conductivities must be > 0")
-            implied = (self.lambda1 / self.lambda2) * (self.a2 / self.a1)
-            if abs(self.k - implied) > 1e-12 * max(1.0, abs(implied)):
-                raise ValidationError(
-                    f"k={self.k} inconsistent with conductivities (implied {implied})"
-                )
+            implied = (lambda1 / lambda2) * (a2 / a1)
+            if abs(k - implied) > 1e-12 * max(1.0, abs(implied)):
+                raise ValidationError(f"k={k} inconsistent with conductivities (implied {implied})")
+        self.l, self.k, self.a1, self.a2 = l, k, a1, a2
+        self.lambda1, self.lambda2 = lambda1, lambda2
 
     @property
     def rho(self) -> float:
@@ -64,18 +55,15 @@ class PlanarLayerConfig:
         return math.log(abs(self.rho)) / (2.0 * self.l)
 
 
-@dataclass(frozen=True)
 class RadialLayerConfig:
     """Coupled disk geometry: annulus R < r < 1 (layer 1) over a core r < R."""
 
-    R: float
-    k: float
-
-    def __post_init__(self):
-        if not (0.0 < self.R < 1.0):
+    def __init__(self, R: float, k: float):
+        if not (0.0 < R < 1.0):
             raise ValidationError("interface radius must lie in (0, 1)")
-        if not (math.isfinite(self.k) and self.k > 0):
+        if not (math.isfinite(k) and k > 0):
             raise ValidationError("coupling ratio k must be > 0")
+        self.R, self.k = R, k
 
     @property
     def rho(self) -> float:
@@ -89,18 +77,15 @@ class RadialLayerConfig:
         return math.log(abs(self.rho)) / (2.0 * math.log(self.R))
 
 
-@dataclass(frozen=True)
 class MaxTerms:
     """Truncate the ladder after a fixed number of terms."""
 
-    J: int
-
-    def __post_init__(self):
-        if self.J < 1:
+    def __init__(self, J: int):
+        if J < 1:
             raise ValidationError("term count must be >= 1")
+        self.J = J
 
 
-@dataclass(frozen=True)
 class TailTol:
     """Truncate once the geometric tail bound drops below tol.
 
@@ -108,14 +93,12 @@ class TailTol:
     along the image ladder (needed e.g. for fields with boundary sources).
     """
 
-    tol: float
-    sup_bound: float | None = None
-
-    def __post_init__(self):
-        if not (self.tol > 0):
+    def __init__(self, tol: float, sup_bound: float | None = None):
+        if not (tol > 0):
             raise ValidationError("tail tolerance must be > 0")
-        if self.sup_bound is not None and not (self.sup_bound > 0):
+        if sup_bound is not None and not (sup_bound > 0):
             raise ValidationError("sup bound must be > 0")
+        self.tol, self.sup_bound = tol, sup_bound
 
 
 def geometric_tail_terms(rho: float, tol: float, M: float) -> int:
@@ -208,7 +191,6 @@ def _disk_ladder_bounds(field: DiskField, config: RadialLayerConfig, trunc):
     return abs(config.rho) * decay, (1.0 + abs(config.rho)) * sup
 
 
-@dataclass(frozen=True)
 class Geometry:
     """Where a problem's layers lie, in its own coordinate p.
 
@@ -219,11 +201,9 @@ class Geometry:
     annulus have none.
     """
 
-    kind: str
-    interface: float
-    k: float | None = None
-    a1: float = 1.0
-    a2: float = 1.0
+    def __init__(self, kind: str, interface: float, k: float | None = None,
+                 a1: float = 1.0, a2: float = 1.0):
+        self.kind, self.interface, self.k, self.a1, self.a2 = kind, interface, k, a1, a2
 
     @classmethod
     def of(cls, kind: str, config) -> "Geometry":
@@ -387,15 +367,12 @@ def annulus_dirichlet(field: DiskField, R: float, trunc) -> LayeredSolution:
     return LayeredSolution(geometry, field, 1.0, 1.0, terms, tail, log_coeff)
 
 
-@dataclass(frozen=True)
 class RegimeReport:
     """Series-vs-asymptotic advice for one geometry."""
 
-    rho: float
-    j_needed: int
-    tol: float
-    threshold: int
-    recommendation: str
+    def __init__(self, rho: float, j_needed: int, tol: float, threshold: int, recommendation: str):
+        self.rho, self.j_needed, self.tol = rho, j_needed, tol
+        self.threshold, self.recommendation = threshold, recommendation
 
 
 def convergence_diagnostic(config, tol: float = 1e-10, threshold: int = 1000,

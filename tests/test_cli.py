@@ -264,6 +264,25 @@ def test_verify_coupled_disk_series(tmp_path, capsys):
     assert json.loads(stdout)["all_pass"] is True
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"problem": "disk_coupled", "geometry": {"R": 0.999, "k": 0.05},
+         "boundary": {"modes": [{"n": 1, "a": 1}]}, "method": "series"},
+        {"problem": "halfplane_coupled", "geometry": {"l": 0.002, "k": 0.05},
+         "boundary": {"modes": [{"omega": 1.0, "A": 1.0}]}, "method": "series"},
+    ],
+    ids=["disk-R0.999", "halfplane-l0.002"],
+)
+def test_verify_layer_thinner_than_four_stencil_steps(tmp_path, capsys, cfg):
+    # the stencil step shrinks to an eighth of the layer, so every sample
+    # span stays inside it; at the default 1e-3 the spans would invert
+    path = write_config(tmp_path, "thin.json", cfg)
+    code, stdout, _ = run_cli(["verify", "--config", path], capsys)
+    assert code == 0
+    assert json.loads(stdout)["all_pass"] is True
+
+
 def test_compare_identical_methods_zero_diff(tmp_path, capsys):
     cfg = strip_config()
     del cfg["method"]
@@ -461,6 +480,25 @@ def test_annulus_constant_mode_solve_and_verify(tmp_path, capsys):
     code, stdout, _ = run_cli(["verify", "--config", path], capsys)
     assert code == 0
     assert json.loads(stdout)["all_pass"] is True
+
+
+def test_annulus_constant_mode_oracle_matches_series(tmp_path, capsys):
+    cfg = {"problem": "annulus", "geometry": {"R": 0.5}, "boundary": {"modes": [{"n": 0, "a": 1}]},
+           "grid": {"r": [0.5, 1.0, 11], "theta": [0.0, 6.0, 7]}}
+    grids, tail_bound = {}, None
+    for method in ("series", "oracle"):
+        path = write_config(tmp_path, f"{method}.json", {**cfg, "method": method})
+        out = tmp_path / f"{method}.csv"
+        code, stdout, _ = run_cli(["solve", "--config", path, "--out", str(out)], capsys)
+        assert code == 0
+        if method == "series":
+            tail_bound = json.loads(stdout)["tail_bound"]
+        grids[method] = np.loadtxt(out, delimiter=",", skiprows=1)
+    series, oracle = grids["series"], grids["oracle"]
+    assert np.array_equal(series[:, :3], oracle[:, :3])
+    # one rounding of ln(r/R)/ln(1/R) <= 1 apart, within the series' tail bound
+    assert np.max(np.abs(series[:, 3] - oracle[:, 3])) <= tail_bound + 4 * np.finfo(float).eps
+    assert oracle[-1, 3] == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,6 @@ from layerfield import (
     mode_exact,
 )
 from layerfield.asymptotics import (
-    RobinParameter,
     annulus_thin_layer,
     disk_large_contrast,
     disk_small_contrast,
@@ -43,13 +42,6 @@ def _planar_points(n=100, seed=0):
 def _disk_points(n=100, seed=1):
     rng = np.random.default_rng(seed)
     return rng.uniform([0.05, 0.0], [0.99, 2 * math.pi], (n, 2))
-
-
-def test_robin_parameter_constructors():
-    rp = RobinParameter.from_planar(PlanarLayerConfig(l=0.1, k=0.5))
-    assert rp.h < 0 and rp.kind == "planar"
-    rr = RobinParameter.from_radial(RadialLayerConfig(R=0.9, k=0.5))
-    assert rr.h > 0 and rr.kind == "radial"
 
 
 def test_planar_robin_identity_closed_form():

@@ -78,8 +78,6 @@ def test_mode_exact_disk_homogeneous():
 
 def test_mode_exact_rejects_constant_disk_mode():
     with pytest.raises(ValidationError):
-        mode_exact("annulus", [(0, 1.0, 0.0)], R=0.7)
-    with pytest.raises(ValidationError):
         mode_exact("disk_coupled", [(0, 1.0, 0.0)], config=RadialLayerConfig(R=0.7, k=0.5))
 
 

@@ -25,6 +25,8 @@ planar_modes = st.lists(
     st.tuples(unit, st.floats(0.2, 5.0), st.floats(0.0, 2.0 * math.pi)), min_size=1, max_size=3
 )
 radial_modes = st.lists(st.tuples(st.integers(1, 8), unit, unit), min_size=1, max_size=3)
+# the annulus also takes the constant mode n = 0, with its log profile
+annulus_modes = st.lists(st.tuples(st.integers(0, 8), unit, unit), min_size=1, max_size=3)
 widths = st.floats(0.05, 2.0)
 radii = st.floats(0.3, 0.95)
 # k on both sides of 1 (rho of either sign), and k = 1 itself (rho = 0)
@@ -57,10 +59,10 @@ def test_planar_oracle_derivatives(modes, l, k, a1, a2):
 
 
 @PROPERTY
-@given(modes=radial_modes, R=radii, k=contrasts)
-def test_radial_oracle_derivatives(modes, R, k):
+@given(modes=radial_modes, annulus_data=annulus_modes, R=radii, k=contrasts)
+def test_radial_oracle_derivatives(modes, annulus_data, R, k):
     layer1 = R + (1.0 - R) * INSIDE
-    annulus = mode_exact("annulus", modes, R=R)
+    annulus = mode_exact("annulus", annulus_data, R=R)
     assert_derivative(annulus.value, annulus.deriv, layer1, DISK_THETA, radial=True)
 
     exact = mode_exact("disk_coupled", modes, config=RadialLayerConfig(R=R, k=k))
