@@ -5,7 +5,7 @@ rejected), solved by the image-ladder series, the thin-layer
 approximations, or the built-in oracles, and written out as grid CSV
 plus JSON reports.
 
-Exit codes: 0 ok, 1 verification failure, 2 validation error,
+Exit codes: 0 ok, 1 verification failure, 2 validation or I/O error,
 3 convergence failure, 4 regime warning escalated by --strict.
 """
 
@@ -30,12 +30,8 @@ from .series import (
     PlanarLayerConfig,
     RadialLayerConfig,
     TailTol,
-    annulus_dirichlet,
     convergence_diagnostic,
-    disk_coupled,
-    geometric_tail_terms,
-    halfplane_coupled,
-    strip_dirichlet,
+    series_solution,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -102,9 +98,27 @@ def _number(value, what, kind=float):
     return number
 
 
+def _non_finite(text):
+    raise ValidationError(f"config numbers must be finite floats, got {text[:24]}")
+
+
+def _finite(kind):
+    """A JSON number parser that rejects literals no float holds, such as 1e400 or 10**400."""
+    def parse(text):
+        try:
+            number = kind(text)
+            if math.isfinite(float(number)):
+                return number
+        except (OverflowError, ValueError):  # int() refuses over 4300 digits
+            pass
+        _non_finite(text)
+
+    return parse
+
+
 def load_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        cfg = json.load(fh, parse_constant=_non_finite, parse_float=_finite(float), parse_int=_finite(int))
     if not isinstance(cfg, dict):
         raise ValidationError("config must be a JSON object")
     _reject_unknown(cfg, _TOP_KEYS, "config")
@@ -122,7 +136,7 @@ def load_config(path) -> dict:
     if ("modes" in boundary) == ("samples" in boundary):
         raise ValidationError("boundary needs exactly one of 'modes' or 'samples'")
     if "truncation" in cfg:
-        _reject_unknown(cfg["truncation"], {"J", "tol", "sup_bound"}, "truncation")
+        _reject_unknown(cfg["truncation"], {"J", "tol"}, "truncation")
     if "grid" in cfg:
         allowed = {"r", "theta"} if problem in RADIAL else {"x", "y"}
         _reject_unknown(cfg["grid"], allowed, "grid")
@@ -236,11 +250,7 @@ def truncation_policy(cfg):
         raise ValidationError("truncation takes either J or tol, not both")
     if "J" in t:
         return MaxTerms(_number(t["J"], "truncation J", int))
-    sup = t.get("sup_bound")
-    return TailTol(
-        _number(t.get("tol", 1e-10), "truncation tol"),
-        sup_bound=None if sup is None else _number(sup, "truncation sup_bound"),
-    )
+    return TailTol(_number(t.get("tol", 1e-10), "truncation tol"))
 
 
 def _modes_for_oracle(cfg):
@@ -258,13 +268,7 @@ def build_solution(cfg, method, field, geo, trunc):
         # the untransformed model field: F = u0 with c = 1 and rho = 0
         return LayeredSolution(Geometry.of(problem, geo), field, 1.0, 0.0)
     if method == "series":
-        if problem == "strip":
-            return strip_dirichlet(field, geo, trunc)
-        if problem == "annulus":
-            return annulus_dirichlet(field, geo, trunc)
-        if problem == "halfplane_coupled":
-            return halfplane_coupled(field, geo, trunc)
-        return disk_coupled(field, geo, trunc)
+        return series_solution(Geometry.of(problem, geo), field, trunc)
     if method == "asymptotic":
         # imported here, so that only the asymptotic route loads it
         from .asymptotics import (
@@ -413,10 +417,9 @@ def _regime_diagnostic(cfg, geo, field):
     reg = cfg.get("regime", {})
     return convergence_diagnostic(
         geo,
+        field,
         tol=_number(reg.get("tol", 1e-10), "regime tol"),
         threshold=_number(reg.get("threshold", 1000), "regime threshold", int),
-        sup_bound=getattr(truncation_policy(cfg), "sup_bound", None),
-        field=field,
     )
 
 
@@ -552,18 +555,16 @@ def _sweep_geometry(problem, geo, value):
     h = geo.robin_h
     sign = 1.0 if geo.rho > 0 else -1.0
     if problem == "halfplane_coupled":
-        l = _number(value, "sweep l")
-        rho = sign * math.exp(2.0 * h * l)
+        rho = sign * math.exp(2.0 * h * value)
         k = (1.0 - rho) / (1.0 + rho)
-        return PlanarLayerConfig(l=l, k=k), l
-    R = _number(value, "sweep R")
-    rho = sign * R ** (2.0 * h)
+        return PlanarLayerConfig(l=value, k=k), value
+    rho = sign * value ** (2.0 * h)
     k = (1.0 - rho) / (1.0 + rho)
-    return RadialLayerConfig(R=R, k=k), 1.0 - R
+    return RadialLayerConfig(R=value, k=k), 1.0 - value
 
 
 def _sweep_values(cfg, problem, methods):
-    """The thicknesses of the config's compare sweep, or None without one."""
+    """The distinct l or R values of the config's compare sweep, as floats, or None without one."""
     if "sweep" not in cfg:
         return None
     if sorted(methods) != ["asymptotic", "series"]:
@@ -576,6 +577,9 @@ def _sweep_values(cfg, problem, methods):
         raise ValidationError(f"sweep.{key} must list at least two values")
     if len(values) > MAX_SWEEP_VALUES:
         raise ValidationError(f"sweep.{key} lists {len(values)} values; at most {MAX_SWEEP_VALUES} are allowed")
+    values = [_number(v, f"sweep {key}") for v in values]
+    if len(set(values)) < len(values):
+        raise ValidationError(f"sweep.{key} must list distinct thicknesses")
     return values
 
 
@@ -759,11 +763,14 @@ def main(argv=None) -> int:
     except (ValidationError, LayerFieldError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -102,6 +102,16 @@ class HalfPlaneField:
         """Smallest mode frequency, or None for a field with no modes."""
         return float(self._omega.min()) if self._omega.size else None
 
+    def image_factor(self, shift: float) -> float:
+        """Slowest per-image decay of this field's ladder with the given shift.
+
+        Mode w decays by exp(-w*shift) per image; boundary sources do not
+        decay (factor 1), and a field with nothing in it gives 0.
+        """
+        if self.has_sources:
+            return 1.0
+        return math.exp(-shift * self.min_frequency) if self._omega.size else 0.0
+
     def sup_bound(self, x_min=0.0) -> float:
         """Upper bound for |u| on the slab {x >= x_min}.
 
@@ -233,13 +243,18 @@ class DiskField:
     def constant_coeff(self) -> float:
         return float(self._a[0])
 
-    @property
-    def min_active_mode(self):
-        """Smallest n >= 1 carrying a nonzero coefficient, or None."""
-        for n in range(1, self._a.size):
-            if self._a[n] != 0.0 or self._b[n] != 0.0:
-                return n
-        return None
+    def image_factor(self, R: float, constant: bool = True) -> float:
+        """Slowest per-image decay of this field's Kelvin ladder with interface R.
+
+        Mode n decays by R^(2n) per image.  The constant mode (factor 1)
+        counts only when `constant` is set; a field with nothing active
+        gives 0.
+        """
+        active = (self._a != 0.0) | (self._b != 0.0)
+        if not constant:
+            active[:1] = False
+        n = np.flatnonzero(active)
+        return R ** (2 * int(n[0])) if n.size else 0.0
 
     def sup_bound(self) -> float:
         """Upper bound for |u| on the closed unit disk."""

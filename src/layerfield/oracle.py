@@ -142,20 +142,22 @@ def _radial_exact(modes, geometry: Geometry, rho: float) -> ModeExact:
 
     rho = 1 is the annulus Dirichlet solution (r^n - (R^2/r)^n)/(1 - R^(2n)),
     whose constant mode n = 0 is ln(r/R)/ln(1/R), with r d/dr = 1/ln(1/R);
-    otherwise the coupled disk ladder summed geometrically.
+    otherwise the coupled disk ladder summed geometrically, where the
+    constant mode is 1 in both layers.
     """
     R = geometry.interface
+    log_constant = not geometry.coupled
 
     def denom(n):
         return 1.0 - rho * R ** (2 * n)
 
     def value(r, n, *_):
-        if n == 0:
+        if n == 0 and log_constant:
             return np.log(r / R) / math.log(1.0 / R)
         return (r**n - rho * (R**2 / r) ** n) / denom(n)
 
     def deriv(r, n, *_):
-        if n == 0:
+        if n == 0 and log_constant:
             return np.full(r.shape, 1.0 / math.log(1.0 / R))
         return n * (r**n + rho * (R**2 / r) ** n) / denom(n)
 
@@ -167,11 +169,11 @@ def _radial_exact(modes, geometry: Geometry, rho: float) -> ModeExact:
     return ModeExact(geometry, modes, _radial_wave, profiles)
 
 
-def _radial_modes(modes, what, n_min):
+def _radial_modes(modes):
     out = []
     for n, a, b in modes:
-        if n < n_min:
-            raise ValidationError(f"{what} mode solution needs n >= {n_min}")
+        if n < 0:
+            raise ValidationError("radial mode solution needs n >= 0")
         out.append((int(n), float(a), float(b)))
     return out
 
@@ -181,9 +183,8 @@ def mode_exact(problem: str, modes, **geometry) -> ModeExact:
 
     problem: strip | annulus | halfplane_coupled | disk_coupled.
     Planar modes are (amplitude, frequency, phase); radial modes are
-    (n, cos_amp, sin_amp), with n >= 0 on the annulus and n >= 1 on the
-    coupled disk (its constant mode has no ladder-summed closed form and
-    is rejected).
+    (n, cos_amp, sin_amp) with n >= 0, where n = 0 is the constant
+    boundary value cos_amp.
     """
     if problem in ("strip", "halfplane_coupled"):
         modes = [(float(a), float(w), float(p)) for a, w, p in modes]
@@ -191,12 +192,10 @@ def mode_exact(problem: str, modes, **geometry) -> ModeExact:
             return _strip_exact(modes, float(geometry["l"]))
         return _planar_coupled_exact(modes, geometry["config"])
     if problem == "annulus":
-        modes = _radial_modes(modes, "annulus", 0)
-        return _radial_exact(modes, Geometry("annulus", float(geometry["R"])), 1.0)
+        return _radial_exact(_radial_modes(modes), Geometry("annulus", float(geometry["R"])), 1.0)
     if problem == "disk_coupled":
-        modes = _radial_modes(modes, "coupled disk", 1)
         cfg = geometry["config"]
-        return _radial_exact(modes, Geometry.of("disk_coupled", cfg), cfg.rho)
+        return _radial_exact(_radial_modes(modes), Geometry.of("disk_coupled", cfg), cfg.rho)
     raise ValidationError(f"unknown problem tag: {problem!r}")
 
 

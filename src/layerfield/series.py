@@ -89,8 +89,9 @@ class MaxTerms:
 class TailTol:
     """Truncate once the geometric tail bound drops below tol.
 
-    sup_bound, when given, overrides the automatic bound on sup|u_model|
-    along the image ladder (needed e.g. for fields with boundary sources).
+    sup_bound bounds sup|u_model| along the image ladder for a field that
+    has no bound of its own (one with boundary sources); it is not read
+    for any other field.
     """
 
     def __init__(self, tol: float, sup_bound: float | None = None):
@@ -131,15 +132,15 @@ def _resolve_truncation(trunc, ratio: float, M: float | None):
     """Turn a truncation policy into (terms, tail_bound).
 
     `ratio` is the per-term geometric decay of the ladder term bounds and
-    `M` the bound on the first term; M may be None when no automatic
-    bound exists (then TailTol needs an explicit sup_bound).
+    `M` the bound on the first term, both from `_ladder_bounds`; M is None
+    when neither the field nor the policy bounds the field.
     """
     if isinstance(trunc, MaxTerms):
         if M is None or ratio >= 1.0:
             return trunc.J, math.inf
         return trunc.J, M * ratio**trunc.J / (1.0 - ratio)
     if isinstance(trunc, TailTol):
-        if M is not None and M == 0.0:
+        if M == 0.0:
             return 1, 0.0  # identically zero ladder
         if ratio >= 1.0:
             raise CapabilityError(
@@ -162,33 +163,25 @@ def _resolve_truncation(trunc, ratio: float, M: float | None):
     raise ValidationError(f"unknown truncation policy: {trunc!r}")
 
 
-def _planar_ladder_bounds(field: HalfPlaneField, l: float, rho: float, trunc):
-    """Geometric (ratio, M) for the planar ladders of one config."""
-    sup = None
-    if isinstance(trunc, TailTol) and trunc.sup_bound is not None:
-        sup = trunc.sup_bound
-    else:
-        try:
-            sup = field.sup_bound(0.0)
-        except CapabilityError:
-            sup = None
-    decay = 1.0
-    if not field.has_sources and field.min_frequency is not None:
-        decay = math.exp(-2.0 * l * field.min_frequency)
-    ratio = abs(rho) * decay
-    M = None if sup is None else (1.0 + abs(rho)) * sup
-    return ratio, M
+def _ladder_bounds(geometry: Geometry, field, trunc):
+    """Geometric (ratio, M) of the ladder terms of `field` on `geometry`.
 
-
-def _disk_ladder_bounds(field: DiskField, config: RadialLayerConfig, trunc):
-    """Geometric (ratio, M) for the coupled disk ladder of one config."""
-    n_min = field.min_active_mode
-    decay = config.R ** (2 * n_min) if n_min is not None else 1.0
-    if isinstance(trunc, TailTol) and trunc.sup_bound is not None:
-        sup = trunc.sup_bound
+    ratio is |rho| times the slowest per-image decay among the field's
+    components that do not cancel: on the disk the constant mode cancels
+    in F(p) - rho*F(p*) only at rho = 1.  M = (1 + |rho|) sup|u_model|,
+    from the field's own bound, or TailTol.sup_bound for a field with
+    boundary sources, which has none.
+    """
+    rho = abs(geometry.rho)
+    if geometry.radial:
+        factor = field.image_factor(geometry.interface, constant=geometry.rho != 1.0)
     else:
+        factor = field.image_factor(geometry.step)
+    try:
         sup = field.sup_bound()
-    return abs(config.rho) * decay, (1.0 + abs(config.rho)) * sup
+    except CapabilityError:
+        sup = trunc.sup_bound if isinstance(trunc, TailTol) else None
+    return rho * factor, None if sup is None else (1.0 + rho) * sup
 
 
 class Geometry:
@@ -221,6 +214,11 @@ class Geometry:
     @property
     def coupled(self) -> bool:
         return self.k is not None
+
+    @property
+    def rho(self) -> float:
+        """Ladder ratio: (1 - k)/(1 + k) when coupled, 1 on the strip and the annulus."""
+        return (1.0 - self.k) / (1.0 + self.k) if self.coupled else 1.0
 
     @property
     def step(self) -> float:
@@ -311,60 +309,43 @@ class LayeredSolution:
     deriv = u1_deriv
 
 
+def series_solution(geometry: Geometry, field, trunc) -> LayeredSolution:
+    """The truncated image-ladder solution of `field` on `geometry`.
+
+    On the annulus the ladder cancels the constant mode c pair by pair,
+    so it is added back as its exact profile c*ln(r/R)/ln(1/R).
+    """
+    if geometry.coupled and abs(geometry.rho) >= 1.0:
+        raise ValidationError("reflection ratio must satisfy |rho| < 1")
+    terms, tail = _resolve_truncation(trunc, *_ladder_bounds(geometry, field, trunc))
+    log_coeff = 0.0
+    if geometry.kind == "annulus":
+        log_coeff = field.constant_coeff / 2.0 / math.log(1.0 / geometry.interface)
+    return LayeredSolution(geometry, field, 1.0, geometry.rho, terms, tail, log_coeff)
+
+
 def halfplane_coupled(field: HalfPlaneField, config: PlanarLayerConfig, trunc) -> LayeredSolution:
     """Deform a half-plane field into the coupled two-layer solution."""
-    if abs(config.rho) >= 1.0:
-        raise ValidationError("reflection ratio must satisfy |rho| < 1")
-    ratio, M = _planar_ladder_bounds(field, config.l, config.rho, trunc)
-    terms, tail = _resolve_truncation(trunc, ratio, M)
-    return LayeredSolution(Geometry.of("halfplane_coupled", config), field, 1.0, config.rho, terms, tail)
+    return series_solution(Geometry.of("halfplane_coupled", config), field, trunc)
 
 
 def strip_dirichlet(field: HalfPlaneField, l: float, trunc) -> LayeredSolution:
     """Dirichlet strip solution built from an unweighted reflected ladder."""
     if l <= 0:
         raise ValidationError("strip width must be > 0")
-    if field.has_sources or field.min_frequency is None:
-        if isinstance(trunc, TailTol):
-            raise CapabilityError(
-                "tail control on the unweighted strip ladder needs a "
-                "decaying mode representation; use MaxTerms"
-            )
-        ratio, M = 1.0, None
-    else:
-        ratio = math.exp(-2.0 * l * field.min_frequency)
-        M = 2.0 * field.sup_bound(0.0)
-    terms, tail = _resolve_truncation(trunc, ratio, M)
-    return LayeredSolution(Geometry("strip", float(l)), field, 1.0, 1.0, terms, tail)
+    return series_solution(Geometry("strip", float(l)), field, trunc)
 
 
 def disk_coupled(field: DiskField, config: RadialLayerConfig, trunc) -> LayeredSolution:
     """Deform a disk field into the coupled annulus-over-core solution."""
-    if abs(config.rho) >= 1.0:
-        raise ValidationError("reflection ratio must satisfy |rho| < 1")
-    ratio, M = _disk_ladder_bounds(field, config, trunc)
-    terms, tail = _resolve_truncation(trunc, ratio, M)
-    return LayeredSolution(Geometry.of("disk_coupled", config), field, 1.0, config.rho, terms, tail)
+    return series_solution(Geometry.of("disk_coupled", config), field, trunc)
 
 
 def annulus_dirichlet(field: DiskField, R: float, trunc) -> LayeredSolution:
-    """Dirichlet annulus solution from the unweighted Kelvin ladder.
-
-    The ladder vanishes on r = R pair by pair, which cancels the constant
-    mode c entirely; it is added back as its exact profile
-    c*ln(r/R)/ln(1/R).
-    """
+    """Dirichlet annulus solution from the unweighted Kelvin ladder."""
     if not (0.0 < R < 1.0):
         raise ValidationError("inner radius must lie in (0, 1)")
-    geometry = Geometry("annulus", float(R))
-    log_coeff = field.constant_coeff / 2.0 / math.log(1.0 / R)
-    n_min = field.min_active_mode
-    if n_min is None:
-        return LayeredSolution(geometry, field, 1.0, 1.0, 1, 0.0, log_coeff)
-    ratio = R ** (2 * n_min)
-    M = 2.0 * field.sup_bound()
-    terms, tail = _resolve_truncation(trunc, ratio, M)
-    return LayeredSolution(geometry, field, 1.0, 1.0, terms, tail, log_coeff)
+    return series_solution(Geometry("annulus", float(R)), field, trunc)
 
 
 class RegimeReport:
@@ -375,32 +356,20 @@ class RegimeReport:
         self.threshold, self.recommendation = threshold, recommendation
 
 
-def convergence_diagnostic(config, tol: float = 1e-10, threshold: int = 1000,
-                           sup_bound: float | None = None, field=None) -> RegimeReport:
+def convergence_diagnostic(config, field, tol: float = 1e-10, threshold: int = 1000) -> RegimeReport:
     """How many ladder terms the series needs at tolerance `tol`, and whether to bother.
 
-    With the boundary `field`, the count uses the (ratio, M) that the
-    coupled series truncates with: |rho| times the slowest mode's decay
-    per image, and (1 + |rho|) times the field's sup bound (or
-    `sup_bound`).  A ladder of modes is summed per mode, at the same cost
-    for any count, so the recommendation is "asymptotic" only for a field
-    with boundary sources, summed image by image, whose count exceeds
-    `threshold`.  Without a field the count is that of the pure-rho ladder
-    with first-term bound `sup_bound` (default 1), judged the same way.
+    The count uses the (ratio, M) that the coupled series truncates with,
+    for the boundary `field` on the layer `config`.  A ladder of modes is
+    summed per mode, at the same cost for any count, so the
+    recommendation is "asymptotic" only for a field with boundary
+    sources, summed image by image, whose count exceeds `threshold`.
+    Such a field has no sup bound at the boundary, so it is counted with
+    sup 1.
     """
-    rho = config.rho
-    if field is None:
-        ratio, M, per_mode = abs(rho), 1.0 if sup_bound is None else sup_bound, False
-    else:
-        trunc = TailTol(tol, sup_bound)
-        if isinstance(config, PlanarLayerConfig):
-            ratio, M = _planar_ladder_bounds(field, config.l, rho, trunc)
-        else:
-            ratio, M = _disk_ladder_bounds(field, config, trunc)
-        per_mode = not (isinstance(field, HalfPlaneField) and field.has_sources)
-        if M is None:
-            # boundary sources leave the field unbounded there: count with sup 1
-            M = 1.0 + abs(rho)
+    kind = "halfplane_coupled" if isinstance(config, PlanarLayerConfig) else "disk_coupled"
+    ratio, M = _ladder_bounds(Geometry.of(kind, config), field, TailTol(tol, sup_bound=1.0))
     j = 1 if M == 0.0 else geometric_tail_terms(ratio, tol, M)
+    per_mode = not (isinstance(field, HalfPlaneField) and field.has_sources)
     rec = "asymptotic" if j > threshold and not per_mode else "series"
-    return RegimeReport(rho=rho, j_needed=j, tol=tol, threshold=threshold, recommendation=rec)
+    return RegimeReport(rho=config.rho, j_needed=j, tol=tol, threshold=threshold, recommendation=rec)

@@ -141,7 +141,7 @@ def test_regimes_counts_the_disk_ladder_the_series_builds(tmp_path, capsys):
         "geometry": {"R": 0.99, "k": 0.01},
         "boundary": {"modes": [{"n": 2, "a": 0.5}, {"n": 5, "b": 0.25}]},
         "method": "series",
-        "truncation": {"tol": 1e-10, "sup_bound": 2.0},
+        "truncation": {"tol": 1e-10},
         "regime": {"tol": 1e-10, "threshold": 10},
         "grid": {"r": [0.1, 0.99, 4], "theta": [0.0, 6.0, 4]},
     }
@@ -653,3 +653,119 @@ def test_fd_grid_over_the_whole_annulus_is_solved(tmp_path, capsys, stop):
     rows = [tuple(map(float, line.split(",")[:2])) for line in out.read_text().splitlines()[1:]]
     assert sorted({r for r, _ in rows}) == pytest.approx(np.linspace(0.5, 1.0, 5).tolist())
     assert sorted({t for _, t in rows}) == pytest.approx((np.arange(8) * 2.0 * math.pi / 8).tolist())
+
+
+def test_coupled_disk_constant_mode_tail_bound_covers_the_error(tmp_path, capsys):
+    # with rho != 1 the constant does not cancel in the ladder and decays
+    # only like |rho|^j; the exact solution is 1 + r cos(theta) in both layers
+    cfg = {
+        "problem": "disk_coupled",
+        "geometry": {"R": 0.5, "k": 0.5},
+        "method": "series",
+        "boundary": {"modes": [{"n": 0, "a": 1}, {"n": 1, "a": 1}]},
+        "truncation": {"tol": 1e-10},
+        "grid": {"r": [0.0, 1.0, 5], "theta": [0.0, 0.0, 1]},
+    }
+    path = write_config(tmp_path, "const_disk.json", cfg)
+    out = tmp_path / "g.csv"
+    code, stdout, _ = run_cli(["solve", "--config", path, "--out", str(out)], capsys)
+    assert code == 0
+    summary = json.loads(stdout)
+    r0, _, _, u0 = map(float, out.read_text().splitlines()[1].split(","))
+    assert r0 == 0.0
+    assert abs(u0 - 1.0) <= summary["tail_bound"]
+    code, stdout, _ = run_cli(["verify", "--config", path], capsys)
+    assert json.loads(stdout)["checks"]["boundary_mismatch"]["pass"] is True
+
+
+def test_truncation_sup_bound_is_an_unknown_field(tmp_path, capsys):
+    cfg = {
+        "problem": "halfplane_coupled",
+        "geometry": {"l": 0.1, "k": 0.02},
+        "boundary": {"modes": [{"omega": 1.0}]},
+        "method": "series",
+        "truncation": {"tol": 1e-10, "sup_bound": 1e-12},
+        "grid": {"x": [0.0, 0.5, 4], "y": [-1.0, 1.0, 4]},
+    }
+    path = write_config(tmp_path, "sup.json", cfg)
+    out = tmp_path / "g.csv"
+    code, _, err = run_cli(["solve", "--config", path, "--out", str(out)], capsys)
+    assert code == 2
+    assert "sup_bound" in err
+    assert not out.exists()
+
+
+def test_strip_with_no_modes_is_the_zero_solution(tmp_path, capsys):
+    path = write_config(tmp_path, "empty.json", strip_config(boundary={"modes": []}))
+    out = tmp_path / "g.csv"
+    code, stdout, _ = run_cli(["solve", "--config", path, "--out", str(out)], capsys)
+    assert code == 0
+    assert json.loads(stdout)["tail_bound"] == 0.0
+    assert np.all(np.loadtxt(out, delimiter=",", skiprows=1)[:, 3] == 0.0)
+
+
+def _io_case(tmp_path, case):
+    """Arguments of a run whose input or output cannot be read or written."""
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "latin1.csv").write_bytes(b"t,v\n0.0,1.0\n\xe9\n")
+    disk = {
+        "problem": "disk_coupled",
+        "geometry": {"R": 0.5, "k": 0.5},
+        "method": "series",
+        "grid": {"r": [0.0, 1.0, 3], "theta": [0.0, 1.0, 2]},
+    }
+    if case == "config-is-a-directory":
+        return ["solve", "--config", str(tmp_path / "adir")]
+    if case == "config-not-utf8":
+        path = tmp_path / "cfg.json"
+        path.write_bytes(json.dumps(strip_config()).encode().replace(b'"strip"', b'"strip\xe9"'))
+        return ["solve", "--config", str(path)]
+    if case == "output-is-a-directory":
+        cfg = strip_config(output={"path": str(tmp_path / "adir")})
+        return ["solve", "--config", write_config(tmp_path, "cfg.json", cfg)]
+    samples = "adir" if case == "samples-is-a-directory" else "latin1.csv"
+    cfg = {**disk, "boundary": {"samples": samples}}
+    return ["solve", "--config", write_config(tmp_path, "cfg.json", cfg), "--out", str(tmp_path / "g.csv")]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["config-is-a-directory", "config-not-utf8", "output-is-a-directory", "samples-is-a-directory",
+     "samples-not-utf8"],
+)
+def test_io_and_encoding_errors_exit_2(tmp_path, capsys, case):
+    code, _, err = run_cli(_io_case(tmp_path, case), capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("method", ["asymptotic", "oracle"])
+@pytest.mark.parametrize(
+    "literal",
+    ["Infinity", "-Infinity", "NaN", "1e400", "1" + "0" * 400, "1" + "0" * 5000],
+    ids=["Infinity", "-Infinity", "NaN", "1e400", "int-401-digits", "int-5001-digits"],
+)
+def test_non_finite_config_number_exits_2(tmp_path, capsys, literal, method):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(strip_config(method=method)).replace('"l": 0.5', f'"l": {literal}'))
+    out = tmp_path / "g.csv"
+    code, _, err = run_cli(["solve", "--config", str(path), "--out", str(out)], capsys)
+    assert code == 2
+    assert f"must be finite floats, got {literal[:24]}" in err
+    assert not out.exists()
+
+
+def test_compare_sweep_rejects_repeated_thicknesses(tmp_path, capsys):
+    cfg = {
+        "problem": "disk_coupled",
+        "geometry": {"R": 0.9, "k": 0.05},
+        "boundary": {"modes": [{"n": 1, "a": 1.0}]},
+        "methods": ["series", "asymptotic"],
+        "grid": {"r": [0.1, 0.99, 4], "theta": [0.0, 6.0, 4]},
+        "sweep": {"R": [0.9, 0.9, 0.9]},
+    }
+    path = write_config(tmp_path, "sweep.json", cfg)
+    code, stdout, err = run_cli(["compare", "--config", path], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert "distinct" in err

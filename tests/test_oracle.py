@@ -76,9 +76,19 @@ def test_mode_exact_disk_homogeneous():
     assert sol.u2_value(0.4, 0.3) == pytest.approx(0.4 * math.cos(0.3))
 
 
-def test_mode_exact_rejects_constant_disk_mode():
+def test_mode_exact_constant_disk_mode_is_one():
+    r1, r2 = np.linspace(0.7, 1.0, 5), np.linspace(0.0, 0.7, 5)
+    for k in (0.05, 0.5, 1.0, 20.0):
+        sol = mode_exact("disk_coupled", [(0, 1.0, 0.0)], config=RadialLayerConfig(R=0.7, k=k))
+        # 1 - rho loses about log2(1/k) bits to cancellation at small k
+        assert np.max(np.abs(sol.u1_value(r1, 0.3) - 1.0)) <= 1e-14
+        assert np.max(np.abs(sol.u2_value(r2, 0.3) - 1.0)) <= 1e-14
+        assert np.all(sol.u1_deriv(r1, 0.3) == 0.0) and np.all(sol.u2_deriv(r2, 0.3) == 0.0)
+
+
+def test_mode_exact_rejects_negative_radial_mode():
     with pytest.raises(ValidationError):
-        mode_exact("disk_coupled", [(0, 1.0, 0.0)], config=RadialLayerConfig(R=0.7, k=0.5))
+        mode_exact("disk_coupled", [(-1, 1.0, 0.0)], config=RadialLayerConfig(R=0.7, k=0.5))
 
 
 # --- finite-difference solvers -----------------------------------------------------

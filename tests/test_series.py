@@ -273,21 +273,28 @@ def test_annulus_constant_mode_log_profile():
 # --- regimes -------------------------------------------------------------------
 
 
+#: a boundary source: its ladder is summed image by image and does not decay
+SOURCE = HalfPlaneField(modes=[(1.0, 1.0, 0.0)], sources=[(0.0, 1.0)])
+
+
 def test_convergence_diagnostic_examples():
-    rep = convergence_diagnostic(PlanarLayerConfig(l=1.0, k=1.0))
+    rep = convergence_diagnostic(PlanarLayerConfig(l=1.0, k=1.0), SOURCE)
     assert (rep.rho, rep.j_needed, rep.recommendation) == (0.0, 1, "series")
-    rep = convergence_diagnostic(PlanarLayerConfig(l=0.01, k=0.01))
+    rep = convergence_diagnostic(PlanarLayerConfig(l=0.01, k=0.01), SOURCE)
     assert rep.rho == pytest.approx(0.9802, abs=1e-4)
     assert rep.recommendation == "asymptotic"
-    rep = convergence_diagnostic(PlanarLayerConfig(l=1.0, k=0.5))
+    # the same thin layer with a mode field costs the same at any length
+    assert convergence_diagnostic(PlanarLayerConfig(l=0.01, k=0.01), MODE).recommendation == "series"
+    rep = convergence_diagnostic(PlanarLayerConfig(l=1.0, k=0.5), SOURCE)
     assert rep.rho == pytest.approx(1.0 / 3.0)
     assert rep.recommendation == "series"
 
 
 def test_convergence_diagnostic_threshold_configurable():
     cfg = PlanarLayerConfig(l=0.01, k=0.01)
-    assert convergence_diagnostic(cfg, threshold=10_000).recommendation == "series"
-    assert convergence_diagnostic(cfg, threshold=1000).recommendation == "asymptotic"
+    j = convergence_diagnostic(cfg, SOURCE).j_needed
+    assert convergence_diagnostic(cfg, SOURCE, threshold=j).recommendation == "series"
+    assert convergence_diagnostic(cfg, SOURCE, threshold=j - 1).recommendation == "asymptotic"
 
 
 def test_convergence_diagnostic_counts_the_ladder_the_series_builds():
@@ -298,9 +305,14 @@ def test_convergence_diagnostic_counts_the_ladder_the_series_builds():
     assert rep.j_needed > 10 and rep.recommendation == "series"
     radial = RadialLayerConfig(R=0.95, k=0.02)
     disk = DiskField.single_mode(3, 0.5, 0.5)
-    rep = convergence_diagnostic(radial, tol=1e-8, sup_bound=3.0, field=disk)
-    assert rep.j_needed == disk_coupled(disk, radial, TailTol(1e-8, sup_bound=3.0)).terms
+    rep = convergence_diagnostic(radial, disk, tol=1e-8)
+    assert rep.j_needed == disk_coupled(disk, radial, TailTol(1e-8)).terms
     assert rep.recommendation == "series"
+    # a constant mode decays only like |rho|^j on the coupled disk
+    constant = DiskField([2.0, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, 0.5])
+    rep = convergence_diagnostic(radial, constant, tol=1e-8)
+    assert rep.j_needed == disk_coupled(constant, radial, TailTol(1e-8)).terms
+    assert rep.j_needed > convergence_diagnostic(radial, disk, tol=1e-8).j_needed
     zero = DiskField([0.0])
     assert convergence_diagnostic(radial, field=zero).j_needed == disk_coupled(zero, radial, TailTol(1e-10)).terms == 1
 
