@@ -2,11 +2,13 @@
 
 A known harmonic field (decaying half-plane modes or a disk Fourier sum)
 is deformed into the solution of a coupled two-layer problem or a thin
-Dirichlet layer, either by summing the image ladder directly or, in the
-thin-layer / high-contrast regimes where that series crawls, through
-Euler-Maclaurin asymptotics built on Robin and Neumann companion fields.
-Everything is checkable against built-in closed-form and
-finite-difference oracles.
+Dirichlet layer, either by summing the image ladder directly or, in thin
+layers, by one leading-order formula: the companion field at the Robin
+parameter h = `Geometry.robin_h` (each mode w divided by w - h, or n by
+n + h), in a one- or two-term ladder weighted by the inverse layer
+thickness.  The Euler-Maclaurin summation engine in `asymptotics` is
+library-only: no route calls it yet.  Everything is checkable against
+built-in closed-form and finite-difference oracles.
 
 The exported names are resolved on first use (PEP 562), so importing the
 package, or one of its modules, loads only the submodules that code needs.
@@ -25,18 +27,18 @@ _EXPORTS = {
         "halfplane_large_contrast", "halfplane_small_contrast", "log_sum_bound",
         "neumann_link_disk", "neumann_link_halfplane", "ray_sum_bound",
         "robin_link_disk", "robin_link_halfplane", "strip_thin_layer",
-        "total_variation", "weighted_radial_asym", "weighted_radial_asym_alt",
-        "weighted_ray_asym", "weighted_ray_asym_alt"
+        "thin_layer_solution", "total_variation", "weighted_radial_asym",
+        "weighted_radial_asym_alt", "weighted_ray_asym", "weighted_ray_asym_alt"
     ], ".asymptotics"),
     **dict.fromkeys([
         "ArbiterInsufficientError", "CapabilityError", "CapacityError",
         "ConvergenceError", "DivergentLinkError", "EstimationError", "LayerFieldError",
-        "SolvabilityError", "StencilError", "UndersamplingError", "ValidationError",
+        "SolvabilityError", "UndersamplingError", "ValidationError",
         "WindowTooSmallError"
     ], ".errors"),
     **dict.fromkeys([
         "BoundaryTrace", "DiskField", "HalfPlaneField", "disk_from_boundary",
-        "halfplane_poisson_eval", "laplacian_residual"
+        "halfplane_poisson_eval"
     ], ".harmonic"),
     **dict.fromkeys([
         "BruteSum", "ErrorReport", "GridSolution", "brute_series", "fd_annulus",

@@ -1,4 +1,8 @@
-"""Summation engine and thin-layer approximators."""
+"""Thin-layer approximators and the Euler-Maclaurin summation engine.
+
+Every thin-layer route is `thin_layer_solution`; the summation engine is
+library-only until the higher-order terms use it.
+"""
 
 from .bernoulli import BernoulliTable, bernoulli
 from .links import (
@@ -13,6 +17,7 @@ from .links import (
     robin_link_disk,
     robin_link_halfplane,
     strip_thin_layer,
+    thin_layer_solution,
 )
 from .summation import (
     ExpProfile,
@@ -58,6 +63,7 @@ __all__ = [
     "robin_link_disk",
     "robin_link_halfplane",
     "strip_thin_layer",
+    "thin_layer_solution",
     "total_variation",
     "weighted_radial_asym",
     "weighted_radial_asym_alt",

@@ -3,9 +3,10 @@
 The Robin companion of a model field integrates it against an
 exponential (planar) or power-law (radial) kernel; on modes the link is
 a plain rescaling of each coefficient.  The Neumann companion is the
-decaying primitive.  The thin-layer approximators assemble those
-companions into closed-form substitutes for the image-ladder solutions,
-together with the rigorous variation bounds of the leading-order step.
+decaying primitive.  `thin_layer_solution` assembles the companion at
+the geometry's Robin parameter into a closed-form substitute for the
+image-ladder solution, with the rigorous variation bound of the
+leading-order step where one is known.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import DivergentLinkError, SolvabilityError, ValidationError
+from ..errors import SolvabilityError, ValidationError
 from ..harmonic import DiskField, HalfPlaneField
 from ..series import Geometry, LayeredSolution, PlanarLayerConfig, RadialLayerConfig
+# benchmarks/tracer.py times the variation estimators under these names,
+# ray_total_variation included, though no route here calls it
 from .summation import quad, total_variation, ray_total_variation, ray_window
 
 
@@ -52,6 +55,19 @@ class _QuadratureRobinHalfPlane:
         return sum(ratio**j * fn(x + j * shift, y) for j in range(terms))
 
 
+def _planar_link(field: HalfPlaneField, h: float):
+    """The field with mode w divided by (w - h), for h <= 0.
+
+    A field with sources takes the quadrature companion; at h = 0 it has
+    none, since its Neumann primitive need not decay.
+    """
+    if not field.has_sources:
+        return HalfPlaneField(modes=[(a / (w - h), w, p) for a, w, p in field.modes])
+    if h == 0.0:
+        raise ValidationError("Neumann companion needs a decaying mode representation")
+    return _QuadratureRobinHalfPlane(field, h)
+
+
 def robin_link_halfplane(field: HalfPlaneField, h: float):
     """Robin companion u3(x,y) = int_0^inf e^(he) u(x+e, y) de, h < 0.
 
@@ -60,21 +76,31 @@ def robin_link_halfplane(field: HalfPlaneField, h: float):
     """
     if not (h < 0 and math.isfinite(h)):
         raise ValidationError("planar Robin link requires h < 0")
-    if field.has_sources:
-        return _QuadratureRobinHalfPlane(field, h)
-    modes = []
-    for a, w, p in field.modes:
-        if w - h <= 0:
-            raise DivergentLinkError(f"link integral diverges for mode frequency {w}")
-        modes.append((a / (w - h), w, p))
-    return HalfPlaneField(modes=modes)
+    return _planar_link(field, h)
 
 
 def neumann_link_halfplane(field: HalfPlaneField) -> HalfPlaneField:
-    """Neumann companion u2 with d/dx u2 = u everywhere; decaying modes only."""
-    if field.has_sources:
-        raise ValidationError("Neumann companion needs a decaying mode representation")
-    return HalfPlaneField(modes=[(-a / w, w, p) for a, w, p in field.modes])
+    """Neumann companion u2 with d/dx u2 = u everywhere; decaying modes only.
+
+    It is minus the field with mode w divided by w.
+    """
+    return HalfPlaneField(modes=[(-a, w, p) for a, w, p in _planar_link(field, 0.0).modes])
+
+
+def _radial_link(field: DiskField, h: float) -> DiskField:
+    """The field with mode n divided by (n + h), for h >= 0.
+
+    At h = 0 this is the Neumann companion, which drops the constant
+    mode and so needs it to vanish.
+    """
+    n = np.arange(field.cos_coeffs.size, dtype=float) + h
+    if h == 0.0:
+        if abs(field.cos_coeffs[0]) > 1e-12 * (field.sup_bound() + 1e-300):
+            raise SolvabilityError(
+                "Neumann companion needs mean-zero boundary data (zero constant mode)"
+            )
+        n[0] = math.inf
+    return DiskField(field.cos_coeffs / n, field.sin_coeffs / n)
 
 
 def robin_link_disk(field: DiskField, h: float) -> DiskField:
@@ -84,28 +110,12 @@ def robin_link_disk(field: DiskField, h: float) -> DiskField:
     """
     if not (h > 0 and math.isfinite(h)):
         raise ValidationError("radial Robin link requires h > 0")
-    a = field.cos_coeffs
-    b = field.sin_coeffs
-    n = np.arange(a.size, dtype=float)
-    if np.any(n + h <= 0):
-        raise DivergentLinkError("link integral diverges for some mode")
-    return DiskField(a / (n + h), b / np.where(n + h > 0, n + h, 1.0))
+    return _radial_link(field, h)
 
 
 def neumann_link_disk(field: DiskField) -> DiskField:
     """Radial Neumann companion u2 with L0 u2 = u; needs mean-zero data."""
-    a = field.cos_coeffs
-    b = field.sin_coeffs
-    if abs(a[0]) > 1e-12 * (field.sup_bound() + 1e-300):
-        raise SolvabilityError(
-            "Neumann companion needs mean-zero boundary data (zero constant mode)"
-        )
-    out_a = np.zeros_like(a)
-    out_b = np.zeros_like(b)
-    for n in range(1, a.size):
-        out_a[n] = a[n] / n
-        out_b[n] = b[n] / n
-    return DiskField(out_a, out_b)
+    return _radial_link(field, 0.0)
 
 
 class ApproxResult:
@@ -136,6 +146,39 @@ def _radial_bound_at(field: DiskField, rho: float, h: float):
     return bound
 
 
+def thin_layer_solution(geometry: Geometry, field) -> ApproxResult:
+    """The leading-order thin-layer solution of `field` on `geometry`.
+
+    One formula serves every problem.  With the ladder step s = 2l on
+    the plane and ln(1/R^2) on the disk, and the Robin parameter
+    h = `geometry.robin_h` (|rho| = e^(hs) on the plane, e^(-hs) on the
+    disk), the transfer field u3 is the field with mode w divided by
+    (w - h), or mode n by (n + h).  It enters the `images`-term ladder
+    with weight 1/(images*s), where images = 1 for rho > 0 and 2 for
+    rho < 0 (the even/odd split of the alternating ladder).  On the strip
+    and the annulus rho = 1 and h = 0, so u3 is the Neumann primitive.
+
+    The variation bound, the assessment of the leading quadrature step
+    maximised along the interface, and its pointwise form `bound_at` are
+    known for the coupled problems at rho > 0 only.
+    """
+    h = geometry.robin_h
+    rho = geometry.rho
+    images = 1 if rho > 0 else 2
+    if geometry.radial:
+        s, u3 = math.log(1.0 / geometry.interface**2), _radial_link(field, h)
+        bound_at, probes = _radial_bound_at(field, rho, h), np.linspace(0.0, 2 * math.pi, 17)
+    else:
+        s, u3 = 2.0 * geometry.interface, _planar_link(field, h)
+        w = field.min_frequency
+        bound_at = _planar_bound_at(field, rho, h)
+        probes = np.linspace(-3.0, 3.0, 17) if w is None else np.linspace(0.0, 2 * math.pi / w, 17)
+    solution = LayeredSolution(geometry, u3, 1.0 / (images * s), rho, images)
+    if not (geometry.coupled and rho > 0):
+        return ApproxResult(solution)
+    return ApproxResult(solution, max(bound_at(geometry.interface, q) for q in probes), bound_at)
+
+
 def halfplane_small_contrast(field: HalfPlaneField, config: PlanarLayerConfig) -> ApproxResult:
     """Low-contrast (k < 1) thin-layer approximation of the coupled half-plane.
 
@@ -146,14 +189,7 @@ def halfplane_small_contrast(field: HalfPlaneField, config: PlanarLayerConfig) -
     """
     if not (0.0 < config.k < 1.0):
         raise ValidationError("low-contrast approximation needs 0 < k < 1")
-    rho = config.rho
-    h = config.robin_h
-    u3 = robin_link_halfplane(field, h)
-    sol = LayeredSolution(Geometry.of("halfplane_coupled", config), u3, 1.0 / (2 * config.l), rho)
-    bound_at = _planar_bound_at(field, rho, h)
-    probes = _planar_probes(field)
-    bound = max(bound_at(config.l, y) for y in probes)
-    return ApproxResult(solution=sol, bound=bound, bound_at=bound_at)
+    return thin_layer_solution(config, field)
 
 
 def halfplane_large_contrast(field: HalfPlaneField, config: PlanarLayerConfig) -> ApproxResult:
@@ -164,32 +200,21 @@ def halfplane_large_contrast(field: HalfPlaneField, config: PlanarLayerConfig) -
     """
     if not (config.k > 1.0):
         raise ValidationError("high-contrast approximation needs k > 1")
-    h = config.robin_h  # ln|rho| / (2l) < 0
-    u3 = robin_link_halfplane(field, h)
-    geometry = Geometry.of("halfplane_coupled", config)
-    return ApproxResult(solution=LayeredSolution(geometry, u3, 1.0 / (4 * config.l), config.rho, images=2))
+    return thin_layer_solution(config, field)
 
 
 def strip_thin_layer(field: HalfPlaneField, l: float) -> ApproxResult:
-    """Thin-strip approximation u ~ (u2(2l-x,y) - u2(x,y)) / (2l)."""
+    """Thin-strip approximation u ~ (u3(x,y) - u3(2l-x,y)) / (2l), u3 the field with mode w over w."""
     if l <= 0:
         raise ValidationError("strip width must be > 0")
-    u2 = neumann_link_halfplane(field)
-    return ApproxResult(solution=LayeredSolution(Geometry("strip", float(l)), u2, -1.0 / (2 * l), 1.0))
+    return thin_layer_solution(Geometry("strip", float(l)), field)
 
 
 def disk_small_contrast(field: DiskField, config: RadialLayerConfig) -> ApproxResult:
     """Low-contrast (k < 1) thin-shell approximation of the coupled disk."""
     if not (0.0 < config.k < 1.0):
         raise ValidationError("low-contrast approximation needs 0 < k < 1")
-    rho = config.rho
-    h = config.robin_h
-    u3 = robin_link_disk(field, h)
-    sol = LayeredSolution(Geometry.of("disk_coupled", config), u3, 1.0 / math.log(1.0 / config.R**2), rho)
-    bound_at = _radial_bound_at(field, rho, h)
-    thetas = np.linspace(0.0, 2 * math.pi, 17)
-    bound = max(bound_at(config.R, t) for t in thetas)
-    return ApproxResult(solution=sol, bound=bound, bound_at=bound_at)
+    return thin_layer_solution(config, field)
 
 
 def disk_large_contrast(field: DiskField, config: RadialLayerConfig) -> ApproxResult:
@@ -200,22 +225,11 @@ def disk_large_contrast(field: DiskField, config: RadialLayerConfig) -> ApproxRe
     """
     if not (config.k > 1.0):
         raise ValidationError("high-contrast approximation needs k > 1")
-    h = config.robin_h  # ln|rho| / (2 ln R) > 0
-    u3 = robin_link_disk(field, h)
-    c = 1.0 / (2 * math.log(1.0 / config.R**2))
-    return ApproxResult(solution=LayeredSolution(Geometry.of("disk_coupled", config), u3, c, config.rho, images=2))
+    return thin_layer_solution(config, field)
 
 
 def annulus_thin_layer(field: DiskField, R: float) -> ApproxResult:
     """Thin-annulus approximation u ~ (u2(r,t) - u2(R^2/r,t)) / ln(1/R^2)."""
     if not (0.0 < R < 1.0):
         raise ValidationError("inner radius must lie in (0, 1)")
-    u2 = neumann_link_disk(field)
-    return ApproxResult(solution=LayeredSolution(Geometry("annulus", float(R)), u2, 1.0 / math.log(1.0 / R**2), 1.0))
-
-
-def _planar_probes(field: HalfPlaneField):
-    w = field.min_frequency
-    if w is None:
-        return np.linspace(-3.0, 3.0, 17)
-    return np.linspace(0.0, 2 * math.pi / w, 17)
+    return thin_layer_solution(Geometry("annulus", float(R)), field)

@@ -158,12 +158,12 @@ def geometry_config(cfg):
         l = g.get("l")
         if isinstance(l, bool) or not (isinstance(l, (int, float)) and l > 0):
             raise ValidationError("strip geometry needs l > 0")
-        return float(l)
+        return Geometry("strip", float(l))
     if problem == "annulus":
         R = g.get("R")
         if not (isinstance(R, (int, float)) and 0 < R < 1):
             raise ValidationError("annulus geometry needs R in (0, 1)")
-        return float(R)
+        return Geometry("annulus", float(R))
     if problem == "halfplane_coupled":
         return PlanarLayerConfig(
             l=g.get("l", 0.0),
@@ -266,39 +266,20 @@ def build_solution(cfg, method, field, geo, trunc):
     problem = cfg["problem"]
     if method == "identity":
         # the untransformed model field: F = u0 with c = 1 and rho = 0
-        return LayeredSolution(Geometry.of(problem, geo), field, 1.0, 0.0)
+        return LayeredSolution(geo, field, 1.0, 0.0)
     if method == "series":
-        return series_solution(Geometry.of(problem, geo), field, trunc)
+        return series_solution(geo, field, trunc)
     if method == "asymptotic":
         # imported here, so that only the asymptotic route loads it
-        from .asymptotics import (
-            annulus_thin_layer,
-            disk_large_contrast,
-            disk_small_contrast,
-            halfplane_large_contrast,
-            halfplane_small_contrast,
-            strip_thin_layer,
-        )
+        from .asymptotics.links import thin_layer_solution
 
-        if problem == "strip":
-            return strip_thin_layer(field, geo).solution
-        if problem == "annulus":
-            return annulus_thin_layer(field, geo).solution
-        if problem == "halfplane_coupled":
-            if geo.k == 1.0:
-                raise ValidationError("k=1 has rho=0; the series is exact, use it")
-            res = halfplane_small_contrast(field, geo) if geo.k < 1 else halfplane_large_contrast(field, geo)
-            return res.solution
-        if geo.k == 1.0:
-            raise ValidationError("k=1 has rho=0; the series is exact, use it")
-        res = disk_small_contrast(field, geo) if geo.k < 1 else disk_large_contrast(field, geo)
-        return res.solution
+        return thin_layer_solution(geo, field).solution
     if method == "oracle":
         modes = _modes_for_oracle(cfg)
         if problem == "strip":
-            return mode_exact("strip", modes, l=geo)
+            return mode_exact("strip", modes, l=geo.interface)
         if problem == "annulus":
-            return mode_exact("annulus", modes, R=geo)
+            return mode_exact("annulus", modes, R=geo.interface)
         if problem == "halfplane_coupled":
             return mode_exact("halfplane_coupled", modes, config=geo)
         return mode_exact("disk_coupled", modes, config=geo)
@@ -350,16 +331,14 @@ def build_grid(cfg, geo):
         r, theta = axis1, axis2
         if r[0] < -eps or r[-1] > 1.0 + eps:
             raise ValidationError("grid radius must stay inside the unit disk")
-        if problem == "annulus" and r[0] < geo - eps:
+        if problem == "annulus" and r[0] < geo.interface - eps:
             raise ValidationError("annulus grid must keep r >= R")
         return r, theta
     x, y = axis1, axis2
     if x[0] < -eps:
         raise ValidationError("grid must keep x >= 0")
-    if problem == "strip":
-        l = geo
-        if x[-1] > l + eps:
-            raise ValidationError("strip grid must keep x <= l")
+    if problem == "strip" and x[-1] > geo.interface + eps:
+        raise ValidationError("strip grid must keep x <= l")
     return x, y
 
 
@@ -480,9 +459,9 @@ def _check_fd_span(problem, geo, spec):
     (start, stop, _), (t_start, t_stop, t_count) = spec
     eps = 1e-9
     if problem == "strip":
-        name, lo, hi = "x", 0.0, geo
+        name, lo, hi = "x", 0.0, geo.interface
     elif problem == "annulus":
-        name, lo, hi = "r", geo, 1.0
+        name, lo, hi = "r", geo.interface, 1.0
     else:
         name, lo, hi = "r", 0.0, 1.0
     if abs(start - lo) > eps or abs(stop - hi) > eps:
@@ -514,11 +493,11 @@ def _solve_fd(cfg, args, geo) -> int:
         # the lateral edges carry the harmonic f(y_edge) (1 - x/l), which
         # meets the trace at x = 0 and the zero side at x = l
         edge = {float(yy): fn(yy) for yy in (axis2[0], axis2[-1])}
-        lateral = lambda xx, yy: edge[yy] * (1.0 - xx / geo)
-        gs = fd_strip(fn, geo, (axis2[0], axis2[-1]), axis1.size, axis2.size, lateral_fn=lateral)
+        lateral = lambda xx, yy: edge[yy] * (1.0 - xx / geo.interface)
+        gs = fd_strip(fn, geo.interface, (axis2[0], axis2[-1]), axis1.size, axis2.size, lateral_fn=lateral)
     elif problem == "annulus":
         fn = lambda t: float(np.interp(t % TWO_PI, trace.abscissae, trace.values, period=TWO_PI))
-        gs = fd_annulus(fn, geo, axis1.size, axis2.size)
+        gs = fd_annulus(fn, geo.interface, axis1.size, axis2.size)
     else:
         fn = lambda t: float(np.interp(t % TWO_PI, trace.abscissae, trace.values, period=TWO_PI))
         gs = fd_disk_coupled(fn, geo, axis1.size, axis2.size)
@@ -685,14 +664,30 @@ def cmd_verify(cfg, args) -> int:
 
 def _check_grid_file(path, solution, problem) -> int:
     """Re-evaluate the solution at a solve output's nodes; count the rows
-    whose region code or value differs."""
+    whose region code or value differs.
+
+    A data row that is not four fields with numeric coordinates is
+    rejected with its line number.
+    """
+    rows, p, q = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         fh.readline()
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+        for number, line in enumerate(fh, start=2):
+            row = line.strip().split(",")
+            if row == [""]:
+                continue
+            try:
+                c1, c2, _, _ = row
+                p.append(float(c1))
+                q.append(float(c2))
+            except ValueError:
+                raise ValidationError(
+                    f"expected four fields with numeric coordinates in {path!s}, line {number}: {line.strip()!r}"
+                ) from None
+            rows.append(row)
     if not rows:
         return 0
-    p = np.array([float(c1) for c1, _, _, _ in rows])
-    q = np.array([float(c2) for _, c2, _, _ in rows])
+    p, q = np.array(p), np.array(q)
     layer2 = solution.geometry.in_layer2(p)
     values = np.empty(p.shape)
     values[~layer2] = solution.u1_value(p[~layer2], q[~layer2])

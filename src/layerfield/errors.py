@@ -38,10 +38,6 @@ class EstimationError(LayerFieldError):
     """A numeric estimate failed to stabilise under refinement."""
 
 
-class StencilError(ValidationError):
-    """A finite-difference stencil left the evaluator's region."""
-
-
 class UndersamplingError(ValidationError):
     """Too few boundary samples for the requested mode resolution."""
 

@@ -6,20 +6,18 @@ half-plane, and finite Fourier sums on the unit disk.  Both evaluate
 exactly on arrays, expose exact first derivatives (d/dx on the plane,
 r d/dr on the disk) and sum their own image ladders per mode.  The
 module also reads sampled boundary traces, projects circle traces onto
-disk modes, extends planar traces by the Poisson integral, and provides
-a five-point stencil residual as a harmonicity check.
+disk modes, and extends planar traces by the Poisson integral.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     CapabilityError,
-    StencilError,
     UndersamplingError,
     ValidationError,
     WindowTooSmallError,
@@ -418,27 +416,3 @@ def disk_from_boundary(trace: BoundaryTrace, n_max: int) -> DiskField:
         if n >= 1:
             b[n] = 2.0 / m * float(np.sum(v * np.sin(n * t)))
     return DiskField(a, b)
-
-
-def laplacian_residual(evaluator: Callable, p, step: float, a: float = 1.0, inside=None) -> float:
-    """Five-point stencil residual a^2*u_xx + u_yy at the point p = (x, y).
-
-    `evaluator` is called as evaluator(x, y).  When `inside` is given,
-    every stencil point must satisfy it or a StencilError is raised.
-    """
-    x, y = _xy(p)
-    if step <= 0:
-        raise ValidationError("stencil step must be > 0")
-    pts = [
-        (x + step, y),
-        (x - step, y),
-        (x, y + step),
-        (x, y - step),
-        (x, y),
-    ]
-    if inside is not None:
-        for q in pts:
-            if not inside(*q):
-                raise StencilError(f"stencil point {q} leaves the evaluator's region")
-    xp, xm, yp, ym, f0 = (float(evaluator(q[0], q[1])) for q in pts)
-    return (a * a * (xp + xm - 2.0 * f0) + (yp + ym - 2.0 * f0)) / step**2

@@ -127,7 +127,7 @@ def _planar_coupled_exact(modes, cfg: PlanarLayerConfig) -> ModeExact:
     def denom(w):
         return 1.0 - rho * math.exp(-2.0 * l * w)
 
-    return ModeExact(Geometry.of("halfplane_coupled", cfg), modes, _planar_wave, {
+    return ModeExact(cfg, modes, _planar_wave, {
         "u1_value": lambda x, a, w, _: a / denom(w) * (np.exp(-w * x) - rho * np.exp(-w * (2 * l - x))),
         "u1_deriv": lambda x, a, w, _: a / denom(w) * w * (-np.exp(-w * x) - rho * np.exp(-w * (2 * l - x))),
         "u2_value": lambda x, a, w, _: transmit * a / denom(w) * np.exp(-w * (stretch * (x - l) + l)),
@@ -137,7 +137,7 @@ def _planar_coupled_exact(modes, cfg: PlanarLayerConfig) -> ModeExact:
     })
 
 
-def _radial_exact(modes, geometry: Geometry, rho: float) -> ModeExact:
+def _radial_exact(modes, geometry: Geometry) -> ModeExact:
     """(r^n - rho (R^2/r)^n) / (1 - rho R^(2n)) per mode, and the transmitted r^n inside.
 
     rho = 1 is the annulus Dirichlet solution (r^n - (R^2/r)^n)/(1 - R^(2n)),
@@ -145,7 +145,7 @@ def _radial_exact(modes, geometry: Geometry, rho: float) -> ModeExact:
     otherwise the coupled disk ladder summed geometrically, where the
     constant mode is 1 in both layers.
     """
-    R = geometry.interface
+    R, rho = geometry.interface, geometry.rho
     log_constant = not geometry.coupled
 
     def denom(n):
@@ -192,10 +192,9 @@ def mode_exact(problem: str, modes, **geometry) -> ModeExact:
             return _strip_exact(modes, float(geometry["l"]))
         return _planar_coupled_exact(modes, geometry["config"])
     if problem == "annulus":
-        return _radial_exact(_radial_modes(modes), Geometry("annulus", float(geometry["R"])), 1.0)
+        return _radial_exact(_radial_modes(modes), Geometry("annulus", float(geometry["R"])))
     if problem == "disk_coupled":
-        cfg = geometry["config"]
-        return _radial_exact(_radial_modes(modes), Geometry.of("disk_coupled", cfg), cfg.rho)
+        return _radial_exact(_radial_modes(modes), geometry["config"])
     raise ValidationError(f"unknown problem tag: {problem!r}")
 
 

@@ -20,63 +20,6 @@ from .harmonic import DiskField, HalfPlaneField
 MAX_LADDER_TERMS = 100_000
 
 
-class PlanarLayerConfig:
-    """Two-layer half-plane geometry: layer 1 on 0 < x < l, layer 2 beyond.
-
-    k is the flux-coupling ratio at the interface.  When conductivities
-    are supplied, k must equal (lambda1/lambda2)*(a2/a1).
-    """
-
-    def __init__(self, l: float, k: float, a1: float = 1.0, a2: float = 1.0,
-                 lambda1: float | None = None, lambda2: float | None = None):
-        for name, v in (("l", l), ("k", k), ("a1", a1), ("a2", a2)):
-            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ValidationError(f"{name} must be a positive finite number")
-        if (lambda1 is None) != (lambda2 is None):
-            raise ValidationError("give both conductivities or neither")
-        if lambda1 is not None:
-            if lambda1 <= 0 or lambda2 <= 0:
-                raise ValidationError("conductivities must be > 0")
-            implied = (lambda1 / lambda2) * (a2 / a1)
-            if abs(k - implied) > 1e-12 * max(1.0, abs(implied)):
-                raise ValidationError(f"k={k} inconsistent with conductivities (implied {implied})")
-        self.l, self.k, self.a1, self.a2 = l, k, a1, a2
-        self.lambda1, self.lambda2 = lambda1, lambda2
-
-    @property
-    def rho(self) -> float:
-        return (1.0 - self.k) / (1.0 + self.k)
-
-    @property
-    def robin_h(self) -> float:
-        """Planar Robin parameter h with |rho| = exp(2*h*l); negative."""
-        if self.rho == 0.0:
-            raise ValidationError("Robin parameter undefined at k=1 (rho=0)")
-        return math.log(abs(self.rho)) / (2.0 * self.l)
-
-
-class RadialLayerConfig:
-    """Coupled disk geometry: annulus R < r < 1 (layer 1) over a core r < R."""
-
-    def __init__(self, R: float, k: float):
-        if not (0.0 < R < 1.0):
-            raise ValidationError("interface radius must lie in (0, 1)")
-        if not (math.isfinite(k) and k > 0):
-            raise ValidationError("coupling ratio k must be > 0")
-        self.R, self.k = R, k
-
-    @property
-    def rho(self) -> float:
-        return (1.0 - self.k) / (1.0 + self.k)
-
-    @property
-    def robin_h(self) -> float:
-        """Radial Robin parameter h with |rho| = R^(2h); positive."""
-        if self.rho == 0.0:
-            raise ValidationError("Robin parameter undefined at k=1 (rho=0)")
-        return math.log(abs(self.rho)) / (2.0 * math.log(self.R))
-
-
 class MaxTerms:
     """Truncate the ladder after a fixed number of terms."""
 
@@ -191,21 +134,13 @@ class Geometry:
     theta) is never mapped.  Layer 1 is 0 <= x <= l (interface l) or
     R <= r <= 1 (interface R).  The coupled problems (k given) add
     layer 2 beyond the interface, x > l or r < R; the strip and the
-    annulus have none.
+    annulus have none.  `PlanarLayerConfig` and `RadialLayerConfig` are
+    the validated geometries of the coupled problems.
     """
 
     def __init__(self, kind: str, interface: float, k: float | None = None,
                  a1: float = 1.0, a2: float = 1.0):
         self.kind, self.interface, self.k, self.a1, self.a2 = kind, interface, k, a1, a2
-
-    @classmethod
-    def of(cls, kind: str, config) -> "Geometry":
-        """From a layer config, or from l / R for the strip and the annulus."""
-        if kind == "halfplane_coupled":
-            return cls(kind, config.l, config.k, config.a1, config.a2)
-        if kind == "disk_coupled":
-            return cls(kind, config.R, config.k)
-        return cls(kind, float(config))
 
     @property
     def radial(self) -> bool:
@@ -219,6 +154,18 @@ class Geometry:
     def rho(self) -> float:
         """Ladder ratio: (1 - k)/(1 + k) when coupled, 1 on the strip and the annulus."""
         return (1.0 - self.k) / (1.0 + self.k) if self.coupled else 1.0
+
+    @property
+    def robin_h(self) -> float:
+        """Robin parameter h with |rho| = exp(2hl) on the plane (h <= 0), R^(2h) on the disk (h >= 0).
+
+        h is 0 on the strip and the annulus, where rho = 1.
+        """
+        if self.rho == 0.0:
+            raise ValidationError("k=1 has rho=0; the series is exact, use it")
+        if self.radial:
+            return math.log(abs(self.rho)) / (2.0 * math.log(self.interface))
+        return math.log(abs(self.rho)) / (2.0 * self.interface)
 
     @property
     def step(self) -> float:
@@ -244,6 +191,49 @@ class Geometry:
         if not self.coupled:
             return np.zeros(p.shape, dtype=bool)
         return p < self.interface if self.radial else p > self.interface
+
+
+class PlanarLayerConfig(Geometry):
+    """Two-layer half-plane geometry: layer 1 on 0 < x < l, layer 2 beyond.
+
+    k is the flux-coupling ratio at the interface.  When conductivities
+    are supplied, k must equal (lambda1/lambda2)*(a2/a1).
+    """
+
+    def __init__(self, l: float, k: float, a1: float = 1.0, a2: float = 1.0,
+                 lambda1: float | None = None, lambda2: float | None = None):
+        for name, v in (("l", l), ("k", k), ("a1", a1), ("a2", a2)):
+            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+                raise ValidationError(f"{name} must be a positive finite number")
+        if (lambda1 is None) != (lambda2 is None):
+            raise ValidationError("give both conductivities or neither")
+        if lambda1 is not None:
+            if lambda1 <= 0 or lambda2 <= 0:
+                raise ValidationError("conductivities must be > 0")
+            implied = (lambda1 / lambda2) * (a2 / a1)
+            if abs(k - implied) > 1e-12 * max(1.0, abs(implied)):
+                raise ValidationError(f"k={k} inconsistent with conductivities (implied {implied})")
+        super().__init__("halfplane_coupled", l, k, a1, a2)
+        self.lambda1, self.lambda2 = lambda1, lambda2
+
+    @property
+    def l(self) -> float:
+        return self.interface
+
+
+class RadialLayerConfig(Geometry):
+    """Coupled disk geometry: annulus R < r < 1 (layer 1) over a core r < R."""
+
+    def __init__(self, R: float, k: float):
+        if not (0.0 < R < 1.0):
+            raise ValidationError("interface radius must lie in (0, 1)")
+        if not (math.isfinite(k) and k > 0):
+            raise ValidationError("coupling ratio k must be > 0")
+        super().__init__("disk_coupled", R, k)
+
+    @property
+    def R(self) -> float:
+        return self.interface
 
 
 class LayeredSolution:
@@ -326,7 +316,7 @@ def series_solution(geometry: Geometry, field, trunc) -> LayeredSolution:
 
 def halfplane_coupled(field: HalfPlaneField, config: PlanarLayerConfig, trunc) -> LayeredSolution:
     """Deform a half-plane field into the coupled two-layer solution."""
-    return series_solution(Geometry.of("halfplane_coupled", config), field, trunc)
+    return series_solution(config, field, trunc)
 
 
 def strip_dirichlet(field: HalfPlaneField, l: float, trunc) -> LayeredSolution:
@@ -338,7 +328,7 @@ def strip_dirichlet(field: HalfPlaneField, l: float, trunc) -> LayeredSolution:
 
 def disk_coupled(field: DiskField, config: RadialLayerConfig, trunc) -> LayeredSolution:
     """Deform a disk field into the coupled annulus-over-core solution."""
-    return series_solution(Geometry.of("disk_coupled", config), field, trunc)
+    return series_solution(config, field, trunc)
 
 
 def annulus_dirichlet(field: DiskField, R: float, trunc) -> LayeredSolution:
@@ -367,8 +357,7 @@ def convergence_diagnostic(config, field, tol: float = 1e-10, threshold: int = 1
     Such a field has no sup bound at the boundary, so it is counted with
     sup 1.
     """
-    kind = "halfplane_coupled" if isinstance(config, PlanarLayerConfig) else "disk_coupled"
-    ratio, M = _ladder_bounds(Geometry.of(kind, config), field, TailTol(tol, sup_bound=1.0))
+    ratio, M = _ladder_bounds(config, field, TailTol(tol, sup_bound=1.0))
     j = 1 if M == 0.0 else geometric_tail_terms(ratio, tol, M)
     per_mode = not (isinstance(field, HalfPlaneField) and field.has_sources)
     rec = "asymptotic" if j > threshold and not per_mode else "series"

@@ -205,6 +205,33 @@ def test_verify_series_passes_and_roundtrip(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("row", ["0.0,0.0,1", "0.0,abc,1,2", "0.0,0.0,1,0.5,9"],
+                         ids=["three-fields", "non-numeric-y", "five-fields"])
+def test_verify_grid_with_a_malformed_row_exits_2(tmp_path, capsys, row):
+    cfg = write_config(tmp_path, "strip.json", strip_config())
+    out = tmp_path / "grid.csv"
+    assert run_cli(["solve", "--config", cfg, "--out", str(out)], capsys)[0] == 0
+    lines = out.read_text().splitlines()
+    lines[3] = row
+    out.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(["verify", "--config", cfg, "--grid", str(out)], capsys)
+    assert code == 2
+    assert f"{out}, line 4:" in err
+
+
+@pytest.mark.parametrize("problem, geometry, modes, grid", [
+    ("halfplane_coupled", {"l": 0.2, "k": 1.0}, [{"omega": 1.0}], {"x": [0.0, 1.0, 3], "y": [0.0, 1.0, 3]}),
+    ("disk_coupled", {"R": 0.5, "k": 1.0}, [{"n": 1}], {"r": [0.0, 1.0, 3], "theta": [0.0, 6.0, 3]}),
+])
+def test_asymptotic_at_unit_contrast_exits_2(tmp_path, capsys, problem, geometry, modes, grid):
+    # rho = 0 has no Robin parameter; the one-term series is exact there
+    cfg = {"problem": problem, "geometry": geometry, "boundary": {"modes": modes}, "method": "asymptotic", "grid": grid}
+    code, _, err = run_cli(["solve", "--config", write_config(tmp_path, "k1.json", cfg),
+                            "--out", str(tmp_path / "g.csv")], capsys)
+    assert code == 2
+    assert "series is exact" in err
+
+
 ROUNDTRIP = {
     "strip": ({"l": 0.37}, {"x": [0.0, 0.37, 7], "y": [-2.0, 2.0, 9]}),
     "halfplane_coupled": ({"l": 0.21, "k": 0.3, "a1": 1.0, "a2": 1.7}, {"x": [0.0, 1.3, 9], "y": [-2.0, 2.0, 9]}),

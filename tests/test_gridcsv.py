@@ -11,7 +11,7 @@ import pytest
 
 from layerfield.cli import _write_compare_csv, write_grid_csv
 from layerfield.oracle import GridSolution
-from layerfield.series import Geometry, PlanarLayerConfig, RadialLayerConfig
+from layerfield.series import PlanarLayerConfig, RadialLayerConfig
 
 SPECIAL = [-0.0, 5e-324, 1e300, -1.5e-17, -1e300, 0.1, 1.0 / 3.0, 2.0]
 PLANAR = PlanarLayerConfig(l=0.4, k=0.3)
@@ -72,11 +72,10 @@ def planar_axes(shape):
 def test_write_grid_csv_matches_per_cell_writer(tmp_path, shape):
     axis1, axis2 = planar_axes(shape)
     vals = values(shape, 1)
-    geometry = Geometry.of("halfplane_coupled", PLANAR)
-    solution = SimpleNamespace(geometry=geometry)
+    solution = SimpleNamespace(geometry=PLANAR)
     write_grid_csv(tmp_path / "new.csv", "halfplane_coupled", solution, axis1, axis2, vals)
     reference_grid_csv(tmp_path / "old.csv", "x,y,region,u", axis1, axis2, vals,
-                       lambda c1: "2" if geometry.in_layer2(c1) else "1")
+                       lambda c1: "2" if PLANAR.in_layer2(c1) else "1")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     if shape[0] > 1:
         regions = {line.split(",")[2] for line in (tmp_path / "new.csv").read_text().splitlines()[1:]}
@@ -88,10 +87,9 @@ def test_radial_write_grid_csv_matches_per_cell_writer(tmp_path, shape):
     axis1 = np.linspace(0.0, 1.0, shape[0])
     axis2 = np.linspace(0.0, 6.2, shape[1])
     vals = values(shape, 2)
-    geometry = Geometry.of("disk_coupled", DISK)
-    write_grid_csv(tmp_path / "new.csv", "disk_coupled", SimpleNamespace(geometry=geometry), axis1, axis2, vals)
+    write_grid_csv(tmp_path / "new.csv", "disk_coupled", SimpleNamespace(geometry=DISK), axis1, axis2, vals)
     reference_grid_csv(tmp_path / "old.csv", "r,theta,region,u", axis1, axis2, vals,
-                       lambda c1: "2" if geometry.in_layer2(c1) else "1")
+                       lambda c1: "2" if DISK.in_layer2(c1) else "1")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 

@@ -83,8 +83,10 @@ def test_disk_routes_continuous_across_interface(modes, R, k):
 @PROPERTY
 @given(planar=planar_modes, radial=radial_modes, l=widths, R=radii)
 def test_dirichlet_routes_vanish_on_inner_boundary(planar, radial, l, R):
+    # relative to the amplitudes alone: the asymptotic route takes the
+    # Robin ladder at h = 0, whose two images cancel on the inner edge
     for method in ROUTES:
         strip = build("strip", {"l": l}, planar, method)
-        assert np.max(np.abs(strip.u1_value(l, PLANE_Y))) <= 1e-12 * (sup(planar) + 1.0), method
+        assert np.max(np.abs(strip.u1_value(l, PLANE_Y))) <= 1e-12 * sup(planar), method
         annulus = build("annulus", {"R": R}, radial, method)
-        assert np.max(np.abs(annulus.u1_value(R, DISK_THETA))) <= 1e-12 * (sup(radial) + 1.0), method
+        assert np.max(np.abs(annulus.u1_value(R, DISK_THETA))) <= 1e-12 * sup(radial), method

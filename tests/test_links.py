@@ -5,7 +5,6 @@ import pytest
 
 from layerfield import (
     DiskField,
-    DivergentLinkError,
     HalfPlaneField,
     MaxTerms,
     PlanarLayerConfig,
