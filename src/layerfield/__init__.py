@@ -6,9 +6,12 @@ Dirichlet layer, either by summing the image ladder directly or, in thin
 layers, by one leading-order formula: the companion field at the Robin
 parameter h = `Geometry.robin_h` (each mode w divided by w - h, or n by
 n + h), in a one- or two-term ladder weighted by the inverse layer
-thickness.  The Euler-Maclaurin summation engine in `asymptotics` is
-library-only: no route calls it yet.  Everything is checkable against
-built-in closed-form and finite-difference oracles.
+thickness.  The Euler-Maclaurin engine in `asymptotics` is one
+primitive, `em_ray_sum` on an `ExpProfile`: on a mode the weighted image
+ladder is an exponential ladder of rate w - h (or n + h), so
+em_ray_sum(ExpProfile(rate), s, p) is its expansion to order p.  No
+route calls it yet.  Everything is checkable against built-in
+closed-form and finite-difference oracles.
 
 The exported names are resolved on first use (PEP 562), so importing the
 package, or one of its modules, loads only the submodules that code needs.
@@ -21,18 +24,16 @@ __version__ = "0.1.0"
 #: submodule defining each exported name
 _EXPORTS = {
     **dict.fromkeys([
-        "ApproxResult", "BernoulliTable", "ExpProfile", "FuncProfile", "PowerProfile",
-        "SumProfile", "TVEstimate", "annulus_thin_layer", "bernoulli",
-        "disk_large_contrast", "disk_small_contrast", "em_log_sum", "em_ray_sum",
+        "ApproxResult", "ExpProfile", "TVEstimate", "annulus_thin_layer", "bernoulli",
+        "disk_large_contrast", "disk_small_contrast", "em_ray_sum",
         "halfplane_large_contrast", "halfplane_small_contrast", "log_sum_bound",
         "neumann_link_disk", "neumann_link_halfplane", "ray_sum_bound",
         "robin_link_disk", "robin_link_halfplane", "strip_thin_layer",
-        "thin_layer_solution", "total_variation", "weighted_radial_asym",
-        "weighted_radial_asym_alt", "weighted_ray_asym", "weighted_ray_asym_alt"
+        "thin_layer_solution", "total_variation"
     ], ".asymptotics"),
     **dict.fromkeys([
         "ArbiterInsufficientError", "CapabilityError", "CapacityError",
-        "ConvergenceError", "DivergentLinkError", "EstimationError", "LayerFieldError",
+        "ConvergenceError", "EstimationError", "LayerFieldError",
         "SolvabilityError", "UndersamplingError", "ValidationError",
         "WindowTooSmallError"
     ], ".errors"),

@@ -29,22 +29,3 @@ def bernoulli(n: int) -> Fraction:
         _cache.append(-s / (m + 1))
     return _cache[n]
 
-
-class BernoulliTable:
-    """Slice B_0..B_n of exact Bernoulli numbers, held as a tuple."""
-
-    def __init__(self, values: tuple[Fraction, ...]):
-        self.values = values
-
-    @classmethod
-    def up_to(cls, n: int) -> "BernoulliTable":
-        return cls(tuple(bernoulli(i) for i in range(n + 1)))
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.values[i]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def real(self, i: int) -> float:
-        return float(self.values[i])

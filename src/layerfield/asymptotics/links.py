@@ -12,6 +12,7 @@ leading-order step where one is known.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -119,10 +120,20 @@ def neumann_link_disk(field: DiskField) -> DiskField:
 
 
 class ApproxResult:
-    """Thin-layer approximation plus its pointwise assessment bound."""
+    """Thin-layer approximation plus its assessment bound, computed when read.
 
-    def __init__(self, solution, bound: float | None = None, bound_at: Callable | None = None):
-        self.solution, self.bound, self.bound_at = solution, bound, bound_at
+    `bound_at(p, q)` is the pointwise bound and `bound` its maximum over
+    the interface points `probes`; both are None where no bound is known.
+    """
+
+    def __init__(self, solution, bound_at: Callable | None = None, probes=()):
+        self.solution, self.bound_at, self._probes = solution, bound_at, probes
+
+    @cached_property
+    def bound(self) -> float | None:
+        if self.bound_at is None:
+            return None
+        return max(self.bound_at(self.solution.geometry.interface, q) for q in self._probes)
 
 
 def _planar_bound_at(field: HalfPlaneField, rho: float, h: float):
@@ -160,7 +171,8 @@ def thin_layer_solution(geometry: Geometry, field) -> ApproxResult:
 
     The variation bound, the assessment of the leading quadrature step
     maximised along the interface, and its pointwise form `bound_at` are
-    known for the coupled problems at rho > 0 only.
+    known for the coupled problems at rho > 0 only; each is computed
+    only when read or called.
     """
     h = geometry.robin_h
     rho = geometry.rho
@@ -176,7 +188,7 @@ def thin_layer_solution(geometry: Geometry, field) -> ApproxResult:
     solution = LayeredSolution(geometry, u3, 1.0 / (images * s), rho, images)
     if not (geometry.coupled and rho > 0):
         return ApproxResult(solution)
-    return ApproxResult(solution, max(bound_at(geometry.interface, q) for q in probes), bound_at)
+    return ApproxResult(solution, bound_at, probes)
 
 
 def halfplane_small_contrast(field: HalfPlaneField, config: PlanarLayerConfig) -> ApproxResult:

@@ -530,13 +530,17 @@ def _max_diff_layered(sa, sb, plan):
 
 
 def _sweep_geometry(problem, geo, value):
-    """Same Robin parameter h, new thickness; k follows from the relation."""
+    """Same Robin parameter h, new thickness; k follows from the relation.
+
+    A half-plane keeps its a1 and a2, and drops its conductivities, which
+    fix k.
+    """
     h = geo.robin_h
     sign = 1.0 if geo.rho > 0 else -1.0
     if problem == "halfplane_coupled":
         rho = sign * math.exp(2.0 * h * value)
         k = (1.0 - rho) / (1.0 + rho)
-        return PlanarLayerConfig(l=value, k=k), value
+        return PlanarLayerConfig(l=value, k=k, a1=geo.a1, a2=geo.a2), value
     rho = sign * value ** (2.0 * h)
     k = (1.0 - rho) / (1.0 + rho)
     return RadialLayerConfig(R=value, k=k), 1.0 - value

@@ -30,10 +30,6 @@ class SolvabilityError(ValidationError):
     """Boundary data violates a solvability constraint."""
 
 
-class DivergentLinkError(ValidationError):
-    """A boundary-link integral diverges for the given parameters."""
-
-
 class EstimationError(LayerFieldError):
     """A numeric estimate failed to stabilise under refinement."""
 

@@ -392,7 +392,8 @@ def halfplane_poisson_eval(trace: BoundaryTrace, p, tol=1e-6) -> PoissonEval:
 def disk_from_boundary(trace: BoundaryTrace, n_max: int) -> DiskField:
     """Fourier projection of uniform circle samples onto disk modes 0..n_max.
 
-    Needs M >= 2*n_max + 1 samples on a uniform grid covering [0, 2*pi).
+    Needs M >= 2*n_max + 1 samples on a uniform grid covering [0, 2*pi),
+    which may start anywhere in it.  One FFT gives every coefficient.
     """
     if n_max < 0:
         raise ValidationError("mode cap must be >= 0")
@@ -409,10 +410,9 @@ def disk_from_boundary(trace: BoundaryTrace, n_max: int) -> DiskField:
         raise ValidationError("circle trace must be sampled on a uniform grid")
     if not (-1e-9 <= t[0] < TWO_PI) or abs((t[-1] - t[0]) - (TWO_PI - spacing)) > 1e-8:
         raise ValidationError("circle trace must cover [0, 2*pi) exactly once")
-    a = np.empty(n_max + 1)
-    b = np.zeros(n_max + 1)
-    for n in range(n_max + 1):
-        a[n] = 2.0 / m * float(np.sum(v * np.cos(n * t)))
-        if n >= 1:
-            b[n] = 2.0 / m * float(np.sum(v * np.sin(n * t)))
-    return DiskField(a, b)
+    # sum_j v_j e^(-i n t_j) = e^(-i n t_0) * rfft(v)[n] on the uniform grid
+    n = np.arange(n_max + 1)
+    c = 2.0 / m * np.exp(-1j * n * t[0]) * np.fft.rfft(v)[: n_max + 1]
+    b = -c.imag
+    b[0] = 0.0
+    return DiskField(c.real, b)

@@ -416,15 +416,21 @@ class ErrorReport:
         self.samples, self.bounds = samples, bounds
 
 
+def _fd_weights(offsets):
+    """Finite-difference weights for f' on the node offsets (a transposed Vandermonde solve)."""
+    n = offsets.size
+    rhs = np.zeros(n)
+    rhs[1] = 1.0
+    return np.linalg.solve(np.vander(offsets, n, increasing=True).T, rhs)
+
+
 def _one_sided_dx(fn, x, y, step, side):
     """Fourth-order one-sided derivative at x, for every y, from nodes 5..9 steps inside.
 
     The offset keeps every sample strictly on one side of the interface.
     """
-    from .asymptotics.summation import fd_weights
-
     offsets = np.array([5, 6, 7, 8, 9], dtype=float) * (1.0 if side > 0 else -1.0)
-    w = fd_weights(offsets, 1)
+    w = _fd_weights(offsets)
     return w @ fn(x + offsets[:, None] * step, y) / step
 
 

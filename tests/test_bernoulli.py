@@ -4,7 +4,6 @@ from math import comb
 import pytest
 
 from layerfield import CapacityError, ValidationError, bernoulli
-from layerfield.asymptotics import BernoulliTable
 
 KNOWN = {
     0: Fraction(1),
@@ -47,9 +46,3 @@ def test_capacity_and_validation():
     with pytest.raises(ValidationError):
         bernoulli(-1)
 
-
-def test_table_slice():
-    table = BernoulliTable.up_to(12)
-    assert len(table) == 13
-    assert table[12] == Fraction(-691, 2730)
-    assert table.real(2) == pytest.approx(1 / 6)

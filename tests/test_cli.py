@@ -354,6 +354,16 @@ def test_compare_thickness_sweep_first_order(tmp_path, capsys):
     assert len(summary["sweep"]["thickness"]) == 3
 
 
+
+@pytest.mark.parametrize("k", [0.05, 3.0])
+def test_sweep_keeps_the_half_plane_anisotropy(k):
+    geo = PlanarLayerConfig(l=0.1, k=k, a1=1.0, a2=4.0)
+    swept, thickness = cli._sweep_geometry("halfplane_coupled", geo, 0.05)
+    assert (swept.l, thickness) == (0.05, 0.05)
+    assert (swept.a1, swept.a2, swept.stretch) == (1.0, 4.0, 0.25)
+    assert swept.robin_h == pytest.approx(geo.robin_h, rel=1e-12)
+    assert (swept.rho > 0) == (geo.rho > 0)
+
 def test_compare_needs_two_methods(tmp_path, capsys):
     cfg = strip_config()
     del cfg["method"]

@@ -71,6 +71,22 @@ def test_disk_from_boundary_mixed_modes():
     assert np.max(other) <= 1e-12
 
 
+
+@pytest.mark.parametrize("m", [15, 16, 33])
+def test_disk_from_boundary_matches_direct_sums_off_zero_start(m):
+    # the grid may start anywhere in [0, 2 pi): the FFT carries the phase e^(-i n t0)
+    rng = np.random.default_rng(m)
+    theta = 2.3 + np.arange(m) * 2 * math.pi / m
+    values = rng.normal(size=m)
+    n_max = (m - 1) // 2
+    field = disk_from_boundary(BoundaryTrace(theta, values), n_max)
+    n = np.arange(n_max + 1)[:, None]
+    a = 2.0 / m * np.sum(values * np.cos(n * theta), axis=1)
+    b = 2.0 / m * np.sum(values * np.sin(n * theta), axis=1)
+    b[0] = 0.0
+    assert np.max(np.abs(field.cos_coeffs - a)) <= 1e-13
+    assert np.max(np.abs(field.sin_coeffs - b)) <= 1e-13
+
 def test_disk_from_boundary_undersampling():
     theta = np.arange(8) * 2 * math.pi / 8
     with pytest.raises(UndersamplingError):

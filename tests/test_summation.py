@@ -2,29 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from layerfield import (
-    CapabilityError,
-    DivergentLinkError,
-    EstimationError,
-    ValidationError,
-)
+from layerfield import EstimationError, ValidationError, bernoulli
 from layerfield.asymptotics import (
     ExpProfile,
-    FuncProfile,
-    PowerProfile,
-    SumProfile,
-    em_log_sum,
     em_ray_sum,
-    fd_weights,
     log_sum_bound,
     ray_sum_bound,
     ray_total_variation,
     total_variation,
-    weighted_radial_asym,
-    weighted_radial_asym_alt,
-    weighted_ray_asym,
-    weighted_ray_asym_alt,
 )
 
 EXP = ExpProfile(1.0)
@@ -34,11 +22,14 @@ def geometric_exp_sum(step):
     return 1.0 / (1.0 - math.exp(-step))
 
 
-def test_fd_weights_standard_stencils():
-    w = fd_weights([-1, 0, 1], 1)
-    assert np.allclose(w, [-0.5, 0.0, 0.5])
-    w = fd_weights([-1, 0, 1], 2)
-    assert np.allclose(w, [1.0, -2.0, 1.0])
+def E(rate, step, order, amp=1.0):
+    """Euler-Maclaurin value of the exponential ladder sum_j amp e^(-rate step j)."""
+    return em_ray_sum(ExpProfile(rate, amp=amp), step, order)
+
+
+def E_alt(rate, step, order):
+    """The alternating ladder sum_j (-1)^j e^(-rate step j), as even minus odd images."""
+    return 2.0 * E(rate, 2.0 * step, order) - E(rate, step, order)
 
 
 def test_em_ray_sum_pins_exponential():
@@ -59,18 +50,8 @@ def test_em_ray_sum_order_improves_monotonically():
     errs = [abs(em_ray_sum(EXP, 0.2, k) - exact) for k in (0, 1, 2)]
     assert errs[0] > errs[1] > errs[2]
     # residual stays within twice the first omitted correction term
-    from layerfield import bernoulli
-
     first_omitted = abs(float(bernoulli(6)) * 0.2**5 / math.factorial(6))
     assert errs[2] <= 2 * first_omitted
-
-
-def test_em_ray_sum_numeric_profile():
-    f = FuncProfile(lambda x: math.exp(-x), integral=1.0)
-    exact = geometric_exp_sum(0.1)
-    assert abs(em_ray_sum(f, 0.1, 2) - exact) <= 1e-6
-    with pytest.raises(ValidationError):
-        em_ray_sum(f, 0.1, 5)  # beyond the finite-difference cap
 
 
 def test_em_ray_sum_validation():
@@ -80,26 +61,43 @@ def test_em_ray_sum_validation():
         em_ray_sum(EXP, 0.1, 9)
 
 
-def test_em_log_sum_power_profiles():
-    # sum_j R^(2j) and sum_j R^(4j) via the logarithmic ladder
-    v1 = em_log_sum(PowerProfile(1.0), 0.9, 2)
-    assert abs(v1 - 1.0 / (1.0 - 0.81)) <= 1e-6
-    v2 = em_log_sum(PowerProfile(2.0), 0.9, 2)
-    assert abs(v2 - 1.0 / (1.0 - 0.81**2)) <= 1e-6
+def test_em_ray_sum_rejects_plain_callable():
+    # derivatives come in closed form only: a bare function is not a profile
+    with pytest.raises(ValidationError, match="ExpProfile"):
+        em_ray_sum(lambda x: np.exp(-np.asarray(x, dtype=float)), 0.1, 2)
 
 
-def test_em_log_sum_zero_and_divergent():
-    assert em_log_sum(PowerProfile(1.0, amp=0.0), 0.9, 2) == pytest.approx(0.0)
-    with pytest.raises(ValidationError):
-        em_log_sum(PowerProfile(0.0), 0.9, 2)
-    with pytest.raises(ValidationError):
-        em_log_sum(lambda x: np.ones_like(np.asarray(x, dtype=float)), 0.9, 1)
+@settings(max_examples=300, deadline=None)
+@given(
+    z=st.floats(min_value=1e-6, max_value=6.0),
+    rate=st.floats(min_value=0.01, max_value=100.0),
+    order=st.integers(min_value=0, max_value=5),
+)
+def test_em_ray_sum_within_first_omitted_term(z, rate, order):
+    # e^(-rate x) is completely monotone, so the remainder after `order`
+    # corrections is at most the first omitted term |B_2p+2| z^(2p+1)/(2p+2)!
+    step = z / rate
+    z = rate * step
+    first_omitted = abs(float(bernoulli(2 * order + 2))) * z ** (2 * order + 1) / math.factorial(2 * order + 2)
+    rounding = 16 * np.finfo(float).eps * (1.0 / z + 1.0)
+    assert abs(E(rate, step, order) + 1.0 / math.expm1(-z)) <= first_omitted + rounding
 
 
-def test_em_log_sum_numeric_profile():
-    # plain callable goes through quadrature and finite differences
-    v = em_log_sum(lambda x: np.asarray(x, dtype=float), 0.9, 1)
-    assert abs(v - 1.0 / (1.0 - 0.81)) <= 1e-4
+@settings(max_examples=300, deadline=None)
+@given(
+    z=st.floats(min_value=1e-6, max_value=6.0),
+    rate=st.floats(min_value=0.01, max_value=100.0),
+    order=st.integers(min_value=0, max_value=5),
+)
+def test_alternating_em_ray_sum_within_first_omitted_term(z, rate, order):
+    # the even (step 2z) and odd remainders share the sign of their first
+    # omitted terms T(2z) = 2^(2p+1) T(z) and T(z), so |2 R(2z) - R(z)| <= 2 |T(2z)|
+    step = z / rate
+    z = rate * step
+    first_omitted = abs(float(bernoulli(2 * order + 2))) * z ** (2 * order + 1) / math.factorial(2 * order + 2)
+    rounding = 32 * np.finfo(float).eps * (1.0 / z + 1.0)
+    exact = 1.0 / (1.0 + math.exp(-z))
+    assert abs(E_alt(rate, step, order) - exact) <= 2 ** (2 * order + 2) * first_omitted + rounding
 
 
 def test_total_variation_basic():
@@ -185,14 +183,20 @@ def test_log_sum_bound_never_violated(p, R):
     assert gap <= log_sum_bound(fn, R) * (1 + 1e-6)
 
 
+# A weighted ladder on a mode is an exponential ladder:
+#   sum_j rho^j A e^(-w(x + 2lj)) = A e^(-wx) E(w - h, 2l),  rho = e^(2hl),
+#   sum_j rho^j A (r R^(2j))^n   = A r^n E(n + h, s),     rho = R^(2h), s = ln(1/R^2),
+# and at rho < 0 the same with E_alt.
+
+
 def test_weighted_ray_asym_small_contrast():
     # k = 0.5: rho = 1/3, l = 0.1, h = ln(1/3)/0.2
     h = math.log(1.0 / 3.0) / 0.2
     exact = 1.0 / (1.0 - (1.0 / 3.0) * math.exp(-0.2))
     assert exact == pytest.approx(1.3753460304, abs=1e-9)
-    v = weighted_ray_asym(EXP, 0.0, 0.1, h, 2)
+    v = E(1.0 - h, 0.2, 2)
     assert abs(v - exact) <= 1e-3
-    assert weighted_ray_asym(ExpProfile(1.0, amp=0.0), 0.0, 0.1, h, 2) == 0.0
+    assert E(1.0 - h, 0.2, 2, amp=0.0) == 0.0
 
 
 def test_weighted_ray_asym_alt_large_contrast():
@@ -200,21 +204,23 @@ def test_weighted_ray_asym_alt_large_contrast():
     h = math.log(0.5) / 0.2
     exact = 1.0 / (1.0 + 0.5 * math.exp(-0.2))
     assert exact == pytest.approx(0.7095392129, abs=1e-9)
-    v2 = weighted_ray_asym_alt(EXP, 0.0, 0.1, h, 2)
+    v2 = E_alt(1.0 - h, 0.2, 2)
     # measured deviation of the order-2 truncation, frozen from the brute sum
     assert abs(v2 - exact) <= 1.5e-3
-    v3 = weighted_ray_asym_alt(EXP, 0.0, 0.1, h, 3)
+    v3 = E_alt(1.0 - h, 0.2, 3)
     assert abs(v3 - exact) <= 1.2e-4
     assert abs(v3 - exact) < abs(v2 - exact)
 
 
 def test_weighted_ray_asym_matches_brute_series_multimode():
-    prof = SumProfile([ExpProfile(1.0), ExpProfile(2.0, amp=0.5)])
+    modes = [(1.0, 1.0), (2.0, 0.5)]  # (w, A)
     l, k = 0.1, 0.5
     rho = (1 - k) / (1 + k)
     h = math.log(rho) / (2 * l)
-    brute = sum(rho**j * float(prof(0.3 + 2 * l * j)) for j in range(2000))
-    assert abs(weighted_ray_asym(prof, 0.3, l, h, 2) - brute) <= 1e-3
+    prof = lambda x: sum(a * math.exp(-w * x) for w, a in modes)
+    brute = sum(rho**j * prof(0.3 + 2 * l * j) for j in range(2000))
+    v = sum(a * math.exp(-w * 0.3) * E(w - h, 2 * l, 2) for w, a in modes)
+    assert abs(v - brute) <= 1e-3
 
 
 def test_weighted_radial_asym_small_contrast():
@@ -222,10 +228,11 @@ def test_weighted_radial_asym_small_contrast():
     h = math.log(1.0 / 3.0) / (2.0 * math.log(0.9))
     assert h == pytest.approx(5.2136, abs=1e-4)
     exact = 1.0 / (1.0 - 0.27)
-    v = weighted_radial_asym(PowerProfile(1.0), 1.0, 0.9, h, 2)
+    s = math.log(1.0 / 0.9**2)
+    v = E(1.0 + h, s, 2)
     assert abs(v - exact) <= 2e-2
     assert abs(v - exact) <= 2e-4  # frozen from the brute sum: 1.22e-4
-    assert weighted_radial_asym(PowerProfile(1.0, amp=0.0), 1.0, 0.9, h, 2) == 0.0
+    assert E(1.0 + h, s, 2, amp=0.0) == 0.0
 
 
 def test_weighted_radial_asym_second_power():
@@ -233,10 +240,8 @@ def test_weighted_radial_asym_second_power():
     rho = (1 - k) / (1 + k)
     h = math.log(rho) / (2 * math.log(R))
     brute = sum(rho**j * (R ** (2 * j)) ** 2 for j in range(5000))
-    v = weighted_radial_asym(PowerProfile(2.0), 1.0, R, h, 2)
-    from layerfield import bernoulli
-
     s = math.log(1.0 / R**2)
+    v = E(2.0 + h, s, 2)
     first_omitted = abs(float(bernoulli(6)) * s**5 / math.factorial(6) * (h + 2.0) ** 5)
     assert abs(v - brute) <= first_omitted
 
@@ -246,28 +251,5 @@ def test_weighted_radial_asym_alt_matches_brute():
     rho = (1 - k) / (1 + k)  # negative
     h = math.log(abs(rho)) / (2 * math.log(R))
     brute = sum(rho**j * R ** (2 * j) for j in range(2000))
-    v = weighted_radial_asym_alt(PowerProfile(1.0), 1.0, R, h, 2)
+    v = E_alt(1.0 + h, math.log(1.0 / R**2), 2)
     assert abs(v - brute) <= 2e-3
-
-
-def test_weighted_integral_divergence_guard():
-    with pytest.raises(DivergentLinkError):
-        ExpProfile(1.0).weighted_integral(2.0)
-    with pytest.raises(DivergentLinkError):
-        PowerProfile(1.0).radial_weighted_integral(-2.0, 1.0)
-
-
-def test_func_profile_derivative_accuracy():
-    f = FuncProfile(lambda x: math.exp(-x))
-    assert f.derivative(0.5, 1) == pytest.approx(-math.exp(-0.5), rel=1e-6)
-    assert f.derivative(0.0, 3) == pytest.approx(-1.0, rel=1e-3)
-    with pytest.raises(CapabilityError):
-        f.derivative(0.0, 7)
-
-
-def test_func_profile_radial_operator_power():
-    # (h + r d/dr) applied to r^2 gives (h + 2)^m r^2
-    f = FuncProfile(lambda r: float(np.asarray(r, dtype=float) ** 2), domain=(0.0, 1.0))
-    h = 1.5
-    exact = (h + 2.0) ** 3 * 0.8**2
-    assert f.radial_lh_power(h, 3, 0.8) == pytest.approx(exact, rel=1e-4)
