@@ -217,9 +217,7 @@ def halfplane_large_contrast(field: HalfPlaneField, config: PlanarLayerConfig) -
 
 def strip_thin_layer(field: HalfPlaneField, l: float) -> ApproxResult:
     """Thin-strip approximation u ~ (u3(x,y) - u3(2l-x,y)) / (2l), u3 the field with mode w over w."""
-    if l <= 0:
-        raise ValidationError("strip width must be > 0")
-    return thin_layer_solution(Geometry("strip", float(l)), field)
+    return thin_layer_solution(Geometry("strip", l), field)
 
 
 def disk_small_contrast(field: DiskField, config: RadialLayerConfig) -> ApproxResult:
@@ -242,6 +240,4 @@ def disk_large_contrast(field: DiskField, config: RadialLayerConfig) -> ApproxRe
 
 def annulus_thin_layer(field: DiskField, R: float) -> ApproxResult:
     """Thin-annulus approximation u ~ (u2(r,t) - u2(R^2/r,t)) / ln(1/R^2)."""
-    if not (0.0 < R < 1.0):
-        raise ValidationError("inner radius must lie in (0, 1)")
-    return thin_layer_solution(Geometry("annulus", float(R)), field)
+    return thin_layer_solution(Geometry("annulus", R), field)

@@ -20,10 +20,11 @@ import sys
 import numpy as np
 
 from .errors import ConvergenceError, LayerFieldError, ValidationError
-from .gridcsv import write_grid
+from .gridcsv import write_grid, write_solve_csv
 from .harmonic import BoundaryTrace, DiskField, HalfPlaneField, disk_from_boundary
 from .oracle import fd_annulus, fd_disk_coupled, fd_strip, mode_exact, residual_report
 from .series import (
+    AXES,
     Geometry,
     LayeredSolution,
     MaxTerms,
@@ -36,9 +37,8 @@ from .series import (
 
 TWO_PI = 2.0 * math.pi
 
-PROBLEMS = ("strip", "halfplane_coupled", "disk_coupled", "annulus")
+PROBLEMS = tuple(AXES)
 METHODS = ("series", "asymptotic", "oracle", "identity")
-RADIAL = ("disk_coupled", "annulus")
 
 _TOP_KEYS = {
     "problem", "geometry", "boundary", "method", "methods", "truncation",
@@ -138,8 +138,7 @@ def load_config(path) -> dict:
     if "truncation" in cfg:
         _reject_unknown(cfg["truncation"], {"J", "tol"}, "truncation")
     if "grid" in cfg:
-        allowed = {"r", "theta"} if problem in RADIAL else {"x", "y"}
-        _reject_unknown(cfg["grid"], allowed, "grid")
+        _reject_unknown(cfg["grid"], AXES[problem], "grid")
     if "sweep" in cfg:
         _reject_unknown(cfg["sweep"], {"l", "R"}, "sweep")
     if "tolerances" in cfg:
@@ -155,25 +154,19 @@ def geometry_config(cfg):
     problem = cfg["problem"]
     g = cfg["geometry"]
     if problem == "strip":
-        l = g.get("l")
-        if isinstance(l, bool) or not (isinstance(l, (int, float)) and l > 0):
-            raise ValidationError("strip geometry needs l > 0")
-        return Geometry("strip", float(l))
+        return Geometry(problem, g.get("l"))
     if problem == "annulus":
-        R = g.get("R")
-        if not (isinstance(R, (int, float)) and 0 < R < 1):
-            raise ValidationError("annulus geometry needs R in (0, 1)")
-        return Geometry("annulus", float(R))
+        return Geometry(problem, g.get("R"))
     if problem == "halfplane_coupled":
         return PlanarLayerConfig(
-            l=g.get("l", 0.0),
-            k=g.get("k", 0.0),
+            l=g.get("l"),
+            k=g.get("k"),
             a1=g.get("a1", 1.0),
             a2=g.get("a2", 1.0),
             lambda1=None if g.get("lambda1") is None else _number(g["lambda1"], "lambda1"),
             lambda2=None if g.get("lambda2") is None else _number(g["lambda2"], "lambda2"),
         )
-    return RadialLayerConfig(R=_number(g.get("R", 0.0), "R"), k=_number(g.get("k", 0.0), "k"))
+    return RadialLayerConfig(R=g.get("R"), k=g.get("k"))
 
 
 def _planar_modes(raw):
@@ -211,12 +204,11 @@ def _radial_modes(raw):
     return modes
 
 
-def boundary_field(cfg, config_dir="."):
-    """Build the model field from the boundary block."""
-    problem = cfg["problem"]
+def boundary_field(cfg, geo, config_dir="."):
+    """Build the model field on `geo` from the boundary block."""
     boundary = cfg["boundary"]
     if "modes" in boundary:
-        if problem in RADIAL:
+        if geo.radial:
             modes = _radial_modes(boundary["modes"])
             n_max = max(n for n, _, _ in modes) if modes else 0
             a = np.zeros(n_max + 1)
@@ -235,7 +227,7 @@ def boundary_field(cfg, config_dir="."):
     if not os.path.isabs(path):
         path = os.path.join(config_dir, path)
     trace = BoundaryTrace.from_csv(path)
-    if problem in RADIAL:
+    if geo.radial:
         n_max = (trace.abscissae.size - 1) // 2
         return disk_from_boundary(trace, n_max)
     raise ValidationError(
@@ -253,17 +245,8 @@ def truncation_policy(cfg):
     return TailTol(_number(t.get("tol", 1e-10), "truncation tol"))
 
 
-def _modes_for_oracle(cfg):
-    if "modes" not in cfg["boundary"]:
-        raise ValidationError("the closed-form oracle needs mode boundary data")
-    if cfg["problem"] in RADIAL:
-        return _radial_modes(cfg["boundary"]["modes"])
-    return _planar_modes(cfg["boundary"]["modes"])
-
-
 def build_solution(cfg, method, field, geo, trunc):
     """Assemble the evaluator for one (problem, method) pair."""
-    problem = cfg["problem"]
     if method == "identity":
         # the untransformed model field: F = u0 with c = 1 and rho = 0
         return LayeredSolution(geo, field, 1.0, 0.0)
@@ -275,14 +258,10 @@ def build_solution(cfg, method, field, geo, trunc):
 
         return thin_layer_solution(geo, field).solution
     if method == "oracle":
-        modes = _modes_for_oracle(cfg)
-        if problem == "strip":
-            return mode_exact("strip", modes, l=geo.interface)
-        if problem == "annulus":
-            return mode_exact("annulus", modes, R=geo.interface)
-        if problem == "halfplane_coupled":
-            return mode_exact("halfplane_coupled", modes, config=geo)
-        return mode_exact("disk_coupled", modes, config=geo)
+        if "modes" not in cfg["boundary"]:
+            raise ValidationError("the closed-form oracle needs mode boundary data")
+        modes = (_radial_modes if geo.radial else _planar_modes)(cfg["boundary"]["modes"])
+        return mode_exact(geo, modes)
     raise ValidationError(f"method must be one of {METHODS}")
 
 
@@ -305,62 +284,54 @@ def _axis(triple, name):
     return start, stop, count
 
 
-def _grid_spec(cfg):
+def _grid_spec(cfg, geo):
     """The config grid's two axes as (start, stop, count), with their node count bounded."""
     grid = cfg.get("grid")
     if grid is None:
         raise ValidationError("config needs a grid for this command")
-    names = ("r", "theta") if cfg["problem"] in RADIAL else ("x", "y")
-    axes = [_axis(grid.get(name), name) for name in names]
+    axes = [_axis(grid.get(name), name) for name in geo.axes]
     nodes = axes[0][2] * axes[1][2]
     if nodes > MAX_GRID_NODES:
         raise ValidationError(f"grid has {nodes} nodes; at most {MAX_GRID_NODES} are allowed")
     return axes
 
 
-def _grid_axes(cfg):
-    """The config grid's two axes, allocated only once their node count is bounded."""
-    return [np.linspace(*axis) for axis in _grid_spec(cfg)]
-
-
 def build_grid(cfg, geo):
-    problem = cfg["problem"]
-    axis1, axis2 = _grid_axes(cfg)
+    """The config grid's two axes, allocated once their node count is bounded, within the domain."""
+    axis1, axis2 = (np.linspace(*axis) for axis in _grid_spec(cfg, geo))
+    lo, hi = geo.domain
     eps = 1e-9
-    if problem in RADIAL:
-        r, theta = axis1, axis2
-        if r[0] < -eps or r[-1] > 1.0 + eps:
-            raise ValidationError("grid radius must stay inside the unit disk")
-        if problem == "annulus" and r[0] < geo.interface - eps:
-            raise ValidationError("annulus grid must keep r >= R")
-        return r, theta
-    x, y = axis1, axis2
-    if x[0] < -eps:
-        raise ValidationError("grid must keep x >= 0")
-    if problem == "strip" and x[-1] > geo.interface + eps:
-        raise ValidationError("strip grid must keep x <= l")
-    return x, y
+    if axis1[0] < lo - eps or axis1[-1] > hi + eps:
+        raise ValidationError(f"grid axis {geo.axes[0]} must stay in [{lo!r}, {hi!r}]")
+    return axis1, axis2
 
 
-def evaluate_grid(solution, problem, axis1, axis2):
-    """Values on the tensor grid axis1 x axis2, rows along axis1.
+def _layered_values(solution, p, q):
+    """The solution at rows p: u1_value on the layer-1 rows, u2_value on the layer-2 rows.
 
-    The rows of each layer, from the solution's region test, are
-    evaluated in one broadcast call: a mode is evaluated once per row
-    and once per column, not once per node.
+    Row i holds the values at (p[i], q) for a 1-D q shared by every row,
+    or at (p[i], q[i]) for a q of shape (p.size, 1).  The rows of each
+    layer are evaluated in one broadcast call.
     """
-    layer2 = solution.geometry.in_layer2(axis1)
-    values = np.empty((axis1.size, axis2.size))
-    values[~layer2] = solution.u1_value(axis1[~layer2, None], axis2)
-    if layer2.any():
-        values[layer2] = solution.u2_value(axis1[layer2, None], axis2)
+    layer2 = solution.geometry.in_layer2(p)
+    values = np.empty((p.size, q.shape[-1]))
+    for rows, fn in ((~layer2, solution.u1_value), (layer2, solution.u2_value)):
+        if rows.any():
+            values[rows] = fn(p[rows, None], q if q.ndim == 1 else q[rows])
     return values
 
 
+def evaluate_grid(solution, problem, axis1, axis2):
+    """Values on the tensor grid axis1 x axis2, rows along axis1; `problem` is not read.
+
+    A mode is evaluated once per row and once per column, not once per node.
+    """
+    return _layered_values(solution, axis1, axis2)
+
+
 def write_grid_csv(path, problem, solution, axis1, axis2, values):
-    header = "r,theta,region,u" if problem in RADIAL else "x,y,region,u"
-    regions = np.where(solution.geometry.in_layer2(axis1), "2", "1")
-    write_grid(path, header, axis1, axis2, [values], regions)
+    """Write a solve's grid in the solve format of `solution.geometry`; `problem` is not read."""
+    write_solve_csv(path, solution.geometry, axis1, axis2, values)
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +400,8 @@ def cmd_solve(cfg, args) -> int:
         raise ValidationError(f"method must be one of {METHODS}")
     if method == "oracle" and "samples" in cfg["boundary"]:
         return _solve_fd(cfg, args, geo)
-    field = boundary_field(cfg, config_dir=_config_dir(args))
-    if args.strict and method == "series" and problem in ("halfplane_coupled", "disk_coupled"):
+    field = boundary_field(cfg, geo, config_dir=_config_dir(args))
+    if args.strict and method == "series" and geo.coupled:
         if _strict_regime_gate(cfg, geo, field):
             return 4
     trunc = truncation_policy(cfg)
@@ -449,24 +420,20 @@ def cmd_solve(cfg, args) -> int:
     return 0
 
 
-def _check_fd_span(problem, geo, spec):
+def _check_fd_span(geo, spec):
     """Reject grid ranges the FD solve would not honour.
 
-    The FD solvers solve on x in [0, l], r in [R, 1] or r in [0, 1], and
-    on the periodic theta nodes 2*pi*j/n, taking only the node counts of
-    those axes; the strip's y window is honoured.
+    The FD solvers solve on the whole domain of p (x in [0, l], r in
+    [R, 1] or r in [0, 1]), and on the periodic theta nodes 2*pi*j/n,
+    taking only the node counts of those axes; the strip's y window is
+    honoured.
     """
     (start, stop, _), (t_start, t_stop, t_count) = spec
     eps = 1e-9
-    if problem == "strip":
-        name, lo, hi = "x", 0.0, geo.interface
-    elif problem == "annulus":
-        name, lo, hi = "r", geo.interface, 1.0
-    else:
-        name, lo, hi = "r", 0.0, 1.0
+    name, (lo, hi) = geo.axes[0], geo.domain
     if abs(start - lo) > eps or abs(stop - hi) > eps:
         raise ValidationError(f"the FD oracle solves on {name} in [{lo!r}, {hi!r}]; grid axis {name} must span it")
-    if problem in RADIAL and (
+    if geo.radial and (
         abs(t_start) > eps
         or min(abs(t_stop - TWO_PI), abs(t_stop - TWO_PI * (t_count - 1) / t_count)) > eps
     ):
@@ -478,58 +445,51 @@ def _check_fd_span(problem, geo, spec):
 
 def _solve_fd(cfg, args, geo) -> int:
     """FD fallback for sample-backed boundaries."""
-    problem = cfg["problem"]
-    if problem == "halfplane_coupled":
+    if not geo.radial and geo.coupled:
         raise ValidationError("no bounded-domain oracle for the coupled half-plane")
-    spec = _grid_spec(cfg)
-    _check_fd_span(problem, geo, spec)
+    spec = _grid_spec(cfg, geo)
+    _check_fd_span(geo, spec)
     path = cfg["boundary"]["samples"]
     if not os.path.isabs(path):
         path = os.path.join(_config_dir(args), path)
     trace = BoundaryTrace.from_csv(path)
     axis1, axis2 = (np.linspace(*axis) for axis in spec)
-    if problem == "strip":
-        fn = lambda yy: float(np.interp(yy, trace.abscissae, trace.values))
+    if geo.radial:
+        fn = lambda t: np.interp(t % TWO_PI, trace.abscissae, trace.values, period=TWO_PI)
+        if geo.coupled:
+            gs = fd_disk_coupled(fn, geo, axis1.size, axis2.size)
+        else:
+            gs = fd_annulus(fn, geo.interface, axis1.size, axis2.size)
+    else:
+        fn = lambda yy: np.interp(yy, trace.abscissae, trace.values)
         # the lateral edges carry the harmonic f(y_edge) (1 - x/l), which
         # meets the trace at x = 0 and the zero side at x = l
-        edge = {float(yy): fn(yy) for yy in (axis2[0], axis2[-1])}
-        lateral = lambda xx, yy: edge[yy] * (1.0 - xx / geo.interface)
+        lateral = lambda xx, yy: fn(yy) * (1.0 - xx / geo.interface)
         gs = fd_strip(fn, geo.interface, (axis2[0], axis2[-1]), axis1.size, axis2.size, lateral_fn=lateral)
-    elif problem == "annulus":
-        fn = lambda t: float(np.interp(t % TWO_PI, trace.abscissae, trace.values, period=TWO_PI))
-        gs = fd_annulus(fn, geo.interface, axis1.size, axis2.size)
-    else:
-        fn = lambda t: float(np.interp(t % TWO_PI, trace.abscissae, trace.values, period=TWO_PI))
-        gs = fd_disk_coupled(fn, geo, axis1.size, axis2.size)
     out = _out_path(cfg, args, "grid.csv")
     gs.to_csv(out)
-    print(json.dumps({"problem": problem, "method": "oracle", "output": out}, sort_keys=True))
+    print(json.dumps({"problem": cfg["problem"], "method": "oracle", "output": out}, sort_keys=True))
     return 0
 
 
-def _sweep_points(problem, geo):
-    """Relative sample plan reused across a thickness sweep."""
-    if problem == "halfplane_coupled":
+def _sweep_points(geo):
+    """Relative sample plan reused across a thickness sweep: (rows of both layers, columns)."""
+    if not geo.radial:
         x1 = geo.l * np.linspace(0.05, 0.95, 10)
         x2 = geo.l + np.linspace(0.02, 1.0, 10)
-        ys = np.linspace(-1.0, 1.0, 7)
-        return (x1, x2, ys)
+        return np.concatenate([x1, x2]), np.linspace(-1.0, 1.0, 7)
     R = geo.R
     r1 = R + (1.0 - R) * np.linspace(0.05, 0.95, 10)
     r2 = R * np.linspace(0.3, 0.95, 10)
-    ts = np.linspace(0.0, TWO_PI, 9)
-    return (r1, r2, ts)
+    return np.concatenate([r1, r2]), np.linspace(0.0, TWO_PI, 9)
 
 
 def _max_diff_layered(sa, sb, plan):
-    """Largest |sa - sb| over the plan's layer-1 and layer-2 rows, one call per layer."""
-    c1a, c1b, c2 = plan
-    d1 = np.abs(sa.u1_value(c1a[:, None], c2) - sb.u1_value(c1a[:, None], c2))
-    d2 = np.abs(sa.u2_value(c1b[:, None], c2) - sb.u2_value(c1b[:, None], c2))
-    return float(max(np.max(d1), np.max(d2)))
+    """Largest |sa - sb| over the plan's rows, one call per layer and solution."""
+    return float(np.max(np.abs(_layered_values(sa, *plan) - _layered_values(sb, *plan))))
 
 
-def _sweep_geometry(problem, geo, value):
+def _sweep_geometry(geo, value):
     """Same Robin parameter h, new thickness; k follows from the relation.
 
     A half-plane keeps its a1 and a2, and drops its conductivities, which
@@ -537,7 +497,7 @@ def _sweep_geometry(problem, geo, value):
     """
     h = geo.robin_h
     sign = 1.0 if geo.rho > 0 else -1.0
-    if problem == "halfplane_coupled":
+    if not geo.radial:
         rho = sign * math.exp(2.0 * h * value)
         k = (1.0 - rho) / (1.0 + rho)
         return PlanarLayerConfig(l=value, k=k, a1=geo.a1, a2=geo.a2), value
@@ -546,15 +506,16 @@ def _sweep_geometry(problem, geo, value):
     return RadialLayerConfig(R=value, k=k), 1.0 - value
 
 
-def _sweep_values(cfg, problem, methods):
+def _sweep_values(cfg, geo, methods):
     """The distinct l or R values of the config's compare sweep, as floats, or None without one."""
     if "sweep" not in cfg:
         return None
     if sorted(methods) != ["asymptotic", "series"]:
         raise ValidationError("a thickness sweep compares exactly [series, asymptotic]")
-    if problem not in ("halfplane_coupled", "disk_coupled"):
+    if not geo.coupled:
         raise ValidationError("thickness sweeps apply to the coupled problems")
-    key = "l" if problem == "halfplane_coupled" else "R"
+    key = geo.interface_key
+    _reject_unknown(cfg["sweep"], {key}, f"{geo.kind} sweep")
     values = cfg["sweep"].get(key)
     if not isinstance(values, list) or len(values) < 2:
         raise ValidationError(f"sweep.{key} must list at least two values")
@@ -575,8 +536,8 @@ def cmd_compare(cfg, args) -> int:
     for m in methods:
         if m not in METHODS:
             raise ValidationError(f"method must be one of {METHODS}")
-    sweep = _sweep_values(cfg, problem, methods)
-    field = boundary_field(cfg, config_dir=_config_dir(args))
+    sweep = _sweep_values(cfg, geo, methods)
+    field = boundary_field(cfg, geo, config_dir=_config_dir(args))
     trunc = truncation_policy(cfg)
     axis1, axis2 = build_grid(cfg, geo)
     _check_threads(args)
@@ -602,8 +563,8 @@ def cmd_compare(cfg, args) -> int:
     if sweep is not None:
         thicknesses, errs, ks = [], [], []
         for v in sweep:
-            sub_geo, thickness = _sweep_geometry(problem, geo, v)
-            plan = _sweep_points(problem, sub_geo)
+            sub_geo, thickness = _sweep_geometry(geo, v)
+            plan = _sweep_points(sub_geo)
             s_series = build_solution(cfg, "series", field, sub_geo, trunc)
             s_asym = build_solution(cfg, "asymptotic", field, sub_geo, trunc)
             thicknesses.append(thickness)
@@ -615,14 +576,14 @@ def cmd_compare(cfg, args) -> int:
 
     out = _out_path(cfg, args, None)
     if out:
-        _write_compare_csv(out, problem, methods, axis1, axis2, grids)
+        _write_compare_csv(out, geo, methods, axis1, axis2, grids)
         summary["output"] = out
     print(json.dumps(summary, sort_keys=True))
     return 0
 
 
-def _write_compare_csv(path, problem, methods, axis1, axis2, grids):
-    cols = "r,theta" if problem in RADIAL else "x,y"
+def _write_compare_csv(path, geo, methods, axis1, axis2, grids):
+    cols = ",".join(geo.axes)
     names = ",".join(f"u_{m}" for m in methods)
     pairs = [(a, b) for a in range(len(methods)) for b in range(a + 1, len(methods))]
     pair_names = ",".join(f"absdiff_{methods[a]}_{methods[b]}" for a, b in pairs)
@@ -634,7 +595,7 @@ def cmd_verify(cfg, args) -> int:
     problem = cfg["problem"]
     geo = geometry_config(cfg)
     method = cfg.get("method", "series")
-    field = boundary_field(cfg, config_dir=_config_dir(args))
+    field = boundary_field(cfg, geo, config_dir=_config_dir(args))
     trunc = truncation_policy(cfg)
     solution = build_solution(cfg, method, field, geo, trunc)
     report = residual_report(solution, field)
@@ -651,7 +612,7 @@ def cmd_verify(cfg, args) -> int:
     result = {"problem": problem, "method": method, "checks": checks, "all_pass": all_pass}
 
     if args.grid:
-        mismatches = _check_grid_file(args.grid, solution, problem)
+        mismatches = _check_grid_file(args.grid, solution)
         result["grid_matches"] = mismatches == 0
         result["grid_mismatches"] = mismatches
         all_pass = all_pass and mismatches == 0
@@ -666,7 +627,7 @@ def cmd_verify(cfg, args) -> int:
     return 0 if all_pass else 1
 
 
-def _check_grid_file(path, solution, problem) -> int:
+def _check_grid_file(path, solution) -> int:
     """Re-evaluate the solution at a solve output's nodes; count the rows
     whose region code or value differs.
 
@@ -691,13 +652,9 @@ def _check_grid_file(path, solution, problem) -> int:
             rows.append(row)
     if not rows:
         return 0
-    p, q = np.array(p), np.array(q)
-    layer2 = solution.geometry.in_layer2(p)
-    values = np.empty(p.shape)
-    values[~layer2] = solution.u1_value(p[~layer2], q[~layer2])
-    if layer2.any():
-        values[layer2] = solution.u2_value(p[layer2], q[layer2])
-    regions = np.where(layer2, "2", "1")
+    p = np.array(p)
+    values = _layered_values(solution, p, np.array(q)[:, None])[:, 0]
+    regions = np.where(solution.geometry.in_layer2(p), "2", "1")
     return sum(
         region != want or repr(v) != us
         for (_, _, region, us), want, v in zip(rows, regions, values.tolist())
@@ -706,10 +663,10 @@ def _check_grid_file(path, solution, problem) -> int:
 
 def cmd_regimes(cfg, args) -> int:
     problem = cfg["problem"]
-    if problem not in ("halfplane_coupled", "disk_coupled"):
-        raise ValidationError("the regime diagnostic applies to the coupled problems")
     geo = geometry_config(cfg)
-    diag = _regime_diagnostic(cfg, geo, boundary_field(cfg, config_dir=_config_dir(args)))
+    if not geo.coupled:
+        raise ValidationError("the regime diagnostic applies to the coupled problems")
+    diag = _regime_diagnostic(cfg, geo, boundary_field(cfg, geo, config_dir=_config_dir(args)))
     result = {
         "problem": problem,
         "rho": diag.rho,

@@ -28,3 +28,9 @@ def write_grid(path, header, axis1, axis2, columns, regions=None):
                 fields.append(repeat(regions[i]))
             fields += [map(repr, col[i].tolist()) for col in columns]
             fh.write("".join([",".join(line) + "\n" for line in zip(*fields)]))
+
+
+def write_solve_csv(path, geometry, axis1, axis2, values):
+    """Write a solve's grid: header `<axes>,region,u`, region 2 on the rows of layer 2."""
+    regions = np.where(geometry.in_layer2(axis1), "2", "1")
+    write_grid(path, ",".join(geometry.axes) + ",region,u", axis1, axis2, [values], regions)

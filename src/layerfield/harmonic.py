@@ -234,10 +234,6 @@ class DiskField:
         return self._b.copy()
 
     @property
-    def degree(self) -> int:
-        return self._a.size - 1
-
-    @property
     def constant_coeff(self) -> float:
         return float(self._a[0])
 

@@ -16,8 +16,8 @@ import math
 import numpy as np
 
 from .errors import ArbiterInsufficientError, ValidationError
-from .gridcsv import write_grid
-from .series import MAX_LADDER_TERMS, Geometry, PlanarLayerConfig, RadialLayerConfig, geometric_tail_terms
+from .gridcsv import write_solve_csv
+from .series import MAX_LADDER_TERMS, Geometry, RadialLayerConfig, geometric_tail_terms
 
 TWO_PI = 2.0 * math.pi
 
@@ -111,23 +111,24 @@ def _radial_wave(theta, n, a, b):
     return a * np.cos(n * theta) + b * np.sin(n * theta)
 
 
-def _strip_exact(modes, l: float) -> ModeExact:
+def _strip_exact(modes, geometry: Geometry) -> ModeExact:
     """A cos(w y + phi) extends to A sinh(w (l - x)) cos(w y + phi) / sinh(w l)."""
-    return ModeExact(Geometry("strip", l), modes, _planar_wave, {
+    l = geometry.interface
+    return ModeExact(geometry, modes, _planar_wave, {
         "u1_value": lambda x, a, w, _: a * np.sinh(w * (l - x)) / math.sinh(w * l),
         "u1_deriv": lambda x, a, w, _: -a * w * np.cosh(w * (l - x)) / math.sinh(w * l),
     })
 
 
-def _planar_coupled_exact(modes, cfg: PlanarLayerConfig) -> ModeExact:
+def _planar_coupled_exact(modes, geometry: Geometry) -> ModeExact:
     """The coupled half-plane ladder summed geometrically: denominator 1 - rho e^(-2 l w)."""
-    l, rho, stretch = cfg.l, cfg.rho, cfg.a1 / cfg.a2
-    transmit = 2 * cfg.k / (cfg.k + 1)
+    l, rho, stretch = geometry.interface, geometry.rho, geometry.stretch
+    transmit = 2 * geometry.k / (geometry.k + 1)
 
     def denom(w):
         return 1.0 - rho * math.exp(-2.0 * l * w)
 
-    return ModeExact(cfg, modes, _planar_wave, {
+    return ModeExact(geometry, modes, _planar_wave, {
         "u1_value": lambda x, a, w, _: a / denom(w) * (np.exp(-w * x) - rho * np.exp(-w * (2 * l - x))),
         "u1_deriv": lambda x, a, w, _: a / denom(w) * w * (-np.exp(-w * x) - rho * np.exp(-w * (2 * l - x))),
         "u2_value": lambda x, a, w, _: transmit * a / denom(w) * np.exp(-w * (stretch * (x - l) + l)),
@@ -178,24 +179,21 @@ def _radial_modes(modes):
     return out
 
 
-def mode_exact(problem: str, modes, **geometry) -> ModeExact:
-    """Closed-form solution for single- or multi-mode boundary data.
+def mode_exact(geometry: Geometry, modes) -> ModeExact:
+    """Closed-form solution for single- or multi-mode boundary data on `geometry`.
 
-    problem: strip | annulus | halfplane_coupled | disk_coupled.
     Planar modes are (amplitude, frequency, phase); radial modes are
     (n, cos_amp, sin_amp) with n >= 0, where n = 0 is the constant
     boundary value cos_amp.
     """
-    if problem in ("strip", "halfplane_coupled"):
-        modes = [(float(a), float(w), float(p)) for a, w, p in modes]
-        if problem == "strip":
-            return _strip_exact(modes, float(geometry["l"]))
-        return _planar_coupled_exact(modes, geometry["config"])
-    if problem == "annulus":
-        return _radial_exact(_radial_modes(modes), Geometry("annulus", float(geometry["R"])))
-    if problem == "disk_coupled":
-        return _radial_exact(_radial_modes(modes), geometry["config"])
-    raise ValidationError(f"unknown problem tag: {problem!r}")
+    if not isinstance(geometry, Geometry):
+        raise ValidationError(f"mode_exact needs a Geometry, got {geometry!r}")
+    if geometry.radial:
+        return _radial_exact(_radial_modes(modes), geometry)
+    modes = [(float(a), float(w), float(p)) for a, w, p in modes]
+    if geometry.coupled:
+        return _planar_coupled_exact(modes, geometry)
+    return _strip_exact(modes, geometry)
 
 
 # ---------------------------------------------------------------------------
@@ -204,20 +202,16 @@ def mode_exact(problem: str, modes, **geometry) -> ModeExact:
 
 
 class GridSolution:
-    """Node values of a finite-difference solve on a structured grid."""
+    """Node values of a finite-difference solve on a structured grid of `geometry`."""
 
-    def __init__(self, kind: str, axes: tuple, values: np.ndarray, spacings: tuple, meta: dict | None = None):
-        self.kind, self.axes, self.values, self.spacings = kind, axes, values, spacings
+    def __init__(self, geometry: Geometry, axes: tuple, values: np.ndarray, spacings: tuple,
+                 meta: dict | None = None):
+        self.geometry, self.axes, self.values, self.spacings = geometry, axes, values, spacings
         self.meta = {} if meta is None else meta
 
     def to_csv(self, path):
-        """Write the grid in the x,y,region,u (or r,theta,region,u) format."""
-        polar = self.kind in ("annulus", "disk_coupled")
-        header = "r,theta,region,u" if polar else "x,y,region,u"
-        a1, a2 = self.axes
-        interface = self.meta.get("interface")
-        inner = np.zeros(len(a1), dtype=bool) if interface is None else np.asarray(a1) < interface
-        write_grid(path, header, a1, a2, [self.values], np.where(inner, "2", "1"))
+        """Write the grid in the solve format, as the CLI's solve does."""
+        write_solve_csv(path, self.geometry, *self.axes, self.values)
 
 
 class ModeSystem:
@@ -274,9 +268,12 @@ def fd_strip(boundary_fn, l: float, y_window, n_x: int, n_y: int, lateral_fn=Non
 
     boundary_fn(y) supplies the data on x=0; the x=l side is 0; lateral
     edges default to 0 (use lateral_fn for data that does not decay in y).
+    Both are called once, on the node arrays: boundary_fn(y) and
+    lateral_fn(x, y_edge) for each lateral edge.
     """
-    if l <= 0 or n_x < 3 or n_y < 3:
-        raise ValidationError("need l > 0 and at least a 3x3 grid")
+    geometry = Geometry("strip", l)
+    if n_x < 3 or n_y < 3:
+        raise ValidationError("need at least a 3x3 grid")
     y0, y1 = float(y_window[0]), float(y_window[1])
     x = np.linspace(0.0, l, n_x)
     y = np.linspace(y0, y1, n_y)
@@ -284,9 +281,9 @@ def fd_strip(boundary_fn, l: float, y_window, n_x: int, n_y: int, lateral_fn=Non
     dy = y[1] - y[0]
     u = np.zeros((n_x, n_y))
     if lateral_fn is not None:
-        u[:, 0] = [float(lateral_fn(xx, y0)) for xx in x]
-        u[:, -1] = [float(lateral_fn(xx, y1)) for xx in x]
-    u[0, :] = [float(boundary_fn(yy)) for yy in y]
+        u[:, 0] = lateral_fn(x, y0)
+        u[:, -1] = lateral_fn(x, y1)
+    u[0, :] = boundary_fn(y)
     u[-1, :] = 0.0
 
     # u is still zero inside, so the neighbour sums are the known edge terms
@@ -297,7 +294,7 @@ def fd_strip(boundary_fn, l: float, y_window, n_x: int, n_y: int, lateral_fn=Non
     side = np.broadcast_to(cx, rhs.shape)
     system = ModeSystem(side, np.broadcast_to(-2.0 * cx - 4.0 * cy * wave, rhs.shape), side, rhs.size)
     u[1:-1, 1:-1] = _dst1(spsolve(system, _dst1(rhs))) * (2.0 / (n_y - 1))
-    return GridSolution(kind="strip", axes=(x, y), values=u, spacings=(dx, dy))
+    return GridSolution(geometry, (x, y), u, (dx, dy))
 
 
 def _theta_waves(n_theta):
@@ -318,16 +315,18 @@ def _polar_rows(ring, dr, dth, wave):
 def fd_annulus(boundary_fn, R: float, n_r: int, n_theta: int) -> GridSolution:
     """Polar 5-point solve of the annulus Dirichlet problem, by an rfft in theta.
 
-    boundary_fn(theta) on r=1, zero data on r=R, periodic in theta.
+    boundary_fn(theta) on r=1, called once on the theta nodes; zero data
+    on r=R, periodic in theta.
     """
-    if not (0 < R < 1) or n_r < 3 or n_theta < 8:
-        raise ValidationError("need R in (0,1), n_r >= 3, n_theta >= 8")
+    geometry = Geometry("annulus", R)
+    if n_r < 3 or n_theta < 8:
+        raise ValidationError("need n_r >= 3, n_theta >= 8")
     r = np.linspace(R, 1.0, n_r)
     theta = np.arange(n_theta) * (TWO_PI / n_theta)
     dr = r[1] - r[0]
     dth = TWO_PI / n_theta
     u = np.zeros((n_r, n_theta))
-    u[-1, :] = [float(boundary_fn(t)) for t in theta]
+    u[-1, :] = boundary_fn(theta)
 
     # rows: rings 1..n_r-2
     lower, diag, upper = np.broadcast_arrays(*_polar_rows(r[1:-1], dr, dth, _theta_waves(n_theta)))
@@ -335,7 +334,7 @@ def fd_annulus(boundary_fn, R: float, n_r: int, n_theta: int) -> GridSolution:
     rhs[-1] = -upper[-1] * np.fft.rfft(u[-1])
     sol = spsolve(ModeSystem(lower, diag, upper, (n_r - 2) * n_theta), rhs)
     u[1:-1] = np.fft.irfft(sol, n=n_theta, axis=1)
-    return GridSolution(kind="annulus", axes=(r, theta), values=u, spacings=(dr, dth))
+    return GridSolution(geometry, (r, theta), u, (dr, dth))
 
 
 def fd_disk_coupled(boundary_fn, config: RadialLayerConfig, n_r: int, n_theta: int) -> GridSolution:
@@ -344,6 +343,8 @@ def fd_disk_coupled(boundary_fn, config: RadialLayerConfig, n_r: int, n_theta: i
     Value continuity holds by sharing the interface unknowns; the flux
     row enforces k * du/dr(R+) = du/dr(R-) with one-sided second-order
     differences.  The r=0 row uses the discrete mean-value property.
+    boundary_fn(theta) on r=1 is called once on the theta nodes.  The
+    interface ring is at r = R exactly.
     """
     if not isinstance(config, RadialLayerConfig):
         raise ValidationError("config must be a RadialLayerConfig")
@@ -354,12 +355,12 @@ def fd_disk_coupled(boundary_fn, config: RadialLayerConfig, n_r: int, n_theta: i
     m_out = max(3, n_r - m_in)
     dr_in = R / m_in
     dr_out = (1.0 - R) / m_out
-    radii = np.concatenate([np.arange(m_in + 1) * dr_in, R + np.arange(1, m_out + 1) * dr_out])
+    radii = np.concatenate([np.arange(m_in) * dr_in, R + np.arange(m_out + 1) * dr_out])
     n_rad = radii.size  # index of interface is m_in, boundary is n_rad-1
     theta = np.arange(n_theta) * (TWO_PI / n_theta)
     dth = TWO_PI / n_theta
     u = np.zeros((n_rad, n_theta))
-    u[-1, :] = [float(boundary_fn(t)) for t in theta]
+    u[-1, :] = boundary_fn(theta)
 
     # rows: the centre, then rings 1..n_rad-2; row 0 holds the rfft of a
     # ring of centre values, n_theta u(0) in mode 0 and nothing elsewhere
@@ -386,13 +387,7 @@ def fd_disk_coupled(boundary_fn, config: RadialLayerConfig, n_r: int, n_theta: i
     sol = spsolve(ModeSystem(lower, diag, upper, 1 + (n_rad - 2) * n_theta), rhs)
     u[0] = sol[0, 0].real / n_theta
     u[1:-1] = np.fft.irfft(sol[1:], n=n_theta, axis=1)
-    return GridSolution(
-        kind="disk_coupled",
-        axes=(radii, theta),
-        values=u,
-        spacings=(dr_in, dr_out, dth),
-        meta={"interface": R, "interface_index": m_in},
-    )
+    return GridSolution(config, (radii, theta), u, (dr_in, dr_out, dth), {"interface_index": m_in})
 
 
 # ---------------------------------------------------------------------------

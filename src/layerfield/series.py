@@ -10,6 +10,7 @@ an explicit term count or by a geometric tail tolerance.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -127,6 +128,22 @@ def _ladder_bounds(geometry: Geometry, field, trunc):
     return rho * factor, None if sup is None else (1.0 + rho) * sup
 
 
+#: each problem's coordinates: its layers are cut along the first, p
+AXES = {
+    "strip": ("x", "y"),
+    "halfplane_coupled": ("x", "y"),
+    "disk_coupled": ("r", "theta"),
+    "annulus": ("r", "theta"),
+}
+
+
+def _positive(name, value) -> float:
+    """`value` as a float, if it is a finite number > 0; a bool is not a number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
+    return float(value)
+
+
 class Geometry:
     """Where a problem's layers lie, in its own coordinate p.
 
@@ -135,20 +152,44 @@ class Geometry:
     R <= r <= 1 (interface R).  The coupled problems (k given) add
     layer 2 beyond the interface, x > l or r < R; the strip and the
     annulus have none.  `PlanarLayerConfig` and `RadialLayerConfig` are
-    the validated geometries of the coupled problems.
+    the coupled problems with their named parameters.
+
+    Every problem is checked here: l > 0, R in (0, 1), and k, a1 and a2
+    positive, all finite; only the coupled problems take k.
     """
 
     def __init__(self, kind: str, interface: float, k: float | None = None,
                  a1: float = 1.0, a2: float = 1.0):
-        self.kind, self.interface, self.k, self.a1, self.a2 = kind, interface, k, a1, a2
+        if kind not in AXES:
+            raise ValidationError(f"problem must be one of {tuple(AXES)}, got {kind!r}")
+        self.kind, self.axes = kind, AXES[kind]
+        self.interface = _positive(self.interface_key, interface)
+        if self.radial and not self.interface < 1.0:
+            raise ValidationError(f"R must lie in (0, 1), got {interface!r}")
+        if (k is None) == (kind in ("halfplane_coupled", "disk_coupled")):
+            raise ValidationError("the coupled problems, and only they, take a coupling ratio k")
+        self.k = None if k is None else _positive("k", k)
+        self.a1, self.a2 = _positive("a1", a1), _positive("a2", a2)
 
     @property
     def radial(self) -> bool:
-        return self.kind in ("annulus", "disk_coupled")
+        return self.axes[0] == "r"
 
     @property
     def coupled(self) -> bool:
         return self.k is not None
+
+    @property
+    def interface_key(self) -> str:
+        """The config key of the interface: l on the plane, R on the disk."""
+        return "R" if self.radial else "l"
+
+    @property
+    def domain(self) -> tuple:
+        """The range of p: (0, l) or (0, inf) on the plane, (R, 1) or (0, 1) on the disk."""
+        if self.radial:
+            return (0.0 if self.coupled else self.interface, 1.0)
+        return (0.0, math.inf if self.coupled else self.interface)
 
     @property
     def rho(self) -> float:
@@ -202,18 +243,15 @@ class PlanarLayerConfig(Geometry):
 
     def __init__(self, l: float, k: float, a1: float = 1.0, a2: float = 1.0,
                  lambda1: float | None = None, lambda2: float | None = None):
-        for name, v in (("l", l), ("k", k), ("a1", a1), ("a2", a2)):
-            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ValidationError(f"{name} must be a positive finite number")
+        super().__init__("halfplane_coupled", l, k, a1, a2)
         if (lambda1 is None) != (lambda2 is None):
             raise ValidationError("give both conductivities or neither")
         if lambda1 is not None:
             if lambda1 <= 0 or lambda2 <= 0:
                 raise ValidationError("conductivities must be > 0")
-            implied = (lambda1 / lambda2) * (a2 / a1)
-            if abs(k - implied) > 1e-12 * max(1.0, abs(implied)):
+            implied = (lambda1 / lambda2) * (self.a2 / self.a1)
+            if abs(self.k - implied) > 1e-12 * max(1.0, abs(implied)):
                 raise ValidationError(f"k={k} inconsistent with conductivities (implied {implied})")
-        super().__init__("halfplane_coupled", l, k, a1, a2)
         self.lambda1, self.lambda2 = lambda1, lambda2
 
     @property
@@ -225,10 +263,6 @@ class RadialLayerConfig(Geometry):
     """Coupled disk geometry: annulus R < r < 1 (layer 1) over a core r < R."""
 
     def __init__(self, R: float, k: float):
-        if not (0.0 < R < 1.0):
-            raise ValidationError("interface radius must lie in (0, 1)")
-        if not (math.isfinite(k) and k > 0):
-            raise ValidationError("coupling ratio k must be > 0")
         super().__init__("disk_coupled", R, k)
 
     @property
@@ -321,9 +355,7 @@ def halfplane_coupled(field: HalfPlaneField, config: PlanarLayerConfig, trunc) -
 
 def strip_dirichlet(field: HalfPlaneField, l: float, trunc) -> LayeredSolution:
     """Dirichlet strip solution built from an unweighted reflected ladder."""
-    if l <= 0:
-        raise ValidationError("strip width must be > 0")
-    return series_solution(Geometry("strip", float(l)), field, trunc)
+    return series_solution(Geometry("strip", l), field, trunc)
 
 
 def disk_coupled(field: DiskField, config: RadialLayerConfig, trunc) -> LayeredSolution:
@@ -333,9 +365,7 @@ def disk_coupled(field: DiskField, config: RadialLayerConfig, trunc) -> LayeredS
 
 def annulus_dirichlet(field: DiskField, R: float, trunc) -> LayeredSolution:
     """Dirichlet annulus solution from the unweighted Kelvin ladder."""
-    if not (0.0 < R < 1.0):
-        raise ValidationError("inner radius must lie in (0, 1)")
-    return series_solution(Geometry("annulus", float(R)), field, trunc)
+    return series_solution(Geometry("annulus", R), field, trunc)
 
 
 class RegimeReport:

@@ -17,6 +17,7 @@ import pytest
 
 from layerfield import (
     DiskField,
+    Geometry,
     HalfPlaneField,
     PlanarLayerConfig,
     RadialLayerConfig,
@@ -64,7 +65,7 @@ def test_criterion_1_strip_mode_closed_form():
     ok = True
     for l in (0.3, 0.5, 1.0):
         series = strip_dirichlet(MODE, l, TailTol(1e-12))
-        exact = mode_exact("strip", [(1.0, 1.0, 0.0)], l=l)
+        exact = mode_exact(Geometry("strip", l), [(1.0, 1.0, 0.0)])
         xs = np.linspace(0.05 * l, 0.95 * l, 20)
         ys = np.linspace(-1.0, 1.0, 20)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -85,7 +86,7 @@ def test_criterion_2_annulus_mode_closed_form():
     ok = True
     for n in (1, 2, 5):
         series = annulus_dirichlet(DiskField.single_mode(n), R, TailTol(1e-12))
-        exact = mode_exact("annulus", [(n, 1.0, 0.0)], R=R)
+        exact = mode_exact(Geometry("annulus", R), [(n, 1.0, 0.0)])
         rs = np.linspace(R + 0.05 * (1 - R), 1 - 0.05 * (1 - R), 20)
         # keep |cos(n t)| well away from zero so the relative error is meaningful
         ts = (np.arange(20) % 5) * (2 * math.pi / (5 * n)) + 0.05 / n
@@ -319,12 +320,11 @@ def test_criterion_8_link_identities():
 
 def test_criterion_9_fd_convergence():
     # strip
-    exact = mode_exact("strip", [(1.0, 1.0, 0.0)], l=0.5)
-    lateral = lambda x, y: float(exact.value(x, y))
+    exact = mode_exact(Geometry("strip", 0.5), [(1.0, 1.0, 0.0)])
     errs = []
     grids = []
     for nx, ny in ((17, 65), (33, 129)):
-        gs = fd_strip(lambda y: math.cos(y), 0.5, (-3.0, 3.0), nx, ny, lateral_fn=lateral)
+        gs = fd_strip(np.cos, 0.5, (-3.0, 3.0), nx, ny, lateral_fn=exact.value)
         X, Y = np.meshgrid(gs.axes[0], gs.axes[1], indexing="ij")
         errs.append(float(np.max(np.abs(gs.values - exact.value(X, Y)))))
         grids.append(gs)
@@ -336,10 +336,10 @@ def test_criterion_9_fd_convergence():
     ok = 3.2 <= ratio_strip <= 4.8 and series_vs_fd_strip <= errs[-1] * 1.01 + 1e-12
 
     # annulus
-    aexact = mode_exact("annulus", [(1, 1.0, 0.0)], R=0.7)
+    aexact = mode_exact(Geometry("annulus", 0.7), [(1, 1.0, 0.0)])
     errs = []
     for nr, nt in ((17, 64), (33, 128)):
-        gs = fd_annulus(lambda t: math.cos(t), 0.7, nr, nt)
+        gs = fd_annulus(np.cos, 0.7, nr, nt)
         Rg, Tg = np.meshgrid(gs.axes[0], gs.axes[1], indexing="ij")
         errs.append(float(np.max(np.abs(gs.values - aexact.value(Rg, Tg)))))
         agrid = gs
@@ -351,10 +351,10 @@ def test_criterion_9_fd_convergence():
 
     # coupled disk
     cfg = RadialLayerConfig(R=0.7, k=0.5)
-    dexact = mode_exact("disk_coupled", [(1, 1.0, 0.0)], config=cfg)
+    dexact = mode_exact(cfg, [(1, 1.0, 0.0)])
     errs = []
     for nr, nt in ((20, 64), (40, 128)):
-        gs = fd_disk_coupled(lambda t: math.cos(t), cfg, nr, nt)
+        gs = fd_disk_coupled(np.cos, cfg, nr, nt)
         radii, theta = gs.axes
         iface = gs.meta["interface_index"]
         vals = np.empty_like(gs.values)

@@ -358,11 +358,96 @@ def test_compare_thickness_sweep_first_order(tmp_path, capsys):
 @pytest.mark.parametrize("k", [0.05, 3.0])
 def test_sweep_keeps_the_half_plane_anisotropy(k):
     geo = PlanarLayerConfig(l=0.1, k=k, a1=1.0, a2=4.0)
-    swept, thickness = cli._sweep_geometry("halfplane_coupled", geo, 0.05)
+    swept, thickness = cli._sweep_geometry(geo, 0.05)
     assert (swept.l, thickness) == (0.05, 0.05)
     assert (swept.a1, swept.a2, swept.stretch) == (1.0, 4.0, 0.25)
     assert swept.robin_h == pytest.approx(geo.robin_h, rel=1e-12)
     assert (swept.rho > 0) == (geo.rho > 0)
+
+@pytest.mark.parametrize(
+    "problem, geometry, sweep",
+    [
+        ("halfplane_coupled", {"l": 0.1, "k": 0.05}, {"l": [0.1, 0.05], "R": ["x", 7]}),
+        ("disk_coupled", {"R": 0.96, "k": 0.05}, {"R": [0.98, 0.96], "l": [0.1, 0.05]}),
+    ],
+    ids=["halfplane-R", "disk-l"],
+)
+def test_sweep_takes_only_the_problem_thickness_key(tmp_path, capsys, problem, geometry, sweep):
+    planar = problem == "halfplane_coupled"
+    cfg = {
+        "problem": problem,
+        "geometry": geometry,
+        "boundary": {"modes": [{"omega": 1.0}] if planar else [{"n": 1}]},
+        "methods": ["series", "asymptotic"],
+        "grid": {"x": [0.0, 1.0, 4], "y": [-1.0, 1.0, 4]} if planar else {"r": [0.1, 0.99, 4], "theta": [0.0, 6.0, 4]},
+        "sweep": sweep,
+    }
+    code, stdout, err = run_cli(["compare", "--config", write_config(tmp_path, "sweep.json", cfg)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert f"unknown {problem} sweep field(s): ['{'R' if planar else 'l'}']" in err
+
+
+#: a geometry block per problem with its interface set to a bad value
+BAD_GEOMETRY_BLOCKS = {
+    "strip": lambda bad: {"l": bad},
+    "halfplane_coupled": lambda bad: {"l": bad, "k": 0.5},
+    "annulus": lambda bad: {"R": bad},
+    "disk_coupled": lambda bad: {"R": bad, "k": 0.5},
+}
+BAD_GEOMETRY_CASES = [(p, bad) for p in BAD_GEOMETRY_BLOCKS for bad in (math.nan, -0.5, 0, True)] + [
+    (p, bad) for p in ("annulus", "disk_coupled") for bad in (1, 1.5)
+]
+
+
+@pytest.mark.parametrize("problem, bad", BAD_GEOMETRY_CASES)
+def test_bad_interface_exits_2(tmp_path, capsys, problem, bad):
+    radial = problem in ("annulus", "disk_coupled")
+    cfg = {
+        "problem": problem,
+        "geometry": BAD_GEOMETRY_BLOCKS[problem](bad),
+        "boundary": {"modes": [{"n": 1}] if radial else [{"omega": 1.0}]},
+        "method": "oracle",
+        "grid": {"r": [0.0, 1.0, 3], "theta": [0.0, 6.0, 3]} if radial else {"x": [0.0, 0.1, 3], "y": [0.0, 1.0, 3]},
+    }
+    out = tmp_path / "g.csv"
+    code, _, err = run_cli(["solve", "--config", write_config(tmp_path, "bad.json", cfg), "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "problem, geometry, grid",
+    [
+        ("strip", {"l": 0.5}, {"x": [0.0, 0.5, 5], "y": [-1.0, 1.0, 5]}),
+        ("annulus", {"R": 0.5}, {"r": [0.5, 1.0, 5], "theta": [0.0, 2.0 * math.pi, 8]}),
+        # n_r = 9 puts r = R on both grids: the FD ring and a linspace node
+        ("disk_coupled", {"R": 0.5, "k": 0.3}, {"r": [0.0, 1.0, 9], "theta": [0.0, 2.0 * math.pi, 8]}),
+    ],
+    ids=["strip", "annulus", "disk"],
+)
+def test_fd_and_oracle_csvs_share_header_and_regions(tmp_path, capsys, problem, geometry, grid):
+    fd_out, oracle_out = tmp_path / "fd.csv", tmp_path / "oracle.csv"
+    assert run_cli(["solve", "--config", fd_trace_config(tmp_path, problem, geometry, grid),
+                    "--out", str(fd_out)], capsys)[0] == 0
+    modes = [{"omega": 1.0}] if problem == "strip" else [{"n": 1}]
+    cfg = {"problem": problem, "geometry": geometry, "boundary": {"modes": modes}, "method": "oracle", "grid": grid}
+    assert run_cli(["solve", "--config", write_config(tmp_path, "oracle.json", cfg),
+                    "--out", str(oracle_out)], capsys)[0] == 0
+
+    def regions(path):
+        lines = path.read_text().splitlines()
+        return lines[0], {float(row.split(",")[0]): row.split(",")[2] for row in lines[1:]}
+
+    (fd_header, fd_regions), (oracle_header, oracle_regions) = regions(fd_out), regions(oracle_out)
+    assert fd_header == oracle_header
+    shared = set(fd_regions) & set(oracle_regions)
+    assert len(shared) >= 2
+    assert {p: fd_regions[p] for p in shared} == {p: oracle_regions[p] for p in shared}
+    if problem == "disk_coupled":
+        assert fd_regions[0.5] == "1" and fd_regions[0.0] == "2"
+
 
 def test_compare_needs_two_methods(tmp_path, capsys):
     cfg = strip_config()

@@ -22,7 +22,7 @@ import scipy.sparse.linalg
 
 from layerfield import oracle
 from layerfield.oracle import GridSolution, fd_annulus, fd_disk_coupled, fd_strip
-from layerfield.series import RadialLayerConfig
+from layerfield.series import Geometry, RadialLayerConfig
 
 TWO_PI = 2.0 * math.pi
 #: agreement with the reference, relative to max|u|
@@ -68,7 +68,7 @@ def reference_strip(boundary_fn, l, y_window, n_x, n_y, lateral_fn=None):
     sol = _solve_sparse(rows, cols, data, rhs)
     for m, (i, j) in enumerate(interior):
         u[i, j] = sol[m]
-    return GridSolution(kind="strip", axes=(x, y), values=u, spacings=(dx, dy), meta={"unknowns": rhs.size})
+    return GridSolution(Geometry("strip", l), (x, y), u, (dx, dy), {"unknowns": rhs.size})
 
 
 def _polar_row(rows, cols, data, rhs, m, i_r, j, idx, known, r, dr, dth, n_theta, centre=False):
@@ -114,7 +114,7 @@ def reference_annulus(boundary_fn, R, n_r, n_theta):
     sol = _solve_sparse(rows, cols, data, rhs)
     for m, (i, j) in enumerate(interior):
         u[i, j] = sol[m]
-    return GridSolution(kind="annulus", axes=(r, theta), values=u, spacings=(dr, dth), meta={"unknowns": rhs.size})
+    return GridSolution(Geometry("annulus", R), (r, theta), u, (dr, dth), {"unknowns": rhs.size})
 
 
 def reference_disk(boundary_fn, config, n_r, n_theta):
@@ -123,7 +123,7 @@ def reference_disk(boundary_fn, config, n_r, n_theta):
     m_out = max(3, n_r - m_in)
     dr_in = R / m_in
     dr_out = (1.0 - R) / m_out
-    radii = np.concatenate([np.arange(m_in + 1) * dr_in, R + np.arange(1, m_out + 1) * dr_out])
+    radii = np.concatenate([np.arange(m_in) * dr_in, R + np.arange(m_out + 1) * dr_out])
     n_rad = radii.size
     theta = np.arange(n_theta) * (TWO_PI / n_theta)
     dth = TWO_PI / n_theta
@@ -168,16 +168,15 @@ def reference_disk(boundary_fn, config, n_r, n_theta):
     for i in range(1, n_rad - 1):
         for j in range(n_theta):
             u[i, j] = sol[idx[i, j]]
-    return GridSolution(kind="disk_coupled", axes=(radii, theta), values=u, spacings=(dr_in, dr_out, dth),
-                        meta={"unknowns": rhs.size})
+    return GridSolution(config, (radii, theta), u, (dr_in, dr_out, dth), {"unknowns": rhs.size})
 
 
 def trace(t):
-    return math.cos(t) + 0.3 * math.sin(3.0 * t + 0.2) + 1.0 / 7.0
+    return np.cos(t) + 0.3 * np.sin(3.0 * t + 0.2) + 1.0 / 7.0
 
 
 def lateral(x, y):
-    return math.exp(-x) * math.cos(2.0 * y) + 0.1 * math.pi
+    return np.exp(-x) * np.cos(2.0 * y) + 0.1 * math.pi
 
 
 CASES = {

@@ -17,7 +17,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from layerfield import RadialLayerConfig, mode_exact
+from layerfield import Geometry, RadialLayerConfig, mode_exact
 from layerfield.oracle import fd_annulus, fd_disk_coupled, fd_strip
 
 PROPERTY = settings(max_examples=25, deadline=None)
@@ -41,7 +41,7 @@ def assert_second_order(errors):
 @PROPERTY
 @given(planar_modes, st.floats(0.3, 1.0))
 def test_fd_strip_error_falls_at_second_order(modes, l):
-    exact = mode_exact("strip", modes, l=l)
+    exact = mode_exact(Geometry("strip", l), modes)
     errors = []
     for s in (2, 4):
         # dx = l / (8 s), dy = 1 / (8 s); exact data on every edge
@@ -55,7 +55,7 @@ def test_fd_strip_error_falls_at_second_order(modes, l):
 @PROPERTY
 @given(radial_modes, st.floats(0.3, 0.8))
 def test_fd_annulus_error_falls_at_second_order(modes, R):
-    exact = mode_exact("annulus", modes, R=R)
+    exact = mode_exact(Geometry("annulus", R), modes)
     errors = []
     for s in (2, 4):
         gs = fd_annulus(lambda t: exact.value(1.0, t), R, 8 * s + 1, 32 * s)
@@ -69,7 +69,7 @@ def test_fd_annulus_error_falls_at_second_order(modes, R):
 def test_fd_disk_coupled_error_falls_at_second_order(modes, R, k):
     assume(round(128 * R) == 2 * round(64 * R))
     cfg = RadialLayerConfig(R=R, k=k)
-    exact = mode_exact("disk_coupled", modes, config=cfg)
+    exact = mode_exact(cfg, modes)
     errors = []
     for n_r in (64, 128):
         gs = fd_disk_coupled(lambda t: exact.u1_value(1.0, t), cfg, n_r, 2 * n_r)

@@ -11,7 +11,7 @@ import pytest
 
 from layerfield.cli import _write_compare_csv, write_grid_csv
 from layerfield.oracle import GridSolution
-from layerfield.series import PlanarLayerConfig, RadialLayerConfig
+from layerfield.series import Geometry, PlanarLayerConfig, RadialLayerConfig
 
 SPECIAL = [-0.0, 5e-324, 1e300, -1.5e-17, -1e300, 0.1, 1.0 / 3.0, 2.0]
 PLANAR = PlanarLayerConfig(l=0.4, k=0.3)
@@ -101,9 +101,9 @@ def test_fd_to_csv_matches_per_cell_writer(tmp_path, shape, kind, interface):
         axis1 = np.array([0.45])
     axis2 = np.arange(shape[1]) * (2.0 * np.pi / max(shape[1], 1))
     vals = values((axis1.size, axis2.size), 3)
-    meta = {} if interface is None else {"interface": interface}
-    GridSolution(kind=kind, axes=(axis1, axis2), values=vals, spacings=(0.1, 0.1), meta=meta).to_csv(
-        tmp_path / "new.csv")
+    # the strip and the annulus have one region whatever their interface
+    geometry = Geometry(kind, 0.5) if interface is None else RadialLayerConfig(R=interface, k=2.0)
+    GridSolution(geometry, (axis1, axis2), vals, (0.1, 0.1)).to_csv(tmp_path / "new.csv")
     header = "x,y,region,u" if kind == "strip" else "r,theta,region,u"
     reference_grid_csv(tmp_path / "old.csv", header, axis1, axis2, vals,
                        lambda c1: "2" if interface is not None and c1 < interface else "1")
@@ -116,7 +116,7 @@ def test_compare_csv_matches_per_cell_writer(tmp_path, shape, methods):
     axis1, axis2 = planar_axes(shape)
     grids = [values(shape, 10 + m) for m in range(len(methods))]
     grids[0].flat[0], grids[-1].flat[0] = 1e300, -1e300  # an absdiff that overflows to inf
-    _write_compare_csv(tmp_path / "new.csv", "halfplane_coupled", methods, axis1, axis2, grids)
+    _write_compare_csv(tmp_path / "new.csv", PLANAR, methods, axis1, axis2, grids)
     reference_compare_csv(tmp_path / "old.csv", "x,y", methods, axis1, axis2, grids)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     header = (tmp_path / "new.csv").read_text().splitlines()[0]

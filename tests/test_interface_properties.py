@@ -43,7 +43,8 @@ DISK_THETA = np.linspace(0.0, 2.0 * math.pi, 9, endpoint=False)
 
 def build(problem, geometry, modes, method):
     cfg = {"problem": problem, "geometry": geometry, "boundary": {"modes": modes}, "method": method}
-    return build_solution(cfg, method, boundary_field(cfg), geometry_config(cfg), truncation_policy(cfg))
+    geo = geometry_config(cfg)
+    return build_solution(cfg, method, boundary_field(cfg, geo), geo, truncation_policy(cfg))
 
 
 def sup(modes):

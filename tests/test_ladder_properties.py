@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from layerfield import (
     DiskField,
+    Geometry,
     HalfPlaneField,
     MaxTerms,
     PlanarLayerConfig,
@@ -213,12 +214,12 @@ def test_planar_series_within_tail_of_closed_form(modes, l, k, J):
     u0 = HalfPlaneField(modes)
     x = l * np.linspace(0.0, 1.0, 5)[:, None]
     strip = strip_dirichlet(u0, l, MaxTerms(J))
-    exact = mode_exact("strip", modes, l=l)
+    exact = mode_exact(Geometry("strip", l), modes)
     assert_within_tail(strip.value(x, PLANE_Y), exact.value(x, PLANE_Y), strip.tail_bound)
 
     cfg = PlanarLayerConfig(l=l, k=k)
     sol = halfplane_coupled(u0, cfg, MaxTerms(J))
-    exact = mode_exact("halfplane_coupled", modes, config=cfg)
+    exact = mode_exact(cfg, modes)
     x2 = l + np.linspace(0.0, 2.0, 5)[:, None]
     assert_within_tail(sol.u1_value(x, PLANE_Y), exact.u1_value(x, PLANE_Y), sol.tail_bound)
     assert_within_tail(sol.u2_value(x2, PLANE_Y), exact.u2_value(x2, PLANE_Y), sol.tail_bound)
@@ -230,12 +231,12 @@ def test_radial_series_within_tail_of_closed_form(modes, R, k, J):
     u0 = disk_field(modes)
     r1 = np.linspace(R, 1.0, 5)[:, None]
     annulus = annulus_dirichlet(u0, R, MaxTerms(J))
-    exact = mode_exact("annulus", modes, R=R)
+    exact = mode_exact(Geometry("annulus", R), modes)
     assert_within_tail(annulus.value(r1, DISK_THETA), exact.value(r1, DISK_THETA), annulus.tail_bound)
 
     cfg = RadialLayerConfig(R=R, k=k)
     sol = disk_coupled(u0, cfg, MaxTerms(J))
-    exact = mode_exact("disk_coupled", modes, config=cfg)
+    exact = mode_exact(cfg, modes)
     r2 = np.linspace(0.0, R, 5, endpoint=False)[:, None]
     assert_within_tail(sol.u1_value(r1, DISK_THETA), exact.u1_value(r1, DISK_THETA), sol.tail_bound)
     assert_within_tail(sol.u2_value(r2, DISK_THETA), exact.u2_value(r2, DISK_THETA), sol.tail_bound)

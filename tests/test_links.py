@@ -5,6 +5,7 @@ import pytest
 
 from layerfield import (
     DiskField,
+    Geometry,
     HalfPlaneField,
     MaxTerms,
     PlanarLayerConfig,
@@ -240,7 +241,7 @@ def test_contrast_branch_validation():
 def test_strip_thin_layer_against_separated_solution():
     l = 0.05
     approx = strip_thin_layer(MODE, l).solution
-    exact = mode_exact("strip", [(1.0, 1.0, 0.0)], l=l)
+    exact = mode_exact(Geometry("strip", l), [(1.0, 1.0, 0.0)])
     xs = np.linspace(0.1 * l, 0.9 * l, 15)
     rel = max(
         abs(float(approx.value(x, 0.0)) - float(exact.value(x, 0.0))) / abs(float(exact.value(x, 0.0)))
@@ -249,7 +250,7 @@ def test_strip_thin_layer_against_separated_solution():
     # measured deviation is ~ l (4.84e-2 at l = 0.05); first-order in thickness
     assert rel <= 6e-2
     approx2 = strip_thin_layer(MODE, l / 2).solution
-    exact2 = mode_exact("strip", [(1.0, 1.0, 0.0)], l=l / 2)
+    exact2 = mode_exact(Geometry("strip", l / 2), [(1.0, 1.0, 0.0)])
     rel2 = max(
         abs(float(approx2.value(x, 0.0)) - float(exact2.value(x, 0.0)))
         / abs(float(exact2.value(x, 0.0)))
@@ -319,7 +320,7 @@ def test_disk_large_contrast_vs_series():
 def test_annulus_thin_layer_against_mode_solution():
     R = 0.95
     approx = annulus_thin_layer(DISK1, R).solution
-    exact = mode_exact("annulus", [(1, 1.0, 0.0)], R=R)
+    exact = mode_exact(Geometry("annulus", R), [(1, 1.0, 0.0)])
     rs = np.linspace(R + 0.1 * (1 - R), 1 - 0.1 * (1 - R), 15)
     rel = max(
         abs(float(approx.value(r, 0.0)) - float(exact.value(r, 0.0))) / abs(float(exact.value(r, 0.0)))
@@ -329,7 +330,7 @@ def test_annulus_thin_layer_against_mode_solution():
     assert rel <= 6e-2
     R2 = 0.975
     approx2 = annulus_thin_layer(DISK1, R2).solution
-    exact2 = mode_exact("annulus", [(1, 1.0, 0.0)], R=R2)
+    exact2 = mode_exact(Geometry("annulus", R2), [(1, 1.0, 0.0)])
     rel2 = max(
         abs(float(approx2.value(r, 0.0)) - float(exact2.value(r, 0.0)))
         / abs(float(exact2.value(r, 0.0)))

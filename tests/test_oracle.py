@@ -59,19 +59,19 @@ def test_brute_series_doubling_within_tail():
 
 
 def test_mode_exact_strip_value():
-    sol = mode_exact("strip", [(1.0, 1.0, 0.0)], l=0.5)
+    sol = mode_exact(Geometry("strip", 0.5), [(1.0, 1.0, 0.0)])
     assert sol.value(0.25, 0.0) == pytest.approx(math.sinh(0.25) / math.sinh(0.5))
     assert sol.value(0.25, 0.0) == pytest.approx(0.4847718146, abs=1e-9)
 
 
 def test_mode_exact_annulus_value():
-    sol = mode_exact("annulus", [(1, 1.0, 0.0)], R=0.7)
+    sol = mode_exact(Geometry("annulus", 0.7), [(1, 1.0, 0.0)])
     assert sol.value(0.85, 0.0) == pytest.approx((0.85 - 0.49 / 0.85) / 0.51)
 
 
 def test_mode_exact_disk_homogeneous():
     cfg = RadialLayerConfig(R=0.7, k=1.0)
-    sol = mode_exact("disk_coupled", [(1, 1.0, 0.0)], config=cfg)
+    sol = mode_exact(cfg, [(1, 1.0, 0.0)])
     assert sol.u1_value(0.9, 0.3) == pytest.approx(0.9 * math.cos(0.3))
     assert sol.u2_value(0.4, 0.3) == pytest.approx(0.4 * math.cos(0.3))
 
@@ -79,7 +79,7 @@ def test_mode_exact_disk_homogeneous():
 def test_mode_exact_constant_disk_mode_is_one():
     r1, r2 = np.linspace(0.7, 1.0, 5), np.linspace(0.0, 0.7, 5)
     for k in (0.05, 0.5, 1.0, 20.0):
-        sol = mode_exact("disk_coupled", [(0, 1.0, 0.0)], config=RadialLayerConfig(R=0.7, k=k))
+        sol = mode_exact(RadialLayerConfig(R=0.7, k=k), [(0, 1.0, 0.0)])
         # 1 - rho loses about log2(1/k) bits to cancellation at small k
         assert np.max(np.abs(sol.u1_value(r1, 0.3) - 1.0)) <= 1e-14
         assert np.max(np.abs(sol.u2_value(r2, 0.3) - 1.0)) <= 1e-14
@@ -88,21 +88,21 @@ def test_mode_exact_constant_disk_mode_is_one():
 
 def test_mode_exact_rejects_negative_radial_mode():
     with pytest.raises(ValidationError):
-        mode_exact("disk_coupled", [(-1, 1.0, 0.0)], config=RadialLayerConfig(R=0.7, k=0.5))
+        mode_exact(RadialLayerConfig(R=0.7, k=0.5), [(-1, 1.0, 0.0)])
 
 
 # --- finite-difference solvers -----------------------------------------------------
 
 
 def _strip_fd_error(nx, ny):
-    exact = mode_exact("strip", [(1.0, 1.0, 0.0)], l=0.5)
+    exact = mode_exact(Geometry("strip", 0.5), [(1.0, 1.0, 0.0)])
     gs = fd_strip(
-        lambda y: math.cos(y),
+        np.cos,
         0.5,
         (-3.0, 3.0),
         nx,
         ny,
-        lateral_fn=lambda x, y: float(exact.value(x, y)),
+        lateral_fn=exact.value,
     )
     X, Y = np.meshgrid(gs.axes[0], gs.axes[1], indexing="ij")
     return float(np.max(np.abs(gs.values - exact.value(X, Y))))
@@ -127,8 +127,8 @@ def test_fd_strip_linear_profile_for_constant_data():
 
 
 def _annulus_fd_error(nr, nt):
-    exact = mode_exact("annulus", [(1, 1.0, 0.0)], R=0.7)
-    gs = fd_annulus(lambda t: math.cos(t), 0.7, nr, nt)
+    exact = mode_exact(Geometry("annulus", 0.7), [(1, 1.0, 0.0)])
+    gs = fd_annulus(np.cos, 0.7, nr, nt)
     Rg, Tg = np.meshgrid(gs.axes[0], gs.axes[1], indexing="ij")
     return float(np.max(np.abs(gs.values - exact.value(Rg, Tg))))
 
@@ -151,8 +151,8 @@ def test_fd_annulus_zero_and_log_profile():
 
 def _disk_fd_error(nr, nt):
     cfg = RadialLayerConfig(R=0.7, k=0.5)
-    exact = mode_exact("disk_coupled", [(1, 1.0, 0.0)], config=cfg)
-    gs = fd_disk_coupled(lambda t: math.cos(t), cfg, nr, nt)
+    exact = mode_exact(cfg, [(1, 1.0, 0.0)])
+    gs = fd_disk_coupled(np.cos, cfg, nr, nt)
     radii, theta = gs.axes
     iface = gs.meta["interface_index"]
     vals = np.empty_like(gs.values)
@@ -170,7 +170,7 @@ def test_fd_disk_coupled_second_order_convergence():
 
 def test_fd_disk_coupled_homogeneous_matches_single_region():
     cfg = RadialLayerConfig(R=0.5, k=1.0)
-    gs = fd_disk_coupled(lambda t: math.cos(t), cfg, 24, 48)
+    gs = fd_disk_coupled(np.cos, cfg, 24, 48)
     radii, theta = gs.axes
     # k = 1 removes the interface: the exact solution is r cos(theta)
     exact = radii[:, None] * np.cos(theta[None, :])
@@ -184,12 +184,46 @@ def test_fd_disk_coupled_zero_data():
 
 
 def test_grid_solution_csv(tmp_path):
-    gs = fd_strip(lambda y: math.cos(y), 0.5, (-1.0, 1.0), 5, 5)
+    gs = fd_strip(np.cos, 0.5, (-1.0, 1.0), 5, 5)
     path = tmp_path / "grid.csv"
     gs.to_csv(path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x,y,region,u"
     assert len(lines) == 1 + 25
+
+
+def test_mode_exact_needs_a_geometry():
+    with pytest.raises(ValidationError):
+        mode_exact("strip", [(1.0, 1.0, 0.0)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.5, 0.0, True])
+def test_fd_strip_refuses_a_bad_width(bad):
+    with pytest.raises(ValidationError):
+        fd_strip(np.cos, bad, (-1.0, 1.0), 5, 5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.5, 0.0, True, 1.0, 1.5])
+def test_fd_annulus_refuses_a_bad_radius(bad):
+    with pytest.raises(ValidationError):
+        fd_annulus(np.cos, bad, 5, 8)
+
+
+def test_fd_disk_coupled_refuses_another_geometry():
+    with pytest.raises(ValidationError):
+        fd_disk_coupled(np.cos, Geometry("annulus", 0.5), 8, 8)
+
+
+@pytest.mark.parametrize("R, n_r", [(0.75, 392), (0.2, 57), (0.1, 106), (0.05, 211), (0.5, 8), (0.8, 300)])
+def test_fd_disk_interface_ring_is_at_R_in_layer_1(tmp_path, R, n_r):
+    # on all pairs but (0.5, 8) and (0.8, 300), m_in steps of R / m_in
+    # sum to 1 ulp below R
+    gs = fd_disk_coupled(np.cos, RadialLayerConfig(R=R, k=0.5), n_r, 8)
+    inner = gs.meta["interface_index"]
+    assert gs.axes[0][inner] == R
+    gs.to_csv(tmp_path / "disk.csv")
+    row = (tmp_path / "disk.csv").read_text().splitlines()[1 + 8 * inner].split(",")
+    assert (float(row[0]), row[2]) == (R, "1")
 
 
 # --- residual report ----------------------------------------------------------------
@@ -208,7 +242,7 @@ def test_residual_report_series_solution():
 
 def test_residual_report_mode_exact_is_clean():
     cfg = PlanarLayerConfig(l=0.3, k=0.5)
-    exact = mode_exact("halfplane_coupled", [(1.0, 1.0, 0.0)], config=cfg)
+    exact = mode_exact(cfg, [(1.0, 1.0, 0.0)])
     rep = residual_report(exact, MODE)
     assert rep.boundary_mismatch <= 1e-12
     assert rep.value_jump <= 1e-12

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layerfield import PlanarLayerConfig, RadialLayerConfig, mode_exact
+from layerfield import Geometry, PlanarLayerConfig, RadialLayerConfig, mode_exact
 
 PROPERTY = settings(max_examples=60, deadline=None)
 STEP = 1e-6
@@ -50,10 +50,10 @@ def assert_derivative(value, deriv, p, q, radial):
 @PROPERTY
 @given(modes=planar_modes, l=widths, k=contrasts, a1=stretches, a2=stretches)
 def test_planar_oracle_derivatives(modes, l, k, a1, a2):
-    strip = mode_exact("strip", modes, l=l)
+    strip = mode_exact(Geometry("strip", l), modes)
     assert_derivative(strip.value, strip.deriv, l * INSIDE, PLANE_Y, radial=False)
 
-    exact = mode_exact("halfplane_coupled", modes, config=PlanarLayerConfig(l=l, k=k, a1=a1, a2=a2))
+    exact = mode_exact(PlanarLayerConfig(l=l, k=k, a1=a1, a2=a2), modes)
     assert_derivative(exact.u1_value, exact.u1_deriv, l * INSIDE, PLANE_Y, radial=False)
     assert_derivative(exact.u2_value, exact.u2_deriv, l + 2.0 * INSIDE, PLANE_Y, radial=False)
 
@@ -62,9 +62,9 @@ def test_planar_oracle_derivatives(modes, l, k, a1, a2):
 @given(modes=radial_modes, annulus_data=annulus_modes, R=radii, k=contrasts)
 def test_radial_oracle_derivatives(modes, annulus_data, R, k):
     layer1 = R + (1.0 - R) * INSIDE
-    annulus = mode_exact("annulus", annulus_data, R=R)
+    annulus = mode_exact(Geometry("annulus", R), annulus_data)
     assert_derivative(annulus.value, annulus.deriv, layer1, DISK_THETA, radial=True)
 
-    exact = mode_exact("disk_coupled", modes, config=RadialLayerConfig(R=R, k=k))
+    exact = mode_exact(RadialLayerConfig(R=R, k=k), modes)
     assert_derivative(exact.u1_value, exact.u1_deriv, layer1, DISK_THETA, radial=True)
     assert_derivative(exact.u2_value, exact.u2_deriv, R * INSIDE, DISK_THETA, radial=True)

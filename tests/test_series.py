@@ -7,6 +7,7 @@ from layerfield import (
     CapabilityError,
     ConvergenceError,
     DiskField,
+    Geometry,
     HalfPlaneField,
     MaxTerms,
     PlanarLayerConfig,
@@ -42,6 +43,44 @@ def test_config_conductivity_consistency():
     PlanarLayerConfig(l=0.5, k=0.5, lambda1=1.0, lambda2=2.0)
     with pytest.raises(ValidationError):
         PlanarLayerConfig(l=0.5, k=0.6, lambda1=1.0, lambda2=2.0)
+
+
+#: a coupling ratio for the coupled kinds, none for the strip and the annulus
+KIND_K = {"strip": None, "halfplane_coupled": 0.5, "annulus": None, "disk_coupled": 0.5}
+RADIAL_KINDS = ("annulus", "disk_coupled")
+#: interfaces no kind accepts, and those only a radial kind refuses
+BAD_INTERFACES = [math.nan, -0.5, 0.0, True]
+BAD_RADII = [1.0, 1.5]
+BAD_GEOMETRIES = [(kind, bad) for kind in KIND_K for bad in BAD_INTERFACES] + [
+    (kind, bad) for kind in RADIAL_KINDS for bad in BAD_RADII
+]
+
+
+@pytest.mark.parametrize("kind, bad", BAD_GEOMETRIES)
+def test_geometry_rejects_a_bad_interface(kind, bad):
+    with pytest.raises(ValidationError):
+        Geometry(kind, bad, KIND_K[kind])
+
+
+@pytest.mark.parametrize("kind", list(KIND_K))
+def test_geometry_axes_and_domain(kind):
+    geo = Geometry(kind, 0.4, KIND_K[kind])
+    radial = kind in RADIAL_KINDS
+    assert geo.axes == (("r", "theta") if radial else ("x", "y"))
+    assert geo.radial == radial and geo.coupled == (KIND_K[kind] is not None)
+    assert geo.domain == {
+        "strip": (0.0, 0.4), "halfplane_coupled": (0.0, math.inf), "annulus": (0.4, 1.0), "disk_coupled": (0.0, 1.0),
+    }[kind]
+
+
+def test_geometry_takes_k_on_the_coupled_problems_only():
+    with pytest.raises(ValidationError):
+        Geometry("strip", 0.5, 0.5)
+    with pytest.raises(ValidationError):
+        Geometry("disk_coupled", 0.5)
+    with pytest.raises(ValidationError):
+        Geometry("wedge", 0.5)
+    assert Geometry("strip", 1.5).interface == 1.5  # a planar interface may exceed 1
 
 
 def test_radial_robin_parameter_sign():
@@ -87,7 +126,7 @@ def test_strip_boundary_telescoping():
 def test_strip_matches_separated_solution():
     l = 0.5
     sol = strip_dirichlet(MODE, l, TailTol(1e-12))
-    exact = mode_exact("strip", [(1.0, 1.0, 0.0)], l=l)
+    exact = mode_exact(Geometry("strip", l), [(1.0, 1.0, 0.0)])
     assert exact.value(0.25, 0.0) == pytest.approx(math.sinh(0.25) / math.sinh(0.5))
     xs = np.linspace(0.02, 0.48, 12)
     ys = np.linspace(-1, 1, 9)
@@ -97,7 +136,7 @@ def test_strip_matches_separated_solution():
 
 def test_strip_monotone_truncation():
     l = 0.4
-    exact = mode_exact("strip", [(1.0, 1.0, 0.0)], l=l)
+    exact = mode_exact(Geometry("strip", l), [(1.0, 1.0, 0.0)])
     point = (0.17, 0.6)
     devs = []
     for j in range(1, 14):
@@ -109,7 +148,7 @@ def test_strip_monotone_truncation():
 
 def test_disk_monotone_truncation():
     cfg = RadialLayerConfig(R=0.8, k=0.3)
-    exact = mode_exact("disk_coupled", [(1, 1.0, 0.0)], config=cfg)
+    exact = mode_exact(cfg, [(1, 1.0, 0.0)])
     point = (0.9, 0.7)
     devs = []
     for j in range(1, 14):
@@ -159,7 +198,7 @@ def test_halfplane_boundary_telescoping(k):
 def test_halfplane_matches_geometric_closed_form(k):
     cfg = PlanarLayerConfig(l=0.3, k=k)
     sol = halfplane_coupled(MODE, cfg, TailTol(1e-11))
-    exact = mode_exact("halfplane_coupled", [(1.0, 1.0, 0.0)], config=cfg)
+    exact = mode_exact(cfg, [(1.0, 1.0, 0.0)])
     ys = np.linspace(-1, 1, 7)
     for x in np.linspace(0.02, 0.28, 6):
         assert np.max(np.abs(sol.u1_value(x, ys) - exact.u1_value(x, ys))) <= 10 * sol.tail_bound
@@ -182,7 +221,7 @@ def test_halfplane_coupling_conditions_on_modes():
 def test_halfplane_anisotropic_stretch():
     cfg = PlanarLayerConfig(l=0.3, k=0.5, a1=2.0, a2=1.0)
     sol = halfplane_coupled(MODE, cfg, TailTol(1e-11))
-    exact = mode_exact("halfplane_coupled", [(1.0, 1.0, 0.0)], config=cfg)
+    exact = mode_exact(cfg, [(1.0, 1.0, 0.0)])
     ys = np.linspace(-1, 1, 5)
     for x in (0.4, 0.8):
         assert np.max(np.abs(sol.u2_value(x, ys) - exact.u2_value(x, ys))) <= 1e-9
@@ -215,7 +254,7 @@ def test_disk_matches_geometric_closed_form(n, k):
     field = DiskField.single_mode(n)
     cfg = RadialLayerConfig(R=0.7, k=k)
     sol = disk_coupled(field, cfg, TailTol(1e-11))
-    exact = mode_exact("disk_coupled", [(n, 1.0, 0.0)], config=cfg)
+    exact = mode_exact(cfg, [(n, 1.0, 0.0)])
     ts = np.linspace(0, 2 * math.pi, 9)
     for r in np.linspace(0.72, 0.99, 5):
         assert np.max(np.abs(sol.u1_value(r, ts) - exact.u1_value(r, ts))) <= 1e-9
@@ -265,7 +304,7 @@ def test_annulus_constant_mode_log_profile():
     # mixed data: the log profile rides on top of the ladder for the other modes
     mixed = DiskField(np.array([2.0, 1.0]), np.array([0.0, 0.0]))
     sol = annulus_dirichlet(mixed, 0.7, TailTol(1e-12))
-    exact = mode_exact("annulus", [(1, 1.0, 0.0)], R=0.7)
+    exact = mode_exact(Geometry("annulus", 0.7), [(1, 1.0, 0.0)])
     want = exact.value(rs, 1.0) + np.log(rs / 0.7) / math.log(1 / 0.7)
     assert np.max(np.abs(sol.value(rs, 1.0) - want)) <= 1e-11
 
