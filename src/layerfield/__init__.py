@@ -24,22 +24,17 @@ __version__ = "0.1.0"
 #: submodule defining each exported name
 _EXPORTS = {
     **dict.fromkeys([
-        "ApproxResult", "ExpProfile", "TVEstimate", "annulus_thin_layer", "bernoulli",
-        "disk_large_contrast", "disk_small_contrast", "em_ray_sum",
-        "halfplane_large_contrast", "halfplane_small_contrast", "log_sum_bound",
-        "neumann_link_disk", "neumann_link_halfplane", "ray_sum_bound",
-        "robin_link_disk", "robin_link_halfplane", "strip_thin_layer",
+        "ApproxResult", "ExpProfile", "TVEstimate", "bernoulli", "disk_small_contrast",
+        "em_ray_sum", "halfplane_small_contrast", "log_sum_bound", "ray_sum_bound",
         "thin_layer_solution", "total_variation"
     ], ".asymptotics"),
     **dict.fromkeys([
         "ArbiterInsufficientError", "CapabilityError", "CapacityError",
         "ConvergenceError", "EstimationError", "LayerFieldError",
-        "SolvabilityError", "UndersamplingError", "ValidationError",
-        "WindowTooSmallError"
+        "SolvabilityError", "UndersamplingError", "ValidationError"
     ], ".errors"),
     **dict.fromkeys([
-        "BoundaryTrace", "DiskField", "HalfPlaneField", "disk_from_boundary",
-        "halfplane_poisson_eval"
+        "BoundaryTrace", "DiskField", "HalfPlaneField", "disk_from_boundary"
     ], ".harmonic"),
     **dict.fromkeys([
         "BruteSum", "ErrorReport", "GridSolution", "brute_series", "fd_annulus",
@@ -47,9 +42,8 @@ _EXPORTS = {
     ], ".oracle"),
     **dict.fromkeys([
         "Geometry", "LayeredSolution", "MaxTerms", "PlanarLayerConfig",
-        "RadialLayerConfig", "RegimeReport", "TailTol", "annulus_dirichlet",
-        "convergence_diagnostic", "disk_coupled", "geometric_tail_terms",
-        "halfplane_coupled", "strip_dirichlet"
+        "RadialLayerConfig", "RegimeReport", "TailTol", "convergence_diagnostic",
+        "geometric_tail_terms", "series_solution"
     ], ".series"),
 }
 

@@ -20,16 +20,8 @@ images.  No route calls the engine yet: the higher-order terms will.
 from .bernoulli import bernoulli
 from .links import (
     ApproxResult,
-    annulus_thin_layer,
-    disk_large_contrast,
     disk_small_contrast,
-    halfplane_large_contrast,
     halfplane_small_contrast,
-    neumann_link_disk,
-    neumann_link_halfplane,
-    robin_link_disk,
-    robin_link_halfplane,
-    strip_thin_layer,
     thin_layer_solution,
 )
 from .summation import (
@@ -46,21 +38,13 @@ __all__ = [
     "ApproxResult",
     "ExpProfile",
     "TVEstimate",
-    "annulus_thin_layer",
     "bernoulli",
-    "disk_large_contrast",
     "disk_small_contrast",
     "em_ray_sum",
-    "halfplane_large_contrast",
     "halfplane_small_contrast",
     "log_sum_bound",
-    "neumann_link_disk",
-    "neumann_link_halfplane",
     "ray_sum_bound",
     "ray_total_variation",
-    "robin_link_disk",
-    "robin_link_halfplane",
-    "strip_thin_layer",
     "thin_layer_solution",
     "total_variation",
 ]

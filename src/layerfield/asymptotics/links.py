@@ -2,11 +2,12 @@
 
 The Robin companion of a model field integrates it against an
 exponential (planar) or power-law (radial) kernel; on modes the link is
-a plain rescaling of each coefficient.  The Neumann companion is the
-decaying primitive.  `thin_layer_solution` assembles the companion at
-the geometry's Robin parameter into a closed-form substitute for the
-image-ladder solution, with the rigorous variation bound of the
-leading-order step where one is known.
+a plain rescaling of each coefficient, and a planar boundary source
+maps to an exponential integral in closed form.  The Neumann companion
+is the decaying primitive.  `thin_layer_solution` assembles the
+companion at the geometry's Robin parameter into a closed-form
+substitute for the image-ladder solution, with the rigorous variation
+bound of the leading-order step where one is known.
 """
 
 from __future__ import annotations
@@ -22,27 +23,53 @@ from ..harmonic import DiskField, HalfPlaneField
 from ..series import Geometry, LayeredSolution, PlanarLayerConfig, RadialLayerConfig
 # benchmarks/tracer.py times the variation estimators under these names,
 # ray_total_variation included, though no route here calls it
-from .summation import quad, total_variation, ray_total_variation, ray_window
+from .summation import total_variation, ray_total_variation, ray_window
+
+#: Re(zeta) from which e^zeta E1(zeta) is summed by Gauss-Laguerre: e^zeta
+#: overflows from Re(zeta) ~ 710, and E1 underflows with it
+_LAGUERRE_FROM = 50.0
+#: Gauss-Laguerre nodes; 24 match e^zeta E1(zeta) to 3e-15 from Re(zeta) = 10 on
+_LAGUERRE_NODES = 24
 
 
-class _QuadratureRobinHalfPlane:
-    """Robin companion of a source-bearing field, by direct quadrature."""
+def _exp_e1(zeta):
+    """e^zeta E1(zeta) elementwise, for Re(zeta) >= 0 (DLMF 6.2).
+
+    It is int_0^inf e^-t / (zeta + t) dt: below Re(zeta) = 50 from scipy's
+    complex `exp1`, imported here on first use so that mode-only runs
+    never load scipy; above it by Gauss-Laguerre on that integral, where
+    the plain product would be inf * 0.
+    """
+    from scipy.special import exp1
+
+    zeta = np.asarray(zeta, dtype=complex)
+    out = np.empty(zeta.shape, dtype=complex)
+    far = zeta.real >= _LAGUERRE_FROM
+    out[~far] = np.exp(zeta[~far]) * exp1(zeta[~far])
+    if far.any():
+        t, w = np.polynomial.laguerre.laggauss(_LAGUERRE_NODES)
+        out[far] = (w / (zeta[far][:, None] + t)).sum(axis=-1)
+    return out
+
+
+class _SourceRobinHalfPlane:
+    """Robin companion of a field with boundary sources, in closed form.
+
+    With z = x + i(y - t), a source (q/pi) x/|z|^2 = (q/pi) Re(1/z) has
+    the companion (q/pi) Re[e^(-hz) E1(-hz)]; the modes are rescaled as
+    on a mode-only field.
+    """
 
     def __init__(self, field: HalfPlaneField, h: float):
         self.field = field
         self.h = h
+        self.modes = _planar_link(HalfPlaneField(modes=field.modes), h)
 
     def value(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = np.empty(np.broadcast(x, y).shape)
-        flat = out.reshape(-1)
-        xs = np.broadcast_to(x, out.shape).reshape(-1)
-        ys = np.broadcast_to(y, out.shape).reshape(-1)
-        for i, (xi, yi) in enumerate(zip(xs, ys)):
-            flat[i] = quad(
-                lambda e: math.exp(self.h * e) * float(self.field.value(xi + e, yi)), 0.0, math.inf
-            )
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        out = np.array(self.modes.value(x, y), dtype=float)
+        for t, q in self.field.sources:
+            out += (q / math.pi) * _exp_e1(-self.h * (x + 1j * (y - t))).real
         return out if out.shape else float(out)
 
     def deriv_x(self, x, y):
@@ -59,33 +86,16 @@ class _QuadratureRobinHalfPlane:
 def _planar_link(field: HalfPlaneField, h: float):
     """The field with mode w divided by (w - h), for h <= 0.
 
-    A field with sources takes the quadrature companion; at h = 0 it has
-    none, since its Neumann primitive need not decay.
+    A field with sources takes the closed-form companion; at h = 0 it
+    has none, since its Neumann primitive need not decay.  The Neumann
+    companion of a mode field, its decaying primitive, is minus the
+    field at h = 0.
     """
     if not field.has_sources:
         return HalfPlaneField(modes=[(a / (w - h), w, p) for a, w, p in field.modes])
     if h == 0.0:
         raise ValidationError("Neumann companion needs a decaying mode representation")
-    return _QuadratureRobinHalfPlane(field, h)
-
-
-def robin_link_halfplane(field: HalfPlaneField, h: float):
-    """Robin companion u3(x,y) = int_0^inf e^(he) u(x+e, y) de, h < 0.
-
-    Satisfies d/dx u3 + h u3 + u = 0; a mode of frequency w maps to the
-    same mode divided by (w - h).
-    """
-    if not (h < 0 and math.isfinite(h)):
-        raise ValidationError("planar Robin link requires h < 0")
-    return _planar_link(field, h)
-
-
-def neumann_link_halfplane(field: HalfPlaneField) -> HalfPlaneField:
-    """Neumann companion u2 with d/dx u2 = u everywhere; decaying modes only.
-
-    It is minus the field with mode w divided by w.
-    """
-    return HalfPlaneField(modes=[(-a, w, p) for a, w, p in _planar_link(field, 0.0).modes])
+    return _SourceRobinHalfPlane(field, h)
 
 
 def _radial_link(field: DiskField, h: float) -> DiskField:
@@ -102,21 +112,6 @@ def _radial_link(field: DiskField, h: float) -> DiskField:
             )
         n[0] = math.inf
     return DiskField(field.cos_coeffs / n, field.sin_coeffs / n)
-
-
-def robin_link_disk(field: DiskField, h: float) -> DiskField:
-    """Radial Robin companion u3(r,t) = int_0^1 e^(h-1) u(r e, t) de, h > 0.
-
-    Satisfies L0 u3 + h u3 - u = 0; mode n maps to itself over (n + h).
-    """
-    if not (h > 0 and math.isfinite(h)):
-        raise ValidationError("radial Robin link requires h > 0")
-    return _radial_link(field, h)
-
-
-def neumann_link_disk(field: DiskField) -> DiskField:
-    """Radial Neumann companion u2 with L0 u2 = u; needs mean-zero data."""
-    return _radial_link(field, 0.0)
 
 
 class ApproxResult:
@@ -191,6 +186,7 @@ def thin_layer_solution(geometry: Geometry, field) -> ApproxResult:
     return ApproxResult(solution, bound_at, probes)
 
 
+# benchmarks/workloads.py reads `.bound` through the next two names; ROADMAP item 5 unpins them
 def halfplane_small_contrast(field: HalfPlaneField, config: PlanarLayerConfig) -> ApproxResult:
     """Low-contrast (k < 1) thin-layer approximation of the coupled half-plane.
 
@@ -204,40 +200,8 @@ def halfplane_small_contrast(field: HalfPlaneField, config: PlanarLayerConfig) -
     return thin_layer_solution(config, field)
 
 
-def halfplane_large_contrast(field: HalfPlaneField, config: PlanarLayerConfig) -> ApproxResult:
-    """High-contrast (k > 1) variant via the even/odd ladder split.
-
-    The transfer field is the two-term ladder u3(x,y) - |rho|*u3(x+2l,y),
-    weighted by 1/(4l).
-    """
-    if not (config.k > 1.0):
-        raise ValidationError("high-contrast approximation needs k > 1")
-    return thin_layer_solution(config, field)
-
-
-def strip_thin_layer(field: HalfPlaneField, l: float) -> ApproxResult:
-    """Thin-strip approximation u ~ (u3(x,y) - u3(2l-x,y)) / (2l), u3 the field with mode w over w."""
-    return thin_layer_solution(Geometry("strip", l), field)
-
-
 def disk_small_contrast(field: DiskField, config: RadialLayerConfig) -> ApproxResult:
     """Low-contrast (k < 1) thin-shell approximation of the coupled disk."""
     if not (0.0 < config.k < 1.0):
         raise ValidationError("low-contrast approximation needs 0 < k < 1")
     return thin_layer_solution(config, field)
-
-
-def disk_large_contrast(field: DiskField, config: RadialLayerConfig) -> ApproxResult:
-    """High-contrast (k > 1) disk variant via the even/odd ladder split.
-
-    The transfer field is the two-term ladder u3(r,t) - |rho|*u3(R^2 r,t),
-    weighted by 1/(2 ln(1/R^2)).
-    """
-    if not (config.k > 1.0):
-        raise ValidationError("high-contrast approximation needs k > 1")
-    return thin_layer_solution(config, field)
-
-
-def annulus_thin_layer(field: DiskField, R: float) -> ApproxResult:
-    """Thin-annulus approximation u ~ (u2(r,t) - u2(R^2/r,t)) / ln(1/R^2)."""
-    return thin_layer_solution(Geometry("annulus", R), field)

@@ -10,6 +10,7 @@ them all (the mapping is in the `asymptotics` docstring).
 Alongside the expansion, this module carries the rigorous
 total-variation error bounds for the zeroth-order (integral-only)
 approximations and the refinement-based variation estimator they need.
+Nothing here loads scipy.
 """
 
 from __future__ import annotations
@@ -24,17 +25,6 @@ from .bernoulli import bernoulli
 
 #: maximum number of Bernoulli correction terms
 MAX_ORDER = 5
-
-
-def quad(fn, lo: float, hi: float) -> float:
-    """Adaptive quadrature of fn over [lo, hi].
-
-    scipy is imported here, on first use, so that mode-only runs never
-    load it.
-    """
-    from scipy import integrate
-
-    return integrate.quad(fn, lo, hi, limit=200)[0]
 
 
 class ExpProfile:

@@ -461,6 +461,9 @@ def _solve_fd(cfg, args, geo) -> int:
         else:
             gs = fd_annulus(fn, geo.interface, axis1.size, axis2.size)
     else:
+        (lo, hi), (y0, y1, _) = trace.window, spec[1]
+        if y0 < lo - 1e-9 or y1 > hi + 1e-9:
+            raise ValidationError(f"grid axis y spans [{y0!r}, {y1!r}], beyond the trace window [{lo!r}, {hi!r}]")
         fn = lambda yy: np.interp(yy, trace.abscissae, trace.values)
         # the lateral edges carry the harmonic f(y_edge) (1 - x/l), which
         # meets the trace at x = 0 and the zero side at x = l
@@ -712,6 +715,9 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        ignored = sorted({"sweep", "methods"} & set(cfg)) if args.command != "compare" else []
+        if ignored:
+            raise ValidationError(f"{args.command} reads no {' or '.join(ignored)} block; only compare does")
         return args.fn(cfg, args)
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)

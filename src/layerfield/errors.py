@@ -38,13 +38,5 @@ class UndersamplingError(ValidationError):
     """Too few boundary samples for the requested mode resolution."""
 
 
-class WindowTooSmallError(ValidationError):
-    """Trace window cannot meet the requested truncation tolerance."""
-
-    def __init__(self, message, tail_bound=None):
-        super().__init__(message)
-        self.tail_bound = tail_bound
-
-
 class CapacityError(LayerFieldError):
     """Requested index exceeds a precomputed table's capacity."""

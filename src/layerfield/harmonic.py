@@ -5,33 +5,19 @@ cosine modes (optionally with boundary point sources) on the right
 half-plane, and finite Fourier sums on the unit disk.  Both evaluate
 exactly on arrays, expose exact first derivatives (d/dx on the plane,
 r d/dr on the disk) and sum their own image ladders per mode.  The
-module also reads sampled boundary traces, projects circle traces onto
-disk modes, and extends planar traces by the Poisson integral.
+module also reads sampled boundary traces and projects circle traces
+onto disk modes.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    CapabilityError,
-    UndersamplingError,
-    ValidationError,
-    WindowTooSmallError,
-)
+from .errors import CapabilityError, UndersamplingError, ValidationError
 
 TWO_PI = 2.0 * math.pi
-
-
-def _xy(p):
-    """An (x, y) pair as two finite floats."""
-    x, y = float(p[0]), float(p[1])
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValidationError("point coordinates must be finite")
-    return x, y
 
 
 def geometric_weights(ratio: float, decay, terms: int) -> np.ndarray:
@@ -332,57 +318,6 @@ class BoundaryTrace:
             raise ValidationError(f"no usable samples in {path!s}")
         t, v = zip(*rows)
         return cls(np.array(t), np.array(v))
-
-
-def _check_halfplane_decay(trace: BoundaryTrace):
-    """Reject traces that grow toward the window ends.
-
-    Growth at the ends breaks the tail estimate of the Poisson integral
-    (the data must stay bounded by its mid-window scale).
-    """
-    v = np.abs(trace.values)
-    n = v.size
-    edge = max(n // 10, 1)
-    outer = max(v[:edge].max(), v[-edge:].max())
-    mid = v[n // 4 : max(n // 4 + 1, 3 * n // 4)].max()
-    if outer > mid * (1.0 + 1e-9) + 1e-300:
-        raise ValidationError(
-            "boundary trace grows toward the window ends; "
-            "it must stay bounded for the half-plane extension"
-        )
-
-
-class PoissonEval(NamedTuple):
-    value: float
-    tail_bound: float
-
-
-def halfplane_poisson_eval(trace: BoundaryTrace, p, tol=1e-6) -> PoissonEval:
-    """Harmonic extension of boundary samples to the point p = (x, y), x > 0.
-
-    Trapezoid rule for (1/pi) * integral of x f(t) / (x^2 + (y-t)^2)
-    over the trace window, plus a rigorous bound for the omitted tail
-    assuming |f| stays below its edge magnitude outside the window.
-    """
-    x, y = _xy(p)
-    if x <= 0:
-        raise ValidationError("Poisson evaluation requires x > 0")
-    _check_halfplane_decay(trace)
-    t = trace.abscissae
-    f = trace.values
-    kernel = (x / math.pi) / (x**2 + (y - t) ** 2)
-    value = float(np.trapezoid(kernel * f, t))
-    edge = max(abs(f[0]), abs(f[-1]))
-    lo, hi = trace.window
-    left = 0.5 - math.atan((y - lo) / x) / math.pi
-    right = 0.5 - math.atan((hi - y) / x) / math.pi
-    tail = edge * (left + right)
-    if tail > tol:
-        raise WindowTooSmallError(
-            f"window tail bound {tail:.3e} exceeds tolerance {tol:.3e}",
-            tail_bound=tail,
-        )
-    return PoissonEval(value, tail)
 
 
 def disk_from_boundary(trace: BoundaryTrace, n_max: int) -> DiskField:

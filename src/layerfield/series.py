@@ -348,26 +348,6 @@ def series_solution(geometry: Geometry, field, trunc) -> LayeredSolution:
     return LayeredSolution(geometry, field, 1.0, geometry.rho, terms, tail, log_coeff)
 
 
-def halfplane_coupled(field: HalfPlaneField, config: PlanarLayerConfig, trunc) -> LayeredSolution:
-    """Deform a half-plane field into the coupled two-layer solution."""
-    return series_solution(config, field, trunc)
-
-
-def strip_dirichlet(field: HalfPlaneField, l: float, trunc) -> LayeredSolution:
-    """Dirichlet strip solution built from an unweighted reflected ladder."""
-    return series_solution(Geometry("strip", l), field, trunc)
-
-
-def disk_coupled(field: DiskField, config: RadialLayerConfig, trunc) -> LayeredSolution:
-    """Deform a disk field into the coupled annulus-over-core solution."""
-    return series_solution(config, field, trunc)
-
-
-def annulus_dirichlet(field: DiskField, R: float, trunc) -> LayeredSolution:
-    """Dirichlet annulus solution from the unweighted Kelvin ladder."""
-    return series_solution(Geometry("annulus", R), field, trunc)
-
-
 class RegimeReport:
     """Series-vs-asymptotic advice for one geometry."""
 

@@ -891,3 +891,42 @@ def test_compare_sweep_rejects_repeated_thicknesses(tmp_path, capsys):
     assert code == 2
     assert stdout == ""
     assert "distinct" in err
+
+
+def strip_trace_config(tmp_path, y_window):
+    """An FD strip solve from the trace cos(y) sampled on [-1, 1], on a grid over `y_window`."""
+    ys = np.linspace(-1.0, 1.0, 81)
+    (tmp_path / "trace.csv").write_text("\n".join(f"{float(y)!r},{math.cos(y)!r}" for y in ys) + "\n")
+    cfg = {"problem": "strip", "geometry": {"l": 0.5}, "boundary": {"samples": "trace.csv"},
+           "method": "oracle", "grid": {"x": [0.0, 0.5, 5], "y": [*y_window, 9]}}
+    return write_config(tmp_path, "fd.json", cfg)
+
+
+@pytest.mark.parametrize("y_window", [(-3.0, 3.0), (-1.0, 3.0), (-3.0, 1.0), (-1.0 - 2e-9, 1.0)])
+def test_fd_strip_grid_beyond_the_trace_exits_2(tmp_path, capsys, y_window):
+    # np.interp would extend the trace by its end values: u(0, -3) = cos(-1)
+    out = tmp_path / "fd.csv"
+    code, _, err = run_cli(["solve", "--config", strip_trace_config(tmp_path, y_window), "--out", str(out)], capsys)
+    assert code == 2
+    assert "beyond the trace window" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("y_window", [(-1.0, 1.0), (-0.5, 0.25), (-1.0 - 5e-10, 1.0 + 5e-10)])
+def test_fd_strip_grid_inside_the_trace_solves(tmp_path, capsys, y_window):
+    out = tmp_path / "fd.csv"
+    code, _, _ = run_cli(["solve", "--config", strip_trace_config(tmp_path, y_window), "--out", str(out)], capsys)
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 1 + 5 * 9
+
+
+@pytest.mark.parametrize("block", [{"sweep": {"l": [0.1, 0.05]}}, {"methods": ["series", "oracle"]}],
+                         ids=["sweep", "methods"])
+@pytest.mark.parametrize("command", ["solve", "verify", "regimes"])
+def test_compare_blocks_exit_2_on_other_commands(tmp_path, capsys, command, block):
+    cfg = {**strip_config(problem="halfplane_coupled", geometry={"l": 0.1, "k": 0.5}), **block}
+    out = tmp_path / "out"
+    code, stdout, err = run_cli([command, "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)], capsys)
+    assert code == 2
+    assert f"{command} reads no {next(iter(block))} block" in err
+    assert stdout == "" and not out.exists()

@@ -9,9 +9,7 @@ from layerfield import (
     HalfPlaneField,
     UndersamplingError,
     ValidationError,
-    WindowTooSmallError,
     disk_from_boundary,
-    halfplane_poisson_eval,
 )
 
 
@@ -21,13 +19,6 @@ def laplacian_residual(evaluator, p, step):
     xp, xm, yp, ym, f0 = (float(evaluator(x + dx, y + dy))
                           for dx, dy in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step), (0.0, 0.0)))
     return (xp + xm - 2.0 * f0 + yp + ym - 2.0 * f0) / step**2
-
-
-def test_point_validation():
-    # the pointwise helpers take an (x, y) pair of finite numbers
-    t = np.linspace(-50.0, 50.0, 5001)
-    with pytest.raises(ValidationError):
-        halfplane_poisson_eval(BoundaryTrace(t, np.cos(t)), (math.nan, 0.0))
 
 
 def test_halfplane_eval_basics():
@@ -104,33 +95,6 @@ def test_disk_boundary_roundtrip_trig_polynomial():
     field = disk_from_boundary(BoundaryTrace(theta, src.value(1.0, theta)), n_max)
     probe = np.linspace(0, 2 * math.pi, 41)
     assert np.max(np.abs(field.value(1.0, probe) - src.value(1.0, probe))) <= 1e-10
-
-
-def test_poisson_eval_constant_data():
-    # kernel mass over the whole line is 1; the window bound covers the rest
-    errs = []
-    for T in (50.0, 100.0, 200.0):
-        t = np.linspace(-T, T, int(400 * T) + 1)
-        pe = halfplane_poisson_eval(BoundaryTrace(t, np.ones_like(t)), (1.0, 0.0), tol=0.05)
-        assert abs(pe.value - 1.0) <= pe.tail_bound + 1e-6
-        errs.append(abs(pe.value - 1.0))
-    assert errs[2] < errs[0]
-
-
-def test_poisson_eval_mode_data():
-    t = np.linspace(-200.0, 200.0, 200001)
-    pe = halfplane_poisson_eval(BoundaryTrace(t, np.cos(t)), (1.0, 0.0), tol=0.01)
-    assert pe.value == pytest.approx(math.exp(-1.0), abs=1e-4)
-    pe2 = halfplane_poisson_eval(BoundaryTrace(t, np.cos(t)), (0.5, 0.7), tol=0.01)
-    assert pe2.value == pytest.approx(math.exp(-0.5) * math.cos(0.7), abs=1e-4)
-
-
-def test_poisson_eval_rejects_growth_and_small_window():
-    t = np.linspace(-50.0, 50.0, 5001)
-    with pytest.raises(ValidationError):
-        halfplane_poisson_eval(BoundaryTrace(t, t.copy()), (1.0, 0.0))
-    with pytest.raises(WindowTooSmallError):
-        halfplane_poisson_eval(BoundaryTrace(t, np.cos(t)), (1.0, 0.0), tol=1e-8)
 
 
 def test_radial_derivative_closed_form():

@@ -20,11 +20,8 @@ from layerfield import (
     MaxTerms,
     PlanarLayerConfig,
     RadialLayerConfig,
-    annulus_dirichlet,
-    disk_coupled,
-    halfplane_coupled,
     mode_exact,
-    strip_dirichlet,
+    series_solution,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -88,7 +85,7 @@ DISK_THETA = np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False)
 @given(modes=planar_modes, srcs=sources, l=widths, J=terms)
 def test_strip_matches_explicit_ladder(modes, srcs, l, J):
     u0 = HalfPlaneField(modes, srcs)
-    sol = strip_dirichlet(u0, l, MaxTerms(J))
+    sol = series_solution(Geometry("strip", l), u0, MaxTerms(J))
     x = l * np.linspace(0.1, 1.0, 5)[:, None]  # sources are singular on x = 0
     s = 2.0 * l
     assert_matches_ladder(
@@ -106,7 +103,7 @@ def test_strip_matches_explicit_ladder(modes, srcs, l, J):
 def test_halfplane_matches_explicit_ladder(modes, srcs, l, k, J):
     u0 = HalfPlaneField(modes, srcs)
     cfg = PlanarLayerConfig(l=l, k=k)
-    sol = halfplane_coupled(u0, cfg, MaxTerms(J))
+    sol = series_solution(cfg, u0, MaxTerms(J))
     rho, s, w0 = cfg.rho, 2.0 * l, 2.0 * k / (k + 1.0)
     x1 = l * np.linspace(0.1, 1.0, 5)[:, None]
     x2 = l + np.linspace(0.0, 2.0, 5)[:, None]
@@ -144,7 +141,7 @@ def test_halfplane_matches_explicit_ladder(modes, srcs, l, k, J):
 @given(modes=radial_modes(0), R=radii, J=terms)
 def test_annulus_matches_explicit_ladder(modes, R, J):
     u0 = disk_field(modes)
-    sol = annulus_dirichlet(u0, R, MaxTerms(J))
+    sol = series_solution(Geometry("annulus", R), u0, MaxTerms(J))
     r = np.linspace(R, 1.0, 5)[:, None]
     R2 = R * R
     # the constant mode c cancels in every ladder pair; the solution adds
@@ -170,7 +167,7 @@ def test_annulus_matches_explicit_ladder(modes, R, J):
 def test_disk_matches_explicit_ladder(modes, R, k, J):
     u0 = disk_field(modes)
     cfg = RadialLayerConfig(R=R, k=k)
-    sol = disk_coupled(u0, cfg, MaxTerms(J))
+    sol = series_solution(cfg, u0, MaxTerms(J))
     rho, R2, w0 = cfg.rho, R * R, 2.0 * k / (k + 1.0)
     r1 = np.linspace(R, 1.0, 5)[:, None]
     r2 = np.linspace(0.0, R, 5, endpoint=False)[:, None]
@@ -213,12 +210,12 @@ def assert_within_tail(series, exact, tail_bound):
 def test_planar_series_within_tail_of_closed_form(modes, l, k, J):
     u0 = HalfPlaneField(modes)
     x = l * np.linspace(0.0, 1.0, 5)[:, None]
-    strip = strip_dirichlet(u0, l, MaxTerms(J))
+    strip = series_solution(Geometry("strip", l), u0, MaxTerms(J))
     exact = mode_exact(Geometry("strip", l), modes)
     assert_within_tail(strip.value(x, PLANE_Y), exact.value(x, PLANE_Y), strip.tail_bound)
 
     cfg = PlanarLayerConfig(l=l, k=k)
-    sol = halfplane_coupled(u0, cfg, MaxTerms(J))
+    sol = series_solution(cfg, u0, MaxTerms(J))
     exact = mode_exact(cfg, modes)
     x2 = l + np.linspace(0.0, 2.0, 5)[:, None]
     assert_within_tail(sol.u1_value(x, PLANE_Y), exact.u1_value(x, PLANE_Y), sol.tail_bound)
@@ -230,12 +227,12 @@ def test_planar_series_within_tail_of_closed_form(modes, l, k, J):
 def test_radial_series_within_tail_of_closed_form(modes, R, k, J):
     u0 = disk_field(modes)
     r1 = np.linspace(R, 1.0, 5)[:, None]
-    annulus = annulus_dirichlet(u0, R, MaxTerms(J))
+    annulus = series_solution(Geometry("annulus", R), u0, MaxTerms(J))
     exact = mode_exact(Geometry("annulus", R), modes)
     assert_within_tail(annulus.value(r1, DISK_THETA), exact.value(r1, DISK_THETA), annulus.tail_bound)
 
     cfg = RadialLayerConfig(R=R, k=k)
-    sol = disk_coupled(u0, cfg, MaxTerms(J))
+    sol = series_solution(cfg, u0, MaxTerms(J))
     exact = mode_exact(cfg, modes)
     r2 = np.linspace(0.0, R, 5, endpoint=False)[:, None]
     assert_within_tail(sol.u1_value(r1, DISK_THETA), exact.u1_value(r1, DISK_THETA), sol.tail_bound)

@@ -1,4 +1,4 @@
-"""scipy is loaded only by the quadrature companions of Poisson sources.
+"""scipy is loaded only by the closed-form companions of Poisson sources.
 
 Each case runs in a fresh interpreter, because a module imported by an
 earlier test stays in this process's sys.modules.
@@ -102,7 +102,7 @@ def test_fd_solve_from_samples_loads_no_scipy(tmp_path, problem):
     assert (tmp_path / "fd.csv").read_text().startswith(header + "\n")
 
 
-def test_source_bearing_asymptotic_loads_scipy_integrate(tmp_path):
+def test_source_bearing_asymptotic_loads_scipy_special(tmp_path):
     code = (
         "import math\n"
         "from layerfield import HalfPlaneField, PlanarLayerConfig, halfplane_small_contrast\n"
@@ -110,4 +110,5 @@ def test_source_bearing_asymptotic_loads_scipy_integrate(tmp_path):
         "sol = halfplane_small_contrast(field, PlanarLayerConfig(l=0.1, k=0.5)).solution\n"
         "assert math.isfinite(sol.u1_value(0.05, 0.2)) and math.isfinite(sol.u2_value(0.3, 0.2))\n"
     )
-    assert "scipy.integrate" in run_child(code, tmp_path)
+    loaded = run_child(code, tmp_path)
+    assert "scipy.special" in loaded and "scipy.integrate" not in loaded

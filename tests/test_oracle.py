@@ -13,14 +13,12 @@ from layerfield import (
     TailTol,
     ValidationError,
     brute_series,
-    disk_coupled,
     fd_annulus,
     fd_disk_coupled,
     fd_strip,
-    halfplane_coupled,
     mode_exact,
     residual_report,
-    strip_dirichlet,
+    series_solution,
 )
 
 MODE = HalfPlaneField.single_mode(1.0)
@@ -231,7 +229,7 @@ def test_fd_disk_interface_ring_is_at_R_in_layer_1(tmp_path, R, n_r):
 
 def test_residual_report_series_solution():
     cfg = RadialLayerConfig(R=0.7, k=0.5)
-    sol = disk_coupled(DISK1, cfg, TailTol(1e-10))
+    sol = series_solution(cfg, DISK1, TailTol(1e-10))
     rep = residual_report(sol, DISK1)
     assert rep.pde_residual <= 1e-5
     assert rep.boundary_mismatch <= 1e-8
@@ -252,7 +250,7 @@ def test_residual_report_mode_exact_is_clean():
 
 def test_residual_report_flux_by_finite_differences():
     cfg = PlanarLayerConfig(l=0.3, k=0.5)
-    sol = halfplane_coupled(MODE, cfg, TailTol(1e-10))
+    sol = series_solution(cfg, MODE, TailTol(1e-10))
     rep = residual_report(sol, MODE, flux="fd")
     assert rep.flux_jump <= 1e-6
 
@@ -272,7 +270,7 @@ def test_residual_report_flags_wrong_solution():
 
 
 def test_residual_report_strip_series():
-    sol = strip_dirichlet(MODE, 0.4, TailTol(1e-11))
+    sol = series_solution(Geometry("strip", 0.4), MODE, TailTol(1e-11))
     rep = residual_report(sol, MODE)
     assert rep.pde_residual <= 1e-6
     assert rep.boundary_mismatch <= 1e-9

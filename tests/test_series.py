@@ -14,13 +14,10 @@ from layerfield import (
     RadialLayerConfig,
     TailTol,
     ValidationError,
-    annulus_dirichlet,
     convergence_diagnostic,
-    disk_coupled,
     geometric_tail_terms,
-    halfplane_coupled,
     mode_exact,
-    strip_dirichlet,
+    series_solution,
 )
 
 MODE = HalfPlaneField.single_mode(1.0)
@@ -117,7 +114,7 @@ def test_geometric_tail_terms_minimality_random():
 
 
 def test_strip_boundary_telescoping():
-    sol = strip_dirichlet(MODE, 0.4, TailTol(1e-11))
+    sol = series_solution(Geometry("strip", 0.4), MODE, TailTol(1e-11))
     ys = np.linspace(-2, 2, 50)
     assert np.max(np.abs(sol.value(0.0, ys) - MODE.value(0.0, ys))) <= sol.tail_bound
     assert np.max(np.abs(sol.value(0.4, ys))) <= sol.tail_bound
@@ -125,7 +122,7 @@ def test_strip_boundary_telescoping():
 
 def test_strip_matches_separated_solution():
     l = 0.5
-    sol = strip_dirichlet(MODE, l, TailTol(1e-12))
+    sol = series_solution(Geometry("strip", l), MODE, TailTol(1e-12))
     exact = mode_exact(Geometry("strip", l), [(1.0, 1.0, 0.0)])
     assert exact.value(0.25, 0.0) == pytest.approx(math.sinh(0.25) / math.sinh(0.5))
     xs = np.linspace(0.02, 0.48, 12)
@@ -140,7 +137,7 @@ def test_strip_monotone_truncation():
     point = (0.17, 0.6)
     devs = []
     for j in range(1, 14):
-        sol = strip_dirichlet(MODE, l, MaxTerms(j))
+        sol = series_solution(Geometry("strip", l), MODE, MaxTerms(j))
         devs.append(abs(float(sol.value(*point)) - float(exact.value(*point))))
     for a, b in zip(devs, devs[1:]):
         assert b <= a * (1 + 1e-12) + 1e-16
@@ -152,7 +149,7 @@ def test_disk_monotone_truncation():
     point = (0.9, 0.7)
     devs = []
     for j in range(1, 14):
-        sol = disk_coupled(DISK1, cfg, MaxTerms(j))
+        sol = series_solution(cfg, DISK1, MaxTerms(j))
         devs.append(abs(float(sol.u1_value(*point)) - float(exact.u1_value(*point))))
     for a, b in zip(devs, devs[1:]):
         assert b <= a * (1 + 1e-12) + 1e-16
@@ -161,15 +158,15 @@ def test_disk_monotone_truncation():
 def test_strip_tailtol_needs_modes():
     src = HalfPlaneField(sources=[(0.0, 1.0)])
     with pytest.raises(CapabilityError):
-        strip_dirichlet(src, 0.3, TailTol(1e-8))
+        series_solution(Geometry("strip", 0.3), src, TailTol(1e-8))
     # but a fixed term count works
-    sol = strip_dirichlet(src, 0.3, MaxTerms(200))
+    sol = series_solution(Geometry("strip", 0.3), src, MaxTerms(200))
     assert abs(float(sol.value(0.3, 0.5))) <= 1e-3
 
 
 def test_tailtol_unreachable_raises():
     with pytest.raises(ConvergenceError) as exc:
-        halfplane_coupled(MODE, PlanarLayerConfig(l=1e-4, k=1e-5), TailTol(1e-300))
+        series_solution(PlanarLayerConfig(l=1e-4, k=1e-5), MODE, TailTol(1e-300))
     assert exc.value.achieved is not None
 
 
@@ -178,7 +175,7 @@ def test_tailtol_unreachable_raises():
 
 def test_halfplane_k1_reduces_to_model():
     cfg = PlanarLayerConfig(l=0.3, k=1.0)
-    sol = halfplane_coupled(MODE, cfg, TailTol(1e-12))
+    sol = series_solution(cfg, MODE, TailTol(1e-12))
     assert sol.terms == 1
     ys = np.linspace(-1, 1, 7)
     assert np.max(np.abs(sol.u1_value(0.2, ys) - MODE.value(0.2, ys))) == 0.0
@@ -189,7 +186,7 @@ def test_halfplane_k1_reduces_to_model():
 @pytest.mark.parametrize("k", [0.1, 0.5, 2.0, 10.0])
 def test_halfplane_boundary_telescoping(k):
     cfg = PlanarLayerConfig(l=0.3, k=k)
-    sol = halfplane_coupled(MODE, cfg, TailTol(1e-10))
+    sol = series_solution(cfg, MODE, TailTol(1e-10))
     ys = np.linspace(-2, 2, 50)
     assert np.max(np.abs(sol.u1_value(0.0, ys) - MODE.value(0.0, ys))) <= sol.tail_bound
 
@@ -197,7 +194,7 @@ def test_halfplane_boundary_telescoping(k):
 @pytest.mark.parametrize("k", [0.25, 0.5, 2.0])
 def test_halfplane_matches_geometric_closed_form(k):
     cfg = PlanarLayerConfig(l=0.3, k=k)
-    sol = halfplane_coupled(MODE, cfg, TailTol(1e-11))
+    sol = series_solution(cfg, MODE, TailTol(1e-11))
     exact = mode_exact(cfg, [(1.0, 1.0, 0.0)])
     ys = np.linspace(-1, 1, 7)
     for x in np.linspace(0.02, 0.28, 6):
@@ -210,7 +207,7 @@ def test_halfplane_coupling_conditions_on_modes():
     # value continuity and k-weighted flux continuity at the interface
     for k in (0.1, 0.5, 2.0, 10.0):
         cfg = PlanarLayerConfig(l=0.25, k=k)
-        sol = halfplane_coupled(MODE, cfg, TailTol(1e-10))
+        sol = series_solution(cfg, MODE, TailTol(1e-10))
         ys = np.linspace(-2, 2, 50)
         vj = np.max(np.abs(sol.u1_value(cfg.l, ys) - sol.u2_value(cfg.l, ys)))
         fj = np.max(np.abs(k * sol.u1_deriv(cfg.l, ys) - sol.u2_deriv(cfg.l, ys)))
@@ -220,7 +217,7 @@ def test_halfplane_coupling_conditions_on_modes():
 
 def test_halfplane_anisotropic_stretch():
     cfg = PlanarLayerConfig(l=0.3, k=0.5, a1=2.0, a2=1.0)
-    sol = halfplane_coupled(MODE, cfg, TailTol(1e-11))
+    sol = series_solution(cfg, MODE, TailTol(1e-11))
     exact = mode_exact(cfg, [(1.0, 1.0, 0.0)])
     ys = np.linspace(-1, 1, 5)
     for x in (0.4, 0.8):
@@ -235,7 +232,7 @@ def test_halfplane_anisotropic_stretch():
 
 def test_disk_k1_reduces_to_model():
     cfg = RadialLayerConfig(R=0.7, k=1.0)
-    sol = disk_coupled(DISK1, cfg, TailTol(1e-12))
+    sol = series_solution(cfg, DISK1, TailTol(1e-12))
     ts = np.linspace(0, 2 * math.pi, 9)
     assert np.max(np.abs(sol.u1_value(0.85, ts) - DISK1.value(0.85, ts))) == 0.0
     assert np.max(np.abs(sol.u2_value(0.3, ts) - DISK1.value(0.3, ts))) == 0.0
@@ -244,7 +241,7 @@ def test_disk_k1_reduces_to_model():
 @pytest.mark.parametrize("k", [0.1, 0.5, 2.0, 10.0])
 def test_disk_boundary_telescoping(k):
     cfg = RadialLayerConfig(R=0.7, k=k)
-    sol = disk_coupled(DISK1, cfg, TailTol(1e-10))
+    sol = series_solution(cfg, DISK1, TailTol(1e-10))
     ts = np.linspace(0, 2 * math.pi, 50)
     assert np.max(np.abs(sol.u1_value(1.0, ts) - DISK1.value(1.0, ts))) <= sol.tail_bound
 
@@ -253,7 +250,7 @@ def test_disk_boundary_telescoping(k):
 def test_disk_matches_geometric_closed_form(n, k):
     field = DiskField.single_mode(n)
     cfg = RadialLayerConfig(R=0.7, k=k)
-    sol = disk_coupled(field, cfg, TailTol(1e-11))
+    sol = series_solution(cfg, field, TailTol(1e-11))
     exact = mode_exact(cfg, [(n, 1.0, 0.0)])
     ts = np.linspace(0, 2 * math.pi, 9)
     for r in np.linspace(0.72, 0.99, 5):
@@ -265,7 +262,7 @@ def test_disk_matches_geometric_closed_form(n, k):
 def test_disk_coupling_conditions_on_modes():
     for k in (0.1, 0.5, 2.0, 10.0):
         cfg = RadialLayerConfig(R=0.7, k=k)
-        sol = disk_coupled(DISK1, cfg, TailTol(1e-10))
+        sol = series_solution(cfg, DISK1, TailTol(1e-10))
         ts = np.linspace(0, 2 * math.pi, 50)
         vj = np.max(np.abs(sol.u1_value(cfg.R, ts) - sol.u2_value(cfg.R, ts)))
         fj = np.max(
@@ -279,14 +276,14 @@ def test_disk_coupling_conditions_on_modes():
 
 
 def test_annulus_boundary_conditions():
-    sol = annulus_dirichlet(DISK1, 0.7, TailTol(1e-11))
+    sol = series_solution(Geometry("annulus", 0.7), DISK1, TailTol(1e-11))
     ts = np.linspace(0, 2 * math.pi, 50)
     assert np.max(np.abs(sol.value(0.7, ts))) <= sol.tail_bound
     assert np.max(np.abs(sol.value(1.0, ts) - DISK1.value(1.0, ts))) <= sol.tail_bound
 
 
 def test_annulus_closed_form_point():
-    sol = annulus_dirichlet(DISK1, 0.7, TailTol(1e-12))
+    sol = series_solution(Geometry("annulus", 0.7), DISK1, TailTol(1e-12))
     expected = (0.85 - 0.49 / 0.85) / (1 - 0.49)
     assert float(sol.value(0.85, 0.0)) == pytest.approx(expected, abs=1e-11)
     assert expected == pytest.approx(0.5363321799, abs=1e-9)
@@ -295,7 +292,7 @@ def test_annulus_closed_form_point():
 def test_annulus_constant_mode_log_profile():
     # boundary value c = 1 (coefficient 2): u = c ln(r/R)/ln(1/R), r du/dr = c/ln(1/R)
     const = DiskField.single_mode(0, 2.0)
-    sol = annulus_dirichlet(const, 0.7, TailTol(1e-10))
+    sol = series_solution(Geometry("annulus", 0.7), const, TailTol(1e-10))
     assert sol.tail_bound == 0.0
     rs = np.linspace(0.7, 1.0, 7)
     assert np.max(np.abs(sol.value(rs, 1.0) - np.log(rs / 0.7) / math.log(1 / 0.7))) <= 1e-15
@@ -303,7 +300,7 @@ def test_annulus_constant_mode_log_profile():
     assert float(sol.value(0.7, 1.0)) == 0.0
     # mixed data: the log profile rides on top of the ladder for the other modes
     mixed = DiskField(np.array([2.0, 1.0]), np.array([0.0, 0.0]))
-    sol = annulus_dirichlet(mixed, 0.7, TailTol(1e-12))
+    sol = series_solution(Geometry("annulus", 0.7), mixed, TailTol(1e-12))
     exact = mode_exact(Geometry("annulus", 0.7), [(1, 1.0, 0.0)])
     want = exact.value(rs, 1.0) + np.log(rs / 0.7) / math.log(1 / 0.7)
     assert np.max(np.abs(sol.value(rs, 1.0) - want)) <= 1e-11
@@ -340,20 +337,20 @@ def test_convergence_diagnostic_counts_the_ladder_the_series_builds():
     planar = PlanarLayerConfig(l=0.1, k=0.005)
     modes = HalfPlaneField(modes=[(1.0, 1.0, 0.0), (0.5, 3.0, 0.2)])
     rep = convergence_diagnostic(planar, field=modes, threshold=10)
-    assert rep.j_needed == halfplane_coupled(modes, planar, TailTol(1e-10)).terms
+    assert rep.j_needed == series_solution(planar, modes, TailTol(1e-10)).terms
     assert rep.j_needed > 10 and rep.recommendation == "series"
     radial = RadialLayerConfig(R=0.95, k=0.02)
     disk = DiskField.single_mode(3, 0.5, 0.5)
     rep = convergence_diagnostic(radial, disk, tol=1e-8)
-    assert rep.j_needed == disk_coupled(disk, radial, TailTol(1e-8)).terms
+    assert rep.j_needed == series_solution(radial, disk, TailTol(1e-8)).terms
     assert rep.recommendation == "series"
     # a constant mode decays only like |rho|^j on the coupled disk
     constant = DiskField([2.0, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, 0.5])
     rep = convergence_diagnostic(radial, constant, tol=1e-8)
-    assert rep.j_needed == disk_coupled(constant, radial, TailTol(1e-8)).terms
+    assert rep.j_needed == series_solution(radial, constant, TailTol(1e-8)).terms
     assert rep.j_needed > convergence_diagnostic(radial, disk, tol=1e-8).j_needed
     zero = DiskField([0.0])
-    assert convergence_diagnostic(radial, field=zero).j_needed == disk_coupled(zero, radial, TailTol(1e-10)).terms == 1
+    assert convergence_diagnostic(radial, field=zero).j_needed == series_solution(radial, zero, TailTol(1e-10)).terms == 1
 
 
 def test_convergence_diagnostic_sends_slow_source_ladders_to_asymptotics():

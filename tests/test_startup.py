@@ -101,11 +101,11 @@ def test_residual_report_loads_no_asymptotics(tmp_path):
     # the oracle shares no code with the routes it checks, on either flux path
     code = (
         "from layerfield import (DiskField, HalfPlaneField, PlanarLayerConfig, RadialLayerConfig,\n"
-        "                        TailTol, disk_coupled, halfplane_coupled, residual_report)\n"
+        "                        TailTol, residual_report, series_solution)\n"
         "u0 = HalfPlaneField.single_mode(frequency=1.0)\n"
         "d0 = DiskField.single_mode(2)\n"
-        "for sol, field in ((halfplane_coupled(u0, PlanarLayerConfig(l=0.3, k=0.5), TailTol(1e-10)), u0),\n"
-        "                   (disk_coupled(d0, RadialLayerConfig(R=0.7, k=3.0), TailTol(1e-10)), d0)):\n"
+        "for sol, field in ((series_solution(PlanarLayerConfig(l=0.3, k=0.5), u0, TailTol(1e-10)), u0),\n"
+        "                   (series_solution(RadialLayerConfig(R=0.7, k=3.0), d0, TailTol(1e-10)), d0)):\n"
         "    for flux in ('auto', 'fd'):\n"
         "        assert residual_report(sol, field, flux=flux).flux_jump < 1e-6\n"
     )
