@@ -165,7 +165,9 @@ def thin_layer_solution(geometry: Geometry, field) -> ApproxResult:
     and the annulus rho = 1 and h = 0, so u3 is the Neumann primitive.
 
     The variation bound, the assessment of the leading quadrature step
-    maximised along the interface, and its pointwise form `bound_at` are
+    maximised over interface probes (17 over a period of the slowest mode,
+    and the ordinate of every boundary source), and its pointwise form
+    `bound_at` are
     known for the coupled problems at rho > 0 only; each is computed
     only when read or called.
     """
@@ -180,6 +182,8 @@ def thin_layer_solution(geometry: Geometry, field) -> ApproxResult:
         w = field.min_frequency
         bound_at = _planar_bound_at(field, rho, h)
         probes = np.linspace(-3.0, 3.0, 17) if w is None else np.linspace(0.0, 2 * math.pi / w, 17)
+        # the deviation peaks on the interface across from a boundary source
+        probes = np.concatenate([probes, [t for t, _ in field.sources]])
     solution = LayeredSolution(geometry, u3, 1.0 / (images * s), rho, images)
     if not (geometry.coupled and rho > 0):
         return ApproxResult(solution)

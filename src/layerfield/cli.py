@@ -20,7 +20,6 @@ import sys
 import numpy as np
 
 from .errors import ConvergenceError, LayerFieldError, ValidationError
-from .gridcsv import write_grid, write_solve_csv
 from .harmonic import BoundaryTrace, DiskField, HalfPlaneField, disk_from_boundary
 from .oracle import fd_annulus, fd_disk_coupled, fd_strip, mode_exact, residual_report
 from .series import (
@@ -331,6 +330,8 @@ def evaluate_grid(solution, problem, axis1, axis2):
 
 def write_grid_csv(path, problem, solution, axis1, axis2, values):
     """Write a solve's grid in the solve format of `solution.geometry`; `problem` is not read."""
+    from .gridcsv import write_solve_csv  # loaded by the commands that write a CSV
+
     write_solve_csv(path, solution.geometry, axis1, axis2, values)
 
 
@@ -591,6 +592,8 @@ def _write_compare_csv(path, geo, methods, axis1, axis2, grids):
     pairs = [(a, b) for a in range(len(methods)) for b in range(a + 1, len(methods))]
     pair_names = ",".join(f"absdiff_{methods[a]}_{methods[b]}" for a, b in pairs)
     diffs = [np.abs(grids[a] - grids[b]) for a, b in pairs]
+    from .gridcsv import write_grid
+
     write_grid(path, f"{cols},{names},{pair_names}", axis1, axis2, grids + diffs)
 
 

@@ -16,7 +16,6 @@ import math
 import numpy as np
 
 from .errors import ArbiterInsufficientError, ValidationError
-from .gridcsv import write_solve_csv
 from .series import MAX_LADDER_TERMS, Geometry, RadialLayerConfig, geometric_tail_terms
 
 TWO_PI = 2.0 * math.pi
@@ -211,6 +210,8 @@ class GridSolution:
 
     def to_csv(self, path):
         """Write the grid in the solve format, as the CLI's solve does."""
+        from .gridcsv import write_solve_csv  # loaded by the commands that write a CSV
+
         write_solve_csv(path, self.geometry, *self.axes, self.values)
 
 

@@ -206,6 +206,20 @@ def test_halfplane_small_contrast_layer2_follows_anisotropic_stretch():
     assert dev <= approx.bound
 
 
+def test_halfplane_bound_covers_the_interface_across_from_sources():
+    # the deviation peaks at the source ordinates (0.842 at y = 0.2), which
+    # a bound probing one mode period alone misses (it read 0.296)
+    field = HalfPlaneField(modes=[(1.0, 1.0, 0.0)], sources=[(0.2, 1.0), (-0.5, 1.0)])
+    cfg = PlanarLayerConfig(l=0.05, k=0.1)
+    approx = thin_layer_solution(cfg, field)
+    series = series_solution(cfg, field, TailTol(1e-10, sup_bound=100))
+    ys = np.linspace(-1.0, 1.0, 401)
+    xs = np.full_like(ys, cfg.l)
+    dev = np.max(np.abs(approx.solution.value(xs, ys) - series.value(xs, ys)))
+    assert dev > 0.8
+    assert approx.bound >= dev
+
+
 def test_halfplane_small_contrast_thickness_scaling():
     base = PlanarLayerConfig(l=0.01, k=0.05)
     h = base.robin_h

@@ -29,7 +29,7 @@ print(json.dumps(sorted(set(sys.modules) - base)))
 """
 
 #: modules a CLI process loads only for a command that needs them
-ON_DEMAND = ("layerfield.asymptotics", "dataclasses", "fractions")
+ON_DEMAND = ("layerfield.asymptotics", "layerfield.gridcsv", "dataclasses", "fractions")
 
 CASES = {
     "strip": ({"l": 0.37}, {"x": [0.0, 0.37, 5], "y": [-2.0, 2.0, 5]}),
