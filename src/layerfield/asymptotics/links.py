@@ -167,9 +167,8 @@ def thin_layer_solution(geometry: Geometry, field) -> ApproxResult:
     The variation bound, the assessment of the leading quadrature step
     maximised over interface probes (17 over a period of the slowest mode,
     and the ordinate of every boundary source), and its pointwise form
-    `bound_at` are
-    known for the coupled problems at rho > 0 only; each is computed
-    only when read or called.
+    `bound_at` are known for the coupled problems at rho > 0 only; each
+    is computed only when read or called.
     """
     h = geometry.robin_h
     rho = geometry.rho
