@@ -45,7 +45,7 @@ _TOP_KEYS = {
 }
 _GEOMETRY_KEYS = {
     "strip": {"l"},
-    "halfplane_coupled": {"l", "k", "a1", "a2", "lambda1", "lambda2"},
+    "halfplane_coupled": {"l", "k", "a2"},
     "disk_coupled": {"R", "k"},
     "annulus": {"R"},
 }
@@ -157,14 +157,7 @@ def geometry_config(cfg):
     if problem == "annulus":
         return Geometry(problem, g.get("R"))
     if problem == "halfplane_coupled":
-        return PlanarLayerConfig(
-            l=g.get("l"),
-            k=g.get("k"),
-            a1=g.get("a1", 1.0),
-            a2=g.get("a2", 1.0),
-            lambda1=None if g.get("lambda1") is None else _number(g["lambda1"], "lambda1"),
-            lambda2=None if g.get("lambda2") is None else _number(g["lambda2"], "lambda2"),
-        )
+        return PlanarLayerConfig(l=g.get("l"), k=g.get("k"), a2=g.get("a2", 1.0))
     return RadialLayerConfig(R=g.get("R"), k=g.get("k"))
 
 
@@ -340,17 +333,6 @@ def write_grid_csv(path, problem, solution, axis1, axis2, values):
 # ---------------------------------------------------------------------------
 
 
-def _check_threads(args):
-    """Validate LAYERFIELD_THREADS when --threads is not given.
-
-    Both are still accepted, but change nothing: grid evaluation is one
-    vectorised call per layer.
-    """
-    env = os.environ.get("LAYERFIELD_THREADS")
-    if args.threads is None and env:
-        _number(env, "LAYERFIELD_THREADS", int)
-
-
 def _out_path(cfg, args, default):
     if args.out:
         return args.out
@@ -408,7 +390,6 @@ def cmd_solve(cfg, args) -> int:
     trunc = truncation_policy(cfg)
     solution = build_solution(cfg, method, field, geo, trunc)
     axis1, axis2 = build_grid(cfg, geo)
-    _check_threads(args)
     values = evaluate_grid(solution, problem, axis1, axis2)
     out = _out_path(cfg, args, "grid.csv")
     write_grid_csv(out, problem, solution, axis1, axis2, values)
@@ -496,15 +477,14 @@ def _max_diff_layered(sa, sb, plan):
 def _sweep_geometry(geo, value):
     """Same Robin parameter h, new thickness; k follows from the relation.
 
-    A half-plane keeps its a1 and a2, and drops its conductivities, which
-    fix k.
+    A half-plane keeps its a2.
     """
     h = geo.robin_h
     sign = 1.0 if geo.rho > 0 else -1.0
     if not geo.radial:
         rho = sign * math.exp(2.0 * h * value)
         k = (1.0 - rho) / (1.0 + rho)
-        return PlanarLayerConfig(l=value, k=k, a1=geo.a1, a2=geo.a2), value
+        return PlanarLayerConfig(l=value, k=k, a2=geo.a2), value
     rho = sign * value ** (2.0 * h)
     k = (1.0 - rho) / (1.0 + rho)
     return RadialLayerConfig(R=value, k=k), 1.0 - value
@@ -544,7 +524,6 @@ def cmd_compare(cfg, args) -> int:
     field = boundary_field(cfg, geo, config_dir=_config_dir(args))
     trunc = truncation_policy(cfg)
     axis1, axis2 = build_grid(cfg, geo)
-    _check_threads(args)
 
     solutions = [build_solution(cfg, m, field, geo, trunc) for m in methods]
     grids = [evaluate_grid(s, problem, axis1, axis2) for s in solutions]

@@ -111,11 +111,19 @@ def _radial_wave(theta, n, a, b):
 
 
 def _strip_exact(modes, geometry: Geometry) -> ModeExact:
-    """A cos(w y + phi) extends to A sinh(w (l - x)) cos(w y + phi) / sinh(w l)."""
+    """A cos(w y + phi) extends to A sinh(w (l - x)) cos(w y + phi) / sinh(w l).
+
+    The ratio is written e^(-w x) expm1(-2 w (l - x)) / expm1(-2 w l),
+    which stays finite at any w l, where sinh(w l) overflows past 710.
+    """
     l = geometry.interface
     return ModeExact(geometry, modes, _planar_wave, {
-        "u1_value": lambda x, a, w, _: a * np.sinh(w * (l - x)) / math.sinh(w * l),
-        "u1_deriv": lambda x, a, w, _: -a * w * np.cosh(w * (l - x)) / math.sinh(w * l),
+        "u1_value": lambda x, a, w, _: (
+            a * (np.expm1(-2.0 * w * (l - x)) / np.expm1(-2.0 * w * l)) * np.exp(-w * x)
+        ),
+        "u1_deriv": lambda x, a, w, _: (
+            a * w * np.exp(-w * x) * (1.0 + np.exp(-2.0 * w * (l - x))) / np.expm1(-2.0 * w * l)
+        ),
     })
 
 
@@ -439,7 +447,10 @@ def residual_report(solution, boundary_field, n_samples: int = 50,
                     flux: str = "auto") -> ErrorReport:
     """Check a candidate solution against its defining conditions.
 
-    The solution's `geometry` says where its layers lie.  Each check is
+    The solution's `geometry` says where its layers lie and what they
+    solve: Laplace's equation, a2^2 u_xx + u_yy = 0 in the coupled
+    half-plane's layer 2, and u1 = u2, k u1_x = a2 u2_x at the interface
+    (k r u1_r = r u2_r on the disk).  Each check is
     one array call per layer: the 5-point stencils of all interior
     samples are evaluated together, as Cartesian offsets (mapped back to
     polar coordinates on the disk).  The step is `stencil_step`, or an
@@ -483,7 +494,7 @@ def residual_report(solution, boundary_field, n_samples: int = 50,
         def stencil(fn, x, y):
             return fn(x + dx, y + dy)
 
-    layers = [(solution.u1_value, geo.a1)]
+    layers = [(solution.u1_value, 1.0)]
     if geo.coupled:
         layers.append((solution.u2_value, geo.a2))
     pde = 0.0
@@ -507,16 +518,18 @@ def residual_report(solution, boundary_field, n_samples: int = 50,
 
     qi = rng.uniform(*across, n_samples)
     vjump = _max_abs(solution.u1_value(s, qi) - solution.u2_value(s, qi))
+    # Geometry's flux condition k u1_x = a2 u2_x, divided by a2
+    weight = geo.k * geo.stretch
     if flux == "fd":
         # layer 1 lies above the interface on the disk, below it on the
         # plane; r d/dr is the radial flux
         side, scale = (1, s) if geo.radial else (-1, 1.0)
         fjump = _max_abs(
-            geo.k * scale * _one_sided_dx(solution.u1_value, s, qi, h, side=side)
+            weight * scale * _one_sided_dx(solution.u1_value, s, qi, h, side=side)
             - scale * _one_sided_dx(solution.u2_value, s, qi, h, side=-side)
         )
     else:
-        fjump = _max_abs(geo.k * solution.u1_deriv(s, qi) - solution.u2_deriv(s, qi))
+        fjump = _max_abs(weight * solution.u1_deriv(s, qi) - solution.u2_deriv(s, qi))
     return ErrorReport(
         pde_residual=pde,
         boundary_mismatch=bmis,

@@ -145,7 +145,7 @@ def _positive(name, value) -> float:
 
 
 class Geometry:
-    """Where a problem's layers lie, in its own coordinate p.
+    """Where a problem's layers lie, in its own coordinate p, and what they solve.
 
     p is x on the plane and r on the disk; the second coordinate (y or
     theta) is never mapped.  Layer 1 is 0 <= x <= l (interface l) or
@@ -154,12 +154,17 @@ class Geometry:
     annulus have none.  `PlanarLayerConfig` and `RadialLayerConfig` are
     the coupled problems with their named parameters.
 
-    Every problem is checked here: l > 0, R in (0, 1), and k, a1 and a2
-    positive, all finite; only the coupled problems take k.
+    Every layer solves Laplace's equation, except layer 2 of the coupled
+    half-plane, which solves a2^2 u_xx + u_yy = 0.  The interface carries
+    u1 = u2 and k u1_x = a2 u2_x on the plane, k r u1_r = r u2_r on the
+    disk; a2 is 1 on every kind but the coupled half-plane.
+
+    Every problem is checked here: l > 0, R in (0, 1), and k and a2
+    positive, all finite; only the coupled problems take k, and only the
+    coupled half-plane takes an a2 other than 1.
     """
 
-    def __init__(self, kind: str, interface: float, k: float | None = None,
-                 a1: float = 1.0, a2: float = 1.0):
+    def __init__(self, kind: str, interface: float, k: float | None = None, a2: float = 1.0):
         if kind not in AXES:
             raise ValidationError(f"problem must be one of {tuple(AXES)}, got {kind!r}")
         self.kind, self.axes = kind, AXES[kind]
@@ -169,7 +174,9 @@ class Geometry:
         if (k is None) == (kind in ("halfplane_coupled", "disk_coupled")):
             raise ValidationError("the coupled problems, and only they, take a coupling ratio k")
         self.k = None if k is None else _positive("k", k)
-        self.a1, self.a2 = _positive("a1", a1), _positive("a2", a2)
+        self.a2 = _positive("a2", a2)
+        if self.a2 != 1.0 and kind != "halfplane_coupled":
+            raise ValidationError(f"only the coupled half-plane takes an anisotropy a2, got {a2!r}")
 
     @property
     def radial(self) -> bool:
@@ -215,15 +222,15 @@ class Geometry:
 
     @property
     def stretch(self) -> float:
-        """d outer(p)/dp: a1/a2 on the plane, 1 on the disk."""
-        return 1.0 if self.radial else self.a1 / self.a2
+        """d outer(p)/dp: 1/a2, which is 1 on every kind but the coupled half-plane."""
+        return 1.0 / self.a2
 
     def image(self, p):
         """Mirror 2l - x on the plane, Kelvin image R^2/r on the disk."""
         return self.interface**2 / p if self.radial else 2.0 * self.interface - p
 
     def outer(self, p):
-        """Layer-2 argument: (a1/a2)(x - l) + l on the plane, r on the disk."""
+        """Layer-2 argument: (x - l)/a2 + l on the plane, r on the disk."""
         return p if self.radial else self.stretch * (p - self.interface) + self.interface
 
     def in_layer2(self, p):
@@ -235,24 +242,15 @@ class Geometry:
 
 
 class PlanarLayerConfig(Geometry):
-    """Two-layer half-plane geometry: layer 1 on 0 < x < l, layer 2 beyond.
+    """Coupled half-plane geometry: layer 1 on 0 < x < l, layer 2 beyond.
 
-    k is the flux-coupling ratio at the interface.  When conductivities
-    are supplied, k must equal (lambda1/lambda2)*(a2/a1).
+    k couples the fluxes, k u1_x = a2 u2_x, and a2 is layer 2's
+    anisotropy (see `Geometry`).  From conductivities, with
+    lambda1 u1_x = lambda2 u2_x, k = (lambda1/lambda2) a2.
     """
 
-    def __init__(self, l: float, k: float, a1: float = 1.0, a2: float = 1.0,
-                 lambda1: float | None = None, lambda2: float | None = None):
-        super().__init__("halfplane_coupled", l, k, a1, a2)
-        if (lambda1 is None) != (lambda2 is None):
-            raise ValidationError("give both conductivities or neither")
-        if lambda1 is not None:
-            if lambda1 <= 0 or lambda2 <= 0:
-                raise ValidationError("conductivities must be > 0")
-            implied = (lambda1 / lambda2) * (self.a2 / self.a1)
-            if abs(self.k - implied) > 1e-12 * max(1.0, abs(implied)):
-                raise ValidationError(f"k={k} inconsistent with conductivities (implied {implied})")
-        self.lambda1, self.lambda2 = lambda1, lambda2
+    def __init__(self, l: float, k: float, a2: float = 1.0):
+        super().__init__("halfplane_coupled", l, k, a2)
 
     @property
     def l(self) -> float:
@@ -278,11 +276,13 @@ class LayeredSolution:
     mirror or Kelvin image of p:
 
         layer 1:  c*[F(p) - rho*F(p*)],   derivative c*[F'(p) + rho*F'(p*)]
-        layer 2:  c*(1 - rho)*F(outer(p)), derivative times a1/a2 on the plane
+        layer 2:  c*(1 - rho)*F(outer(p)), derivative times stretch = 1/a2
 
-    The derivative is d/dx on the plane and r d/dr on the disk.  The
-    strip and the annulus take rho = 1, so they vanish on the interface;
-    `log_coeff` adds log_coeff*ln(r/R) in layer 1, the annulus profile of
+    The derivative is d/dx on the plane and r d/dr on the disk.  F is
+    harmonic, so F(outer(p)) solves layer 2's equation, and at the
+    geometry's rho, k*(1 + rho) = 1 - rho gives `Geometry`'s interface
+    conditions for any F.  The strip and the annulus take rho = 1, so
+    they vanish on the interface; `log_coeff` adds log_coeff*ln(r/R) in layer 1, the annulus profile of
     a constant boundary mode, which cancels inside F(p) - F(p*).
 
     `tail_bound` is set for the truncated series only, and `terms` (the

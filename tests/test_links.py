@@ -195,9 +195,9 @@ def test_halfplane_small_contrast_bounded_by_assessment():
 
 
 def test_halfplane_small_contrast_layer2_follows_anisotropic_stretch():
-    # layer 2 is evaluated at the stretched argument (a1/a2)(x - l) + l, as
+    # layer 2 is evaluated at the stretched argument (x - l)/a2 + l, as
     # in the series; without it the deviation is 0.17, four times the bound
-    cfg = PlanarLayerConfig(l=0.01, k=0.02, a1=1.0, a2=2.0)
+    cfg = PlanarLayerConfig(l=0.01, k=0.02, a2=2.0)
     approx = halfplane_small_contrast(MODE, cfg)
     series = series_solution(cfg, MODE, TailTol(1e-12))
     xs = cfg.l + np.linspace(0.0, 1.5, 31)[:, None]

@@ -31,7 +31,7 @@ widths = st.floats(0.05, 2.0)
 radii = st.floats(0.3, 0.95)
 # k on both sides of 1 (rho of either sign), and k = 1 itself (rho = 0)
 contrasts = st.one_of(st.floats(1.05, 20.0), st.floats(0.05, 0.95), st.just(1.0))
-stretches = st.floats(0.5, 2.0)
+anisotropies = st.floats(0.5, 4.0)
 
 PLANE_Y = np.linspace(-2.0, 2.0, 5)
 DISK_THETA = np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False)
@@ -48,12 +48,12 @@ def assert_derivative(value, deriv, p, q, radial):
 
 
 @PROPERTY
-@given(modes=planar_modes, l=widths, k=contrasts, a1=stretches, a2=stretches)
-def test_planar_oracle_derivatives(modes, l, k, a1, a2):
+@given(modes=planar_modes, l=widths, k=contrasts, a2=anisotropies)
+def test_planar_oracle_derivatives(modes, l, k, a2):
     strip = mode_exact(Geometry("strip", l), modes)
     assert_derivative(strip.value, strip.deriv, l * INSIDE, PLANE_Y, radial=False)
 
-    exact = mode_exact(PlanarLayerConfig(l=l, k=k, a1=a1, a2=a2), modes)
+    exact = mode_exact(PlanarLayerConfig(l=l, k=k, a2=a2), modes)
     assert_derivative(exact.u1_value, exact.u1_deriv, l * INSIDE, PLANE_Y, radial=False)
     assert_derivative(exact.u2_value, exact.u2_deriv, l + 2.0 * INSIDE, PLANE_Y, radial=False)
 

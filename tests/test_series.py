@@ -36,12 +36,6 @@ def test_config_validation():
         PlanarLayerConfig(l=0.5, k=1.0).robin_h
 
 
-def test_config_conductivity_consistency():
-    PlanarLayerConfig(l=0.5, k=0.5, lambda1=1.0, lambda2=2.0)
-    with pytest.raises(ValidationError):
-        PlanarLayerConfig(l=0.5, k=0.6, lambda1=1.0, lambda2=2.0)
-
-
 #: a coupling ratio for the coupled kinds, none for the strip and the annulus
 KIND_K = {"strip": None, "halfplane_coupled": 0.5, "annulus": None, "disk_coupled": 0.5}
 RADIAL_KINDS = ("annulus", "disk_coupled")
@@ -78,6 +72,13 @@ def test_geometry_takes_k_on_the_coupled_problems_only():
     with pytest.raises(ValidationError):
         Geometry("wedge", 0.5)
     assert Geometry("strip", 1.5).interface == 1.5  # a planar interface may exceed 1
+
+
+@pytest.mark.parametrize("kind", ["strip", "annulus", "disk_coupled"])
+def test_geometry_takes_a2_on_the_coupled_half_plane_only(kind):
+    with pytest.raises(ValidationError, match="only the coupled half-plane"):
+        Geometry(kind, 0.4, KIND_K[kind], a2=2.0)
+    assert Geometry("halfplane_coupled", 0.4, 0.5, a2=2.0).stretch == 0.5
 
 
 def test_radial_robin_parameter_sign():
@@ -216,7 +217,7 @@ def test_halfplane_coupling_conditions_on_modes():
 
 
 def test_halfplane_anisotropic_stretch():
-    cfg = PlanarLayerConfig(l=0.3, k=0.5, a1=2.0, a2=1.0)
+    cfg = PlanarLayerConfig(l=0.3, k=0.5, a2=0.5)
     sol = series_solution(cfg, MODE, TailTol(1e-11))
     exact = mode_exact(cfg, [(1.0, 1.0, 0.0)])
     ys = np.linspace(-1, 1, 5)
