@@ -84,22 +84,16 @@ def total_variation(fn, lower: float, upper: float, initial: int = 257,
                     rel_tol: float = 1e-3, max_points: int = 2**20) -> TVEstimate:
     """Sum of |successive differences| on a refinement-stabilised grid.
 
-    Grids are nested (n -> 2n-1), so the estimate is non-decreasing;
-    refinement stops once the relative change drops below rel_tol.
+    fn takes the grid as one array and returns its values.  Grids are
+    nested (n -> 2n-1), so the estimate is non-decreasing; refinement
+    stops once the relative change drops below rel_tol.
     """
     if upper <= lower:
         raise ValidationError("interval must have positive length")
     n = initial
     prev = None
     while n <= max_points:
-        t = np.linspace(lower, upper, n)
-        try:
-            v = np.asarray(fn(t), dtype=float)
-            if v.shape != t.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            v = np.array([float(fn(ti)) for ti in t])
-        d = np.diff(v)
+        d = np.diff(np.asarray(fn(np.linspace(lower, upper, n)), dtype=float))
         tv = float(np.sum(np.abs(d)))
         signs = np.sign(d[d != 0])
         segments = 1 + int(np.sum(signs[1:] != signs[:-1])) if signs.size else 0
@@ -111,21 +105,14 @@ def total_variation(fn, lower: float, upper: float, initial: int = 257,
 
 
 def ray_window(fn, base: float = 1.0, decay_tol: float = 1e-10, cap: float = 2.0**24) -> float:
-    """Window [0, T] beyond which |f| is negligible relative to its scale."""
-    probe = np.linspace(0.0, base, 33)
-    try:
-        scale = float(np.max(np.abs(np.asarray(fn(probe), dtype=float))))
-    except (TypeError, ValueError):
-        scale = max(abs(float(fn(t))) for t in probe)
-    scale += 1e-300
+    """Window [0, T] beyond which |f| is negligible relative to its scale.
+
+    fn takes an array of points and returns its values.
+    """
+    scale = float(np.max(np.abs(fn(np.linspace(0.0, base, 33))))) + 1e-300
     t = base
     while t < cap:
-        tail = np.linspace(t, 2 * t, 33)
-        try:
-            m = float(np.max(np.abs(np.asarray(fn(tail), dtype=float))))
-        except (TypeError, ValueError):
-            m = max(abs(float(fn(s))) for s in tail)
-        if m <= decay_tol * scale:
+        if np.max(np.abs(fn(np.linspace(t, 2 * t, 33)))) <= decay_tol * scale:
             return 2.0 * t
         t *= 2.0
     raise EstimationError("profile does not decay within the search window")

@@ -59,13 +59,8 @@ MAX_GRID_NODES = 10_000_000
 #: evaluates two solutions
 MAX_SWEEP_VALUES = 1_000
 
-# pde_residual is the 5-point stencil's residual, which measures the
-# stencil's truncation as much as the solution: at residual_report's step
-# (1e-3, or less in a thin layer) it exceeds 1e-5 on some exact solutions,
-# such as the annulus oracle's mode n = 1 at R = 0.5 (4.1e-5), and verify
-# then fails them
 _DEFAULT_TOLS = {
-    "pde_residual": 1e-5,
+    "pde_residual": 1e-6,
     "boundary_mismatch": 1e-8,
     "value_jump": 1e-8,
     "flux_jump": 1e-8,
@@ -223,8 +218,8 @@ def boundary_field(cfg, geo, config_dir="."):
         n_max = (trace.abscissae.size - 1) // 2
         return disk_from_boundary(trace, n_max)
     raise ValidationError(
-        "planar sample-backed boundaries are supported via method='oracle' only; "
-        "use modes for the series and asymptotic methods"
+        "planar sample-backed boundaries are read only by solve with method 'oracle' "
+        "on the strip (its finite-difference solve); give boundary modes instead"
     )
 
 

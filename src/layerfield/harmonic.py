@@ -308,8 +308,8 @@ class BoundaryTrace:
         rows = []
         for number, line in lines:
             parts = [p.strip() for p in line.split(",")]
-            if len(parts) < 2:
-                raise ValidationError(f"expected two columns in {path!s}, line {number}")
+            if len(parts) != 2:
+                raise ValidationError(f"expected two columns in {path!s}, line {number}: {line!r}")
             try:
                 rows.append((float(parts[0]), float(parts[1])))
             except ValueError:

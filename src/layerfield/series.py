@@ -362,13 +362,14 @@ def convergence_diagnostic(config, field, tol: float = 1e-10, threshold: int = 1
     The count uses the (ratio, M) that the coupled series truncates with,
     for the boundary `field` on the layer `config`.  A ladder of modes is
     summed per mode, at the same cost for any count, so the
-    recommendation is "asymptotic" only for a field with boundary
-    sources, summed image by image, whose count exceeds `threshold`.
-    Such a field has no sup bound at the boundary, so it is counted with
-    sup 1.
+    recommendation is "asymptotic" for a field with boundary sources,
+    summed image by image, whose count exceeds `threshold`, and for any
+    count above MAX_LADDER_TERMS, where the series refuses to truncate.
+    A field with sources has no sup bound at the boundary, so it is
+    counted with sup 1.
     """
     ratio, M = _ladder_bounds(config, field, TailTol(tol, sup_bound=1.0))
     j = 1 if M == 0.0 else geometric_tail_terms(ratio, tol, M)
     per_mode = not (isinstance(field, HalfPlaneField) and field.has_sources)
-    rec = "asymptotic" if j > threshold and not per_mode else "series"
+    rec = "asymptotic" if j > MAX_LADDER_TERMS or (j > threshold and not per_mode) else "series"
     return RegimeReport(rho=config.rho, j_needed=j, tol=tol, threshold=threshold, recommendation=rec)

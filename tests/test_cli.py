@@ -11,7 +11,7 @@ import layerfield
 from layerfield import cli
 from layerfield.cli import main
 from layerfield.harmonic import HalfPlaneField
-from layerfield.series import PlanarLayerConfig
+from layerfield.series import MAX_LADDER_TERMS, PlanarLayerConfig
 
 
 def write_config(tmp_path, name, cfg):
@@ -144,6 +144,29 @@ def test_regimes_counts_the_disk_ladder_the_series_builds(tmp_path, capsys):
     assert json.loads(stdout)["terms"] == rep["j_needed"]
 
 
+def test_regimes_and_strict_model_the_term_cap(tmp_path, capsys):
+    # mode n = 1 at R = 0.99999, k = 1e-6 needs 1565606 terms, past
+    # MAX_LADDER_TERMS, where the series exits 3; the asymptotic route solves it
+    cfg = {
+        "problem": "disk_coupled",
+        "geometry": {"R": 0.99999, "k": 1e-6},
+        "boundary": {"modes": [{"n": 1, "a": 1.0}]},
+        "method": "series",
+        "grid": {"r": [0.1, 0.99, 4], "theta": [0.0, 6.0, 4]},
+    }
+    path = write_config(tmp_path, "cap.json", cfg)
+    code, stdout, _ = run_cli(["regimes", "--config", path], capsys)
+    assert code == 0
+    rep = json.loads(stdout)
+    assert rep["j_needed"] > MAX_LADDER_TERMS and rep["recommendation"] == "asymptotic"
+    out = tmp_path / "g.csv"
+    code, _, err = run_cli(["solve", "--config", path, "--strict", "--out", str(out)], capsys)
+    assert code == 4
+    assert json.loads(err)["recommendation"] == "asymptotic" and not out.exists()
+    path = write_config(tmp_path, "asym.json", {**cfg, "method": "asymptotic"})
+    assert run_cli(["solve", "--config", path, "--strict", "--out", str(out)], capsys)[0] == 0
+
+
 def test_solve_convergence_failure_exit_code(tmp_path, capsys):
     cfg = {
         "problem": "halfplane_coupled",
@@ -272,7 +295,6 @@ def test_verify_coupled_disk_series(tmp_path, capsys):
         "method": "series",
         "truncation": {"tol": 1e-9},
         "grid": {"r": [0.1, 0.99, 5], "theta": [0.0, 6.0, 5]},
-        "tolerances": {"pde_residual": 1e-4},
     }
     path = write_config(tmp_path, "disk.json", cfg)
     code, stdout, _ = run_cli(["verify", "--config", path], capsys)
@@ -390,12 +412,11 @@ def test_strip_oracle_at_large_omega_l(tmp_path, capsys):
         assert run_cli(["solve", "--config", path, "--out", str(out)], capsys)[0] == 0
         values[method] = out.read_text().splitlines()[1]
     assert values["oracle"] == values["series"] == "0.25,0.0,1,7.124576406741286e-218"
-    # the 5-point stencil cannot resolve w h = 2, so pde_residual fails
-    # verify, but it is a report, not a traceback
+    # the mean-value ring resolves w h = 2 at the default step
     code, stdout, _ = run_cli(["verify", "--config", write_config(tmp_path, "v.json", {**cfg, "method": "oracle"})],
                               capsys)
-    assert code in (0, 1)
-    assert json.loads(stdout)["checks"]["boundary_mismatch"]["pass"]
+    assert code == 0
+    assert json.loads(stdout)["all_pass"] is True
 
 
 @pytest.mark.parametrize(
@@ -585,8 +606,9 @@ def test_fd_strip_lateral_edges_follow_the_trace(tmp_path, capsys):
 @pytest.mark.parametrize(
     "text, line",
     [("np.float64(0.0),np.float64(1.0)\n1.0,0.5\n2.0,0.3\n", 1),
-     ("\nt,u\n0.0,1.0\n1.0,nan?\n2.0,0.3\n", 4)],
-    ids=["numpy-repr", "bad-row-after-header"],
+     ("\nt,u\n0.0,1.0\n1.0,nan?\n2.0,0.3\n", 4),
+     ("0.0,1.0\n1.0,0.5,8\n2.0,0.3\n", 2)],
+    ids=["numpy-repr", "bad-row-after-header", "three-columns"],
 )
 def test_fd_trace_with_a_non_numeric_row_exits_2(tmp_path, capsys, text, line):
     (tmp_path / "trace.csv").write_text(text)
@@ -621,11 +643,8 @@ def annulus_config(modes):
 
 
 def test_annulus_constant_mode_solve_and_verify(tmp_path, capsys):
-    # boundary value 1: the Dirichlet profile is ln(r/R)/ln(1/R), not 0.  The
-    # 5-point stencil's own truncation on ln r near r = R is ~1.1e-5, so the
-    # pde check gets the stencil-level tolerance
+    # boundary value 1: the Dirichlet profile is ln(r/R)/ln(1/R), not 0
     cfg = annulus_config([{"n": 0, "a": 1}])
-    cfg["tolerances"] = {"pde_residual": 1e-4}
     path = write_config(tmp_path, "const.json", cfg)
     out = tmp_path / "const.csv"
     code, _, _ = run_cli(["solve", "--config", path, "--out", str(out)], capsys)
@@ -961,3 +980,17 @@ def test_compare_blocks_exit_2_on_other_commands(tmp_path, capsys, command, bloc
     assert code == 2
     assert f"{command} reads no {next(iter(block))} block" in err
     assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "compare", "regimes"])
+def test_planar_samples_are_read_only_by_the_fd_solve(tmp_path, capsys, command):
+    # the config already names method oracle; only solve reads the trace
+    with open(strip_trace_config(tmp_path, (-1.0, 1.0))) as fh:
+        cfg = json.load(fh)
+    if command == "compare":
+        cfg["methods"] = [cfg.pop("method"), "series"]
+    if command == "regimes":  # the diagnostic takes only the coupled problems
+        cfg.update(problem="halfplane_coupled", geometry={"l": 0.5, "k": 0.5})
+    code, stdout, err = run_cli([command, "--config", write_config(tmp_path, "c.json", cfg)], capsys)
+    assert code == 2 and stdout == ""
+    assert "read only by solve with method 'oracle' on the strip" in err

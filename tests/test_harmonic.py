@@ -188,8 +188,9 @@ def test_trace_csv_header_only_on_the_first_line(tmp_path):
         ("t,u\nangle,value\n0.0,1.0\n1.0,2.0\n", 2),
         ("0.0,1.0\n1.0,2.0\n2.0,x\n", 3),
         ("t,u\n0.0,1.0\n\n1.0\n", 4),
+        ("0.0,1.0\n1.0,2.0,8\n2.0,3.0\n", 2),
     ],
-    ids=["numpy-repr", "digit-in-header", "second-header", "late-text", "one-column"],
+    ids=["numpy-repr", "digit-in-header", "second-header", "late-text", "one-column", "three-columns"],
 )
 def test_trace_csv_rejects_a_non_numeric_row_by_line(tmp_path, text, line):
     path = tmp_path / "trace.csv"
