@@ -26,7 +26,6 @@ from .links import (
 )
 from .summation import (
     ExpProfile,
-    TVEstimate,
     em_ray_sum,
     log_sum_bound,
     ray_sum_bound,
@@ -37,7 +36,6 @@ from .summation import (
 __all__ = [
     "ApproxResult",
     "ExpProfile",
-    "TVEstimate",
     "bernoulli",
     "disk_small_contrast",
     "em_ray_sum",

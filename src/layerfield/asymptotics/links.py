@@ -6,14 +6,13 @@ a plain rescaling of each coefficient, and a planar boundary source
 maps to an exponential integral in closed form.  The Neumann companion
 is the decaying primitive.  `thin_layer_solution` assembles the
 companion at the geometry's Robin parameter into a closed-form
-substitute for the image-ladder solution, with the rigorous variation
-bound of the leading-order step where one is known.
+substitute for the image-ladder solution, with a closed-form bound on
+its layer-2 deviation where one is known.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -22,7 +21,7 @@ from ..errors import SolvabilityError, ValidationError
 from ..harmonic import DiskField, HalfPlaneField
 from ..series import Geometry, LayeredSolution, PlanarLayerConfig, RadialLayerConfig
 # benchmarks/tracer.py times the variation estimators under these names,
-# ray_total_variation included, though no route here calls it
+# though no route calls any of them; ROADMAP item 5 unpins them
 from .summation import total_variation, ray_total_variation, ray_window
 
 #: Re(zeta) from which e^zeta E1(zeta) is summed by Gauss-Laguerre: e^zeta
@@ -115,41 +114,17 @@ def _radial_link(field: DiskField, h: float) -> DiskField:
 
 
 class ApproxResult:
-    """Thin-layer approximation plus its assessment bound, computed when read.
+    """Thin-layer approximation plus its assessment bound.
 
-    `bound_at(p, q)` is the pointwise bound and `bound` its maximum over
-    the interface points `probes`; both are None where no bound is known.
+    `bound_at(p)` bounds the layer-2 deviation from the series at every
+    point of layer 2 with first coordinate p, and `bound` is its value
+    at the interface, where it is largest; both are None where no bound
+    is known.
     """
 
-    def __init__(self, solution, bound_at: Callable | None = None, probes=()):
-        self.solution, self.bound_at, self._probes = solution, bound_at, probes
-
-    @cached_property
-    def bound(self) -> float | None:
-        if self.bound_at is None:
-            return None
-        return max(self.bound_at(self.solution.geometry.interface, q) for q in self._probes)
-
-
-def _planar_bound_at(field: HalfPlaneField, rho: float, h: float):
-    """Pointwise assessment (1-rho) * V(e^(he) u(x+e, y)) over e >= 0."""
-
-    def bound(x, y):
-        profile = lambda e: np.exp(h * np.asarray(e, float)) * field.value(x + np.asarray(e, float), y)
-        window = ray_window(lambda e: np.exp(h * np.asarray(e, float)), base=1.0 / max(abs(h), 1e-9))
-        return (1.0 - rho) * total_variation(profile, 0.0, window).value
-
-    return bound
-
-
-def _radial_bound_at(field: DiskField, rho: float, h: float):
-    """Pointwise assessment (1-rho) * V(e^h u(r e, theta)) over e in [0, 1]."""
-
-    def bound(r, theta):
-        profile = lambda e: np.asarray(e, float) ** h * field.value(r * np.asarray(e, float), theta)
-        return (1.0 - rho) * total_variation(profile, 0.0, 1.0).value
-
-    return bound
+    def __init__(self, solution, bound_at: Callable | None = None):
+        self.solution, self.bound_at = solution, bound_at
+        self.bound = None if bound_at is None else bound_at(solution.geometry.interface)
 
 
 def thin_layer_solution(geometry: Geometry, field) -> ApproxResult:
@@ -164,29 +139,38 @@ def thin_layer_solution(geometry: Geometry, field) -> ApproxResult:
     rho < 0 (the even/odd split of the alternating ladder).  On the strip
     and the annulus rho = 1 and h = 0, so u3 is the Neumann primitive.
 
-    The variation bound, the assessment of the leading quadrature step
-    maximised over interface probes (17 over a period of the slowest mode,
-    and the ordinate of every boundary source), and its pointwise form
-    `bound_at` are known for the coupled problems at rho > 0 only; each
-    is computed only when read or called.
+    At rho > 0 on the coupled problems the layer-2 deviation from the
+    series is (1 - rho)|sum_j f(js) - (1/s) int f|, which is at most
+    (1 - rho) V(f), the total variation of the profile f (DLMF 2.10):
+    f(e) = e^(he) u(X + e, y) on e >= 0 with X = outer(x), or
+    f(e) = e^h u(re, theta) on e in [0, 1].  The variation of a sum is
+    at most the sum of its terms' variations, and each term has one in
+    closed form that holds for every y or theta:
+      - a mode's profile is monotone, so its variation is its end value,
+        at most |A| e^(-wX) or r^n hypot(a_n, b_n), and |a_0|/2 for the
+        constant mode;
+      - a source's, (|q|/pi) e^(he) u/(u^2 + c^2) with u = X + e, has the
+        log-slope h + (c^2 - u^2)/(u(u^2 + c^2)), which changes sign
+        once; its variation is f(0) <= 1/X per unit |q|/pi when |c| <= X,
+        and at most 1/|c| - X/(X^2 + c^2) < 1/X otherwise.
+    On the plane that sum is `HalfPlaneField.sup_bound(X)`.  `bound_at(p)`
+    is (1 - rho) times it, and `bound` its value at the interface, the
+    largest over layer 2.  On the strip, the annulus and at rho < 0 both
+    are None.
     """
     h = geometry.robin_h
     rho = geometry.rho
     images = 1 if rho > 0 else 2
     if geometry.radial:
         s, u3 = math.log(1.0 / geometry.interface**2), _radial_link(field, h)
-        bound_at, probes = _radial_bound_at(field, rho, h), np.linspace(0.0, 2 * math.pi, 17)
+        a, b = field.cos_coeffs, field.sin_coeffs
+        n = np.arange(1, a.size)
+        bound_at = lambda r: (1.0 - rho) * (abs(a[0]) / 2.0 + float(np.sum(r**n * np.hypot(a[1:], b[1:]))))
     else:
         s, u3 = 2.0 * geometry.interface, _planar_link(field, h)
-        w = field.min_frequency
-        bound_at = _planar_bound_at(field, rho, h)
-        probes = np.linspace(-3.0, 3.0, 17) if w is None else np.linspace(0.0, 2 * math.pi / w, 17)
-        # the deviation peaks on the interface across from a boundary source
-        probes = np.concatenate([probes, [t for t, _ in field.sources]])
+        bound_at = lambda x: (1.0 - rho) * field.sup_bound(geometry.outer(x))
     solution = LayeredSolution(geometry, u3, 1.0 / (images * s), rho, images)
-    if not (geometry.coupled and rho > 0):
-        return ApproxResult(solution)
-    return ApproxResult(solution, bound_at, probes)
+    return ApproxResult(solution, bound_at if geometry.coupled and rho > 0 else None)
 
 
 # benchmarks/workloads.py reads `.bound` through the next two names; ROADMAP item 5 unpins them
@@ -194,9 +178,9 @@ def halfplane_small_contrast(field: HalfPlaneField, config: PlanarLayerConfig) -
     """Low-contrast (k < 1) thin-layer approximation of the coupled half-plane.
 
     u2 ~ (1 - rho)/(2l) * u3(outer(x),y) and u1 ~ (u3(x,y) - rho*u3(2l-x,y))/(2l),
-    where u3 is the Robin companion at h = ln(rho)/(2l).  The returned
-    bound is the variation assessment of the leading quadrature step,
-    maximised along the interface; bound_at gives it pointwise.
+    where u3 is the Robin companion at h = ln(rho)/(2l).  bound_at(x)
+    bounds |u2 - series| at every y, in closed form; bound is its value
+    at x = l (see `thin_layer_solution`).
     """
     if not (0.0 < config.k < 1.0):
         raise ValidationError("low-contrast approximation needs 0 < k < 1")

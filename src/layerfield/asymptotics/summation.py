@@ -7,10 +7,11 @@ corrections.  On a mode every image ladder, weighted or logarithmic, is
 a plain exponential ladder, so `em_ray_sum` on an `ExpProfile` serves
 them all (the mapping is in the `asymptotics` docstring).
 
-Alongside the expansion, this module carries the rigorous
-total-variation error bounds for the zeroth-order (integral-only)
-approximations and the refinement-based variation estimator they need.
-Nothing here loads scipy.
+Alongside the expansion, this module carries the total-variation error
+bounds for the zeroth-order (integral-only) approximation of a general
+profile, and the refinement-based variation estimator they need.  The
+thin-layer routes do not use them: on mode data each variation has a
+closed form (see `links.thin_layer_solution`).  Nothing here loads scipy.
 """
 
 from __future__ import annotations
@@ -71,17 +72,8 @@ def em_ray_sum(f, step: float, order: int = 2) -> float:
     return total
 
 
-class TVEstimate:
-    """Total variation estimate from nested grid refinement."""
-
-    def __init__(self, value: float, points: int, segments: int):
-        if value < 0:
-            raise ValidationError("total variation cannot be negative")
-        self.value, self.points, self.segments = value, points, segments
-
-
 def total_variation(fn, lower: float, upper: float, initial: int = 257,
-                    rel_tol: float = 1e-3, max_points: int = 2**20) -> TVEstimate:
+                    rel_tol: float = 1e-3, max_points: int = 2**20) -> float:
     """Sum of |successive differences| on a refinement-stabilised grid.
 
     fn takes the grid as one array and returns its values.  Grids are
@@ -95,10 +87,8 @@ def total_variation(fn, lower: float, upper: float, initial: int = 257,
     while n <= max_points:
         d = np.diff(np.asarray(fn(np.linspace(lower, upper, n)), dtype=float))
         tv = float(np.sum(np.abs(d)))
-        signs = np.sign(d[d != 0])
-        segments = 1 + int(np.sum(signs[1:] != signs[:-1])) if signs.size else 0
         if prev is not None and abs(tv - prev) <= rel_tol * max(tv, 1e-300):
-            return TVEstimate(value=tv, points=n, segments=segments)
+            return tv
         prev = tv
         n = 2 * n - 1
     raise EstimationError("total variation did not stabilise under refinement")
@@ -118,7 +108,7 @@ def ray_window(fn, base: float = 1.0, decay_tol: float = 1e-10, cap: float = 2.0
     raise EstimationError("profile does not decay within the search window")
 
 
-def ray_total_variation(fn, window: float | None = None) -> TVEstimate:
+def ray_total_variation(fn, window: float | None = None) -> float:
     """Total variation of a decaying profile on [0, inf), windowed."""
     T = window if window is not None else ray_window(fn)
     return total_variation(fn, 0.0, T)
@@ -128,11 +118,11 @@ def ray_sum_bound(fn, l: float, window: float | None = None) -> float:
     """Rigorous bound for |int_0^inf f - 2l * sum_j f(2lj)|: 2l * V(f)."""
     if l <= 0:
         raise ValidationError("step parameter must be > 0")
-    return 2.0 * l * ray_total_variation(fn, window=window).value
+    return 2.0 * l * ray_total_variation(fn, window=window)
 
 
 def log_sum_bound(fn, R: float) -> float:
     """Bound for |int_0^1 f(x)/x dx - ln(1/R^2) sum_j f(R^(2j))|."""
     if not (0.0 < R < 1.0):
         raise ValidationError("grid ratio R must lie in (0, 1)")
-    return math.log(1.0 / R**2) * total_variation(fn, 0.0, 1.0).value
+    return math.log(1.0 / R**2) * total_variation(fn, 0.0, 1.0)

@@ -138,7 +138,7 @@ def load_config(path) -> dict:
     if "tolerances" in cfg:
         _reject_unknown(cfg["tolerances"], set(_DEFAULT_TOLS), "tolerances")
     if "regime" in cfg:
-        _reject_unknown(cfg["regime"], {"tol", "threshold"}, "regime")
+        _reject_unknown(cfg["regime"], {"threshold"}, "regime")
     if "output" in cfg:
         _reject_unknown(cfg["output"], {"path"}, "output")
     return cfg
@@ -223,13 +223,18 @@ def boundary_field(cfg, geo, config_dir="."):
     )
 
 
+def _tail_tol(cfg) -> float:
+    """The series' tail tolerance `truncation.tol`, 1e-10 when unset."""
+    return _number(cfg.get("truncation", {}).get("tol", 1e-10), "truncation tol")
+
+
 def truncation_policy(cfg):
     t = cfg.get("truncation", {})
     if "J" in t and "tol" in t:
         raise ValidationError("truncation takes either J or tol, not both")
     if "J" in t:
         return MaxTerms(_number(t["J"], "truncation J", int))
-    return TailTol(_number(t.get("tol", 1e-10), "truncation tol"))
+    return TailTol(_tail_tol(cfg))
 
 
 def build_solution(cfg, method, field, geo, trunc):
@@ -341,13 +346,12 @@ def _config_dir(args):
 
 
 def _regime_diagnostic(cfg, geo, field):
-    """The regime report for the ladder the series would build from `field`."""
-    reg = cfg.get("regime", {})
+    """The regime report for the ladder the series would build from `field`, at its tail tolerance."""
     return convergence_diagnostic(
         geo,
         field,
-        tol=_number(reg.get("tol", 1e-10), "regime tol"),
-        threshold=_number(reg.get("threshold", 1000), "regime threshold", int),
+        tol=_tail_tol(cfg),
+        threshold=_number(cfg.get("regime", {}).get("threshold", 1000), "regime threshold", int),
     )
 
 

@@ -223,17 +223,13 @@ class DiskField:
     def constant_coeff(self) -> float:
         return float(self._a[0])
 
-    def image_factor(self, R: float, constant: bool = True) -> float:
+    def image_factor(self, R: float) -> float:
         """Slowest per-image decay of this field's Kelvin ladder with interface R.
 
-        Mode n decays by R^(2n) per image.  The constant mode (factor 1)
-        counts only when `constant` is set; a field with nothing active
-        gives 0.
+        Mode n decays by R^(2n) per image, the constant mode by 1; a field
+        with nothing active gives 0.
         """
-        active = (self._a != 0.0) | (self._b != 0.0)
-        if not constant:
-            active[:1] = False
-        n = np.flatnonzero(active)
+        n = np.flatnonzero((self._a != 0.0) | (self._b != 0.0))
         return R ** (2 * int(n[0])) if n.size else 0.0
 
     def sup_bound(self) -> float:

@@ -110,15 +110,14 @@ def _resolve_truncation(trunc, ratio: float, M: float | None):
 def _ladder_bounds(geometry: Geometry, field, trunc):
     """Geometric (ratio, M) of the ladder terms of `field` on `geometry`.
 
-    ratio is |rho| times the slowest per-image decay among the field's
-    components that do not cancel: on the disk the constant mode cancels
-    in F(p) - rho*F(p*) only at rho = 1.  M = (1 + |rho|) sup|u_model|,
-    from the field's own bound, or TailTol.sup_bound for a field with
-    boundary sources, which has none.
+    ratio is |rho| times the slowest per-image decay of the field's
+    components.  M = (1 + |rho|) sup|u_model|, from the field's own
+    bound, or TailTol.sup_bound for a field with boundary sources, which
+    has none.
     """
     rho = abs(geometry.rho)
     if geometry.radial:
-        factor = field.image_factor(geometry.interface, constant=geometry.rho != 1.0)
+        factor = field.image_factor(geometry.interface)
     else:
         factor = field.image_factor(geometry.step)
     try:
@@ -282,8 +281,9 @@ class LayeredSolution:
     harmonic, so F(outer(p)) solves layer 2's equation, and at the
     geometry's rho, k*(1 + rho) = 1 - rho gives `Geometry`'s interface
     conditions for any F.  The strip and the annulus take rho = 1, so
-    they vanish on the interface; `log_coeff` adds log_coeff*ln(r/R) in layer 1, the annulus profile of
-    a constant boundary mode, which cancels inside F(p) - F(p*).
+    they vanish on the interface; `log_coeff` adds log_coeff*ln(r/R) in
+    layer 1, the annulus profile of a constant boundary mode, which
+    F(p) - F(p*) cancels.
 
     `tail_bound` is set for the truncated series only, and `terms` (the
     ladder length) is reported for those alone.
@@ -336,15 +336,19 @@ class LayeredSolution:
 def series_solution(geometry: Geometry, field, trunc) -> LayeredSolution:
     """The truncated image-ladder solution of `field` on `geometry`.
 
-    On the annulus the ladder cancels the constant mode c pair by pair,
-    so it is added back as its exact profile c*ln(r/R)/ln(1/R).
+    On the annulus F(p) - F(p*) cancels the constant mode c, term by
+    term, to rounding; so the ladder sums the field without it, and the
+    mode enters as its exact profile c*ln(r/R)/ln(1/R).
     """
     if geometry.coupled and abs(geometry.rho) >= 1.0:
         raise ValidationError("reflection ratio must satisfy |rho| < 1")
-    terms, tail = _resolve_truncation(trunc, *_ladder_bounds(geometry, field, trunc))
     log_coeff = 0.0
     if geometry.kind == "annulus":
         log_coeff = field.constant_coeff / 2.0 / math.log(1.0 / geometry.interface)
+        a = field.cos_coeffs
+        a[0] = 0.0
+        field = DiskField(a, field.sin_coeffs)
+    terms, tail = _resolve_truncation(trunc, *_ladder_bounds(geometry, field, trunc))
     return LayeredSolution(geometry, field, 1.0, geometry.rho, terms, tail, log_coeff)
 
 

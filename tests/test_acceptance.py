@@ -180,7 +180,7 @@ def test_criterion_5_variation_bounds():
             x = rng.uniform(l, l + 1.0)
             y = rng.uniform(-2.0, 2.0)
             dev = abs(float(approx.solution.u2_value(x, y)) - float(series.u2_value(x, y)))
-            ok = ok and dev <= approx.bound_at(x, y) * (1 + 1e-6) + 1e-13
+            ok = ok and dev <= approx.bound_at(x) * (1 + 1e-6) + 1e-13
     _verdict("criterion 5: 18/18 variation bounds hold; planar assessment dominates", ok)
 
 

@@ -131,7 +131,7 @@ def test_regimes_counts_the_disk_ladder_the_series_builds(tmp_path, capsys):
         "boundary": {"modes": [{"n": 2, "a": 0.5}, {"n": 5, "b": 0.25}]},
         "method": "series",
         "truncation": {"tol": 1e-10},
-        "regime": {"tol": 1e-10, "threshold": 10},
+        "regime": {"threshold": 10},
         "grid": {"r": [0.1, 0.99, 4], "theta": [0.0, 6.0, 4]},
     }
     path = write_config(tmp_path, "disk.json", cfg)
@@ -165,6 +165,26 @@ def test_regimes_and_strict_model_the_term_cap(tmp_path, capsys):
     assert json.loads(err)["recommendation"] == "asymptotic" and not out.exists()
     path = write_config(tmp_path, "asym.json", {**cfg, "method": "asymptotic"})
     assert run_cli(["solve", "--config", path, "--strict", "--out", str(out)], capsys)[0] == 0
+
+
+def test_regimes_and_strict_count_at_the_truncation_tolerance(tmp_path, capsys):
+    # at truncation tol 1e-15 the series needs 107638 terms, past
+    # MAX_LADDER_TERMS; a gate counting at 1e-10 (78856 terms) let it through to exit 3
+    cfg = {
+        "problem": "disk_coupled",
+        "geometry": {"R": 0.9999, "k": 1e-4},
+        "boundary": {"modes": [{"n": 1, "a": 1.0}]},
+        "method": "series",
+        "truncation": {"tol": 1e-15},
+        "grid": {"r": [0.1, 0.99, 4], "theta": [0.0, 6.0, 4]},
+    }
+    path = write_config(tmp_path, "tight.json", cfg)
+    code, stdout, _ = run_cli(["regimes", "--config", path], capsys)
+    assert code == 0
+    rep = json.loads(stdout)
+    assert rep["tol"] == 1e-15 and rep["j_needed"] == 107638 and rep["recommendation"] == "asymptotic"
+    code, _, err = run_cli(["solve", "--config", path, "--strict", "--out", str(tmp_path / "g.csv")], capsys)
+    assert code == 4 and json.loads(err)["j_needed"] == 107638
 
 
 def test_solve_convergence_failure_exit_code(tmp_path, capsys):
@@ -657,6 +677,16 @@ def test_annulus_constant_mode_solve_and_verify(tmp_path, capsys):
     assert json.loads(stdout)["all_pass"] is True
 
 
+def test_annulus_repeated_constant_mode_verifies_in_a_thin_layer(tmp_path, capsys):
+    # the ladder sums the field without its constant mode; carried through
+    # the ladder and cancelled in F(p) - F(p*), it read pde_residual 1.66e-6
+    cfg = {"problem": "annulus", "geometry": {"R": 0.99}, "method": "series",
+           "boundary": {"modes": [{"n": 0, "a": 1}, {"n": 0, "a": 1}, {"n": 1, "a": 1, "b": -1}]}}
+    code, stdout, _ = run_cli(["verify", "--config", write_config(tmp_path, "thin.json", cfg)], capsys)
+    assert code == 0
+    assert json.loads(stdout)["all_pass"] is True
+
+
 def test_annulus_constant_mode_oracle_matches_series(tmp_path, capsys):
     cfg = {"problem": "annulus", "geometry": {"R": 0.5}, "boundary": {"modes": [{"n": 0, "a": 1}]},
            "grid": {"r": [0.5, 1.0, 11], "theta": [0.0, 6.0, 7]}}
@@ -691,10 +721,13 @@ def test_annulus_constant_mode_oracle_matches_series(tmp_path, capsys):
         strip_config(truncation={"J": 2.5}),
         annulus_config([{"n": 1.5}]),
         strip_config(grid={"x": [0.0, 0.5, 5.5], "y": [-1.0, 1.0, 5]}),
+        # the regime diagnostic counts at truncation.tol, and takes no tolerance of its own
+        strip_config(regime={"tol": 1e-10}),
     ],
     ids=[
         "J-text", "tol-text", "grid-count-text", "mode-not-object", "negative-n",
         "l-bool", "omega-bool", "J-bool", "k-bool", "J-fraction", "n-fraction", "grid-count-fraction",
+        "regime-tol",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, cfg):

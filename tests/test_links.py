@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from layerfield import (
@@ -19,6 +21,7 @@ from layerfield import (
     series_solution,
 )
 from layerfield.asymptotics import disk_small_contrast, halfplane_small_contrast, thin_layer_solution
+from layerfield.asymptotics import links
 from layerfield.asymptotics.links import _planar_link, _radial_link
 
 PLANAR = HalfPlaneField(modes=[(1.0, 1.0, 0.0), (0.5, 2.0, 0.3)])
@@ -190,7 +193,7 @@ def test_halfplane_small_contrast_bounded_by_assessment():
         x = rng.uniform(cfg.l, cfg.l + 1.5)
         y = rng.uniform(-2.0, 2.0)
         dev = abs(float(approx.solution.u2_value(x, y)) - float(series.u2_value(x, y)))
-        assert dev <= approx.bound_at(x, y) * (1 + 1e-6) + 1e-14
+        assert dev <= approx.bound_at(x) * (1 + 1e-6) + 1e-14
     assert approx.bound > 0
 
 
@@ -204,6 +207,18 @@ def test_halfplane_small_contrast_layer2_follows_anisotropic_stretch():
     ys = np.linspace(-2.0, 2.0, 21)
     dev = np.max(np.abs(approx.solution.u2_value(xs, ys) - series.u2_value(xs, ys)))
     assert dev <= approx.bound
+
+
+def test_halfplane_bound_at_is_taken_at_the_stretched_argument():
+    # at a2 = 4 layer 2 decays four times slower in x: at x = 2 the
+    # deviation is 0.0119, and the bound at x rather than outer(x) read 0.0053
+    cfg = PlanarLayerConfig(l=0.01, k=0.02, a2=4.0)
+    approx = halfplane_small_contrast(MODE, cfg)
+    series = series_solution(cfg, MODE, TailTol(1e-12))
+    ys = np.linspace(-math.pi, math.pi, 41)
+    dev = np.max(np.abs(approx.solution.u2_value(2.0, ys) - series.u2_value(2.0, ys)))
+    assert dev > 0.011
+    assert dev <= approx.bound_at(2.0)
 
 
 def test_halfplane_bound_covers_the_interface_across_from_sources():
@@ -313,7 +328,7 @@ def test_disk_small_contrast_bounded_by_assessment():
         r = rng.uniform(0.1, cfg.R)
         t = rng.uniform(0.0, 2 * math.pi)
         dev = abs(float(approx.solution.u2_value(r, t)) - float(series.u2_value(r, t)))
-        assert dev <= approx.bound_at(r, t) * (1 + 1e-6) + 1e-14
+        assert dev <= approx.bound_at(r) * (1 + 1e-6) + 1e-14
 
 
 def test_disk_small_contrast_thickness_scaling():
@@ -389,3 +404,80 @@ def test_annulus_thin_layer_boundary_deviation_first_order():
 def test_annulus_thin_layer_needs_mean_zero():
     with pytest.raises(SolvabilityError):
         thin_layer_solution(Geometry("annulus", 0.95), DiskField.single_mode(0, 2.0))
+
+
+# --- the closed-form bound ------------------------------------------------------
+
+
+def _estimated_bound(approx, field, probes):
+    """(1 - rho) times the largest refinement estimate of the variation over the probes.
+
+    The profile is e^(he) u(l + e, y) on the plane and e^h u(Re, theta)
+    on the disk, each estimated on a nested grid, so each estimate is at
+    most the variation itself.
+    """
+    geo = approx.solution.geometry
+    h, rho, p = geo.robin_h, geo.rho, geo.interface
+    if geo.radial:
+        tv = lambda q: links.total_variation(lambda e: e**h * field.value(p * e, q), 0.0, 1.0)
+    else:
+        window = links.ray_window(lambda e: np.exp(h * e), base=1.0 / abs(h))
+        tv = lambda q: links.total_variation(lambda e: np.exp(h * e) * field.value(p + e, q), 0.0, window)
+    return (1.0 - rho) * max(tv(q) for q in probes)
+
+
+BOUND_PROPERTY = settings(max_examples=40, deadline=None)
+amplitudes = st.floats(-1.0, 1.0)
+low_contrasts = st.floats(0.02, 0.9)
+
+
+@BOUND_PROPERTY
+@given(
+    modes=st.lists(st.tuples(amplitudes, st.floats(0.5, 3.0), st.floats(0.0, 2 * math.pi)), min_size=1, max_size=3),
+    sources=st.lists(st.tuples(st.floats(-2.0, 2.0), amplitudes), max_size=2),
+    l=st.floats(0.01, 0.3),
+    k=low_contrasts,
+    a2=st.floats(0.5, 4.0),
+)
+def test_halfplane_bound_dominates_deviation_and_estimate(modes, sources, l, k, a2):
+    field = HalfPlaneField(modes=modes, sources=sources)
+    cfg = PlanarLayerConfig(l=l, k=k, a2=a2)
+    approx = thin_layer_solution(cfg, field)
+    series = series_solution(cfg, field, TailTol(1e-11, sup_bound=field.sup_bound(l) + 1e-300))
+    ys = np.concatenate([np.linspace(-3.0, 3.0, 61), [t for t, _ in sources]])
+    for x in l + np.array([0.0, 0.1, 0.5, 2.0]) * a2:
+        dev = np.max(np.abs(approx.solution.u2_value(x, ys) - series.u2_value(x, ys)))
+        assert dev <= approx.bound_at(x) * (1 + 1e-9) + 2e-11
+    w = min(w for _, w, _ in modes)
+    probes = np.concatenate([np.linspace(0.0, 2 * math.pi / w, 61), [t for t, _ in sources]])
+    assert _estimated_bound(approx, field, probes) <= approx.bound * (1 + 1e-9) + 1e-15
+
+
+@BOUND_PROPERTY
+@given(
+    a=st.lists(amplitudes, min_size=1, max_size=7),
+    b=st.lists(amplitudes, min_size=7, max_size=7),
+    R=st.floats(0.5, 0.98),
+    k=low_contrasts,
+)
+def test_disk_bound_dominates_deviation_and_estimate(a, b, R, k):
+    field = DiskField(np.array(a), np.array([0.0] + b[1 : len(a)]))
+    cfg = RadialLayerConfig(R=R, k=k)
+    approx = thin_layer_solution(cfg, field)
+    series = series_solution(cfg, field, TailTol(1e-11))
+    ts = np.linspace(0.0, 2 * math.pi, 61)
+    for r in R * np.array([0.1, 0.5, 0.9, 1.0]):
+        dev = np.max(np.abs(approx.solution.u2_value(r, ts) - series.u2_value(r, ts)))
+        assert dev <= approx.bound_at(r) * (1 + 1e-9) + 2e-11
+    assert _estimated_bound(approx, field, ts) <= approx.bound * (1 + 1e-9) + 1e-15
+
+
+def test_bound_needs_no_variation_estimate(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the thin-layer bound estimated a variation")
+
+    for name in ("total_variation", "ray_total_variation", "ray_window"):
+        monkeypatch.setattr(links, name, refuse)
+    plane = HalfPlaneField(modes=[(1.0, 1.0, 0.0)], sources=[(0.2, 1.0)])
+    assert thin_layer_solution(PlanarLayerConfig(l=0.1, k=0.02), plane).bound > 0
+    assert thin_layer_solution(RadialLayerConfig(R=0.99, k=0.05), DISK).bound > 0
