@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 #: submodule defining each exported name
 _EXPORTS = {
     **dict.fromkeys([
-        "ApproxResult", "ExpProfile", "bernoulli", "disk_small_contrast",
+        "ExpProfile", "bernoulli", "disk_small_contrast",
         "em_ray_sum", "halfplane_small_contrast", "log_sum_bound", "ray_sum_bound",
         "thin_layer_solution", "total_variation"
     ], ".asymptotics"),

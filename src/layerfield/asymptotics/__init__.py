@@ -19,7 +19,6 @@ images.  No route calls the engine yet: the higher-order terms will.
 
 from .bernoulli import bernoulli
 from .links import (
-    ApproxResult,
     disk_small_contrast,
     halfplane_small_contrast,
     thin_layer_solution,
@@ -34,7 +33,6 @@ from .summation import (
 )
 
 __all__ = [
-    "ApproxResult",
     "ExpProfile",
     "bernoulli",
     "disk_small_contrast",

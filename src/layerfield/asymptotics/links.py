@@ -4,16 +4,15 @@ The Robin companion of a model field integrates it against an
 exponential (planar) or power-law (radial) kernel; on modes the link is
 a plain rescaling of each coefficient, and a planar boundary source
 maps to an exponential integral in closed form.  The Neumann companion
-is the decaying primitive.  `thin_layer_solution` assembles the
-companion at the geometry's Robin parameter into a closed-form
-substitute for the image-ladder solution, with a closed-form bound on
-its layer-2 deviation where one is known.
+is the decaying primitive.  `thin_layer_solution` builds the companion
+at the geometry's Robin parameter of a short ladder of the field, a
+closed-form substitute for the image-ladder solution, with a
+closed-form bound on its layer-2 deviation where one is known.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -54,9 +53,9 @@ def _exp_e1(zeta):
 class _SourceRobinHalfPlane:
     """Robin companion of a field with boundary sources, in closed form.
 
-    With z = x + i(y - t), a source (q/pi) x/|z|^2 = (q/pi) Re(1/z) has
-    the companion (q/pi) Re[e^(-hz) E1(-hz)]; the modes are rescaled as
-    on a mode-only field.
+    With z = x + d + i(y - t), a source (q/pi) (x + d)/|z|^2 =
+    (q/pi) Re(1/z) at depth d has the companion (q/pi) Re[e^(-hz) E1(-hz)];
+    the modes are rescaled as on a mode-only field.
     """
 
     def __init__(self, field: HalfPlaneField, h: float):
@@ -67,19 +66,13 @@ class _SourceRobinHalfPlane:
     def value(self, x, y):
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         out = np.array(self.modes.value(x, y), dtype=float)
-        for t, q in self.field.sources:
-            out += (q / math.pi) * _exp_e1(-self.h * (x + 1j * (y - t))).real
+        for t, q, d in self.field.sources:
+            out += (q / math.pi) * _exp_e1(-self.h * (x + d + 1j * (y - t))).real
         return out if out.shape else float(out)
 
     def deriv_x(self, x, y):
         # d/dx of the link obeys  d/dx u3 = -h*u3 - u  exactly
         return -self.h * self.value(x, y) - self.field.value(x, y)
-
-    def ladder(self, x, y, shift, ratio, terms, deriv=False):
-        """sum_{j<terms} ratio^j u3(x + j*shift, y), or of d/dx u3, image by image."""
-        fn = self.deriv_x if deriv else self.value
-        x = np.asarray(x, dtype=float)
-        return sum(ratio**j * fn(x + j * shift, y) for j in range(terms))
 
 
 def _planar_link(field: HalfPlaneField, h: float):
@@ -113,31 +106,19 @@ def _radial_link(field: DiskField, h: float) -> DiskField:
     return DiskField(field.cos_coeffs / n, field.sin_coeffs / n)
 
 
-class ApproxResult:
-    """Thin-layer approximation plus its assessment bound.
-
-    `bound_at(p)` bounds the layer-2 deviation from the series at every
-    point of layer 2 with first coordinate p, and `bound` is its value
-    at the interface, where it is largest; both are None where no bound
-    is known.
-    """
-
-    def __init__(self, solution, bound_at: Callable | None = None):
-        self.solution, self.bound_at = solution, bound_at
-        self.bound = None if bound_at is None else bound_at(solution.geometry.interface)
-
-
-def thin_layer_solution(geometry: Geometry, field) -> ApproxResult:
+def thin_layer_solution(geometry: Geometry, field) -> LayeredSolution:
     """The leading-order thin-layer solution of `field` on `geometry`.
 
     One formula serves every problem.  With the ladder step s = 2l on
     the plane and ln(1/R^2) on the disk, and the Robin parameter
     h = `geometry.robin_h` (|rho| = e^(hs) on the plane, e^(-hs) on the
-    disk), the transfer field u3 is the field with mode w divided by
-    (w - h), or mode n by (n + h).  It enters the `images`-term ladder
-    with weight 1/(images*s), where images = 1 for rho > 0 and 2 for
-    rho < 0 (the even/odd split of the alternating ladder).  On the strip
-    and the annulus rho = 1 and h = 0, so u3 is the Neumann primitive.
+    disk), the transfer field is the Robin companion of the field's
+    ladder of N images with ratio rho and weight 1/(N*s), where N = 1
+    for rho > 0 and 2 for rho < 0 (the even/odd split of the alternating
+    ladder).  The companion divides mode w by (w - h), or mode n by
+    (n + h), and it commutes with the ladder, so the ladder is built
+    first.  On the strip and the annulus rho = 1 and h = 0, so the
+    companion is the Neumann primitive.
 
     At rho > 0 on the coupled problems the layer-2 deviation from the
     series is (1 - rho)|sum_j f(js) - (1/s) int f|, which is at most
@@ -149,32 +130,33 @@ def thin_layer_solution(geometry: Geometry, field) -> ApproxResult:
       - a mode's profile is monotone, so its variation is its end value,
         at most |A| e^(-wX) or r^n hypot(a_n, b_n), and |a_0|/2 for the
         constant mode;
-      - a source's, (|q|/pi) e^(he) u/(u^2 + c^2) with u = X + e, has the
-        log-slope h + (c^2 - u^2)/(u(u^2 + c^2)), which changes sign
-        once; its variation is f(0) <= 1/X per unit |q|/pi when |c| <= X,
-        and at most 1/|c| - X/(X^2 + c^2) < 1/X otherwise.
-    On the plane that sum is `HalfPlaneField.sup_bound(X)`.  `bound_at(p)`
-    is (1 - rho) times it, and `bound` its value at the interface, the
-    largest over layer 2.  On the strip, the annulus and at rho < 0 both
-    are None.
+      - a source's at depth d, (|q|/pi) e^(he) u/(u^2 + c^2) with
+        u = Y + e and Y = X + d, has the log-slope
+        h + (c^2 - u^2)/(u(u^2 + c^2)), which changes sign once; its
+        variation is f(0) <= 1/Y per unit |q|/pi when |c| <= Y, and at
+        most 1/|c| - Y/(Y^2 + c^2) < 1/Y otherwise.
+    On the plane that sum is `HalfPlaneField.sup_bound(X)`.  The
+    solution's `bound_at(p)` is (1 - rho) times it, and `bound` its value
+    at the interface, the largest over layer 2.  On the strip, the
+    annulus and at rho < 0 both are None.
     """
     h = geometry.robin_h
     rho = geometry.rho
     images = 1 if rho > 0 else 2
     if geometry.radial:
-        s, u3 = math.log(1.0 / geometry.interface**2), _radial_link(field, h)
+        s, link = math.log(1.0 / geometry.interface**2), _radial_link
         a, b = field.cos_coeffs, field.sin_coeffs
         n = np.arange(1, a.size)
         bound_at = lambda r: (1.0 - rho) * (abs(a[0]) / 2.0 + float(np.sum(r**n * np.hypot(a[1:], b[1:]))))
     else:
-        s, u3 = 2.0 * geometry.interface, _planar_link(field, h)
+        s, link = 2.0 * geometry.interface, _planar_link
         bound_at = lambda x: (1.0 - rho) * field.sup_bound(geometry.outer(x))
-    solution = LayeredSolution(geometry, u3, 1.0 / (images * s), rho, images)
-    return ApproxResult(solution, bound_at if geometry.coupled and rho > 0 else None)
+    transfer = link(field.ladder(geometry.step, rho, images, 1.0 / (images * s)), h)
+    return LayeredSolution(geometry, transfer, rho, bound_at=bound_at if geometry.coupled and rho > 0 else None)
 
 
 # benchmarks/workloads.py reads `.bound` through the next two names; ROADMAP item 5 unpins them
-def halfplane_small_contrast(field: HalfPlaneField, config: PlanarLayerConfig) -> ApproxResult:
+def halfplane_small_contrast(field: HalfPlaneField, config: PlanarLayerConfig) -> LayeredSolution:
     """Low-contrast (k < 1) thin-layer approximation of the coupled half-plane.
 
     u2 ~ (1 - rho)/(2l) * u3(outer(x),y) and u1 ~ (u3(x,y) - rho*u3(2l-x,y))/(2l),
@@ -187,7 +169,7 @@ def halfplane_small_contrast(field: HalfPlaneField, config: PlanarLayerConfig) -
     return thin_layer_solution(config, field)
 
 
-def disk_small_contrast(field: DiskField, config: RadialLayerConfig) -> ApproxResult:
+def disk_small_contrast(field: DiskField, config: RadialLayerConfig) -> LayeredSolution:
     """Low-contrast (k < 1) thin-shell approximation of the coupled disk."""
     if not (0.0 < config.k < 1.0):
         raise ValidationError("low-contrast approximation needs 0 < k < 1")

@@ -240,15 +240,15 @@ def truncation_policy(cfg):
 def build_solution(cfg, method, field, geo, trunc):
     """Assemble the evaluator for one (problem, method) pair."""
     if method == "identity":
-        # the untransformed model field: F = u0 with c = 1 and rho = 0
-        return LayeredSolution(geo, field, 1.0, 0.0)
+        # the untransformed model field: F = u0 with rho = 0
+        return LayeredSolution(geo, field, 0.0)
     if method == "series":
         return series_solution(geo, field, trunc)
     if method == "asymptotic":
         # imported here, so that only the asymptotic route loads it
         from .asymptotics.links import thin_layer_solution
 
-        return thin_layer_solution(geo, field).solution
+        return thin_layer_solution(geo, field)
     if method == "oracle":
         if "modes" not in cfg["boundary"]:
             raise ValidationError("the closed-form oracle needs mode boundary data")
@@ -346,12 +346,14 @@ def _config_dir(args):
 
 
 def _regime_diagnostic(cfg, geo, field):
-    """The regime report for the ladder the series would build from `field`, at its tail tolerance."""
+    """The regime report for the ladder the series would build from `field`: J terms when
+    `truncation.J` is set, else the count at its tail tolerance."""
     return convergence_diagnostic(
         geo,
         field,
         tol=_tail_tol(cfg),
         threshold=_number(cfg.get("regime", {}).get("threshold", 1000), "regime threshold", int),
+        terms=getattr(truncation_policy(cfg), "J", None),
     )
 
 

@@ -4,7 +4,8 @@ Two concrete representations are used throughout the package: decaying
 cosine modes (optionally with boundary point sources) on the right
 half-plane, and finite Fourier sums on the unit disk.  Both evaluate
 exactly on arrays, expose exact first derivatives (d/dx on the plane,
-r d/dr on the disk) and sum their own image ladders per mode.  The
+r d/dr on the disk) and build their own image ladders as fields of the
+same kind, a rescaling per mode and deeper images per source.  The
 module also reads sampled boundary traces and projects circle traces
 onto disk modes.
 """
@@ -40,30 +41,32 @@ class HalfPlaneField:
     """Harmonic field on the right half-plane.
 
     u(x, y) = sum_m A_m exp(-w_m x) cos(w_m y + phi_m)
-            + sum_s (q_s / pi) x / (x^2 + (y - t_s)^2)
+            + sum_s (q_s / pi) (x + d_s) / ((x + d_s)^2 + (y - t_s)^2)
 
     Every mode frequency must be strictly positive; that makes each term
     harmonic, decaying along x, and integrable against the half-plane
     Poisson kernel.  The source terms are Poisson kernels anchored at
-    boundary points t_s.
+    the points (-d_s, t_s): a source is given as (t, q), on the boundary
+    (d = 0), or as (t, q, d) at a depth d >= 0 behind it.
     """
 
     def __init__(self, modes=(), sources=()):
         modes = [(float(a), float(w), float(p)) for (a, w, p) in modes]
-        sources = [(float(t), float(q)) for (t, q) in sources]
+        sources = [(float(t), float(q), float(d[0]) if d else 0.0) for (t, q, *d) in sources]
         for a, w, p in modes:
             if not (math.isfinite(a) and math.isfinite(w) and math.isfinite(p)):
                 raise ValidationError("mode parameters must be finite")
             if w <= 0:
                 raise ValidationError("mode frequency must be > 0")
-        for t, q in sources:
-            if not (math.isfinite(t) and math.isfinite(q)):
-                raise ValidationError("source parameters must be finite")
+        for t, q, d in sources:
+            if not (math.isfinite(t) and math.isfinite(q) and math.isfinite(d) and d >= 0):
+                raise ValidationError(f"source parameters must be finite, with depth >= 0, got {(t, q, d)!r}")
         self._amp = np.array([m[0] for m in modes], dtype=float)
         self._omega = np.array([m[1] for m in modes], dtype=float)
         self._phase = np.array([m[2] for m in modes], dtype=float)
         self._src_t = np.array([s[0] for s in sources], dtype=float)
         self._src_q = np.array([s[1] for s in sources], dtype=float)
+        self._src_d = np.array([s[2] for s in sources], dtype=float)
 
     @classmethod
     def single_mode(cls, frequency, amplitude=1.0, phase=0.0):
@@ -75,16 +78,12 @@ class HalfPlaneField:
 
     @property
     def sources(self):
-        return list(zip(self._src_t, self._src_q))
+        """(t, q, d) of every source."""
+        return list(zip(self._src_t, self._src_q, self._src_d))
 
     @property
     def has_sources(self) -> bool:
         return self._src_t.size > 0
-
-    @property
-    def min_frequency(self):
-        """Smallest mode frequency, or None for a field with no modes."""
-        return float(self._omega.min()) if self._omega.size else None
 
     def image_factor(self, shift: float) -> float:
         """Slowest per-image decay of this field's ladder with the given shift.
@@ -94,50 +93,53 @@ class HalfPlaneField:
         """
         if self.has_sources:
             return 1.0
-        return math.exp(-shift * self.min_frequency) if self._omega.size else 0.0
+        return math.exp(-shift * float(self._omega.min())) if self._omega.size else 0.0
 
     def sup_bound(self, x_min=0.0) -> float:
         """Upper bound for |u| on the slab {x >= x_min}.
 
-        For a pure mode sum this is sum |A_m| exp(-w_m x_min).  Source
-        terms are bounded by |q|/(pi x_min), which blows up at the
-        boundary, so a field with sources has no automatic bound there.
+        For a pure mode sum this is sum |A_m| exp(-w_m x_min).  A source
+        at depth d is bounded by |q|/(pi (x_min + d)), which blows up at
+        the boundary for d = 0, so a field with boundary sources has no
+        automatic bound there.
         """
         total = float(np.sum(np.abs(self._amp) * np.exp(-self._omega * x_min)))
         if self.has_sources:
-            if x_min <= 0:
+            reach = x_min + self._src_d
+            if np.any(reach <= 0):
                 raise CapabilityError(
                     "field with boundary sources is unbounded near x=0; "
                     "supply an explicit sup bound"
                 )
-            total += float(np.sum(np.abs(self._src_q)) / (math.pi * x_min))
+            total += float(np.sum(np.abs(self._src_q) / (math.pi * reach)))
         return total
 
-    def _add_modes(self, out, x, y, amp, deriv):
-        for a, w, p in zip(amp, self._omega, self._phase):
+    def _add_modes(self, out, x, y, deriv):
+        for a, w, p in zip(self._amp, self._omega, self._phase):
             if deriv:
                 out += -w * a * np.exp(-w * x) * np.cos(w * y + p)
             else:
                 out += a * np.exp(-w * x) * np.cos(w * y + p)
 
-    def _add_sources(self, out, x, y, deriv, weight=1.0):
-        for t, q in zip(self._src_t, self._src_q):
+    def _add_sources(self, out, x, y, deriv):
+        for t, q, d in zip(self._src_t, self._src_q, self._src_d):
+            xd = x + d
             c2 = (y - t) ** 2
             if deriv:
-                denom = (x * x + c2) ** 2
-                num = c2 - x * x
+                denom = (xd * xd + c2) ** 2
+                num = c2 - xd * xd
             else:
-                denom = x * x + c2
-                num = x
+                denom = xd * xd + c2
+                num = xd
             with np.errstate(divide="ignore", invalid="ignore"):
                 kernel = np.where(denom > 0, num / np.where(denom > 0, denom, 1.0), np.nan)
-            out += (weight * q / math.pi) * kernel
+            out += (q / math.pi) * kernel
 
     def _evaluate(self, x, y, deriv):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         out = np.zeros(np.broadcast(x, y).shape)
-        self._add_modes(out, x, y, self._amp, deriv)
+        self._add_modes(out, x, y, deriv)
         self._add_sources(out, x, y, deriv)
         return out if out.shape else float(out)
 
@@ -149,26 +151,19 @@ class HalfPlaneField:
         """Exact partial derivative in x."""
         return self._evaluate(x, y, deriv=True)
 
-    def ladder(self, x, y, shift, ratio, terms, deriv=False):
-        """Image ladder sum_{j<terms} ratio^j u(x + j*shift, y), or of du/dx.
+    def ladder(self, shift, ratio, terms, weight=1.0):
+        """The image ladder weight * sum_{j<terms} ratio^j u(x + j*shift, y), as a field.
 
         The j-th image of a mode is the mode itself times q^j with
-        q = ratio*exp(-w*shift), so the mode part is one mode sum with
-        every amplitude scaled by the geometric sum over j: its cost does
-        not grow with `terms`.  Boundary sources have no such shortcut
-        and are summed image by image.
+        q = ratio*exp(-w*shift), so each amplitude is scaled by
+        weight * G(q, terms): the mode part costs the same at any
+        `terms`.  A source's j-th image is a source at depth
+        d + j*shift with charge weight * ratio^j * q, so their number
+        grows with `terms`.
         """
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(np.broadcast(x, y).shape)
-        weights = geometric_weights(ratio, self._omega * shift, terms)
-        self._add_modes(out, x, y, self._amp * weights, deriv)
-        if self.has_sources:
-            w = 1.0
-            for j in range(terms):
-                self._add_sources(out, x + j * shift, y, deriv, w)
-                w *= ratio
-        return out if out.shape else float(out)
+        weights = weight * geometric_weights(ratio, self._omega * shift, terms)
+        sources = [(t, weight * ratio**j * q, d + j * shift) for j in range(terms) for t, q, d in self.sources]
+        return HalfPlaneField(zip(self._amp * weights, self._omega, self._phase), sources)
 
 
 class DiskField:
@@ -236,7 +231,8 @@ class DiskField:
         """Upper bound for |u| on the closed unit disk."""
         return float(abs(self._a[0]) / 2 + np.sum(np.abs(self._a[1:])) + np.sum(np.abs(self._b[1:])))
 
-    def _mode_sum(self, r, theta, a, b, deriv):
+    def _mode_sum(self, r, theta, deriv):
+        a, b = self._a, self._b
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float)
         out = np.full(np.broadcast(r, theta).shape, 0.0 if deriv else a[0] / 2.0)
@@ -248,24 +244,24 @@ class DiskField:
         return out if out.shape else float(out)
 
     def value(self, r, theta):
-        return self._mode_sum(r, theta, self._a, self._b, deriv=False)
+        return self._mode_sum(r, theta, deriv=False)
 
     def radial_derivative(self, r, theta):
         """Radial scaling derivative r * du/dr, exact on Fourier modes."""
-        return self._mode_sum(r, theta, self._a, self._b, deriv=True)
+        return self._mode_sum(r, theta, deriv=True)
 
-    def ladder(self, r, theta, scale, ratio, terms, deriv=False):
-        """Image ladder sum_{j<terms} ratio^j u(scale^j r, theta), or of r du/dr.
+    def ladder(self, scale, ratio, terms, weight=1.0):
+        """The image ladder weight * sum_{j<terms} ratio^j u(scale^j r, theta), as a field.
 
-        Mode n picks up q = ratio*scale^n per image, so the ladder is one
-        Fourier sum with every coefficient scaled by the geometric sum
-        over j: its cost does not grow with `terms`.
+        Mode n picks up q = ratio*scale^n per image, so the ladder is the
+        Fourier sum with every coefficient scaled by weight * G(q, terms):
+        its cost does not grow with `terms`.
         """
         if not scale > 0:
             raise ValidationError("ladder scale must be > 0")
         decay = -math.log(scale) * np.arange(self._a.size)
-        weights = geometric_weights(ratio, decay, terms)
-        return self._mode_sum(r, theta, self._a * weights, self._b * weights, deriv)
+        weights = weight * geometric_weights(ratio, decay, terms)
+        return DiskField(self._a * weights, self._b * weights)
 
 
 class BoundaryTrace:

@@ -268,14 +268,12 @@ class RadialLayerConfig(Geometry):
 
 
 class LayeredSolution:
-    """A layered solution built by any route, as one transfer field F.
+    """A layered solution built by any route from its transfer field F.
 
-    F is the `images`-term image ladder of `field` with ratio rho and
-    the geometry's step (images=1 is the field itself).  With p* the
-    mirror or Kelvin image of p:
+    With p* the mirror or Kelvin image of p:
 
-        layer 1:  c*[F(p) - rho*F(p*)],   derivative c*[F'(p) + rho*F'(p*)]
-        layer 2:  c*(1 - rho)*F(outer(p)), derivative times stretch = 1/a2
+        layer 1:  F(p) - rho*F(p*),   derivative F'(p) + rho*F'(p*)
+        layer 2:  (1 - rho)*F(outer(p)), derivative times stretch = 1/a2
 
     The derivative is d/dx on the plane and r d/dr on the disk.  F is
     harmonic, so F(outer(p)) solves layer 2's equation, and at the
@@ -285,48 +283,44 @@ class LayeredSolution:
     layer 1, the annulus profile of a constant boundary mode, which
     F(p) - F(p*) cancels.
 
-    `tail_bound` is set for the truncated series only, and `terms` (the
-    ladder length) is reported for those alone.
+    The series sets `terms` (its ladder length J) and `tail_bound`.  The
+    thin-layer route sets `bound_at(p)`, a bound on the layer-2
+    deviation from the series at every point with first coordinate p,
+    where one is known; `bound` is its value at the interface, where it
+    is largest.  Each is None where it does not apply.
     """
 
-    def __init__(self, geometry: Geometry, field, c: float, rho: float, images: int = 1,
-                 tail_bound: float | None = None, log_coeff: float = 0.0):
+    def __init__(self, geometry: Geometry, field, rho: float, *, terms: int | None = None,
+                 tail_bound: float | None = None, log_coeff: float = 0.0, bound_at=None):
         self.geometry = geometry
         self.field = field
-        self.c = float(c)
         self.rho = float(rho)
-        self.images = int(images)
+        self.terms = terms
         self.tail_bound = None if tail_bound is None else float(tail_bound)
         self.log_coeff = float(log_coeff)
-
-    @property
-    def terms(self):
-        return self.images if self.tail_bound is not None else None
-
-    def _transfer(self, p, q, deriv):
-        return self.field.ladder(p, q, self.geometry.step, self.rho, self.images, deriv=deriv)
+        self.bound_at = bound_at
+        self.bound = None if bound_at is None else bound_at(geometry.interface)
+        self._field_deriv = field.radial_derivative if geometry.radial else field.deriv_x
 
     def u1_value(self, p, q):
         p = np.asarray(p, dtype=float)
-        image = self.geometry.image(p)
-        out = self.c * (self._transfer(p, q, False) - self.rho * self._transfer(image, q, False))
+        out = self.field.value(p, q) - self.rho * self.field.value(self.geometry.image(p), q)
         if self.log_coeff:
             out = out + self.log_coeff * np.log(p / self.geometry.interface)
         return out
 
     def u1_deriv(self, p, q):
         p = np.asarray(p, dtype=float)
-        image = self.geometry.image(p)
-        out = self.c * (self._transfer(p, q, True) + self.rho * self._transfer(image, q, True))
+        out = self._field_deriv(p, q) + self.rho * self._field_deriv(self.geometry.image(p), q)
         return out + self.log_coeff if self.log_coeff else out
 
     def u2_value(self, p, q):
         outer = self.geometry.outer(np.asarray(p, dtype=float))
-        return self.c * (1.0 - self.rho) * self._transfer(outer, q, False)
+        return (1.0 - self.rho) * self.field.value(outer, q)
 
     def u2_deriv(self, p, q):
         outer = self.geometry.outer(np.asarray(p, dtype=float))
-        return self.c * (1.0 - self.rho) * self.geometry.stretch * self._transfer(outer, q, True)
+        return (1.0 - self.rho) * self.geometry.stretch * self._field_deriv(outer, q)
 
     # the strip and the annulus have layer 1 only
     value = u1_value
@@ -349,7 +343,8 @@ def series_solution(geometry: Geometry, field, trunc) -> LayeredSolution:
         a[0] = 0.0
         field = DiskField(a, field.sin_coeffs)
     terms, tail = _resolve_truncation(trunc, *_ladder_bounds(geometry, field, trunc))
-    return LayeredSolution(geometry, field, 1.0, geometry.rho, terms, tail, log_coeff)
+    ladder = field.ladder(geometry.step, geometry.rho, terms)
+    return LayeredSolution(geometry, ladder, geometry.rho, terms=terms, tail_bound=tail, log_coeff=log_coeff)
 
 
 class RegimeReport:
@@ -360,20 +355,27 @@ class RegimeReport:
         self.threshold, self.recommendation = threshold, recommendation
 
 
-def convergence_diagnostic(config, field, tol: float = 1e-10, threshold: int = 1000) -> RegimeReport:
-    """How many ladder terms the series needs at tolerance `tol`, and whether to bother.
+def convergence_diagnostic(config, field, tol: float = 1e-10, threshold: int = 1000,
+                           terms: int | None = None) -> RegimeReport:
+    """How many ladder terms the series builds, and whether to bother.
 
-    The count uses the (ratio, M) that the coupled series truncates with,
-    for the boundary `field` on the layer `config`.  A ladder of modes is
+    A fixed ladder length `terms` (a `MaxTerms` policy) is the count.
+    Otherwise the count is the one the coupled series truncates at
+    tolerance `tol`, from its (ratio, M) for the boundary `field` on the
+    layer `config`.  A ladder of modes is
     summed per mode, at the same cost for any count, so the
     recommendation is "asymptotic" for a field with boundary sources,
-    summed image by image, whose count exceeds `threshold`, and for any
-    count above MAX_LADDER_TERMS, where the series refuses to truncate.
+    summed image by image, whose count exceeds `threshold`, and for a
+    tolerance that needs more than MAX_LADDER_TERMS, where the series
+    refuses to truncate.
     A field with sources has no sup bound at the boundary, so it is
     counted with sup 1.
     """
-    ratio, M = _ladder_bounds(config, field, TailTol(tol, sup_bound=1.0))
-    j = 1 if M == 0.0 else geometric_tail_terms(ratio, tol, M)
+    j = terms
+    if j is None:
+        ratio, M = _ladder_bounds(config, field, TailTol(tol, sup_bound=1.0))
+        j = 1 if M == 0.0 else geometric_tail_terms(ratio, tol, M)
+    capped = terms is None and j > MAX_LADDER_TERMS
     per_mode = not (isinstance(field, HalfPlaneField) and field.has_sources)
-    rec = "asymptotic" if j > MAX_LADDER_TERMS or (j > threshold and not per_mode) else "series"
+    rec = "asymptotic" if capped or (j > threshold and not per_mode) else "series"
     return RegimeReport(rho=config.rho, j_needed=j, tol=tol, threshold=threshold, recommendation=rec)

@@ -179,7 +179,7 @@ def test_criterion_5_variation_bounds():
         for _ in range(50):
             x = rng.uniform(l, l + 1.0)
             y = rng.uniform(-2.0, 2.0)
-            dev = abs(float(approx.solution.u2_value(x, y)) - float(series.u2_value(x, y)))
+            dev = abs(float(approx.u2_value(x, y)) - float(series.u2_value(x, y)))
             ok = ok and dev <= approx.bound_at(x) * (1 + 1e-6) + 1e-13
     _verdict("criterion 5: 18/18 variation bounds hold; planar assessment dominates", ok)
 
@@ -215,7 +215,7 @@ def test_criterion_6_bernoulli_exact():
 def _planar_sweep_error(l, h):
     rho = math.exp(2 * h * l)
     cfg = PlanarLayerConfig(l=l, k=(1 - rho) / (1 + rho))
-    approx = halfplane_small_contrast(MODE, cfg).solution
+    approx = halfplane_small_contrast(MODE, cfg)
     series = series_solution(cfg, MODE, TailTol(1e-12))
     ys = np.linspace(-1.0, 1.0, 7)
     worst = 0.0
@@ -230,7 +230,7 @@ def _disk_sweep_error(R, h):
     rho = R ** (2 * h)
     cfg = RadialLayerConfig(R=R, k=(1 - rho) / (1 + rho))
     field = DiskField.single_mode(1)
-    approx = disk_small_contrast(field, cfg).solution
+    approx = disk_small_contrast(field, cfg)
     series = series_solution(cfg, field, TailTol(1e-12))
     ts = np.linspace(0.0, 2 * math.pi, 9)
     worst = 0.0

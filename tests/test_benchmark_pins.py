@@ -10,6 +10,7 @@ import importlib
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import layerfield
@@ -45,3 +46,31 @@ def test_workloads_call_the_package():
 def test_workload_library_name_resolves(name):
     assert name in layerfield.__all__
     assert getattr(layerfield, name) is not None
+
+
+#: one mode config per problem, in the shape `cli.build_solution` reads
+SERIES_CONFIGS = {
+    "strip": ({"l": 0.2}, [{"omega": 1.0}]),
+    "halfplane_coupled": ({"l": 0.2, "k": 0.3}, [{"omega": 1.0}, {"omega": 2.5, "A": -0.4}]),
+    "annulus": ({"R": 0.8}, [{"n": 0, "a": 1.0}, {"n": 1, "a": 1.0}]),
+    "disk_coupled": ({"R": 0.8, "k": 3.0}, [{"n": 1, "a": 1.0}, {"n": 3, "b": 0.3}]),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(SERIES_CONFIGS))
+def test_series_solution_exposes_what_the_tracer_counts(problem):
+    # tracer._grid_counts reads series.term_evals as terms x nodes x the
+    # field's active modes, from `cos_coeffs` or a `modes` list; a renamed
+    # attribute would not raise there, it would report 0
+    from layerfield import cli
+
+    geometry, modes = SERIES_CONFIGS[problem]
+    cfg = {"problem": problem, "geometry": geometry, "boundary": {"modes": modes}}
+    geo = cli.geometry_config(cfg)
+    field = cli.boundary_field(cfg, geo, config_dir=".")
+    solution = cli.build_solution(cfg, "series", field, geo, cli.truncation_policy(cfg))
+    assert isinstance(solution.terms, int) and solution.terms >= 1
+    if hasattr(solution.field, "cos_coeffs"):
+        assert np.count_nonzero(solution.field.cos_coeffs) + np.count_nonzero(solution.field.sin_coeffs) > 0
+    else:
+        assert isinstance(solution.field.modes, list) and len(solution.field.modes) == len(modes)

@@ -187,6 +187,26 @@ def test_regimes_and_strict_count_at_the_truncation_tolerance(tmp_path, capsys):
     assert code == 4 and json.loads(err)["j_needed"] == 107638
 
 
+def test_regimes_and_strict_count_a_fixed_ladder_length(tmp_path, capsys):
+    # with truncation.J the series builds J terms; a gate counting at the
+    # default tail tolerance read 1565606 terms and exited 4 on this config
+    cfg = {
+        "problem": "disk_coupled",
+        "geometry": {"R": 0.99999, "k": 1e-6},
+        "boundary": {"modes": [{"n": 1, "a": 1.0}]},
+        "method": "series",
+        "truncation": {"J": 1000},
+        "grid": {"r": [0.1, 0.99, 4], "theta": [0.0, 6.0, 4]},
+    }
+    path = write_config(tmp_path, "fixed.json", cfg)
+    code, stdout, _ = run_cli(["regimes", "--config", path], capsys)
+    assert code == 0
+    rep = json.loads(stdout)
+    assert rep["j_needed"] == 1000 and rep["recommendation"] == "series"
+    code, stdout, _ = run_cli(["solve", "--config", path, "--strict", "--out", str(tmp_path / "g.csv")], capsys)
+    assert code == 0 and json.loads(stdout)["terms"] == 1000
+
+
 def test_solve_convergence_failure_exit_code(tmp_path, capsys):
     cfg = {
         "problem": "halfplane_coupled",

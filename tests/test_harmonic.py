@@ -5,6 +5,7 @@ import pytest
 
 from layerfield import (
     BoundaryTrace,
+    CapabilityError,
     DiskField,
     HalfPlaneField,
     UndersamplingError,
@@ -159,6 +160,26 @@ def test_laplacian_residual_source_terms_are_harmonic():
     for _ in range(50):
         x, y = rng.uniform(0.2, 2.0), rng.uniform(-2.0, 2.0)
         assert abs(laplacian_residual(f.value, (x, y), 1e-4)) <= 1e-4
+
+
+@pytest.mark.parametrize("depth", [-1e-3, math.inf, math.nan])
+def test_source_depth_must_be_finite_and_nonnegative(depth):
+    with pytest.raises(ValidationError):
+        HalfPlaneField(sources=[(0.0, 1.0, depth)])
+
+
+def test_source_at_depth_is_the_shifted_kernel_and_bounded_by_its_reach():
+    deep = HalfPlaneField(modes=[(0.5, 2.0, 0.0)], sources=[(0.3, -2.0, 0.25), (1.0, 1.0)])
+    shallow = HalfPlaneField(sources=[(0.3, -2.0)])
+    x, y = np.array([[0.05], [0.1], [1.0]]), np.linspace(-1.0, 1.0, 5)
+    rest = HalfPlaneField(modes=[(0.5, 2.0, 0.0)], sources=[(1.0, 1.0)])
+    assert np.allclose(deep.value(x, y), shallow.value(x + 0.25, y) + rest.value(x, y), rtol=1e-14, atol=0.0)
+    assert np.allclose(deep.deriv_x(x, y), shallow.deriv_x(x + 0.25, y) + rest.deriv_x(x, y), rtol=1e-14, atol=0.0)
+    # |q|/(pi (x_min + d)) per source: the boundary source still has none at x = 0
+    assert deep.sup_bound(0.5) == pytest.approx(0.5 * math.exp(-1.0) + 2.0 / (0.75 * math.pi) + 1.0 / (0.5 * math.pi))
+    assert HalfPlaneField(sources=[(0.3, -2.0, 0.25)]).sup_bound() == pytest.approx(2.0 / (0.25 * math.pi))
+    with pytest.raises(CapabilityError):
+        deep.sup_bound()
 
 
 def test_trace_csv_roundtrip(tmp_path):

@@ -107,7 +107,7 @@ def test_source_bearing_asymptotic_loads_scipy_special(tmp_path):
         "import math\n"
         "from layerfield import HalfPlaneField, PlanarLayerConfig, halfplane_small_contrast\n"
         "field = HalfPlaneField(modes=[(1.0, 1.0, 0.0)], sources=[(0.5, 0.3)])\n"
-        "sol = halfplane_small_contrast(field, PlanarLayerConfig(l=0.1, k=0.5)).solution\n"
+        "sol = halfplane_small_contrast(field, PlanarLayerConfig(l=0.1, k=0.5))\n"
         "assert math.isfinite(sol.u1_value(0.05, 0.2)) and math.isfinite(sol.u2_value(0.3, 0.2))\n"
     )
     loaded = run_child(code, tmp_path)

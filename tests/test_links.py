@@ -192,7 +192,7 @@ def test_halfplane_small_contrast_bounded_by_assessment():
     for _ in range(50):
         x = rng.uniform(cfg.l, cfg.l + 1.5)
         y = rng.uniform(-2.0, 2.0)
-        dev = abs(float(approx.solution.u2_value(x, y)) - float(series.u2_value(x, y)))
+        dev = abs(float(approx.u2_value(x, y)) - float(series.u2_value(x, y)))
         assert dev <= approx.bound_at(x) * (1 + 1e-6) + 1e-14
     assert approx.bound > 0
 
@@ -205,7 +205,7 @@ def test_halfplane_small_contrast_layer2_follows_anisotropic_stretch():
     series = series_solution(cfg, MODE, TailTol(1e-12))
     xs = cfg.l + np.linspace(0.0, 1.5, 31)[:, None]
     ys = np.linspace(-2.0, 2.0, 21)
-    dev = np.max(np.abs(approx.solution.u2_value(xs, ys) - series.u2_value(xs, ys)))
+    dev = np.max(np.abs(approx.u2_value(xs, ys) - series.u2_value(xs, ys)))
     assert dev <= approx.bound
 
 
@@ -216,7 +216,7 @@ def test_halfplane_bound_at_is_taken_at_the_stretched_argument():
     approx = halfplane_small_contrast(MODE, cfg)
     series = series_solution(cfg, MODE, TailTol(1e-12))
     ys = np.linspace(-math.pi, math.pi, 41)
-    dev = np.max(np.abs(approx.solution.u2_value(2.0, ys) - series.u2_value(2.0, ys)))
+    dev = np.max(np.abs(approx.u2_value(2.0, ys) - series.u2_value(2.0, ys)))
     assert dev > 0.011
     assert dev <= approx.bound_at(2.0)
 
@@ -230,9 +230,34 @@ def test_halfplane_bound_covers_the_interface_across_from_sources():
     series = series_solution(cfg, field, TailTol(1e-10, sup_bound=100))
     ys = np.linspace(-1.0, 1.0, 401)
     xs = np.full_like(ys, cfg.l)
-    dev = np.max(np.abs(approx.solution.value(xs, ys) - series.value(xs, ys)))
+    dev = np.max(np.abs(approx.value(xs, ys) - series.value(xs, ys)))
     assert dev > 0.8
     assert approx.bound >= dev
+
+
+@pytest.mark.parametrize("k", [3.0, 20.0])
+def test_sourced_thin_layer_at_large_contrast_is_the_two_image_link(k):
+    # rho < 0: F = (u3(x) + rho u3(x + 2l))/(4l) with u3 the Robin companion,
+    # reflected as F(x) - rho F(2l - x) in layer 1 and (1 - rho) F(outer(x)) in layer 2
+    cfg = PlanarLayerConfig(l=0.05, k=k, a2=2.0)
+    rho, s = cfg.rho, 2.0 * cfg.l
+    assert rho < 0
+    u3 = _planar_link(SOURCED, cfg.robin_h)
+    F = lambda x, y: (u3.value(x, y) + rho * u3.value(x + s, y)) / (2.0 * s)
+    dF = lambda x, y: (u3.deriv_x(x, y) + rho * u3.deriv_x(x + s, y)) / (2.0 * s)
+    approx = thin_layer_solution(cfg, SOURCED)
+    ys = np.linspace(-1.0, 1.0, 41)
+    x1 = np.linspace(0.005, cfg.l, 10)[:, None]
+    x2 = np.linspace(cfg.l, 2.0, 10)[:, None]
+    outer = cfg.outer(x2)
+    pairs = [
+        (approx.u1_value(x1, ys), F(x1, ys) - rho * F(2 * cfg.l - x1, ys)),
+        (approx.u1_deriv(x1, ys), dF(x1, ys) + rho * dF(2 * cfg.l - x1, ys)),
+        (approx.u2_value(x2, ys), (1.0 - rho) * F(outer, ys)),
+        (approx.u2_deriv(x2, ys), (1.0 - rho) / cfg.a2 * dF(outer, ys)),
+    ]
+    for got, want in pairs:
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_halfplane_small_contrast_thickness_scaling():
@@ -247,7 +272,7 @@ def test_halfplane_small_contrast_thickness_scaling():
         ys = np.linspace(-1, 1, 7)
         worst = 0.0
         for x in np.concatenate([l * np.linspace(0.05, 0.95, 8), l + np.linspace(0.02, 1.0, 8)]):
-            fn_a = approx.solution.u1_value if x <= l else approx.solution.u2_value
+            fn_a = approx.u1_value if x <= l else approx.u2_value
             fn_s = series.u1_value if x <= l else series.u2_value
             worst = max(worst, float(np.max(np.abs(fn_a(x, ys) - fn_s(x, ys)))))
         errs.append(worst)
@@ -266,7 +291,7 @@ def test_halfplane_large_contrast_vs_series():
         ys = np.linspace(-1, 1, 7)
         worst = 0.0
         for x in np.concatenate([l * np.linspace(0.05, 0.95, 8), l + np.linspace(0.02, 1.0, 8)]):
-            fn_a = approx.solution.u1_value if x <= l else approx.solution.u2_value
+            fn_a = approx.u1_value if x <= l else approx.u2_value
             fn_s = series.u1_value if x <= l else series.u2_value
             worst = max(worst, float(np.max(np.abs(fn_a(x, ys) - fn_s(x, ys)))))
         errs.append(worst)
@@ -279,8 +304,8 @@ def test_halfplane_zero_field_maps_to_zero():
     zero = HalfPlaneField(modes=[(0.0, 1.0, 0.0)])
     cfg = PlanarLayerConfig(l=0.01, k=0.05)
     approx = halfplane_small_contrast(zero, cfg)
-    assert approx.solution.u1_value(0.005, 0.3) == 0.0
-    assert approx.solution.u2_value(0.5, 0.3) == 0.0
+    assert approx.u1_value(0.005, 0.3) == 0.0
+    assert approx.u2_value(0.5, 0.3) == 0.0
     assert approx.bound == 0.0
 
 
@@ -293,7 +318,7 @@ def test_contrast_branch_validation():
 
 def test_strip_thin_layer_against_separated_solution():
     l = 0.05
-    approx = thin_layer_solution(Geometry("strip", l), MODE).solution
+    approx = thin_layer_solution(Geometry("strip", l), MODE)
     exact = mode_exact(Geometry("strip", l), [(1.0, 1.0, 0.0)])
     xs = np.linspace(0.1 * l, 0.9 * l, 15)
     rel = max(
@@ -302,7 +327,7 @@ def test_strip_thin_layer_against_separated_solution():
     )
     # measured deviation is ~ l (4.84e-2 at l = 0.05); first-order in thickness
     assert rel <= 6e-2
-    approx2 = thin_layer_solution(Geometry("strip", l / 2), MODE).solution
+    approx2 = thin_layer_solution(Geometry("strip", l / 2), MODE)
     exact2 = mode_exact(Geometry("strip", l / 2), [(1.0, 1.0, 0.0)])
     rel2 = max(
         abs(float(approx2.value(x, 0.0)) - float(exact2.value(x, 0.0)))
@@ -313,10 +338,10 @@ def test_strip_thin_layer_against_separated_solution():
 
 
 def test_strip_thin_layer_inner_edge_exactly_zero():
-    approx = thin_layer_solution(Geometry("strip", 0.05), MODE).solution
+    approx = thin_layer_solution(Geometry("strip", 0.05), MODE)
     assert float(approx.value(0.05, 0.3)) == pytest.approx(0.0, abs=1e-15)
     zero = HalfPlaneField(modes=[(0.0, 1.0, 0.0)])
-    assert float(thin_layer_solution(Geometry("strip", 0.05), zero).solution.value(0.02, 0.1)) == 0.0
+    assert float(thin_layer_solution(Geometry("strip", 0.05), zero).value(0.02, 0.1)) == 0.0
 
 
 def test_disk_small_contrast_bounded_by_assessment():
@@ -327,7 +352,7 @@ def test_disk_small_contrast_bounded_by_assessment():
     for _ in range(50):
         r = rng.uniform(0.1, cfg.R)
         t = rng.uniform(0.0, 2 * math.pi)
-        dev = abs(float(approx.solution.u2_value(r, t)) - float(series.u2_value(r, t)))
+        dev = abs(float(approx.u2_value(r, t)) - float(series.u2_value(r, t)))
         assert dev <= approx.bound_at(r) * (1 + 1e-6) + 1e-14
 
 
@@ -343,7 +368,7 @@ def test_disk_small_contrast_thickness_scaling():
         ts = np.linspace(0, 2 * math.pi, 9)
         worst = 0.0
         for r in np.concatenate([R + (1 - R) * np.linspace(0.05, 0.95, 8), R * np.linspace(0.3, 0.95, 8)]):
-            fn_a = approx.solution.u1_value if r >= R else approx.solution.u2_value
+            fn_a = approx.u1_value if r >= R else approx.u2_value
             fn_s = series.u1_value if r >= R else series.u2_value
             worst = max(worst, float(np.max(np.abs(fn_a(r, ts) - fn_s(r, ts)))))
         errs.append(worst)
@@ -362,7 +387,7 @@ def test_disk_large_contrast_vs_series():
         ts = np.linspace(0, 2 * math.pi, 9)
         worst = 0.0
         for r in np.concatenate([R + (1 - R) * np.linspace(0.05, 0.95, 8), R * np.linspace(0.3, 0.95, 8)]):
-            fn_a = approx.solution.u1_value if r >= R else approx.solution.u2_value
+            fn_a = approx.u1_value if r >= R else approx.u2_value
             fn_s = series.u1_value if r >= R else series.u2_value
             worst = max(worst, float(np.max(np.abs(fn_a(r, ts) - fn_s(r, ts)))))
         errs.append(worst)
@@ -372,7 +397,7 @@ def test_disk_large_contrast_vs_series():
 
 def test_annulus_thin_layer_against_mode_solution():
     R = 0.95
-    approx = thin_layer_solution(Geometry("annulus", R), DISK1).solution
+    approx = thin_layer_solution(Geometry("annulus", R), DISK1)
     exact = mode_exact(Geometry("annulus", R), [(1, 1.0, 0.0)])
     rs = np.linspace(R + 0.1 * (1 - R), 1 - 0.1 * (1 - R), 15)
     rel = max(
@@ -382,7 +407,7 @@ def test_annulus_thin_layer_against_mode_solution():
     # measured deviation ~ (1 - R^2)/2 = 4.96e-2 at R = 0.95
     assert rel <= 6e-2
     R2 = 0.975
-    approx2 = thin_layer_solution(Geometry("annulus", R2), DISK1).solution
+    approx2 = thin_layer_solution(Geometry("annulus", R2), DISK1)
     exact2 = mode_exact(Geometry("annulus", R2), [(1, 1.0, 0.0)])
     rel2 = max(
         abs(float(approx2.value(r, 0.0)) - float(exact2.value(r, 0.0)))
@@ -395,7 +420,7 @@ def test_annulus_thin_layer_against_mode_solution():
 def test_annulus_thin_layer_boundary_deviation_first_order():
     devs = []
     for R in (0.95, 0.975):
-        approx = thin_layer_solution(Geometry("annulus", R), DISK1).solution
+        approx = thin_layer_solution(Geometry("annulus", R), DISK1)
         devs.append(abs(float(approx.value(1.0, 0.0)) - float(DISK1.value(1.0, 0.0))))
     assert devs[0] <= 2 * (1 - 0.95)
     assert 1.5 <= devs[0] / devs[1] <= 2.7
@@ -416,7 +441,7 @@ def _estimated_bound(approx, field, probes):
     on the disk, each estimated on a nested grid, so each estimate is at
     most the variation itself.
     """
-    geo = approx.solution.geometry
+    geo = approx.geometry
     h, rho, p = geo.robin_h, geo.rho, geo.interface
     if geo.radial:
         tv = lambda q: links.total_variation(lambda e: e**h * field.value(p * e, q), 0.0, 1.0)
@@ -446,7 +471,7 @@ def test_halfplane_bound_dominates_deviation_and_estimate(modes, sources, l, k, 
     series = series_solution(cfg, field, TailTol(1e-11, sup_bound=field.sup_bound(l) + 1e-300))
     ys = np.concatenate([np.linspace(-3.0, 3.0, 61), [t for t, _ in sources]])
     for x in l + np.array([0.0, 0.1, 0.5, 2.0]) * a2:
-        dev = np.max(np.abs(approx.solution.u2_value(x, ys) - series.u2_value(x, ys)))
+        dev = np.max(np.abs(approx.u2_value(x, ys) - series.u2_value(x, ys)))
         assert dev <= approx.bound_at(x) * (1 + 1e-9) + 2e-11
     w = min(w for _, w, _ in modes)
     probes = np.concatenate([np.linspace(0.0, 2 * math.pi / w, 61), [t for t, _ in sources]])
@@ -467,7 +492,7 @@ def test_disk_bound_dominates_deviation_and_estimate(a, b, R, k):
     series = series_solution(cfg, field, TailTol(1e-11))
     ts = np.linspace(0.0, 2 * math.pi, 61)
     for r in R * np.array([0.1, 0.5, 0.9, 1.0]):
-        dev = np.max(np.abs(approx.solution.u2_value(r, ts) - series.u2_value(r, ts)))
+        dev = np.max(np.abs(approx.u2_value(r, ts) - series.u2_value(r, ts)))
         assert dev <= approx.bound_at(r) * (1 + 1e-9) + 2e-11
     assert _estimated_bound(approx, field, ts) <= approx.bound * (1 + 1e-9) + 1e-15
 
