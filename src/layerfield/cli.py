@@ -41,7 +41,7 @@ METHODS = ("series", "asymptotic", "oracle", "identity")
 
 _TOP_KEYS = {
     "problem", "geometry", "boundary", "method", "methods", "truncation",
-    "grid", "sweep", "output", "tolerances", "regime",
+    "grid", "sweep", "output", "tolerances",
 }
 _GEOMETRY_KEYS = {
     "strip": {"l"},
@@ -137,8 +137,6 @@ def load_config(path) -> dict:
         _reject_unknown(cfg["sweep"], {"l", "R"}, "sweep")
     if "tolerances" in cfg:
         _reject_unknown(cfg["tolerances"], set(_DEFAULT_TOLS), "tolerances")
-    if "regime" in cfg:
-        _reject_unknown(cfg["regime"], {"threshold"}, "regime")
     if "output" in cfg:
         _reject_unknown(cfg["output"], {"path"}, "output")
     return cfg
@@ -223,18 +221,13 @@ def boundary_field(cfg, geo, config_dir="."):
     )
 
 
-def _tail_tol(cfg) -> float:
-    """The series' tail tolerance `truncation.tol`, 1e-10 when unset."""
-    return _number(cfg.get("truncation", {}).get("tol", 1e-10), "truncation tol")
-
-
 def truncation_policy(cfg):
     t = cfg.get("truncation", {})
     if "J" in t and "tol" in t:
         raise ValidationError("truncation takes either J or tol, not both")
     if "J" in t:
         return MaxTerms(_number(t["J"], "truncation J", int))
-    return TailTol(_tail_tol(cfg))
+    return TailTol(_number(t.get("tol", 1e-10), "truncation tol"))
 
 
 def build_solution(cfg, method, field, geo, trunc):
@@ -345,37 +338,6 @@ def _config_dir(args):
     return os.path.dirname(os.path.abspath(args.config))
 
 
-def _regime_diagnostic(cfg, geo, field):
-    """The regime report for the ladder the series would build from `field`: J terms when
-    `truncation.J` is set, else the count at its tail tolerance."""
-    return convergence_diagnostic(
-        geo,
-        field,
-        tol=_tail_tol(cfg),
-        threshold=_number(cfg.get("regime", {}).get("threshold", 1000), "regime threshold", int),
-        terms=getattr(truncation_policy(cfg), "J", None),
-    )
-
-
-def _strict_regime_gate(cfg, geo, field):
-    diag = _regime_diagnostic(cfg, geo, field)
-    if diag.recommendation != "series":
-        print(
-            json.dumps(
-                {
-                    "error": "regime warning escalated",
-                    "rho": diag.rho,
-                    "j_needed": diag.j_needed,
-                    "recommendation": diag.recommendation,
-                },
-                sort_keys=True,
-            ),
-            file=sys.stderr,
-        )
-        return True
-    return False
-
-
 def cmd_solve(cfg, args) -> int:
     problem = cfg["problem"]
     geo = geometry_config(cfg)
@@ -385,10 +347,18 @@ def cmd_solve(cfg, args) -> int:
     if method == "oracle" and "samples" in cfg["boundary"]:
         return _solve_fd(cfg, args, geo)
     field = boundary_field(cfg, geo, config_dir=_config_dir(args))
-    if args.strict and method == "series" and geo.coupled:
-        if _strict_regime_gate(cfg, geo, field):
-            return 4
     trunc = truncation_policy(cfg)
+    if args.strict and method == "series" and geo.coupled:
+        diag = convergence_diagnostic(geo, field, trunc)
+        if diag.recommendation != "series":
+            escalated = {
+                "error": "regime warning escalated",
+                "rho": diag.rho,
+                "j_needed": diag.j_needed,
+                "recommendation": diag.recommendation,
+            }
+            print(json.dumps(escalated, sort_keys=True), file=sys.stderr)
+            return 4
     solution = build_solution(cfg, method, field, geo, trunc)
     axis1, axis2 = build_grid(cfg, geo)
     values = evaluate_grid(solution, problem, axis1, axis2)
@@ -652,15 +622,16 @@ def cmd_regimes(cfg, args) -> int:
     geo = geometry_config(cfg)
     if not geo.coupled:
         raise ValidationError("the regime diagnostic applies to the coupled problems")
-    diag = _regime_diagnostic(cfg, geo, boundary_field(cfg, geo, config_dir=_config_dir(args)))
+    field = boundary_field(cfg, geo, config_dir=_config_dir(args))
+    diag = convergence_diagnostic(geo, field, truncation_policy(cfg))
     result = {
         "problem": problem,
         "rho": diag.rho,
         "j_needed": diag.j_needed,
-        "tol": diag.tol,
-        "threshold": diag.threshold,
         "recommendation": diag.recommendation,
     }
+    if diag.tol is not None:
+        result["tol"] = diag.tol
     out = _out_path(cfg, args, None)
     text = json.dumps(result, indent=2, sort_keys=True)
     if out:

@@ -10,12 +10,13 @@ class ValidationError(LayerFieldError):
 
 
 class ConvergenceError(LayerFieldError):
-    """A tolerance could not be met within the configured term cap."""
+    """A ladder needs more terms than its cap: `needed`, where `terms` were allowed."""
 
-    def __init__(self, message, achieved=None, terms=None):
+    def __init__(self, message, achieved=None, terms=None, needed=None):
         super().__init__(message)
         self.achieved = achieved
         self.terms = terms
+        self.needed = needed
 
 
 class ArbiterInsufficientError(ConvergenceError):

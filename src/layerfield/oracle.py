@@ -16,9 +16,11 @@ import math
 import numpy as np
 
 from .errors import ArbiterInsufficientError, ValidationError
-from .series import MAX_LADDER_TERMS, Geometry, RadialLayerConfig, geometric_tail_terms
+from .series import Geometry, RadialLayerConfig
 
 TWO_PI = 2.0 * math.pi
+#: most terms brute_series sums to reach a tail tolerance
+BRUTE_CAP = 100_000
 
 
 class BruteSum:
@@ -29,30 +31,35 @@ class BruteSum:
 
 
 def brute_series(term, rho: float, M: float = 1.0, J: int | None = None,
-                 tol: float = 1e-12, cap: int = MAX_LADDER_TERMS) -> BruteSum:
+                 tol: float = 1e-12, cap: int = BRUTE_CAP) -> BruteSum:
     """Direct partial sum of sum_j term(j) with |term(j)| <= M |rho|^j.
 
-    Either a fixed term count J or a target tail bound tol; in the latter
-    case the needed count must fit under `cap` or the arbiter refuses.
+    Either a fixed term count J, or the first J >= 1 whose tail bound
+    M |rho|^J / (1 - |rho|) is at most tol; that J must fit under `cap`
+    or the arbiter refuses.  The count is made here, term by term, apart
+    from the series' own.
     """
     r = abs(rho)
     if r >= 1:
         raise ValidationError("brute summation needs |rho| < 1")
+
+    def tail(j):
+        return 0.0 if r == 0.0 else M * r**j / (1.0 - r)
+
     if J is None:
-        J = geometric_tail_terms(r, tol, M)
-        if J > cap:
-            achieved = M * r**cap / (1.0 - r)
+        if not (tol > 0 and M > 0):
+            raise ValidationError("tol and M must be > 0")
+        if tail(cap) > tol:
             raise ArbiterInsufficientError(
-                f"tail bound {tol:.3e} needs {J} terms (cap {cap}); "
-                f"achievable bound {achieved:.3e}",
-                achieved=achieved,
+                f"tail bound {tol:.3e} needs more than {cap} terms; achievable bound {tail(cap):.3e}",
+                achieved=tail(cap),
                 terms=cap,
             )
-    total = 0.0
-    for j in range(J):
+    total, j = 0.0, 0
+    while (j < J) if J is not None else (j == 0 or tail(j) > tol):
         total += float(term(j))
-    tail = 0.0 if r == 0.0 else M * r**J / (1.0 - r)
-    return BruteSum(value=total, tail_bound=tail, terms=J)
+        j += 1
+    return BruteSum(value=total, tail_bound=tail(j), terms=j)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ A known harmonic field is deformed into the solution of a coupled or
 Dirichlet problem by summing weighted copies of itself at shifted,
 reflected, or radially scaled arguments.  The ladder weight is the
 reflection ratio rho = (1-k)/(1+k); truncation is controlled either by
-an explicit term count or by a geometric tail tolerance.
+an explicit term count or by a geometric tail tolerance.  One function
+counts the ladder, for the series and for `convergence_diagnostic` alike.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import numbers
 import numpy as np
 
 from .errors import CapabilityError, ConvergenceError, ValidationError
-from .harmonic import DiskField, HalfPlaneField
+from .harmonic import DiskField
 
-#: hard cap on ladder terms when resolving a tail tolerance
+#: hard cap on ladder terms at a tail tolerance, and on a ladder of sources
 MAX_LADDER_TERMS = 100_000
 
 
@@ -72,59 +73,56 @@ def geometric_tail_terms(rho: float, tol: float, M: float) -> int:
     return j
 
 
-def _resolve_truncation(trunc, ratio: float, M: float | None):
-    """Turn a truncation policy into (terms, tail_bound).
+def _ladder_length(geometry: Geometry, field, trunc):
+    """The (terms, tail_bound) of the ladder of `field` on `geometry` under `trunc`.
 
-    `ratio` is the per-term geometric decay of the ladder term bounds and
-    `M` the bound on the first term, both from `_ladder_bounds`; M is None
-    when neither the field nor the policy bounds the field.
-    """
-    if isinstance(trunc, MaxTerms):
-        if M is None or ratio >= 1.0:
-            return trunc.J, math.inf
-        return trunc.J, M * ratio**trunc.J / (1.0 - ratio)
-    if isinstance(trunc, TailTol):
-        if M == 0.0:
-            return 1, 0.0  # identically zero ladder
-        if ratio >= 1.0:
-            raise CapabilityError(
-                "tail control needs a geometrically decaying ladder; use MaxTerms"
-            )
-        if M is None:
-            raise CapabilityError(
-                "no automatic sup bound for this field; set TailTol.sup_bound or use MaxTerms"
-            )
-        j = geometric_tail_terms(ratio, trunc.tol, M)
-        if j > MAX_LADDER_TERMS:
-            achieved = M * ratio**MAX_LADDER_TERMS / (1.0 - ratio)
-            raise ConvergenceError(
-                f"tail tolerance {trunc.tol:.3e} needs {j} terms "
-                f"(cap {MAX_LADDER_TERMS}, achievable bound {achieved:.3e})",
-                achieved=achieved,
-                terms=MAX_LADDER_TERMS,
-            )
-        return j, M * ratio**j / (1.0 - ratio)
-    raise ValidationError(f"unknown truncation policy: {trunc!r}")
-
-
-def _ladder_bounds(geometry: Geometry, field, trunc):
-    """Geometric (ratio, M) of the ladder terms of `field` on `geometry`.
-
-    ratio is |rho| times the slowest per-image decay of the field's
-    components.  M = (1 + |rho|) sup|u_model|, from the field's own
-    bound, or TailTol.sup_bound for a field with boundary sources, which
-    has none.
+    The terms decay at ratio |rho| times the field's slowest per-image
+    decay, from M = (1 + |rho|) sup|u_model|; TailTol.sup_bound stands in
+    for the sup of a field with boundary sources, which has none.  A
+    tolerance, and a field with sources (summed image by image) under
+    either policy, is capped at MAX_LADDER_TERMS; past it ConvergenceError
+    carries the count it `needed`.
     """
     rho = abs(geometry.rho)
     if geometry.radial:
         factor = field.image_factor(geometry.interface)
     else:
         factor = field.image_factor(geometry.step)
+    ratio = rho * factor
     try:
         sup = field.sup_bound()
     except CapabilityError:
-        sup = trunc.sup_bound if isinstance(trunc, TailTol) else None
-    return rho * factor, None if sup is None else (1.0 + rho) * sup
+        sup = getattr(trunc, "sup_bound", None)
+    M = None if sup is None else (1.0 + rho) * sup
+
+    def bound(j):
+        return math.inf if M is None or ratio >= 1.0 else M * ratio**j / (1.0 - ratio)
+
+    if isinstance(trunc, MaxTerms):
+        j = trunc.J
+    elif not isinstance(trunc, TailTol):
+        raise ValidationError(f"unknown truncation policy: {trunc!r}")
+    elif M == 0.0:
+        return 1, 0.0  # identically zero ladder
+    elif ratio >= 1.0:
+        raise CapabilityError(
+            "tail control needs a geometrically decaying ladder; use MaxTerms"
+        )
+    elif M is None:
+        raise CapabilityError(
+            "no automatic sup bound for this field; set TailTol.sup_bound or use MaxTerms"
+        )
+    else:
+        j = geometric_tail_terms(ratio, trunc.tol, M)
+    if j > MAX_LADDER_TERMS and (isinstance(trunc, TailTol) or getattr(field, "has_sources", False)):
+        achieved = bound(MAX_LADDER_TERMS)
+        raise ConvergenceError(
+            f"the ladder needs {j} terms (cap {MAX_LADDER_TERMS}, achievable bound {achieved:.3e})",
+            achieved=achieved,
+            terms=MAX_LADDER_TERMS,
+            needed=j,
+        )
+    return j, bound(j)
 
 
 #: each problem's coordinates: its layers are cut along the first, p
@@ -342,40 +340,29 @@ def series_solution(geometry: Geometry, field, trunc) -> LayeredSolution:
         a = field.cos_coeffs
         a[0] = 0.0
         field = DiskField(a, field.sin_coeffs)
-    terms, tail = _resolve_truncation(trunc, *_ladder_bounds(geometry, field, trunc))
+    terms, tail = _ladder_length(geometry, field, trunc)
     ladder = field.ladder(geometry.step, geometry.rho, terms)
     return LayeredSolution(geometry, ladder, geometry.rho, terms=terms, tail_bound=tail, log_coeff=log_coeff)
 
 
 class RegimeReport:
-    """Series-vs-asymptotic advice for one geometry."""
+    """Series-vs-asymptotic advice for one geometry; `tol` is None under MaxTerms."""
 
-    def __init__(self, rho: float, j_needed: int, tol: float, threshold: int, recommendation: str):
-        self.rho, self.j_needed, self.tol = rho, j_needed, tol
-        self.threshold, self.recommendation = threshold, recommendation
+    def __init__(self, rho: float, j_needed: int, tol: float | None, recommendation: str):
+        self.rho, self.j_needed, self.tol, self.recommendation = rho, j_needed, tol, recommendation
 
 
-def convergence_diagnostic(config, field, tol: float = 1e-10, threshold: int = 1000,
-                           terms: int | None = None) -> RegimeReport:
-    """How many ladder terms the series builds, and whether to bother.
+def convergence_diagnostic(geometry: Geometry, field, trunc=TailTol(1e-10), threshold: int = 1000) -> RegimeReport:
+    """How many ladder terms the series builds under `trunc`, and whether to bother.
 
-    A fixed ladder length `terms` (a `MaxTerms` policy) is the count.
-    Otherwise the count is the one the coupled series truncates at
-    tolerance `tol`, from its (ratio, M) for the boundary `field` on the
-    layer `config`.  A ladder of modes is
-    summed per mode, at the same cost for any count, so the
-    recommendation is "asymptotic" for a field with boundary sources,
-    summed image by image, whose count exceeds `threshold`, and for a
-    tolerance that needs more than MAX_LADDER_TERMS, where the series
-    refuses to truncate.
-    A field with sources has no sup bound at the boundary, so it is
-    counted with sup 1.
+    `j_needed` is the series' count, or the count it needed where it
+    refuses past the cap, and then the advice is "asymptotic".  A ladder
+    of modes costs the same at any count, so otherwise only a field with
+    sources, summed image by image, longer than `threshold` is sent there.
     """
-    j = terms
-    if j is None:
-        ratio, M = _ladder_bounds(config, field, TailTol(tol, sup_bound=1.0))
-        j = 1 if M == 0.0 else geometric_tail_terms(ratio, tol, M)
-    capped = terms is None and j > MAX_LADDER_TERMS
-    per_mode = not (isinstance(field, HalfPlaneField) and field.has_sources)
-    rec = "asymptotic" if capped or (j > threshold and not per_mode) else "series"
-    return RegimeReport(rho=config.rho, j_needed=j, tol=tol, threshold=threshold, recommendation=rec)
+    try:
+        j = _ladder_length(geometry, field, trunc)[0]
+        slow = j > threshold and getattr(field, "has_sources", False)
+    except ConvergenceError as exc:
+        j, slow = exc.needed, True
+    return RegimeReport(geometry.rho, j, getattr(trunc, "tol", None), "asymptotic" if slow else "series")

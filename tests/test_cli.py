@@ -91,17 +91,27 @@ def test_solve_grid_must_stay_inside_region(tmp_path, capsys):
     assert code == 2
 
 
-def test_solve_strict_escalates_slow_regime(capsys):
+def test_solve_strict_escalates_slow_regime(tmp_path, capsys, monkeypatch):
     # a config's boundary modes are summed per mode at any ladder length,
     # so only a field with boundary sources, summed image by image, reaches
-    # the gate's escalation
-    cfg = {"problem": "halfplane_coupled", "geometry": {"l": 0.01, "k": 0.01}}
-    geo = PlanarLayerConfig(l=0.01, k=0.01)
-    sources = HalfPlaneField(modes=[(1.0, 1.0, 0.0)], sources=[(0.0, 1.0)])
-    assert cli._strict_regime_gate(cfg, geo, sources)
-    err = capsys.readouterr().err
+    # the gate's escalation; no config builds one, so it is swapped in.  A
+    # source behind the boundary (depth 0.1) bounds itself, as TailTol needs
+    cfg = {
+        "problem": "halfplane_coupled",
+        "geometry": {"l": 0.01, "k": 0.01},
+        "boundary": {"modes": [{"omega": 1.0}]},
+        "method": "series",
+        "grid": {"x": [0.0, 0.5, 4], "y": [-1.0, 1.0, 4]},
+    }
+    path = write_config(tmp_path, "thin.json", cfg)
+    out = tmp_path / "g.csv"
+    sources = HalfPlaneField(modes=[(1.0, 1.0, 0.0)], sources=[(0.0, 1.0, 0.1)])
+    monkeypatch.setattr(cli, "boundary_field", lambda *a, **k: sources)
+    code, _, err = run_cli(["solve", "--config", path, "--strict", "--out", str(out)], capsys)
+    assert code == 4 and not out.exists()
     assert "asymptotic" in err and json.loads(err)["j_needed"] > 1000
-    assert not cli._strict_regime_gate(cfg, geo, HalfPlaneField(modes=[(1.0, 1.0, 0.0)]))
+    monkeypatch.setattr(cli, "boundary_field", lambda *a, **k: HalfPlaneField(modes=[(1.0, 1.0, 0.0)]))
+    assert run_cli(["solve", "--config", path, "--strict", "--out", str(out)], capsys)[0] == 0
 
 
 def test_solve_strict_passes_mode_field_in_thin_layer(tmp_path, capsys):
@@ -131,14 +141,13 @@ def test_regimes_counts_the_disk_ladder_the_series_builds(tmp_path, capsys):
         "boundary": {"modes": [{"n": 2, "a": 0.5}, {"n": 5, "b": 0.25}]},
         "method": "series",
         "truncation": {"tol": 1e-10},
-        "regime": {"threshold": 10},
         "grid": {"r": [0.1, 0.99, 4], "theta": [0.0, 6.0, 4]},
     }
     path = write_config(tmp_path, "disk.json", cfg)
     code, stdout, _ = run_cli(["regimes", "--config", path], capsys)
     assert code == 0
     rep = json.loads(stdout)
-    assert rep["j_needed"] > rep["threshold"] and rep["recommendation"] == "series"
+    assert rep["j_needed"] > 10 and rep["recommendation"] == "series"
     code, stdout, _ = run_cli(["solve", "--config", path, "--strict", "--out", str(tmp_path / "g.csv")], capsys)
     assert code == 0
     assert json.loads(stdout)["terms"] == rep["j_needed"]
@@ -203,6 +212,7 @@ def test_regimes_and_strict_count_a_fixed_ladder_length(tmp_path, capsys):
     assert code == 0
     rep = json.loads(stdout)
     assert rep["j_needed"] == 1000 and rep["recommendation"] == "series"
+    assert "tol" not in rep
     code, stdout, _ = run_cli(["solve", "--config", path, "--strict", "--out", str(tmp_path / "g.csv")], capsys)
     assert code == 0 and json.loads(stdout)["terms"] == 1000
 
@@ -743,11 +753,13 @@ def test_annulus_constant_mode_oracle_matches_series(tmp_path, capsys):
         strip_config(grid={"x": [0.0, 0.5, 5.5], "y": [-1.0, 1.0, 5]}),
         # the regime diagnostic counts at truncation.tol, and takes no tolerance of its own
         strip_config(regime={"tol": 1e-10}),
+        # nor a threshold: no config builds a field with sources, the only kind it reads
+        strip_config(regime={"threshold": 10}),
     ],
     ids=[
         "J-text", "tol-text", "grid-count-text", "mode-not-object", "negative-n",
         "l-bool", "omega-bool", "J-bool", "k-bool", "J-fraction", "n-fraction", "grid-count-fraction",
-        "regime-tol",
+        "regime-tol", "regime-threshold",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, cfg):

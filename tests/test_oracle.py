@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from layerfield import oracle
 from layerfield import (
     ArbiterInsufficientError,
     DiskField,
@@ -45,6 +46,18 @@ def test_brute_series_rho_zero_single_term():
 def test_brute_series_arbiter_insufficient():
     with pytest.raises(ArbiterInsufficientError):
         brute_series(lambda j: 0.99**j, rho=0.99, cap=1000)
+
+
+def test_brute_series_counts_apart_from_the_series(monkeypatch):
+    # the arbiter must not count with the code it arbitrates, nor hold it
+    def refuse(*args):
+        raise AssertionError("brute_series called the series' term count")
+
+    monkeypatch.setattr("layerfield.series.geometric_tail_terms", refuse)
+    assert not {"geometric_tail_terms", "MAX_LADDER_TERMS"} & set(vars(oracle))
+    res = brute_series(lambda j: 0.5**j, rho=0.5, tol=1e-8)
+    assert res.terms == 28 and res.tail_bound <= 1e-8
+    assert res.value == pytest.approx(2.0, abs=1e-8)
 
 
 def test_brute_series_doubling_within_tail():

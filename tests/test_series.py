@@ -1,7 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layerfield import (
     CapabilityError,
@@ -19,6 +22,7 @@ from layerfield import (
     mode_exact,
     series_solution,
 )
+from layerfield.series import MAX_LADDER_TERMS
 
 MODE = HalfPlaneField.single_mode(1.0)
 DISK1 = DiskField.single_mode(1)
@@ -312,26 +316,28 @@ def test_annulus_constant_mode_log_profile():
 
 #: a boundary source: its ladder is summed image by image and does not decay
 SOURCE = HalfPlaneField(modes=[(1.0, 1.0, 0.0)], sources=[(0.0, 1.0)])
+#: a field with boundary sources has no sup bound of its own; the policy gives it
+SOURCE_TOL = TailTol(1e-10, sup_bound=1.0)
 
 
 def test_convergence_diagnostic_examples():
-    rep = convergence_diagnostic(PlanarLayerConfig(l=1.0, k=1.0), SOURCE)
+    rep = convergence_diagnostic(PlanarLayerConfig(l=1.0, k=1.0), SOURCE, SOURCE_TOL)
     assert (rep.rho, rep.j_needed, rep.recommendation) == (0.0, 1, "series")
-    rep = convergence_diagnostic(PlanarLayerConfig(l=0.01, k=0.01), SOURCE)
+    rep = convergence_diagnostic(PlanarLayerConfig(l=0.01, k=0.01), SOURCE, SOURCE_TOL)
     assert rep.rho == pytest.approx(0.9802, abs=1e-4)
     assert rep.recommendation == "asymptotic"
     # the same thin layer with a mode field costs the same at any length
     assert convergence_diagnostic(PlanarLayerConfig(l=0.01, k=0.01), MODE).recommendation == "series"
-    rep = convergence_diagnostic(PlanarLayerConfig(l=1.0, k=0.5), SOURCE)
+    rep = convergence_diagnostic(PlanarLayerConfig(l=1.0, k=0.5), SOURCE, SOURCE_TOL)
     assert rep.rho == pytest.approx(1.0 / 3.0)
     assert rep.recommendation == "series"
 
 
 def test_convergence_diagnostic_threshold_configurable():
     cfg = PlanarLayerConfig(l=0.01, k=0.01)
-    j = convergence_diagnostic(cfg, SOURCE).j_needed
-    assert convergence_diagnostic(cfg, SOURCE, threshold=j).recommendation == "series"
-    assert convergence_diagnostic(cfg, SOURCE, threshold=j - 1).recommendation == "asymptotic"
+    j = convergence_diagnostic(cfg, SOURCE, SOURCE_TOL).j_needed
+    assert convergence_diagnostic(cfg, SOURCE, SOURCE_TOL, threshold=j).recommendation == "series"
+    assert convergence_diagnostic(cfg, SOURCE, SOURCE_TOL, threshold=j - 1).recommendation == "asymptotic"
 
 
 def test_convergence_diagnostic_counts_the_ladder_the_series_builds():
@@ -342,14 +348,14 @@ def test_convergence_diagnostic_counts_the_ladder_the_series_builds():
     assert rep.j_needed > 10 and rep.recommendation == "series"
     radial = RadialLayerConfig(R=0.95, k=0.02)
     disk = DiskField.single_mode(3, 0.5, 0.5)
-    rep = convergence_diagnostic(radial, disk, tol=1e-8)
+    rep = convergence_diagnostic(radial, disk, TailTol(1e-8))
     assert rep.j_needed == series_solution(radial, disk, TailTol(1e-8)).terms
     assert rep.recommendation == "series"
     # a constant mode decays only like |rho|^j on the coupled disk
     constant = DiskField([2.0, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, 0.5])
-    rep = convergence_diagnostic(radial, constant, tol=1e-8)
+    rep = convergence_diagnostic(radial, constant, TailTol(1e-8))
     assert rep.j_needed == series_solution(radial, constant, TailTol(1e-8)).terms
-    assert rep.j_needed > convergence_diagnostic(radial, disk, tol=1e-8).j_needed
+    assert rep.j_needed > convergence_diagnostic(radial, disk, TailTol(1e-8)).j_needed
     zero = DiskField([0.0])
     assert convergence_diagnostic(radial, field=zero).j_needed == series_solution(radial, zero, TailTol(1e-10)).terms == 1
 
@@ -357,6 +363,58 @@ def test_convergence_diagnostic_counts_the_ladder_the_series_builds():
 def test_convergence_diagnostic_sends_slow_source_ladders_to_asymptotics():
     cfg = PlanarLayerConfig(l=0.01, k=0.01)
     sources = HalfPlaneField(modes=[(1.0, 1.0, 0.0)], sources=[(0.0, 1.0)])
-    rep = convergence_diagnostic(cfg, field=sources)
+    rep = convergence_diagnostic(cfg, sources, SOURCE_TOL)
     assert rep.j_needed > 1000 and rep.recommendation == "asymptotic"
-    assert convergence_diagnostic(cfg, field=sources, threshold=10_000).recommendation == "series"
+    assert convergence_diagnostic(cfg, sources, SOURCE_TOL, threshold=10_000).recommendation == "series"
+
+
+def test_source_ladder_is_capped_under_a_fixed_term_count():
+    # the J * S source images are built one by one; past the cap the
+    # series refuses before building any, as it does at a tolerance
+    J = MAX_LADDER_TERMS + 1
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError) as exc:
+        series_solution(Geometry("strip", 0.1), SOURCE, MaxTerms(J))
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.needed == J and exc.value.terms == MAX_LADDER_TERMS
+    rep = convergence_diagnostic(PlanarLayerConfig(l=0.1, k=0.5), SOURCE, MaxTerms(J))
+    assert (rep.j_needed, rep.recommendation, rep.tol) == (J, "asymptotic", None)
+    # a ladder of modes costs the same at any length, so it takes any J
+    assert series_solution(Geometry("strip", 0.1), MODE, MaxTerms(J)).terms == J
+
+
+planar_geometries = st.builds(
+    lambda l, a2, k: PlanarLayerConfig(l=l, k=k, a2=a2),
+    st.floats(0.005, 0.5), st.floats(0.5, 4.0), st.one_of(st.floats(1e-4, 0.99), st.floats(1.01, 1e4)),
+)
+radial_geometries = st.builds(
+    lambda R, k: RadialLayerConfig(R=R, k=k),
+    st.floats(0.5, 0.9999), st.one_of(st.floats(1e-4, 0.99), st.floats(1.01, 1e4)),
+)
+policies = st.one_of(st.builds(TailTol, st.floats(1e-14, 1e-6)), st.builds(MaxTerms, st.integers(1, 10**6)))
+
+
+@st.composite
+def coupled_problems(draw):
+    """A coupled geometry with a field of 1-3 modes on it."""
+    geometry = draw(st.one_of(planar_geometries, radial_geometries))
+    if geometry.radial:
+        n = draw(st.lists(st.integers(0, 8), min_size=1, max_size=3))
+        a = np.zeros(max(n) + 1)
+        a[n] = 1.0
+        return geometry, DiskField(a)
+    omegas = draw(st.lists(st.floats(0.1, 10.0), min_size=1, max_size=3))
+    return geometry, HalfPlaneField(modes=[(1.0, w, 0.0) for w in omegas])
+
+
+@given(coupled_problems(), policies)
+@settings(max_examples=80, deadline=None)
+def test_convergence_diagnostic_reports_the_series_count(problem, trunc):
+    geometry, field = problem
+    rep = convergence_diagnostic(geometry, field, trunc)
+    if rep.recommendation == "series":
+        assert rep.j_needed == series_solution(geometry, field, trunc).terms
+    else:
+        with pytest.raises(ConvergenceError) as exc:
+            series_solution(geometry, field, trunc)
+        assert exc.value.needed == rep.j_needed
