@@ -137,8 +137,9 @@ def thin_layer_solution(geometry: Geometry, field) -> LayeredSolution:
         most 1/|c| - Y/(Y^2 + c^2) < 1/Y otherwise.
     On the plane that sum is `HalfPlaneField.sup_bound(X)`.  The
     solution's `bound_at(p)` is (1 - rho) times it, and `bound` its value
-    at the interface, the largest over layer 2.  On the strip, the
-    annulus and at rho < 0 both are None.
+    at the interface, the largest over layer 2.  On the disk it adds a
+    projected field's `dropped_mass`, as the series' tail bound does.  On
+    the strip, the annulus and at rho < 0 both are None.
     """
     h = geometry.robin_h
     rho = geometry.rho
@@ -147,7 +148,9 @@ def thin_layer_solution(geometry: Geometry, field) -> LayeredSolution:
         s, link = math.log(1.0 / geometry.interface**2), _radial_link
         a, b = field.cos_coeffs, field.sin_coeffs
         n = np.arange(1, a.size)
-        bound_at = lambda r: (1.0 - rho) * (abs(a[0]) / 2.0 + float(np.sum(r**n * np.hypot(a[1:], b[1:]))))
+        bound_at = lambda r: (
+            (1.0 - rho) * (abs(a[0]) / 2.0 + float(np.sum(r**n * np.hypot(a[1:], b[1:])))) + field.dropped_mass
+        )
     else:
         s, link = 2.0 * geometry.interface, _planar_link
         bound_at = lambda x: (1.0 - rho) * field.sup_bound(geometry.outer(x))

@@ -16,12 +16,12 @@ import json
 import math
 import os
 import sys
+from itertools import repeat
 
 import numpy as np
 
 from .errors import ConvergenceError, LayerFieldError, ValidationError
 from .harmonic import BoundaryTrace, DiskField, HalfPlaneField, disk_from_boundary
-from .oracle import fd_annulus, fd_disk_coupled, fd_strip, mode_exact, residual_report
 from .series import (
     AXES,
     Geometry,
@@ -35,6 +35,26 @@ from .series import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+def _from_oracle(name):
+    """oracle.`name`, behind a module-level name of its own: the oracle
+    loads on the first call, so only `verify`, `method: oracle` and the
+    finite-difference solves pay for its import, and a tracer can wrap
+    the name where the commands look it up."""
+
+    def call(*args, **kwargs):
+        from . import oracle
+
+        return getattr(oracle, name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+fd_annulus, fd_disk_coupled, fd_strip, mode_exact, residual_report = map(
+    _from_oracle, ("fd_annulus", "fd_disk_coupled", "fd_strip", "mode_exact", "residual_report")
+)
 
 PROBLEMS = tuple(AXES)
 METHODS = ("series", "asymptotic", "oracle", "identity")
@@ -587,34 +607,53 @@ def _check_grid_file(path, solution) -> int:
     """Re-evaluate the solution at a solve output's nodes; count the rows
     whose region code or value differs.
 
-    A data row that is not four fields with numeric coordinates is
-    rejected with its line number.
+    A value matches when the file holds its repr, so the check shares no
+    code with the CSV writer.  The coordinate columns are parsed as whole
+    arrays; a data row that is not four fields with numeric coordinates
+    is rejected with its line number.
     """
-    rows, p, q = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         fh.readline()
-        for number, line in enumerate(fh, start=2):
-            row = line.strip().split(",")
-            if row == [""]:
-                continue
-            try:
-                c1, c2, _, _ = row
-                p.append(float(c1))
-                q.append(float(c2))
-            except ValueError:
-                raise ValidationError(
-                    f"expected four fields with numeric coordinates in {path!s}, line {number}: {line.strip()!r}"
-                ) from None
-            rows.append(row)
+        text = fh.read()
+    rows = [line for line in map(str.strip, text.split("\n")) if line]
     if not rows:
         return 0
-    p = np.array(p)
-    values = _layered_values(solution, p, np.array(q)[:, None])[:, 0]
-    regions = np.where(solution.geometry.in_layer2(p), "2", "1")
-    return sum(
-        region != want or repr(v) != us
-        for (_, _, region, us), want, v in zip(rows, regions, values.tolist())
-    )
+    fields = ",".join(rows).split(",")
+    try:
+        if set(map(str.count, rows, repeat(","))) != {3}:
+            raise ValueError("a row without four fields")
+        p, q = _floats(fields[0::4]), _floats(fields[1::4])
+    except ValueError:
+        number, line = _first_malformed_row(text)
+        raise ValidationError(
+            f"expected four fields with numeric coordinates in {path!s}, line {number}: {line!r}"
+        ) from None
+    values = _layered_values(solution, p, q[:, None])[:, 0]
+    regions = np.where(solution.geometry.in_layer2(p), "2", "1").tolist()
+    pairs = zip(fields[2::4], fields[3::4], regions, map(repr, values.tolist()))
+    return sum(got != region or written != value for got, written, region, value in pairs)
+
+
+def _floats(texts):
+    """The numbers in a column of texts as an array; each distinct text is
+    parsed once, since a grid repeats every coordinate along the other axis."""
+    parsed = {text: float(text) for text in set(texts)}
+    return np.fromiter(map(parsed.__getitem__, texts), float, len(texts))
+
+
+def _first_malformed_row(text):
+    """(line number, text) of the first data row that is not four fields
+    with numeric coordinates; the header is line 1."""
+    for number, line in enumerate(text.split("\n"), start=2):
+        row = line.strip().split(",")
+        if row == [""]:
+            continue
+        try:
+            c1, c2, _, _ = row
+            float(c1), float(c2)
+        except ValueError:
+            return number, line.strip()
+    raise AssertionError("every row parses")
 
 
 def cmd_regimes(cfg, args) -> int:

@@ -173,10 +173,14 @@ class DiskField:
 
     Harmonic by construction: every term is a harmonic polynomial.  The
     trace at r=1 is the trigonometric polynomial with the same
-    coefficients.
+    coefficients.  `dropped_mass` bounds how far that trace may lie from
+    the data the field stands for: the sum over n of hypot(a_n, b_n) of
+    what a projection set to 0 (see `disk_from_boundary`).  The routes add
+    it to their bounds; a field built from this one (a ladder, a
+    companion) does not carry it.
     """
 
-    def __init__(self, cos_coeffs, sin_coeffs=None):
+    def __init__(self, cos_coeffs, sin_coeffs=None, dropped_mass=0.0):
         a = np.atleast_1d(np.asarray(cos_coeffs, dtype=float)).copy()
         if sin_coeffs is None:
             b = np.zeros_like(a)
@@ -188,8 +192,11 @@ class DiskField:
             raise ValidationError("coefficients must be finite")
         if b.size and b[0] != 0.0:
             raise ValidationError("sine coefficient of order zero must be 0")
+        if not (math.isfinite(dropped_mass) and dropped_mass >= 0):
+            raise ValidationError(f"dropped mass must be finite and >= 0, got {dropped_mass!r}")
         self._a = a
         self._b = b
+        self.dropped_mass = float(dropped_mass)
 
     @classmethod
     def single_mode(cls, n, cos_amp=1.0, sin_amp=0.0):
@@ -317,6 +324,11 @@ def disk_from_boundary(trace: BoundaryTrace, n_max: int) -> DiskField:
 
     Needs M >= 2*n_max + 1 samples on a uniform grid covering [0, 2*pi),
     which may start anywhere in it.  One FFT gives every coefficient.
+    Every coefficient at or below the FFT's rounding floor M*eps*max|v|
+    (Higham, Accuracy and Stability, 24.1) is set to 0, a_0 included,
+    and the sum over n of hypot(a_n, b_n) of the zeroed parts is the
+    field's `dropped_mass`: a band-limited trace projects onto its own
+    modes, and rounding noise does not set the ladder's slowest ratio.
     """
     if n_max < 0:
         raise ValidationError("mode cap must be >= 0")
@@ -336,6 +348,8 @@ def disk_from_boundary(trace: BoundaryTrace, n_max: int) -> DiskField:
     # sum_j v_j e^(-i n t_j) = e^(-i n t_0) * rfft(v)[n] on the uniform grid
     n = np.arange(n_max + 1)
     c = 2.0 / m * np.exp(-1j * n * t[0]) * np.fft.rfft(v)[: n_max + 1]
-    b = -c.imag
+    a, b = c.real, -c.imag
     b[0] = 0.0
-    return DiskField(c.real, b)
+    floor = m * np.finfo(float).eps * np.max(np.abs(v))
+    da, db = (np.where(np.abs(x) <= floor, x, 0.0) for x in (a, b))
+    return DiskField(a - da, b - db, dropped_mass=float(np.sum(np.hypot(da, db))))

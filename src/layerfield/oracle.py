@@ -444,6 +444,19 @@ def _max_abs(values) -> float:
 #: points on each mean-value ring of residual_report; the ring mean of a
 #: harmonic function is exact up to its terms of degree RING
 RING = 32
+#: the plastic number g, root of g^3 = g + 1, whose powers 1/g and 1/g^2
+#: step the R2 sequence (Roberts 2018)
+PLASTIC = 1.324717957244746
+
+
+def _r2_plan(n):
+    """n points of the R2 low-discrepancy sequence in the unit square, shape (2, n).
+
+    Point i is frac(0.5 + i/g^k) in coordinate k = 1, 2: deterministic, and
+    spread evenly over the square at any n.
+    """
+    steps = np.array([1.0 / PLASTIC, 1.0 / PLASTIC**2])[:, None]
+    return (0.5 + steps * np.arange(n)) % 1.0
 
 
 def residual_report(solution, boundary_field, flux: str = "auto") -> ErrorReport:
@@ -453,7 +466,9 @@ def residual_report(solution, boundary_field, flux: str = "auto") -> ErrorReport
     solve: Laplace's equation, a2^2 u_xx + u_yy = 0 in the coupled
     half-plane's layer 2, and u1 = u2, k u1_x = a2 u2_x at the interface
     (k r u1_r = r u2_r on the disk).  Each check is one array call per
-    layer over 50 random samples.  The PDE residual is the discrete
+    layer over 50 samples, placed by the R2 sequence (`_r2_plan`) over
+    each layer's span, and over the boundary and the interface by its
+    second coordinate.  The PDE residual is the discrete
     mean-value property, 4 (ring mean - centre) / rho^2, on a ring of
     RING points of radius rho = h about each sample, given as Cartesian
     offsets (mapped back to polar coordinates on the disk).  Layer 2 of
@@ -466,7 +481,7 @@ def residual_report(solution, boundary_field, flux: str = "auto") -> ErrorReport
     interface instead.
     """
     n_samples = 50
-    rng = np.random.default_rng(0)
+    unit_p, unit_q = _r2_plan(n_samples)
     geo = solution.geometry
     s = geo.interface
 
@@ -499,25 +514,22 @@ def residual_report(solution, boundary_field, flux: str = "auto") -> ErrorReport
     layers = [(solution.u1_value, 1.0)]
     if geo.coupled:
         layers.append((solution.u2_value, geo.a2))
+    qs = across[0] + (across[1] - across[0]) * unit_q
     pde = 0.0
     for (lo, hi), (fn, a) in zip(spans, layers):
-        ps = rng.uniform(lo, hi, n_samples)
-        qs = rng.uniform(*across, n_samples)
-        values = stencil(fn, ps, qs, h * cos, (h / a) * sin)
+        values = stencil(fn, lo + (hi - lo) * unit_p, qs, h * cos, (h / a) * sin)
         pde = max(pde, _max_abs(4.0 * (a / h) ** 2 * (values[:-1].mean(axis=0) - values[-1])))
-    qb = rng.uniform(*across, n_samples)
-    bmis = _max_abs(solution.u1_value(edge, qb) - boundary_field.value(edge, qb))
+    bmis = _max_abs(solution.u1_value(edge, qs) - boundary_field.value(edge, qs))
 
     if not geo.coupled:
         return ErrorReport(
             pde_residual=pde,
-            boundary_mismatch=max(bmis, _max_abs(solution.u1_value(s, qb))),
+            boundary_mismatch=max(bmis, _max_abs(solution.u1_value(s, qs))),
             value_jump=0.0,
             flux_jump=0.0,
         )
 
-    qi = rng.uniform(*across, n_samples)
-    vjump = _max_abs(solution.u1_value(s, qi) - solution.u2_value(s, qi))
+    vjump = _max_abs(solution.u1_value(s, qs) - solution.u2_value(s, qs))
     # Geometry's flux condition k u1_x = a2 u2_x, divided by a2
     weight = geo.k * geo.stretch
     if flux == "fd":
@@ -525,9 +537,9 @@ def residual_report(solution, boundary_field, flux: str = "auto") -> ErrorReport
         # plane; r d/dr is the radial flux
         side, scale = (1, s) if geo.radial else (-1, 1.0)
         fjump = _max_abs(
-            weight * scale * _one_sided_dx(solution.u1_value, s, qi, h, side=side)
-            - scale * _one_sided_dx(solution.u2_value, s, qi, h, side=-side)
+            weight * scale * _one_sided_dx(solution.u1_value, s, qs, h, side=side)
+            - scale * _one_sided_dx(solution.u2_value, s, qs, h, side=-side)
         )
     else:
-        fjump = _max_abs(weight * solution.u1_deriv(s, qi) - solution.u2_deriv(s, qi))
+        fjump = _max_abs(weight * solution.u1_deriv(s, qs) - solution.u2_deriv(s, qs))
     return ErrorReport(pde_residual=pde, boundary_mismatch=bmis, value_jump=vjump, flux_jump=fjump)

@@ -81,7 +81,9 @@ def _ladder_length(geometry: Geometry, field, trunc):
     for the sup of a field with boundary sources, which has none.  A
     tolerance, and a field with sources (summed image by image) under
     either policy, is capped at MAX_LADDER_TERMS; past it ConvergenceError
-    carries the count it `needed`.
+    carries the count it `needed`.  The tail bound adds a projected
+    field's `dropped_mass`: by the maximum principle the solution moves
+    by at most that much when the dropped modes are put back.
     """
     rho = abs(geometry.rho)
     if geometry.radial:
@@ -94,6 +96,7 @@ def _ladder_length(geometry: Geometry, field, trunc):
     except CapabilityError:
         sup = getattr(trunc, "sup_bound", None)
     M = None if sup is None else (1.0 + rho) * sup
+    dropped = getattr(field, "dropped_mass", 0.0)
 
     def bound(j):
         return math.inf if M is None or ratio >= 1.0 else M * ratio**j / (1.0 - ratio)
@@ -103,7 +106,7 @@ def _ladder_length(geometry: Geometry, field, trunc):
     elif not isinstance(trunc, TailTol):
         raise ValidationError(f"unknown truncation policy: {trunc!r}")
     elif M == 0.0:
-        return 1, 0.0  # identically zero ladder
+        return 1, dropped  # identically zero ladder
     elif ratio >= 1.0:
         raise CapabilityError(
             "tail control needs a geometrically decaying ladder; use MaxTerms"
@@ -122,7 +125,23 @@ def _ladder_length(geometry: Geometry, field, trunc):
             terms=MAX_LADDER_TERMS,
             needed=j,
         )
-    return j, bound(j)
+    return j, bound(j) + dropped
+
+
+def _ladder_field(geometry: Geometry, field):
+    """The field the ladder sums on `geometry`, and the log profile of what it leaves out.
+
+    On the annulus F(p) - F(p*) cancels the constant mode c, term by
+    term, to rounding; so the ladder sums the field without it, and the
+    mode enters as its exact profile c*ln(r/R)/ln(1/R), whose coefficient
+    is the second value (0 on every other problem).
+    """
+    if geometry.kind != "annulus":
+        return field, 0.0
+    a = field.cos_coeffs
+    a[0] = 0.0
+    log_coeff = field.constant_coeff / 2.0 / math.log(1.0 / geometry.interface)
+    return DiskField(a, field.sin_coeffs, field.dropped_mass), log_coeff
 
 
 #: each problem's coordinates: its layers are cut along the first, p
@@ -326,20 +345,10 @@ class LayeredSolution:
 
 
 def series_solution(geometry: Geometry, field, trunc) -> LayeredSolution:
-    """The truncated image-ladder solution of `field` on `geometry`.
-
-    On the annulus F(p) - F(p*) cancels the constant mode c, term by
-    term, to rounding; so the ladder sums the field without it, and the
-    mode enters as its exact profile c*ln(r/R)/ln(1/R).
-    """
+    """The truncated image-ladder solution of `field` on `geometry` (see `_ladder_field`)."""
     if geometry.coupled and abs(geometry.rho) >= 1.0:
         raise ValidationError("reflection ratio must satisfy |rho| < 1")
-    log_coeff = 0.0
-    if geometry.kind == "annulus":
-        log_coeff = field.constant_coeff / 2.0 / math.log(1.0 / geometry.interface)
-        a = field.cos_coeffs
-        a[0] = 0.0
-        field = DiskField(a, field.sin_coeffs)
+    field, log_coeff = _ladder_field(geometry, field)
     terms, tail = _ladder_length(geometry, field, trunc)
     ladder = field.ladder(geometry.step, geometry.rho, terms)
     return LayeredSolution(geometry, ladder, geometry.rho, terms=terms, tail_bound=tail, log_coeff=log_coeff)
@@ -360,6 +369,7 @@ def convergence_diagnostic(geometry: Geometry, field, trunc=TailTol(1e-10), thre
     of modes costs the same at any count, so otherwise only a field with
     sources, summed image by image, longer than `threshold` is sent there.
     """
+    field = _ladder_field(geometry, field)[0]
     try:
         j = _ladder_length(geometry, field, trunc)[0]
         slow = j > threshold and getattr(field, "has_sources", False)

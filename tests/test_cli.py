@@ -281,6 +281,22 @@ def test_verify_grid_with_a_malformed_row_exits_2(tmp_path, capsys, row):
     assert f"{out}, line 4:" in err
 
 
+def test_verify_grid_counts_each_row_whose_region_or_value_differs(tmp_path, capsys):
+    cfg = write_config(tmp_path, "strip.json", strip_config())
+    out = tmp_path / "grid.csv"
+    assert run_cli(["solve", "--config", cfg, "--out", str(out)], capsys)[0] == 0
+    lines = out.read_text().splitlines()
+    for i, (region, value) in {3: (None, "0.5"), 5: ("2", None), 7: ("2", "0.50")}.items():
+        x, y, old_region, old_value = lines[i].split(",")
+        lines[i] = ",".join([x, y, region or old_region, value or old_value])
+    lines[9] = lines[9].replace(",", ", ", 1)  # float() takes the space; the row still matches
+    # blank lines and CRLF endings are not rows
+    out.write_bytes(("\r\n".join(lines[:4] + [""] + lines[4:]) + "\r\n\r\n").encode())
+    code, stdout, _ = run_cli(["verify", "--config", cfg, "--grid", str(out)], capsys)
+    assert code == 1
+    assert json.loads(stdout)["grid_mismatches"] == 3
+
+
 @pytest.mark.parametrize("problem, geometry, modes, grid", [
     ("halfplane_coupled", {"l": 0.2, "k": 1.0}, [{"omega": 1.0}], {"x": [0.0, 1.0, 3], "y": [0.0, 1.0, 3]}),
     ("disk_coupled", {"R": 0.5, "k": 1.0}, [{"n": 1}], {"r": [0.0, 1.0, 3], "theta": [0.0, 6.0, 3]}),
@@ -615,6 +631,27 @@ def test_boundary_samples_disk(tmp_path, capsys):
         r, t, u = float(r), float(t), float(u)
         expected = (r - 0.49 / r) / 0.51 * math.cos(t) if r > 0.7 else 0.0
         assert abs(u - expected) <= 1e-8
+
+
+def test_sampled_disk_solves_with_the_terms_of_its_modes(tmp_path, capsys):
+    # 256 samples of two modes on the benchmark's sampled disk: the projection
+    # keeps no rounding-level constant mode, so the ladder is as long as the
+    # one of the same modes given in the config
+    theta = np.arange(256) * 2 * math.pi / 256
+    vals = 0.35 * np.cos(theta) + 0.25 * np.sin(theta) - 0.1 * np.cos(2 * theta) + 0.3 * np.sin(2 * theta)
+    (tmp_path / "trace.csv").write_text("".join(f"{t!r},{v!r}\n" for t, v in zip(theta.tolist(), vals.tolist())))
+    base = {"problem": "disk_coupled", "geometry": {"R": 0.8, "k": 0.2}, "method": "series",
+            "truncation": {"tol": 1e-10}, "grid": {"r": [0.0, 1.0, 5], "theta": [0.0, 6.0, 5]}}
+    modes = [{"n": 1, "a": 0.35, "b": 0.25}, {"n": 2, "a": -0.1, "b": 0.3}]
+    summaries = []
+    for name, boundary in (("samples", {"samples": "trace.csv"}), ("modes", {"modes": modes})):
+        path = write_config(tmp_path, f"{name}.json", {**base, "boundary": boundary})
+        code, stdout, _ = run_cli(["solve", "--config", path, "--out", str(tmp_path / f"{name}.csv")], capsys)
+        assert code == 0
+        summaries.append(json.loads(stdout))
+    sampled, configured = summaries
+    assert sampled["terms"] == configured["terms"] == 29
+    assert configured["tail_bound"] <= sampled["tail_bound"] <= configured["tail_bound"] + 1e-13
 
 
 def test_oracle_fd_solve_with_samples(tmp_path, capsys):

@@ -2,15 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layerfield import (
     BoundaryTrace,
     CapabilityError,
     DiskField,
     HalfPlaneField,
+    RadialLayerConfig,
+    TailTol,
     UndersamplingError,
     ValidationError,
     disk_from_boundary,
+    series_solution,
 )
 
 
@@ -78,6 +83,60 @@ def test_disk_from_boundary_matches_direct_sums_off_zero_start(m):
     b[0] = 0.0
     assert np.max(np.abs(field.cos_coeffs - a)) <= 1e-13
     assert np.max(np.abs(field.sin_coeffs - b)) <= 1e-13
+
+def test_band_limited_trace_projects_onto_exactly_its_modes():
+    # the other 126 coefficients of the FFT are rounding: all are set to 0,
+    # the constant mode included, and their mass is kept
+    theta = 0.4 + np.arange(256) * 2 * math.pi / 256
+    values = 0.6 * np.cos(theta) + 0.3 * np.cos(2 * theta) - 0.4 * np.sin(2 * theta)
+    field = disk_from_boundary(BoundaryTrace(theta, values), 127)
+    a, b = field.cos_coeffs, field.sin_coeffs
+    assert np.flatnonzero(a).tolist() == [1, 2] and np.flatnonzero(b).tolist() == [2]
+    assert a[0] == 0.0 and field.image_factor(0.8) == 0.8**2
+    assert np.max(np.abs(np.array([a[1], a[2], b[2]]) - [0.6, 0.3, -0.4])) <= 1e-15
+    assert 0.0 <= field.dropped_mass <= 126 * 256 * np.finfo(float).eps
+
+
+def _unpruned_projection(trace, n_max):
+    """Every FFT coefficient of a circle trace that starts at 0, rounding included."""
+    c = 2.0 / trace.values.size * np.fft.rfft(trace.values)[: n_max + 1]
+    return DiskField(c.real, np.concatenate([[0.0], -c.imag[1:]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.sampled_from([64, 129, 256]),
+    decay=st.floats(0.6, 2.0),
+    R=st.floats(0.5, 0.95),
+    k=st.one_of(st.floats(0.05, 0.8), st.floats(1.25, 20.0)),
+)
+def test_pruned_projection_stays_within_its_tail_bound(seed, m, decay, R, k):
+    # a broadband trace whose coefficients fall through the rounding floor:
+    # the pruned series lies within its tail bound, dropped mass included,
+    # plus the unpruned series' own, of the unpruned series
+    rng = np.random.default_rng(seed)
+    n_max = (m - 1) // 2
+    n = np.arange(n_max + 1)
+    a, b = rng.normal(size=(2, n_max + 1)) * 10.0 ** (-decay * n)
+    b[0] = 0.0
+    theta = np.arange(m) * 2 * math.pi / m
+    trace = BoundaryTrace(theta, DiskField(a, b).value(1.0, theta))
+    pruned = disk_from_boundary(trace, n_max)
+    unpruned = _unpruned_projection(trace, n_max)
+    assert pruned.dropped_mass > 0.0
+    geometry = RadialLayerConfig(R=R, k=k)
+    sp = series_solution(geometry, pruned, TailTol(1e-10))
+    su = series_solution(geometry, unpruned, TailTol(1e-10))
+    assert sp.tail_bound >= pruned.dropped_mass
+    ts = np.linspace(0.0, 2 * math.pi, 17)
+    r1 = np.linspace(R, 1.0, 9)[:, None]
+    r2 = np.linspace(0.0, R, 9)[:, None]
+    gap = max(np.max(np.abs(sp.u1_value(r1, ts) - su.u1_value(r1, ts))),
+              np.max(np.abs(sp.u2_value(r2, ts) - su.u2_value(r2, ts))))
+    rounding = 64 * np.finfo(float).eps * unpruned.sup_bound()
+    assert gap <= sp.tail_bound + su.tail_bound + rounding
+
 
 def test_disk_from_boundary_undersampling():
     theta = np.arange(8) * 2 * math.pi / 8

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerfield import (
+    BoundaryTrace,
     CapabilityError,
     ConvergenceError,
     DiskField,
@@ -18,6 +19,7 @@ from layerfield import (
     TailTol,
     ValidationError,
     convergence_diagnostic,
+    disk_from_boundary,
     geometric_tail_terms,
     mode_exact,
     series_solution,
@@ -358,6 +360,35 @@ def test_convergence_diagnostic_counts_the_ladder_the_series_builds():
     assert rep.j_needed > convergence_diagnostic(radial, disk, TailTol(1e-8)).j_needed
     zero = DiskField([0.0])
     assert convergence_diagnostic(radial, field=zero).j_needed == series_solution(radial, zero, TailTol(1e-10)).terms == 1
+
+
+def test_convergence_diagnostic_counts_the_annulus_ladder_without_its_constant_mode():
+    # the series sums the annulus ladder without the constant mode, which
+    # enters as its exact log profile; the diagnostic counts that ladder
+    annulus = Geometry("annulus", 0.9)
+    field = DiskField([2.0, 1.0])
+    rep = convergence_diagnostic(annulus, field)
+    assert rep.j_needed == series_solution(annulus, field, TailTol(1e-10)).terms == 121
+    assert rep.recommendation == "series"
+
+
+def test_projected_disk_counts_the_ladder_of_its_modes():
+    # the benchmark's sampled disk: a two-mode trace on 256 points counts the
+    # ladder of its two modes, not the |rho|-ratio ladder of a rounding-level a_0
+    theta = np.arange(256) * 2 * math.pi / 256
+    modes = DiskField([0.0, 0.35, -0.1], [0.0, 0.25, 0.3])
+    projected = disk_from_boundary(BoundaryTrace(theta, modes.value(1.0, theta)), 127)
+    geometry = RadialLayerConfig(R=0.8, k=0.2)
+    sol = series_solution(geometry, projected, TailTol(1e-10))
+    ref = series_solution(geometry, modes, TailTol(1e-10))
+    assert sol.terms == ref.terms == 29
+    assert sol.tail_bound == pytest.approx(ref.tail_bound + projected.dropped_mass, rel=1e-12)
+    exact = mode_exact(geometry, [(1, 0.35, 0.25), (2, -0.1, 0.3)])
+    ts = np.linspace(0.0, 2 * math.pi, 13)
+    r1, r2 = np.linspace(0.8, 1.0, 7)[:, None], np.linspace(0.0, 0.8, 7)[:, None]
+    err = max(np.max(np.abs(sol.u1_value(r1, ts) - exact.u1_value(r1, ts))),
+              np.max(np.abs(sol.u2_value(r2, ts) - exact.u2_value(r2, ts))))
+    assert err <= sol.tail_bound + 1e-11
 
 
 def test_convergence_diagnostic_sends_slow_source_ladders_to_asymptotics():

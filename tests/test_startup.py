@@ -113,6 +113,55 @@ def test_residual_report_loads_no_asymptotics(tmp_path):
     assert "layerfield.oracle" in loaded
     assert [m for m in loaded if m.startswith(ON_DEMAND)] == []
 
+def _run_commands(calls):
+    """Child code that runs each CLI call, checks its exit code, then prints
+    the modules the process has loaded."""
+    return (
+        "import contextlib, io\n"
+        "from layerfield.cli import main\n"
+        f"for argv in {calls!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+    )
+
+
+def _disk_configs(tmp_path):
+    """A sampled-disk compare config and a mode series config on the coupled disk."""
+    theta = [2 * math.pi * j / 64 for j in range(64)]
+    (tmp_path / "trace.csv").write_text("".join(f"{t!r},{math.cos(t) + 0.5 * math.sin(2 * t)!r}\n" for t in theta))
+    base = {"problem": "disk_coupled", "geometry": {"R": 0.8, "k": 0.2},
+            "grid": {"r": [0.0, 1.0, 5], "theta": [0.0, 6.28, 5]}}
+    sampled = {**base, "boundary": {"samples": "trace.csv"}, "methods": ["series", "asymptotic"]}
+    modes = {**base, "boundary": {"modes": [{"n": 1, "a": 0.7}, {"n": 3, "b": 0.2}]}, "method": "series"}
+    (tmp_path / "sampled.json").write_text(json.dumps(sampled))
+    (tmp_path / "modes.json").write_text(json.dumps(modes))
+
+
+def test_compare_solve_and_regimes_load_no_oracle_and_no_fractions(tmp_path):
+    # the oracle loads only for verify, method oracle and the FD solves; the
+    # Bernoulli numbers' fractions only when one is computed
+    _disk_configs(tmp_path)
+    calls = [
+        ["compare", "--config", "sampled.json", "--out", "compare.csv"],
+        ["solve", "--config", "modes.json", "--out", "solve.csv"],
+        ["regimes", "--config", "modes.json"],
+    ]
+    loaded = run_child(_run_commands(calls), tmp_path)[-1]
+    assert "layerfield.asymptotics" in loaded
+    assert [m for m in loaded if m in ("layerfield.oracle", "fractions")] == []
+
+
+def test_verify_loads_no_numpy_random(tmp_path):
+    _disk_configs(tmp_path)
+    calls = [
+        ["solve", "--config", "modes.json", "--out", "solve.csv"],
+        ["verify", "--config", "modes.json", "--grid", "solve.csv"],
+    ]
+    loaded = run_child(_run_commands(calls), tmp_path)[-1]
+    assert "layerfield.oracle" in loaded
+    assert [m for m in loaded if m.startswith("numpy.random")] == []
+
+
 def test_every_export_resolves(tmp_path):
     code = (
         "import layerfield\n"
