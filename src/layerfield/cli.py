@@ -130,6 +130,31 @@ def _finite(kind):
     return parse
 
 
+def _strict_json(report, indent=None) -> str:
+    """`report` as JSON text with sorted keys.
+
+    JSON has no inf or nan, so a report holding one fails validation
+    instead of printing a literal no JSON parser reads.
+    """
+    try:
+        return json.dumps(report, indent=indent, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise ValidationError(
+            "the report holds a number that is not finite; the config's values are beyond this route's range"
+        ) from None
+
+
+def _finite_grid(values, what):
+    """`values`, if every node is finite; a CSV of inf or nan answers nothing."""
+    bad = values.size - int(np.count_nonzero(np.isfinite(values)))
+    if bad:
+        raise ValidationError(
+            f"{what} is not finite at {bad} of {values.size} grid nodes; "
+            "the config's values are beyond this route's range"
+        )
+    return values
+
+
 def load_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh, parse_constant=_non_finite, parse_float=_finite(float), parse_int=_finite(int))
@@ -377,11 +402,11 @@ def cmd_solve(cfg, args) -> int:
                 "j_needed": diag.j_needed,
                 "recommendation": diag.recommendation,
             }
-            print(json.dumps(escalated, sort_keys=True), file=sys.stderr)
+            print(_strict_json(escalated), file=sys.stderr)
             return 4
     solution = build_solution(cfg, method, field, geo, trunc)
     axis1, axis2 = build_grid(cfg, geo)
-    values = evaluate_grid(solution, problem, axis1, axis2)
+    values = _finite_grid(evaluate_grid(solution, problem, axis1, axis2), f"the {method} solution")
     out = _out_path(cfg, args, "grid.csv")
     write_grid_csv(out, problem, solution, axis1, axis2, values)
     summary = {"problem": problem, "method": method, "rows": int(values.size), "output": out}
@@ -389,7 +414,7 @@ def cmd_solve(cfg, args) -> int:
         summary["tail_bound"] = solution.tail_bound
     if getattr(solution, "terms", None) is not None:
         summary["terms"] = solution.terms
-    print(json.dumps(summary, sort_keys=True))
+    print(_strict_json(summary))
     return 0
 
 
@@ -442,9 +467,10 @@ def _solve_fd(cfg, args, geo) -> int:
         # meets the trace at x = 0 and the zero side at x = l
         lateral = lambda xx, yy: fn(yy) * (1.0 - xx / geo.interface)
         gs = fd_strip(fn, geo.interface, (axis2[0], axis2[-1]), axis1.size, axis2.size, lateral_fn=lateral)
+    _finite_grid(gs.values, "the finite-difference solution")
     out = _out_path(cfg, args, "grid.csv")
     gs.to_csv(out)
-    print(json.dumps({"problem": cfg["problem"], "method": "oracle", "output": out}, sort_keys=True))
+    print(_strict_json({"problem": cfg["problem"], "method": "oracle", "output": out}))
     return 0
 
 
@@ -511,13 +537,18 @@ def cmd_compare(cfg, args) -> int:
     for m in methods:
         if m not in METHODS:
             raise ValidationError(f"method must be one of {METHODS}")
+    if len(set(methods)) < len(methods):
+        # n copies of one method would hold n + n(n-1)/2 grids
+        raise ValidationError(f"compare methods must be distinct, got {methods}")
     sweep = _sweep_values(cfg, geo, methods)
     field = boundary_field(cfg, geo, config_dir=_config_dir(args))
     trunc = truncation_policy(cfg)
     axis1, axis2 = build_grid(cfg, geo)
 
     solutions = [build_solution(cfg, m, field, geo, trunc) for m in methods]
-    grids = [evaluate_grid(s, problem, axis1, axis2) for s in solutions]
+    grids = [
+        _finite_grid(evaluate_grid(s, problem, axis1, axis2), f"the {m} solution") for m, s in zip(methods, solutions)
+    ]
 
     summary = {"problem": problem, "methods": methods, "grid_points": int(grids[0].size)}
     diffs = {}
@@ -550,9 +581,11 @@ def cmd_compare(cfg, args) -> int:
 
     out = _out_path(cfg, args, None)
     if out:
-        _write_compare_csv(out, geo, methods, axis1, axis2, grids)
         summary["output"] = out
-    print(json.dumps(summary, sort_keys=True))
+    text = _strict_json(summary)  # before the CSV, so a report that fails writes none
+    if out:
+        _write_compare_csv(out, geo, methods, axis1, axis2, grids)
+    print(text)
     return 0
 
 
@@ -595,7 +628,7 @@ def cmd_verify(cfg, args) -> int:
         result["all_pass"] = all_pass
 
     out = _out_path(cfg, args, None)
-    text = json.dumps(result, indent=2, sort_keys=True)
+    text = _strict_json(result, indent=2)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -672,7 +705,7 @@ def cmd_regimes(cfg, args) -> int:
     if diag.tol is not None:
         result["tol"] = diag.tol
     out = _out_path(cfg, args, None)
-    text = json.dumps(result, indent=2, sort_keys=True)
+    text = _strict_json(result, indent=2)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -711,7 +744,9 @@ def main(argv=None) -> int:
         ignored = sorted({"sweep", "methods"} & set(cfg)) if args.command != "compare" else []
         if ignored:
             raise ValidationError(f"{args.command} reads no {' or '.join(ignored)} block; only compare does")
-        return args.fn(cfg, args)
+        # no command warns on inf or nan: each checks what it writes and prints
+        with np.errstate(all="ignore"):
+            return args.fn(cfg, args)
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 3

@@ -159,10 +159,12 @@ class HalfPlaneField:
         weight * G(q, terms): the mode part costs the same at any
         `terms`.  A source's j-th image is a source at depth
         d + j*shift with charge weight * ratio^j * q, so their number
-        grows with `terms`.
+        grows with `terms`; without sources no j is walked.
         """
         weights = weight * geometric_weights(ratio, self._omega * shift, terms)
-        sources = [(t, weight * ratio**j * q, d + j * shift) for j in range(terms) for t, q, d in self.sources]
+        sources = self.sources
+        if sources:
+            sources = [(t, weight * ratio**j * q, d + j * shift) for j in range(terms) for t, q, d in sources]
         return HalfPlaneField(zip(self._amp * weights, self._omega, self._phase), sources)
 
 

@@ -473,9 +473,9 @@ def residual_report(solution, boundary_field, flux: str = "auto") -> ErrorReport
     RING points of radius rho = h about each sample, given as Cartesian
     offsets (mapped back to polar coordinates on the disk).  Layer 2 of
     the half-plane takes the ring in its stretched coordinate: x offsets
-    h cos(t), y offsets (h/a2) sin(t).  The step h is 1e-3, or an eighth
-    of the thinnest bounded layer sampled if that is smaller, so that
-    every sample sits at least two steps inside its layer.  flux: "auto"
+    h cos(t), y offsets (h/a2) sin(t).  The step h is the geometry's
+    `residual_step`, so that every sample sits at least two steps inside
+    its layer.  flux: "auto"
     uses the solution's exact derivatives u1_deriv and u2_deriv; "fd"
     takes one-sided fourth-order differences five steps away from the
     interface instead.
@@ -484,13 +484,7 @@ def residual_report(solution, boundary_field, flux: str = "auto") -> ErrorReport
     unit_p, unit_q = _r2_plan(n_samples)
     geo = solution.geometry
     s = geo.interface
-
-    # the thinnest bounded layer sampled (the plane's layer 2 is unbounded)
-    if geo.radial:
-        thickness = min(1.0 - s, s) if geo.coupled else 1.0 - s
-    else:
-        thickness = s
-    h = min(1e-3, thickness / 8.0)
+    h = geo.residual_step
 
     # the ring's points, then the centre
     angles = TWO_PI * np.arange(RING) / RING

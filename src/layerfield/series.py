@@ -81,7 +81,8 @@ def _ladder_length(geometry: Geometry, field, trunc):
     for the sup of a field with boundary sources, which has none.  A
     tolerance, and a field with sources (summed image by image) under
     either policy, is capped at MAX_LADDER_TERMS; past it ConvergenceError
-    carries the count it `needed`.  The tail bound adds a projected
+    carries the count it `needed`.  A field whose M is not finite is
+    rejected, naming the boundary block.  The tail bound adds a projected
     field's `dropped_mass`: by the maximum principle the solution moves
     by at most that much when the dropped modes are put back.
     """
@@ -96,6 +97,8 @@ def _ladder_length(geometry: Geometry, field, trunc):
     except CapabilityError:
         sup = getattr(trunc, "sup_bound", None)
     M = None if sup is None else (1.0 + rho) * sup
+    if M is not None and not math.isfinite(M):
+        raise ValidationError(f"boundary values too large: the ladder's bound (1 + |rho|) sup|u| is {M!r}")
     dropped = getattr(field, "dropped_mass", 0.0)
 
     def bound(j):
@@ -177,7 +180,10 @@ class Geometry:
 
     Every problem is checked here: l > 0, R in (0, 1), and k and a2
     positive, all finite; only the coupled problems take k, and only the
-    coupled half-plane takes an a2 other than 1.
+    coupled half-plane takes an a2 other than 1.  So is every number the
+    routes and `oracle.residual_report` derive from them: the ladder step
+    (2l or R^2), its inverse and (a2/h)^2 for the `residual_step` h must
+    be finite and non-zero, and the Robin parameter finite.
     """
 
     def __init__(self, kind: str, interface: float, k: float | None = None, a2: float = 1.0):
@@ -193,6 +199,19 @@ class Geometry:
         self.a2 = _positive("a2", a2)
         if self.a2 != 1.0 and kind != "halfplane_coupled":
             raise ValidationError(f"only the coupled half-plane takes an anisotropy a2, got {a2!r}")
+        step, h = self.step, self.residual_step
+        curvature = self.a2 / h if h else math.inf
+        at = f"at {self.interface_key}={interface!r}"
+        for what, value in (
+            ("ladder step", step),
+            ("inverse ladder step", 1.0 / step if step else math.inf),
+            ("residual stencil's (a2/h)^2", curvature * curvature),
+        ):
+            if not (math.isfinite(value) and value != 0.0):
+                raise ValidationError(f"the {what} is {value!r}, not a finite non-zero float, {at}")
+        # h = 0 is |rho| = 1 to rounding, which the series refuses by itself
+        if self.coupled and self.rho != 0.0 and not math.isfinite(self.robin_h):
+            raise ValidationError(f"the Robin parameter h is {self.robin_h!r}, not finite, {at}")
 
     @property
     def radial(self) -> bool:
@@ -235,6 +254,19 @@ class Geometry:
     def step(self) -> float:
         """Ladder step: the shift 2l on the plane, the scale R^2 on the disk."""
         return self.interface**2 if self.radial else 2.0 * self.interface
+
+    @property
+    def residual_step(self) -> float:
+        """The stencil step of `oracle.residual_report`: 1e-3, or an eighth of
+        the thinnest bounded layer if that is smaller, so that every sample
+        sits at least two steps inside its layer (the plane's layer 2 is
+        unbounded)."""
+        s = self.interface
+        if self.radial:
+            thickness = min(1.0 - s, s) if self.coupled else 1.0 - s
+        else:
+            thickness = s
+        return min(1e-3, thickness / 8.0)
 
     @property
     def stretch(self) -> float:

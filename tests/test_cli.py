@@ -387,15 +387,15 @@ def test_verify_layer_thinner_than_four_stencil_steps(tmp_path, capsys, cfg):
     assert json.loads(stdout)["all_pass"] is True
 
 
-def test_compare_identical_methods_zero_diff(tmp_path, capsys):
+def test_compare_repeated_methods_exit_2(tmp_path, capsys):
+    # n copies of one method would hold n + n(n-1)/2 grids, every added one a copy
     cfg = strip_config()
     del cfg["method"]
-    cfg["methods"] = ["series", "series"]
+    cfg["methods"] = ["series", "oracle", "series"]
     path = write_config(tmp_path, "cmp.json", cfg)
-    code, stdout, _ = run_cli(["compare", "--config", path], capsys)
-    assert code == 0
-    summary = json.loads(stdout)
-    assert summary["max_abs_diff"]["series|series"] == 0.0
+    code, stdout, err = run_cli(["compare", "--config", path], capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: compare methods must be distinct")
 
 
 def test_compare_series_vs_oracle(tmp_path, capsys):
@@ -774,36 +774,53 @@ def test_annulus_constant_mode_oracle_matches_series(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "cfg",
+    "command, cfg",
     [
-        strip_config(truncation={"J": "abc"}),
-        strip_config(truncation={"tol": "x"}),
-        strip_config(grid={"x": [0.0, 0.5, "a"], "y": [-1.0, 1.0, 5]}),
-        strip_config(boundary={"modes": [1]}),
-        annulus_config([{"n": -1}]),
-        strip_config(geometry={"l": True}),
-        strip_config(boundary={"modes": [{"omega": True}]}),
-        strip_config(truncation={"J": True}),
-        {**strip_config(problem="halfplane_coupled"), "geometry": {"l": 0.5, "k": True}},
-        strip_config(truncation={"J": 2.5}),
-        annulus_config([{"n": 1.5}]),
-        strip_config(grid={"x": [0.0, 0.5, 5.5], "y": [-1.0, 1.0, 5]}),
+        ("solve", strip_config(truncation={"J": "abc"})),
+        ("solve", strip_config(truncation={"tol": "x"})),
+        ("solve", strip_config(grid={"x": [0.0, 0.5, "a"], "y": [-1.0, 1.0, 5]})),
+        ("solve", strip_config(boundary={"modes": [1]})),
+        ("solve", annulus_config([{"n": -1}])),
+        ("solve", strip_config(geometry={"l": True})),
+        ("solve", strip_config(boundary={"modes": [{"omega": True}]})),
+        ("solve", strip_config(truncation={"J": True})),
+        ("solve", {**strip_config(problem="halfplane_coupled"), "geometry": {"l": 0.5, "k": True}}),
+        ("solve", strip_config(truncation={"J": 2.5})),
+        ("solve", annulus_config([{"n": 1.5}])),
+        ("solve", strip_config(grid={"x": [0.0, 0.5, 5.5], "y": [-1.0, 1.0, 5]})),
         # the regime diagnostic counts at truncation.tol, and takes no tolerance of its own
-        strip_config(regime={"tol": 1e-10}),
+        ("solve", strip_config(regime={"tol": 1e-10})),
         # nor a threshold: no config builds a field with sources, the only kind it reads
-        strip_config(regime={"threshold": 10}),
+        ("solve", strip_config(regime={"threshold": 10})),
+        # numbers a route or a check derives from the geometry: R^2 underflows
+        # to 0, and residual_report's (a2/h)^2 overflows at a tiny l or a huge a2
+        ("solve", {**annulus_config([{"n": 1}]), "geometry": {"R": 1e-300}, "method": "asymptotic",
+                   "grid": {"r": [0.5, 1.0, 3], "theta": [0.0, 6.0, 3]}}),
+        ("solve", {"problem": "disk_coupled", "geometry": {"R": 1e-300, "k": 0.5}, "method": "asymptotic",
+                   "boundary": {"modes": [{"n": 1}]}, "grid": {"r": [0.0, 1.0, 3], "theta": [0.0, 6.0, 3]}}),
+        ("verify", strip_config(geometry={"l": 1e-300}, method="oracle")),
+        ("verify", {**strip_config(problem="halfplane_coupled"), "geometry": {"l": 0.1, "k": 0.5, "a2": 1e300}}),
+        # (1 + |rho|) sup|u| = 2e308 is inf: the tail count has no finite bound to reach
+        ("solve", strip_config(boundary={"modes": [{"omega": 1.0, "A": 1e308}]})),
+        # the oracle's pde_residual overflows: JSON has no Infinity to print
+        ("verify", strip_config(boundary={"modes": [{"omega": 1.0, "A": 1e308}]}, method="oracle")),
+        # n copies of one method would hold n + n(n-1)/2 grids
+        ("compare", {**strip_config(), "methods": ["identity"] * 16}),
     ],
     ids=[
         "J-text", "tol-text", "grid-count-text", "mode-not-object", "negative-n",
         "l-bool", "omega-bool", "J-bool", "k-bool", "J-fraction", "n-fraction", "grid-count-fraction",
         "regime-tol", "regime-threshold",
+        "annulus-R-underflow", "disk-R-underflow", "l-underflow-verify", "a2-overflow-verify",
+        "amplitude-overflow-series", "amplitude-overflow-verify", "repeated-methods",
     ],
 )
-def test_malformed_config_exits_2(tmp_path, capsys, cfg):
+def test_malformed_config_exits_2(tmp_path, capsys, command, cfg):
     path = write_config(tmp_path, "bad.json", cfg)
-    code, _, err = run_cli(["solve", "--config", path, "--out", str(tmp_path / "g.csv")], capsys)
+    code, out, err = run_cli([command, "--config", path, "--out", str(tmp_path / "g.csv")], capsys)
     assert code == 2
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
 
 
 def run_cli_traced(args, capsys):
@@ -846,7 +863,7 @@ def test_huge_grid_rejected_before_allocation(tmp_path, capsys, command, cfg):
     (tmp_path / "trace.csv").write_text("-1.0,0.5\n0.0,1.0\n1.0,0.5\n")
     # compare writes no CSV without --out
     if command == "compare":
-        cfg, out = {**cfg, "methods": ["identity", "identity"]}, []
+        cfg, out = {**cfg, "methods": ["identity", "series"]}, []
     else:
         out = ["--out", str(tmp_path / "g.csv")]
     path = write_config(tmp_path, "huge.json", cfg)

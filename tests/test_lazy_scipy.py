@@ -1,7 +1,10 @@
-"""scipy is loaded only by the closed-form companions of Poisson sources.
+"""No run of the package needs scipy.
 
-Each case runs in a fresh interpreter, because a module imported by an
-earlier test stays in this process's sys.modules.
+Each case runs in a fresh interpreter in which a `sys.meta_path` finder
+makes every import of scipy raise, because a module imported by an
+earlier test stays in this process's sys.modules.  The cases cover the
+import, every command on every problem and route, the finite-difference
+solves from samples, and the closed-form companion of boundary sources.
 """
 
 import json
@@ -22,10 +25,24 @@ CASES = {
     "disk_coupled": ({"R": 0.71, "k": 3.0}, {"r": [0.0, 1.0, 5], "theta": [0.0, 6.28, 5]}),
 }
 
-#: runs its argument, then prints the scipy modules the process has loaded
+#: blocks scipy, runs its argument, checks that scipy stayed blocked, then
+#: prints the scipy modules the process has loaded
 CHILD = """
 import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"scipy is blocked in this run: {name}")
+
+sys.meta_path.insert(0, NoScipy())
 exec(sys.argv[1])
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    raise AssertionError("scipy imported despite the block")
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
 
@@ -102,13 +119,18 @@ def test_fd_solve_from_samples_loads_no_scipy(tmp_path, problem):
     assert (tmp_path / "fd.csv").read_text().startswith(header + "\n")
 
 
-def test_source_bearing_asymptotic_loads_scipy_special(tmp_path):
+def test_source_bearing_asymptotic_runs_without_scipy(tmp_path):
+    # the closed-form companion of a boundary source, in both layers, values
+    # and x-derivatives, at the ladder of one image (k < 1) and of two (k > 1)
     code = (
-        "import math\n"
-        "from layerfield import HalfPlaneField, PlanarLayerConfig, halfplane_small_contrast\n"
-        "field = HalfPlaneField(modes=[(1.0, 1.0, 0.0)], sources=[(0.5, 0.3)])\n"
-        "sol = halfplane_small_contrast(field, PlanarLayerConfig(l=0.1, k=0.5))\n"
-        "assert math.isfinite(sol.u1_value(0.05, 0.2)) and math.isfinite(sol.u2_value(0.3, 0.2))\n"
+        "import numpy as np\n"
+        "from layerfield import HalfPlaneField, PlanarLayerConfig\n"
+        "from layerfield.asymptotics import thin_layer_solution\n"
+        "field = HalfPlaneField(modes=[(1.0, 1.0, 0.0)], sources=[(0.5, 0.3), (-0.2, -0.1, 0.05)])\n"
+        "y = np.linspace(-2.0, 2.0, 9)\n"
+        "for k in (0.5, 3.0):\n"
+        "    sol = thin_layer_solution(PlanarLayerConfig(l=0.1, k=k), field)\n"
+        "    for fn, x in ((sol.u1_value, 0.05), (sol.u1_deriv, 0.05), (sol.u2_value, 0.3), (sol.u2_deriv, 0.3)):\n"
+        "        assert np.all(np.isfinite(fn(x, y))), fn\n"
     )
-    loaded = run_child(code, tmp_path)
-    assert "scipy.special" in loaded and "scipy.integrate" not in loaded
+    assert run_child(code, tmp_path) == []

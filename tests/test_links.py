@@ -90,6 +90,94 @@ def quad_companion(h, x, y):
     return sum(integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=400)[0] for a, b in ((0.0, 1.0), (1.0, math.inf)))
 
 
+#: (zeta, e^zeta E1(zeta)), the second from 30-digit mpmath, rounded to a
+#: complex: |zeta| from 1e-8 to 316 across Re(zeta) >= 0, on and a hair
+#: either side of |zeta| = 3, where the series hands over to the continued
+#: fraction, and at Re(zeta) >= 50, where e^zeta alone would overflow
+EXP_E1 = [
+    ((7.073720166770291e-10-9.974949866040544e-09j), (17.843465107342595+1.4999998130984384j)),
+    ((7.648421872844885e-09-6.442176872376911e-09j), (17.843465227683126+0.6999998839609594j)),
+    ((1e-08+0j), (17.843465267485485+0j)),
+    ((7.648421872844885e-09+6.442176872376911e-09j), (17.843465227683126-0.6999998839609594j)),
+    ((6.123233995736766e-25+1e-08j), (17.843465094758795-1.5707961383602458j)),
+    ((7.073720166770291e-06-9.974949866040544e-05j), (8.633342424250351+1.499049696646962j)),
+    ((7.648421872844885e-05-6.44217687237691e-05j), (8.633906596389677+0.6994329066860386j)),
+    ((0.0001+0j), (8.634088070212725+0j)),
+    ((7.648421872844885e-05+6.44217687237691e-05j), (8.633906596389677-0.6994329066860386j)),
+    ((6.123233995736766e-21+0.0001j), (8.633281736041445-1.569833006471952j)),
+    ((0.0007073720166770291-0.009974949866040545j), (4.04621008450899+1.4507951126009189j)),
+    ((0.007648421872844885-0.00644217687237691j), (4.071001036730681+0.6726955924870556j)),
+    ((0.01+0j), (4.078511443456426+0j)),
+    ((0.007648421872844885+0.00644217687237691j), (4.071001036730681-0.6726955924870556j)),
+    ((6.123233995736766e-19+0.01j), (4.043385827376735-1.5204392192982372j)),
+    ((0.021221160500310872-0.29924849598121633j), (1.0167822792272654+0.9747899830349314j)),
+    ((0.22945265618534655-0.1932653061713073j), (1.1789001018620229+0.4455981254655697j)),
+    ((0.3+0j), (1.2225356050805856+0j)),
+    ((0.22945265618534655+0.1932653061713073j), (1.1789001018620229-0.4455981254655697j)),
+    ((1.8369701987210297e-17+0.3j), (0.99616666902224-1.0236235234606321j)),
+    ((0.0707372016677029-0.9974949866040544j), (0.36699884578588365+0.594563273565439j)),
+    ((0.7648421872844885-0.644217687237691j), (0.5485792921231756+0.2814986568943701j)),
+    ((1+0j), (0.5963473623231941+0j)),
+    ((0.7648421872844885+0.644217687237691j), (0.5485792921231756-0.2814986568943701j)),
+    ((6.123233995736766e-17+1j), (0.3433779615564271-0.6214496242358133j)),
+    ((0.17684300416925727-2.493737466510136j), (0.12276731095146318+0.3261265271025351j)),
+    ((1.9121054682112213-1.6105442180942275j), (0.2650913910840126+0.16547552724262365j)),
+    ((2.5+0j), (0.3035258364859841+0j)),
+    ((1.9121054682112213+1.6105442180942275j), (0.2650913910840126-0.16547552724262365j)),
+    ((1.5308084989341916e-16+2.5j), (0.1047069479513842-0.3375025813659948j)),
+    ((0.7073720166770291-9.974949866040545j), (0.016119551611324397+0.09669811112322818j)),
+    ((7.648421872844885-6.44217687237691j), (0.07417064699975572+0.05606746175525496j)),
+    ((10+0j), (0.09156333393978808+0j)),
+    ((7.648421872844885+6.44217687237691j), (0.07417064699975572-0.05606746175525496j)),
+    ((6.123233995736766e-16+10j), (0.009488539016354814-0.09819103501017017j)),
+    ((2.8294880667081164-39.89979946416218j), (0.0023784428921949973+0.02481948613769779j)),
+    ((30.59368749137954-25.76870748950764j), (0.01900105234466613+0.01551566573824047j)),
+    ((40+0j), (0.024404115079628575+0j)),
+    ((30.59368749137954+25.76870748950764j), (0.01900105234466613-0.01551566573824047j)),
+    ((2.4492935982947065e-15+40j), (0.00062268481026556-0.02496898012626847j)),
+    ((22.352955726994118-315.2084157668812j), (0.00023375216966600859+0.0031551546863155255j)),
+    ((241.69013118189835-203.57278916711036j), (0.00241865310766538+0.0020288493671160065j)),
+    ((316+0j), (0.003154605329436161+0j)),
+    ((241.69013118189835+203.57278916711036j), (0.00241865310766538-0.0020288493671160065j)),
+    ((1.9349419426528182e-14+316j), (1.0013819154632676e-05-0.003164493587229976j)),
+    ((1.836970198721028e-16-2.999999999999997j), (0.07922152116436419+0.291957710692079j)),
+    ((1.8369701987210297e-16-3j), (0.07922152116436405+0.29195771069207876j)),
+    ((1.836970198721032e-16-3.0000000000000036j), (0.07922152116436391+0.2919577106920785j)),
+    ((2.090120128041494-2.1520682726985663j), (0.21540851910922457+0.16563924107599726j)),
+    ((2.0901201280414963-2.1520682726985685j), (0.21540851910922437+0.16563924107599712j)),
+    ((2.0901201280414985-2.1520682726985707j), (0.21540851910922418+0.165639241075997j)),
+    ((2.999999999999997+0j), (0.2620837402553187+0j)),
+    ((3+0j), (0.2620837402553185+0j)),
+    ((3.0000000000000036+0j), (0.2620837402553182+0j)),
+    ((2.9850124958340745+0.29950024994048413j), (0.2613586486607606-0.021364669432677796j)),
+    ((2.9850124958340776+0.29950024994048446j), (0.26135864866076036-0.021364669432677782j)),
+    ((2.985012495834081+0.2995002499404848j), (0.26135864866076014-0.021364669432677764j)),
+    ((2.090120128041494+2.1520682726985663j), (0.21540851910922457-0.16563924107599726j)),
+    ((2.0901201280414963+2.1520682726985685j), (0.21540851910922437-0.16563924107599712j)),
+    ((2.0901201280414985+2.1520682726985707j), (0.21540851910922418-0.165639241075997j)),
+    ((0.2122116050031085+2.99248495981216j), (0.09564020935371963-0.2828408581296714j)),
+    ((0.2122116050031087+2.9924849598121632j), (0.09564020935371949-0.2828408581296712j)),
+    ((0.21221160500310898+2.992484959812167j), (0.09564020935371934-0.2828408581296709j)),
+    ((2.99+0.29j), (0.26111942140111516-0.020638795029937748j)),
+    ((50+0j), (0.01961510993011487+0j)),
+    ((50+250j), (0.000783363606854421-0.0038401375700837606j)),
+    ((75-30j), (0.01138484433332586+0.004495322647499882j)),
+    ((300+100j), (0.0029920358317528472-0.0009940514314734216j)),
+    ((1000+0j), (0.0009990019940238808+0j)),
+    ((50000+5000j), (1.9801592015846928e-05-1.9801196007609658e-06j)),
+    ((0.06+59988j), (2.945622570729959e-10-1.6670000656962645e-05j)),
+]
+
+
+def test_exp_e1_matches_frozen_references():
+    zeta, ref = (np.array(column) for column in zip(*EXP_E1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = links._exp_e1(zeta)
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+    assert links._exp_e1(np.array([0j])).real[0] == math.inf
+
+
 @pytest.mark.parametrize("h", [-2.0, -25.0])
 def test_source_companion_matches_quadrature(h):
     u3 = _planar_link(SOURCED, h)

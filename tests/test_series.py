@@ -449,3 +449,29 @@ def test_convergence_diagnostic_reports_the_series_count(problem, trunc):
         with pytest.raises(ConvergenceError) as exc:
             series_solution(geometry, field, trunc)
         assert exc.value.needed == rep.j_needed
+
+
+@pytest.mark.parametrize(
+    "problem, geometry, x_stop", [("strip", {"l": 0.3}, 0.3), ("halfplane_coupled", {"l": 0.3, "k": 0.4}, 0.6)]
+)
+def test_mode_ladder_of_a_quadrillion_terms_solves_at_once(tmp_path, capsys, problem, geometry, x_stop):
+    # a mode ladder costs the same at any J; only a field with sources walks
+    # its images, so J = 10^15 must not loop over them
+    import json
+
+    from layerfield.cli import evaluate_grid, geometry_config, main
+
+    modes = [{"omega": 1.0, "A": 1.0, "phi": 0.2}, {"omega": 2.5, "A": -0.4}]
+    cfg = {"problem": problem, "geometry": geometry, "boundary": {"modes": modes}, "method": "series",
+           "truncation": {"J": 10**15}, "grid": {"x": [0.0, x_stop, 3], "y": [-1.0, 1.0, 3]}}
+    path, out = tmp_path / "huge_j.json", tmp_path / "huge_j.csv"
+    path.write_text(json.dumps(cfg))
+    start = time.perf_counter()
+    code = main(["solve", "--config", str(path), "--out", str(out)])
+    assert code == 0 and time.perf_counter() - start < 5.0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["terms"] == 10**15
+    u = np.loadtxt(out, delimiter=",", skiprows=1)[:, 3].reshape(3, 3)
+    exact = mode_exact(geometry_config(cfg), [(m["A"], m["omega"], m.get("phi", 0.0)) for m in modes])
+    want = evaluate_grid(exact, problem, np.linspace(0.0, x_stop, 3), np.linspace(-1.0, 1.0, 3))
+    assert np.max(np.abs(u - want)) <= summary["tail_bound"] + 1e-11
