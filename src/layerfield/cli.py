@@ -184,6 +184,10 @@ def load_config(path) -> dict:
         _reject_unknown(cfg["tolerances"], set(_DEFAULT_TOLS), "tolerances")
     if "output" in cfg:
         _reject_unknown(cfg["output"], {"path"}, "output")
+        path = cfg["output"].get("path")
+        # open() would take an int or a bool as a file descriptor
+        if "path" in cfg["output"] and not (isinstance(path, str) and path):
+            raise ValidationError(f"output.path must be a non-empty string, got {path!r}")
     return cfg
 
 
@@ -414,6 +418,8 @@ def cmd_solve(cfg, args) -> int:
         summary["tail_bound"] = solution.tail_bound
     if getattr(solution, "terms", None) is not None:
         summary["terms"] = solution.terms
+    if getattr(solution, "bound", None) is not None:
+        summary["layer2_bound"] = solution.bound
     print(_strict_json(summary))
     return 0
 
@@ -564,6 +570,9 @@ def cmd_compare(cfg, args) -> int:
             bounds[m] = tb
     if bounds:
         summary["bounds"] = bounds
+    layer2_bounds = {m: s.bound for m, s in zip(methods, solutions) if getattr(s, "bound", None) is not None}
+    if layer2_bounds:
+        summary["layer2_bounds"] = layer2_bounds
 
     if sweep is not None:
         thicknesses, errs, ks = [], [], []

@@ -7,16 +7,24 @@ array at once, with no Python call per value:
 
 - the digits come from Giulietti's Schubfach algorithm ("The Schubfach way
   to render doubles", 2020) in unsigned 64-bit numpy arithmetic, each
-  64 x 64 -> 128-bit product built from 32-bit halves;
+  64 x 64 -> 128-bit product built from 32-bit halves.  The two words of
+  the 126-bit multiplier are stacked and multiplied in one pass, and the
+  three rounded products share one product and one shifted multiplier;
 - the text of a value is held as three little-endian 64-bit words (24
-  bytes, the longest repr of a double), and the decimal point, sign and
-  exponent are placed by shifting and masking whole words, after the
-  trailing zeros of the digits are dropped.
+  bytes, the longest repr of a double).  The 17 digits are spelled once,
+  after six "0" bytes, and one row of `_FORMS`, keyed by the decimal
+  point's place, the count of digits and the sign, says how to cut them
+  into repr's text: two byte shifts, a mask for each, and the constant
+  bytes ("-", ".", "0.0") laid over them.  Only exponent-form values get
+  an exponent appended.
 
-Zeros, subnormals, infinities and NaN, which the algorithm does not cover,
-go through repr itself.  `write_grid` formats a bounded chunk of grid
-nodes at a time, axis values included, and writes each chunk as one
-compacted byte string, so the file is never held in memory whole.
+Subnormals, infinities and NaN, which the algorithm does not cover, go
+through repr itself; +-0.0 has rows of its own.  `write_grid` lays out
+the line of a node in fixed slots, with the separators, the newline and
+(for chunks of whole grid rows) the axis-2 text written once per file,
+so each chunk writes only its axis-1 text, its regions and its values
+before the NUL padding is dropped.  The file is never held in memory
+whole: at most CHUNK_NODES nodes are laid out at a time.
 """
 
 from __future__ import annotations
@@ -30,29 +38,76 @@ REPR_BYTES = 24
 
 _M32 = 0xFFFFFFFF
 _M63 = (1 << 63) - 1
-_ONE = 0x3FF << 52  # the bits of 1.0, a stand-in for the values repr formats
-_K_MIN = -324  # smallest decimal exponent k of a normal double (Schubfach's K_MIN)
+# the bits of 1.5, a stand-in for the values repr formats; not a power of
+# two, so it takes no irregular interval
+_STAND_IN = 0x3FF8 << 48
 
-# the 126-bit Schubfach multipliers g = floor(10^-k 2^-r) + 1, split as
-# g1 = g >> 63 and g0 = g mod 2^63; a row is built when its k first occurs
-_G1 = np.zeros(292 - _K_MIN + 1, dtype=np.uint64)
-_G0 = np.zeros_like(_G1)
-_G_BUILT = np.zeros(_G1.size, dtype=bool)
+# per binary exponent, Schubfach's k and h and its 126-bit multiplier
+# g = floor(10^-k 2^-r) + 1 as the rows of _SCALE: k (two's complement),
+# h, g1 = g >> 63 and g0 = g mod 2^63.  Column b is for v = c 2^(b - 1075),
+# column b + 2048 for a power of two above the subnormals, whose gap below
+# is half the gap above.  A column is built when it first occurs
+_SCALE = np.zeros((4, 4096), dtype=np.uint64)
+_BUILT = np.zeros(4096, dtype=bool)
 
-# for each four-digit group i: its ASCII digits, first digit in the low
-# byte, and its trailing decimal zeros (4 for the group 0)
-_I = np.arange(10_000, dtype=np.uint64)
-_QUAD = sum((_I // 10**p % 10 + ord("0")) << 8 * (3 - p) for p in range(4))
-_TZ4 = sum((_I % p == 0).astype(np.int64) for p in (10, 100, 1000, 10_000))
+# for each four-digit group i = 100 hi + lo: its ASCII digits, first digit
+# in the low byte, and its trailing decimal zeros (4 for the group 0);
+# _TZ3 counts them in a three-digit group.  _HEAD holds the first two of
+# 17 digits after six "0" bytes, and _TAIL the last three in bytes 4..6
+_I = np.arange(100)
+_PAIR = (_I // 10 + 48) | (_I % 10 + 48) << 8
+_QUAD = (_PAIR[:, None] | _PAIR << 16).astype(np.uint64).ravel()
+_TZ2 = (_I % 10 == 0) + (_I == 0).astype(np.int64)
+_TZ4 = np.where(_I == 0, 2 + _TZ2[:, None], _TZ2).ravel()
+_TZ3 = _TZ4[:10_000:10] - 1
+_HEAD = 0x303030303030 | ((_QUAD[:100] >> 16) << 48)
+_TAIL = (_QUAD[:1000] >> 8) << 32
 
-# word tables indexed by a byte position j in 0..24 of a 24-byte string:
-# the bytes below j in word w, "." at byte j, and the left and right shifts
-# that move a one-word string starting at byte 0 to byte j (64 clears)
-_J = np.arange(REPR_BYTES + 1) - 8 * np.arange(3)[:, None]
-_BELOW = (np.uint64(1) << (8 * np.clip(_J, 0, 8)).astype(np.uint64)) - np.uint64(1)
-_DOT = np.where((_J >= 0) & (_J < 8), np.uint64(ord(".")) << (8 * np.clip(_J, 0, 7)).astype(np.uint64), 0)
-_LEFT = np.where((_J >= 0) & (_J < 8), 8 * _J, 64).astype(np.uint64)
-_RIGHT = np.where((_J < 0) & (_J > -8), -8 * _J, 64).astype(np.uint64)
+
+def _forms():
+    """The text forms of repr, one row per key ((place * 18) + digits) * 2 + sign.
+
+    `place` is 0 for a decimal point at or before -4 (exponent form),
+    point + 4 for the positional points -3..16, 21 beyond them (exponent
+    form again) and 22 for zero; the first digit weighs 10^(point - 1).
+    The text is cut from `_digit_text`'s words shifted right by `shift`
+    bytes, which puts the digits after the decimal point in place, and by
+    `shift + 1` bytes, which puts those before it in place.  A row holds
+    the shift in bits and its 64-complement, the masks of the bytes taken
+    from each shift, the constant bytes ("-", ".", "0.0"), the length, the
+    count of words holding digits before the point, and whether an
+    exponent follows.
+    """
+    place, digits, sign = (a.reshape(-1) for a in np.indices((23, 18, 2)))
+    point = place - 4
+    exponent = (place == 0) | (place == 21)
+    leading = ~exponent & (point <= 0)
+    zero = place == 22
+    shift = np.where(leading, 4 + point, 5) - sign
+    dot = sign + np.where(exponent | leading, 1, point)
+    length = sign + np.where(leading, 2 - point + digits, np.where(
+        exponent, digits + (digits > 1), np.maximum(digits, point + 1) + 1))
+    length = np.where(zero, 3 + sign, length)
+    byte = np.arange(REPR_BYTES)
+    before = (byte >= sign[:, None]) & (byte < dot[:, None]) & ~(zero | leading)[:, None]
+    after = ((byte > dot[:, None]) | leading[:, None]) & (byte < length[:, None]) & ~zero[:, None]
+    text = np.zeros((sign.size, REPR_BYTES), dtype=np.uint8)
+    text[np.flatnonzero(~zero & (length > dot)), dot[~zero & (length > dot)]] = ord(".")
+    text[zero] = np.frombuffer(b"0.0".ljust(REPR_BYTES, b"\0"), dtype=np.uint8)
+    text[zero & (sign == 1)] = np.frombuffer(b"-0.0".ljust(REPR_BYTES, b"\0"), dtype=np.uint8)
+    text[(sign == 1) & ~zero, 0] = ord("-")
+    after &= text == 0
+    words = lambda mask: (mask.astype(np.uint8) * np.uint8(255)).view("<u8")
+    bits = (8 * shift).astype(np.uint64)
+    table = [bits, 64 - bits, words(before), words(after), text.view("<u8"), length,
+             np.where(before.any(axis=1), (dot - 1) // 8 + 1, 0), exponent]
+    return np.column_stack([np.asarray(c).astype(np.uint64) for c in table])
+
+
+_FORMS = _forms()
+# the key of `_forms` before its digits and sign, 36 place, indexed by the
+# decimal point itself: a negative point counts from the end
+_PLACE = 36 * np.concatenate([np.arange(4, 21), np.full(383, 21), np.zeros(397, int), np.arange(1, 4)])
 
 
 def _g_row(k):
@@ -67,77 +122,73 @@ def _g_row(k):
     return g >> 63, g & _M63
 
 
-def _multipliers(k):
-    """g1 and g0 per element of the decimal exponents `k`, building missing rows."""
-    rows = k - _K_MIN
-    built = _G_BUILT[rows]
-    if not built.all():
-        for row in set(rows[~built].tolist()):
-            _G1[row], _G0[row] = _g_row(row + _K_MIN)
-            _G_BUILT[row] = True
-    return _G1[rows], _G0[rows]
-
-
-def _products(g1, g0, cp):
-    """The 128-bit products g1 cp and g0 cp of uint64 arrays, each as
-    (high, low) words, from 32-bit halves."""
+def _products(g, cp):
+    """The 128-bit products of the rows of g with cp, uint64 arrays, as
+    (high, low) words, from 32-bit halves.  With g <= 2^63 and cp < 2^59,
+    the middle terms and the carry from the low term sum below 2^64."""
+    gh, gl = g >> 32, g & _M32
     ch, cl = cp >> 32, cp & _M32
-    out = []
-    for g in (g1, g0):
-        gh, gl = g >> 32, g & _M32
-        mid = gh * cl
-        out.append((gh * ch + (mid >> 32) + ((((gl * cl) >> 32) + (mid & _M32) + gl * ch) >> 32), g * cp))
-    return out
+    return gh * ch + ((gh * cl + gl * ch + ((gl * cl) >> 32)) >> 32), g * cp
 
 
-def _plus_shifted(hi, lo, g, shift):
-    """(hi, lo) + (g << shift) in 128 bits, for g < 2^63 and 0 < shift < 64."""
-    add = g << shift
-    lo = lo + add
-    return hi + (g >> (64 - shift)) + (lo < add), lo
-
-
-def _minus_shifted(hi, lo, g, shift):
-    """(hi, lo) - (g << shift) in 128 bits, for g < 2^63 and 0 < shift < 64."""
-    sub = g << shift
-    return hi - (g >> (64 - shift)) - (lo < sub), lo - sub
-
-
-def _round_to_odd(y, x):
-    """floor(g cp / 2^127) with g = g1 2^63 + g0, from y = g1 cp and x = g0 cp,
-    its last bit set when the quotient is inexact (Schubfach's rop)."""
-    z = (y[1] >> 1) + x[0]
-    return (y[0] + (z >> 63)) | (((z & _M63) + _M63) >> 63)
+def _round_to_odd(high, low):
+    """floor(g cp / 2^127) with g = g1 2^63 + g0, from the (high, low) words
+    of g1 cp and g0 cp in rows 0 and 1, its last bit set when the quotient
+    is inexact (Schubfach's rop)."""
+    z = (low[0] >> 1) + high[1]
+    # the sticky bit: whether the low 63 bits of z are not all zero
+    return (high[0] + (z >> 63)) | np.minimum(z << 1, 1)
 
 
 def _decompose(magnitude):
-    """c and Schubfach's k and h for v = c 2^q, and whether v is a power of
-    two above the subnormals, where the gap below v is half the gap above."""
+    """c, Schubfach's k, h and g = (g1, g0) for v = c 2^q, and the rows
+    where v is a power of two above the subnormals."""
     frac = magnitude & ((1 << 52) - 1)
-    biased = (magnitude >> 52).view(np.int64)
-    irregular = (frac == 0) & (biased > 1)
-    q = biased - 1075
-    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
-    h = (q + ((-k * 217_706) >> 16) + 2).view(np.uint64)
-    return frac | (1 << 52), k, h, irregular
+    rows = (magnitude >> 52).view(np.int64)
+    irregular = np.flatnonzero(frac == 0)
+    irregular = irregular[rows[irregular] > 1]
+    rows[irregular] += 2048
+    built = _BUILT[rows]
+    if not built.all():
+        for row in set(rows[~built].tolist()):
+            q = row % 2048 - 1075
+            k = (q * 661_971_961_083 - (row >= 2048) * 274_743_187_321) >> 41
+            _SCALE[:, row] = k % 2**64, q + ((-k * 217_706) >> 16) + 2, *_g_row(k)
+            _BUILT[row] = True
+    frac |= 1 << 52
+    scale = np.take(_SCALE, rows, axis=1)
+    return frac, scale[0].view(np.int64), scale[1], irregular, scale[2:]
 
 
-def _scaled_interval(c, h, irregular, g1, g0):
+def _scaled_interval(c, h, irregular, g):
     """v and the ends of its rounding interval scaled by 4 10^-k and
     rounded to odd: the products of g with cb = 4c, with cb - 2 (cb - 1 at
-    a power of two) and with cb + 2, each shifted left by h."""
-    y, x = _products(g1, g0, c << (h + 2))
-    below = h + 1 - irregular
-    return (_round_to_odd(y, x),
-            _round_to_odd(_minus_shifted(*y, g1, below), _minus_shifted(*x, g0, below)),
-            _round_to_odd(_plus_shifted(*y, g1, h + 1), _plus_shifted(*x, g0, h + 1)))
+    a power of two, the rows `irregular`) and with cb + 2, each shifted
+    left by h.
+
+    The ends are g cb 2^h -+ g 2^(h+1): one product and one shifted
+    multiplier, added and subtracted; a power of two redoes its lower
+    end with g 2^h."""
+    high, low = _products(g, c << (h + 2))
+
+    def ends(shift, g, high, low):
+        # g 2^shift, as the (high, low) words of g1 2^shift and g0 2^shift
+        up, down = g >> (64 - shift), g << shift
+        below = _round_to_odd(high - up - (low < down), low - down)
+        low = low + down
+        return below, _round_to_odd(high + up + (low < down), low)
+
+    vbl, vbr = ends(h + 1, g, high, low)
+    if irregular.size:
+        vbl[irregular] = ends(h[irregular], g[:, irregular], high[:, irregular], low[:, irregular])[0]
+    return _round_to_odd(high, low), vbl, vbr
 
 
 def _shortest(magnitude):
     """Schubfach: the shortest decimal f 10^k that rounds to each positive
     normal double, the closest one if several, the even one on a tie."""
-    c, k, h, irregular = _decompose(magnitude)
-    vb, vbl, vbr = _scaled_interval(c, h, irregular, *_multipliers(k))
+    c, k, h, irregular, g = _decompose(magnitude)
+    vb, vbl, vbr = _scaled_interval(c, h, irregular, g)
     # the interval excludes its ends when c is odd
     odd = c & 1
     vbl += odd
@@ -155,83 +206,93 @@ def _shortest(magnitude):
 
 
 def _digit_text(f, k):
-    """The 17 significant digits of f 10^k as ASCII after five "0" bytes, in
-    three words; with the count of digits before the trailing zeros and the
-    position of the decimal point (the first digit weighs 10^(point - 1))."""
+    """The 17 significant digits of f 10^k as ASCII after six "0" bytes, in
+    the three rows of words; with the count of digits before the trailing
+    zeros and the position of the decimal point (the first digit weighs
+    10^(point - 1))."""
     # 16 or 17 digits: scale to 17
     short = f < 10**16
     f = np.where(short, f * 10, f).view(np.int64)
     point = k + 17 - short
-    # the groups of 3, 4, 4, 4 and 2 digits
-    t = f // 100
-    g5 = f - t * 100
-    hi = t // 10**8
-    lo = t - hi * 10**8
-    g1, g3 = hi // 10**4, lo // 10**4
-    g2, g4 = hi - g1 * 10**4, lo - g3 * 10**4
-    text = (0x3030303030 | ((_QUAD[g1] >> 8) << 40), _QUAD[g2] | (_QUAD[g3] << 32),
-            _QUAD[g4] | ((_QUAD[g5] >> 16) << 32))
-    zeros = _TZ4[g4] + (g4 == 0) * (_TZ4[g3] + (g3 == 0) * (_TZ4[g2] + (g2 == 0) * _TZ4[g1]))
-    zeros = _TZ4[g5 * 100] - 2 + (g5 == 0) * zeros
+    # the groups of 2, 4, 4, 4 and 3 digits
+    g1 = f // 10**15
+    rest = f - g1 * 10**15
+    t = rest // 1000
+    g5 = rest - t * 1000
+    g2 = t // 10**8
+    lo = t - g2 * 10**8
+    g3 = lo // 10**4
+    g4 = lo - g3 * 10**4
+    text = np.empty((3, f.size), dtype=np.uint64)
+    text[0] = _HEAD[g1]
+    np.bitwise_or(_QUAD[g2], _QUAD[g3] << 32, out=text[1])
+    np.bitwise_or(_QUAD[g4], _TAIL[g5], out=text[2])
+    # g1 >= 10, so the zeros stop in it; most values end in a non-zero g5
+    zeros = _TZ3[g5]
+    at = np.flatnonzero(g5 == 0)
+    if at.size:
+        g1, g2, g3, g4 = g1[at], g2[at], g3[at], g4[at]
+        zeros[at] += _TZ4[g4] + (g4 == 0) * (_TZ4[g3] + (g3 == 0) * (_TZ4[g2] + (g2 == 0) * (g1 % 10 == 0)))
     return text, 17 - zeros, point
 
 
-def _place(text, digits, point, sign):
-    """repr's text from _digit_text's: the digits from byte `start`, with "."
-    inserted before byte `dot`, cut to `length`.  The forms are 0.00ddd,
-    dd.ddd or ddd.0, and d.ddd before an exponent.  A negative value starts
-    one byte early, on a "0", which becomes "-"."""
-    positional = (point > -4) & (point <= 16)
-    leading = positional & (point <= 0)
-    start = (8 * (np.where(leading, 4 + point, 5) - sign)).view(np.uint64)
-    dot = np.where(positional & (point > 0), point, 1) + sign
-    length = sign + np.where(leading, digits - point + 2, np.where(
-        positional, np.maximum(digits, point + 1) + 1, digits + (digits > 1)))
-    body = ((text[0] >> start) | (text[1] << (64 - start)),
-            (text[1] >> start) | (text[2] << (64 - start)), text[2] >> start)
-    words = np.empty((sign.size, 3), dtype="<u8")
-    carry = 0
-    for w in range(3):
-        below = _BELOW[w][dot]
-        after = body[w] & ~below
-        words[:, w] = ((body[w] & below) | (after << 8) | carry | _DOT[w][dot]) & _BELOW[w][length]
-        carry = after >> 56
-    words[:, 0] -= sign.view(np.uint64) * (ord("0") - ord("-"))
-    return words, length, ~positional
-
-
-def _append_exponent(words, length, e, exponent):
-    """Append e+XX or e-XXX to the words of the rows where `exponent` holds."""
-    big = np.abs(e) >= 100
-    suffix = (_QUAD[np.abs(e)] >> np.where(big, 8, 16).view(np.uint64)) << 16
-    suffix |= np.where(e < 0, ord("-"), ord("+")).view(np.uint64) << 8 | ord("e")
-    suffix[~exponent] = 0
-    for w in range(3):
-        words[:, w] |= (suffix << _LEFT[w][length]) | (suffix >> _RIGHT[w][length])
-    return length + exponent * (4 + big)
-
-
-def repr_words(values):
+def repr_words(values, out=None):
     """repr(float(v)) of each v as ASCII in three little-endian uint64 words.
 
     Returns (words, lengths): words of shape (n, 3), NUL-padded after the
-    lengths[i] characters of value i.
+    lengths[i] characters of value i.  The words are written into `out`
+    when it is given, a uint64 array of that shape.
     """
     x = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
     bits = x.view(np.uint64)
     magnitude = bits & _M63
-    normal = (magnitude >= 1 << 52) & (magnitude < 0x7FF << 52)
-    magnitude[~normal] = _ONE
+    # normal: 2^-1022 <= |x| < inf, by one unsigned comparison
+    odd = np.flatnonzero(magnitude - (1 << 52) >= (0x7FE << 52))
+    zero = magnitude[odd] == 0
+    magnitude[odd] = _STAND_IN
     text, digits, point = _digit_text(*_shortest(magnitude))
-    words, length, exponent = _place(text, digits, point, (bits >> 63).view(np.int64))
-    exponent &= normal
-    if exponent.any():
-        length = _append_exponent(words, length, point - 1, exponent)
-    for i in np.flatnonzero(~normal).tolist():
+    key = _PLACE[point]
+    key[odd[zero]] = 22 * 36
+    key += 2 * digits
+    key += (bits >> 63).view(np.int64)
+    form = np.take(_FORMS, key, axis=0)
+    after = text >> form[:, 0]
+    after[:2] |= text[1:] << form[:, 1]
+    # the digits before the point, where there are any: one byte further,
+    # each word taking the first byte of the next
+    reach = int(form[:, 12].max(initial=0))
+    before = after[:reach] >> 8
+    before[:2] |= after[1:3][:reach] << 56
+    before &= form[:, 2 : 2 + reach].T
+    after &= form[:, 5:8].T
+    after[:reach] |= before
+    words = np.empty((x.size, 3), dtype="<u8") if out is None else out
+    np.bitwise_or(after, form[:, 8:11].T, out=words.T)
+    length = form[:, 11].view(np.int64)
+    at = np.flatnonzero(form[:, 13])
+    if at.size:
+        _append_exponents(words, length, at, point[at] - 1)
+    for i in odd[~zero].tolist():
         text = repr(float(x[i])).encode("ascii")
         words[i] = np.frombuffer(text.ljust(REPR_BYTES, b"\0"), dtype="<u8")
         length[i] = len(text)
     return words, length
+
+
+def _append_exponents(words, length, at, e):
+    """Append e+XX or e-XXX to the text of the rows `at`, whose exponents are `e`."""
+    big = np.abs(e) >= 100
+    suffix = (_QUAD[np.abs(e)] >> (16 - 8 * big).astype(np.uint64)) << 16
+    suffix |= np.where(e < 0, ord("-"), ord("+")).astype(np.uint64) << 8 | ord("e")
+    end = length[at]
+    bit = (8 * (end % 8)).astype(np.uint64)
+    padded = np.zeros((at.size, 4), dtype=np.uint64)
+    padded[:, :3] = words[at]
+    rows = np.arange(at.size)
+    padded[rows, end // 8] |= suffix << bit
+    padded[rows, end // 8 + 1] |= suffix >> (64 - bit)
+    words[at] = padded[:, :3]
+    length[at] = end + 4 + big
 
 
 def _text_chars(strings):
@@ -250,6 +311,13 @@ def write_grid(path, header, axis1, axis2, columns, regions=None):
     with every number written as repr(float(...)) and every region as its
     ASCII bytes.  The nodes are written CHUNK_NODES or fewer at a time:
     whole grid rows when a row fits in a chunk, else pieces of one row.
+
+    A line is laid out in slots, each followed by its separator: REPR_BYTES
+    for a number, the longest axis-2 text when every chunk holds whole
+    rows, the longest label for the regions.  The separators, the newline
+    and whole-row axis-2 texts are written once, into a buffer every chunk
+    reuses; a chunk fills the other slots, text and NUL padding alike, and
+    writes the buffer with its NULs dropped.
     """
     axis1 = np.asarray(axis1, dtype=float).reshape(-1)
     axis2 = np.asarray(axis2, dtype=float).reshape(-1)
@@ -260,54 +328,33 @@ def write_grid(path, header, axis1, axis2, columns, regions=None):
     block = rows * max(1, CHUNK_NODES // rows)  # axis1 values formatted at once
     labels = None if regions is None else _text_chars(regions)
     seconds = repr_words(axis2) if n2 <= CHUNK_NODES else None
-    # the lines of every chunk are laid out in one buffer
-    width = (2 + len(columns)) * (REPR_BYTES + 1) + (0 if labels is None else labels.shape[1] + 1)
-    buffer = np.empty(CHUNK_NODES * width, dtype=np.uint8)
+    widths = [REPR_BYTES, REPR_BYTES if seconds is None else int(seconds[1].max(initial=0))]
+    widths += ([] if labels is None else [labels.shape[1]]) + [REPR_BYTES] * len(columns)
+    ends = np.cumsum(np.add(widths, 1)) - 1
+    starts = (ends - widths).tolist()
+    buffer = np.zeros((rows, span, int(ends[-1]) + 1), dtype=np.uint8)
+    buffer[..., ends] = ord(",")
+    buffer[..., -1] = ord("\n")
+    if seconds is not None and n2:
+        buffer[..., starts[1] : ends[1]] = seconds[0].view(np.uint8)[:, : widths[1]]
+    number = lambda line, start: line[..., start : start + REPR_BYTES].view("<u8")
     with open(path, "wb") as fh:
         fh.write((header + "\n").encode("utf-8"))
         for i0 in range(0, n1, rows):
             if i0 % block == 0:
-                firsts, b0 = repr_words(axis1[i0 : i0 + block]), i0
+                firsts, b0 = repr_words(axis1[i0 : i0 + block])[0], i0
             i1 = min(i0 + rows, n1)
             for j0 in range(0, n2, span):
                 j1 = min(j0 + span, n2)
-                seconds_j = seconds if seconds is not None else repr_words(axis2[j0:j1])
-                fields = [(firsts[0][i0 - b0 : i1 - b0, None], firsts[1][i0 - b0 : i1 - b0]),
-                          (seconds_j[0][None], seconds_j[1])]
+                line = buffer[: i1 - i0, : j1 - j0]
+                number(line, starts[0])[...] = firsts[i0 - b0 : i1 - b0, None]
+                if seconds is None:
+                    number(line, starts[1])[...] = repr_words(axis2[j0:j1])[0]
                 if labels is not None:
-                    fields.append((labels[i0:i1, None], None))
-                for col in columns:
-                    words, length = repr_words(col[i0:i1, j0:j1])
-                    fields.append((words.reshape(i1 - i0, j1 - j0, 3), length))
-                fh.write(_chunk_text(buffer, (i1 - i0, j1 - j0), fields))
-
-
-def _chunk_text(buffer, shape, fields):
-    """The lines of a chunk of nodes, from its fields in line order: pairs
-    (words, lengths) from repr_words, or (ASCII rows, None), that broadcast
-    to `shape`.
-
-    Each field gets a slot in `buffer` as wide as its longest text in the
-    chunk, then its separator.  Numbers are written through a REPR_BYTES
-    view that may reach into the slots after theirs, which are written
-    later; the NULs that pad the shorter texts are dropped at the end.
-    """
-    widths = [chars.shape[-1] if length is None else int(length.max()) for chars, length in fields]
-    ends = (np.cumsum(np.add(widths, 1)) - 1).tolist()
-    starts = [end - width for end, width in zip(ends, widths)]
-    reach = max(start + REPR_BYTES for start, (_, length) in zip(starts, fields) if length is not None)
-    line = buffer[: shape[0] * shape[1] * max(ends[-1] + 1, reach)].reshape(*shape, -1)
-    line.fill(0)
-    for (chars, length), start, end in zip(fields, starts, ends):
-        if length is None:
-            line[..., start:end] = chars
-        else:
-            slot = line[..., start : start + REPR_BYTES].view("<u8")
-            for w in range(3):
-                slot[..., w] = chars[..., w]
-        line[..., end] = ord(",")
-    line[..., ends[-1]] = ord("\n")
-    return line[line != 0]
+                    line[..., starts[2] : ends[2]] = labels[i0:i1, None]
+                for col, start in zip(columns, starts[-len(columns) :] if columns else []):
+                    repr_words(col[i0:i1, j0:j1], out=number(line, start).reshape(-1, 3))
+                fh.write(line[line != 0])
 
 
 def write_solve_csv(path, geometry, axis1, axis2, values):

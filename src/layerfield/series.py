@@ -183,7 +183,8 @@ class Geometry:
     coupled half-plane takes an a2 other than 1.  So is every number the
     routes and `oracle.residual_report` derive from them: the ladder step
     (2l or R^2), its inverse and (a2/h)^2 for the `residual_step` h must
-    be finite and non-zero, and the Robin parameter finite.
+    be finite and non-zero, the Robin parameter finite, and the ladder
+    ratio rho = (1 - k)/(1 + k) must not round to 1.
     """
 
     def __init__(self, kind: str, interface: float, k: float | None = None, a2: float = 1.0):
@@ -209,7 +210,10 @@ class Geometry:
         ):
             if not (math.isfinite(value) and value != 0.0):
                 raise ValidationError(f"the {what} is {value!r}, not a finite non-zero float, {at}")
-        # h = 0 is |rho| = 1 to rounding, which the series refuses by itself
+        # rho = 1 (k below about 5.6e-17) leaves the layers uncoupled; rho = -1
+        # (k >~ 1e16) is h = 0, which the series refuses by itself
+        if self.coupled and self.rho == 1.0:
+            raise ValidationError(f"k={k!r} is too small: the ladder ratio rho = (1 - k)/(1 + k) rounds to 1")
         if self.coupled and self.rho != 0.0 and not math.isfinite(self.robin_h):
             raise ValidationError(f"the Robin parameter h is {self.robin_h!r}, not finite, {at}")
 

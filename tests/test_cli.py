@@ -720,6 +720,12 @@ def test_console_script_entry():
     assert proc.returncode == 2  # argparse usage error: no subcommand
 
 
+#: k = 1e-17 rounds rho = (1 - k)/(1 + k) to 1
+TINY_K = {"problem": "disk_coupled", "geometry": {"R": 0.7, "k": 1e-17},
+          "boundary": {"modes": [{"n": 0, "a": 1.0}, {"n": 1, "a": 1.0}]},
+          "grid": {"r": [0.0, 1.0, 3], "theta": [0.0, 6.0, 3]}}
+
+
 def annulus_config(modes):
     return {
         "problem": "annulus",
@@ -774,38 +780,51 @@ def test_annulus_constant_mode_oracle_matches_series(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, cfg",
+    "command, cfg, message",
     [
-        ("solve", strip_config(truncation={"J": "abc"})),
-        ("solve", strip_config(truncation={"tol": "x"})),
-        ("solve", strip_config(grid={"x": [0.0, 0.5, "a"], "y": [-1.0, 1.0, 5]})),
-        ("solve", strip_config(boundary={"modes": [1]})),
-        ("solve", annulus_config([{"n": -1}])),
-        ("solve", strip_config(geometry={"l": True})),
-        ("solve", strip_config(boundary={"modes": [{"omega": True}]})),
-        ("solve", strip_config(truncation={"J": True})),
-        ("solve", {**strip_config(problem="halfplane_coupled"), "geometry": {"l": 0.5, "k": True}}),
-        ("solve", strip_config(truncation={"J": 2.5})),
-        ("solve", annulus_config([{"n": 1.5}])),
-        ("solve", strip_config(grid={"x": [0.0, 0.5, 5.5], "y": [-1.0, 1.0, 5]})),
+        ("solve", strip_config(truncation={"J": "abc"}), None),
+        ("solve", strip_config(truncation={"tol": "x"}), None),
+        ("solve", strip_config(grid={"x": [0.0, 0.5, "a"], "y": [-1.0, 1.0, 5]}), None),
+        ("solve", strip_config(boundary={"modes": [1]}), None),
+        ("solve", annulus_config([{"n": -1}]), None),
+        ("solve", strip_config(geometry={"l": True}), None),
+        ("solve", strip_config(boundary={"modes": [{"omega": True}]}), None),
+        ("solve", strip_config(truncation={"J": True}), None),
+        ("solve", {**strip_config(problem="halfplane_coupled"), "geometry": {"l": 0.5, "k": True}}, None),
+        ("solve", strip_config(truncation={"J": 2.5}), None),
+        ("solve", annulus_config([{"n": 1.5}]), None),
+        ("solve", strip_config(grid={"x": [0.0, 0.5, 5.5], "y": [-1.0, 1.0, 5]}), None),
         # the regime diagnostic counts at truncation.tol, and takes no tolerance of its own
-        ("solve", strip_config(regime={"tol": 1e-10})),
+        ("solve", strip_config(regime={"tol": 1e-10}), None),
         # nor a threshold: no config builds a field with sources, the only kind it reads
-        ("solve", strip_config(regime={"threshold": 10})),
+        ("solve", strip_config(regime={"threshold": 10}), None),
         # numbers a route or a check derives from the geometry: R^2 underflows
         # to 0, and residual_report's (a2/h)^2 overflows at a tiny l or a huge a2
         ("solve", {**annulus_config([{"n": 1}]), "geometry": {"R": 1e-300}, "method": "asymptotic",
-                   "grid": {"r": [0.5, 1.0, 3], "theta": [0.0, 6.0, 3]}}),
+                   "grid": {"r": [0.5, 1.0, 3], "theta": [0.0, 6.0, 3]}}, None),
         ("solve", {"problem": "disk_coupled", "geometry": {"R": 1e-300, "k": 0.5}, "method": "asymptotic",
-                   "boundary": {"modes": [{"n": 1}]}, "grid": {"r": [0.0, 1.0, 3], "theta": [0.0, 6.0, 3]}}),
-        ("verify", strip_config(geometry={"l": 1e-300}, method="oracle")),
-        ("verify", {**strip_config(problem="halfplane_coupled"), "geometry": {"l": 0.1, "k": 0.5, "a2": 1e300}}),
+                   "boundary": {"modes": [{"n": 1}]}, "grid": {"r": [0.0, 1.0, 3], "theta": [0.0, 6.0, 3]}}, None),
+        ("verify", strip_config(geometry={"l": 1e-300}, method="oracle"), None),
+        ("verify", {**strip_config(problem="halfplane_coupled"), "geometry": {"l": 0.1, "k": 0.5, "a2": 1e300}}, None),
         # (1 + |rho|) sup|u| = 2e308 is inf: the tail count has no finite bound to reach
-        ("solve", strip_config(boundary={"modes": [{"omega": 1.0, "A": 1e308}]})),
+        ("solve", strip_config(boundary={"modes": [{"omega": 1.0, "A": 1e308}]}), None),
         # the oracle's pde_residual overflows: JSON has no Infinity to print
-        ("verify", strip_config(boundary={"modes": [{"omega": 1.0, "A": 1e308}]}, method="oracle")),
+        ("verify", strip_config(boundary={"modes": [{"omega": 1.0, "A": 1e308}]}, method="oracle"), None),
         # n copies of one method would hold n + n(n-1)/2 grids
-        ("compare", {**strip_config(), "methods": ["identity"] * 16}),
+        ("compare", {**strip_config(), "methods": ["identity"] * 16}, None),
+        # open() takes an int or a bool as a file descriptor: 1 and true wrote
+        # the CSV into stdout and closed it, 2 into stderr with exit 0
+        ("solve", strip_config(output={"path": 1}), "output.path must be a non-empty string, got 1"),
+        ("solve", strip_config(output={"path": True}), "output.path must be a non-empty string, got True"),
+        ("compare", {**strip_config(output={"path": 2}), "methods": ["series", "identity"]},
+         "output.path must be a non-empty string, got 2"),
+        ("verify", strip_config(output={"path": ["a"]}), "output.path must be a non-empty string, got ['a']"),
+        ("regimes", {**strip_config(problem="halfplane_coupled", output={"path": ""}), "geometry": {"l": 0.5, "k": 0.5}},
+         "output.path must be a non-empty string, got ''"),
+        ("solve", strip_config(output={"path": None}), "output.path must be a non-empty string, got None"),
+        # rho = (1 - k)/(1 + k) rounds to 1: each route failed by a side effect
+        *(("solve", {**TINY_K, "method": method}, "k=1e-17 is too small: the ladder ratio rho = (1 - k)/(1 + k) rounds to 1")
+          for method in ("series", "asymptotic", "oracle", "identity")),
     ],
     ids=[
         "J-text", "tol-text", "grid-count-text", "mode-not-object", "negative-n",
@@ -813,14 +832,18 @@ def test_annulus_constant_mode_oracle_matches_series(tmp_path, capsys):
         "regime-tol", "regime-threshold",
         "annulus-R-underflow", "disk-R-underflow", "l-underflow-verify", "a2-overflow-verify",
         "amplitude-overflow-series", "amplitude-overflow-verify", "repeated-methods",
+        "output-path-1", "output-path-true", "output-path-2", "output-path-list", "output-path-empty", "output-path-null",
+        "tiny-k-series", "tiny-k-asymptotic", "tiny-k-oracle", "tiny-k-identity",
     ],
 )
-def test_malformed_config_exits_2(tmp_path, capsys, command, cfg):
+def test_malformed_config_exits_2(tmp_path, capsys, command, cfg, message):
     path = write_config(tmp_path, "bad.json", cfg)
     code, out, err = run_cli([command, "--config", path, "--out", str(tmp_path / "g.csv")], capsys)
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
     assert out == ""
+    if message is not None:
+        assert err.startswith(f"error: {message}")
 
 
 def run_cli_traced(args, capsys):
@@ -1113,3 +1136,49 @@ def test_planar_samples_are_read_only_by_the_fd_solve(tmp_path, capsys, command)
     code, stdout, err = run_cli([command, "--config", write_config(tmp_path, "c.json", cfg)], capsys)
     assert code == 2 and stdout == ""
     assert "read only by solve with method 'oracle' on the strip" in err
+
+
+@pytest.mark.parametrize("method", ["asymptotic", "oracle"])
+def test_k_whose_rho_rounds_to_minus_one_still_solves(tmp_path, capsys, method):
+    # rho = -1 is h = 0: the series refuses it, these two routes do not
+    path = write_config(tmp_path, "huge.json", {**TINY_K, "geometry": {"R": 0.7, "k": 1e17}, "method": method,
+                                                "boundary": {"modes": [{"n": 1, "a": 1.0}]}})
+    assert run_cli(["solve", "--config", path, "--out", str(tmp_path / "g.csv")], capsys)[0] == 0
+
+
+THIN = {
+    "halfplane_coupled": ({"l": 0.1, "k": 0.3}, [{"omega": 1.0, "A": 0.6}, {"omega": 3.0, "A": -0.4, "phi": 0.5}],
+                          {"x": [0.0, 1.0, 9], "y": [-1.0, 1.0, 7]}),
+    "disk_coupled": ({"R": 0.9, "k": 0.3}, [{"n": 1, "a": 0.6}, {"n": 3, "a": -0.2, "b": 0.3}],
+                     {"r": [0.0, 1.0, 9], "theta": [0.0, 6.0, 7]}),
+    "strip": ({"l": 0.1}, [{"omega": 1.0}], {"x": [0.0, 0.1, 5], "y": [-1.0, 1.0, 5]}),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(THIN))
+def test_asymptotic_layer2_bound_is_printed(tmp_path, capsys, problem):
+    geometry, modes, grid = THIN[problem]
+    cfg = {"problem": problem, "geometry": geometry, "boundary": {"modes": modes}, "grid": grid}
+    code, stdout, _ = run_cli(["solve", "--config", write_config(tmp_path, "asym.json", {**cfg, "method": "asymptotic"}),
+                               "--out", str(tmp_path / "asym.csv")], capsys)
+    assert code == 0
+    summary = json.loads(stdout)
+    out = tmp_path / "cmp.csv"
+    code, stdout, _ = run_cli(["compare", "--config", write_config(tmp_path, "cmp.json",
+                               {**cfg, "methods": ["series", "asymptotic"]}), "--out", str(out)], capsys)
+    assert code == 0
+    compared = json.loads(stdout)
+    assert set(compared["bounds"]) == {"series"}
+    if problem == "strip":
+        # the strip's thin-layer route carries no bound
+        assert "layer2_bound" not in summary and "layer2_bounds" not in compared
+        return
+    geo = cli.geometry_config(cfg)
+    bound = cli.build_solution(cfg, "asymptotic", cli.boundary_field(cfg, geo), geo, cli.truncation_policy(cfg)).bound
+    assert summary["layer2_bound"] == compared["layer2_bounds"]["asymptotic"] == bound > 0
+    assert set(compared["layer2_bounds"]) == {"asymptotic"}
+    # it bounds the route's deviation from the series over layer 2, which
+    # compare's CSV holds node by node, within the series' own tail bound
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    layer2 = geo.in_layer2(rows[:, 0])
+    assert layer2.any() and np.max(rows[layer2, 4]) <= bound + compared["bounds"]["series"]

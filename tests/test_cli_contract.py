@@ -2,7 +2,8 @@
 
 A valid config of each problem takes one mutation: a key dropped or
 added, a number swapped for a bool, a string, a list, 0, a negative,
-+-1e+-300, a subnormal or a 300-digit integer, or a count set to 10^9.
++-1e+-300, a subnormal or a 300-digit integer, a count set to 10^9, or
+output.path swapped for a bool, a number, an empty string or a list.
 Every command then runs it in-process.  Each run must exit 0, 2, 3 or 4
 (1 only from `verify`, with every check finite), print strict JSON, and
 end within a fixed time and traced-memory peak.
@@ -38,6 +39,10 @@ SWAPS = [True, False, "1", [1.0], 0, 0.0, -1, -0.5, 1e300, -1e300, 1e308, 1e-300
 #: keys a mutation may add: unknown ones, and known ones in the wrong place
 ADDED = ["extra", "a1", "J", "sweep", "methods", "regime"]
 COUNT = 10**9
+#: what output.path may be swapped for: open() takes an int or a bool as a file descriptor
+PATH_SWAPS = [True, False, 0, 1, 2, -1, 1.5, "", ["a"], {"path": "x"}, None]
+#: stands for a file in the run's temporary directory
+OUT = "<tmp>/out"
 #: per run: wall time, and tracemalloc's peak
 SECONDS = 10.0
 PEAK_BYTES = 64 * 2**20
@@ -53,6 +58,7 @@ def base_config(problem, method):
         "truncation": {"tol": 1e-10},
         "tolerances": {"pde_residual": 1e-6},
         "grid": copy.deepcopy(grid),
+        "output": {"path": OUT},
     }
 
 
@@ -76,7 +82,10 @@ def is_count(path):
 def mutated(draw, problem):
     cfg = base_config(problem, draw(st.sampled_from(METHODS)))
     every = list(nodes(cfg))
-    kind = draw(st.sampled_from(["drop", "add", "swap", "count"]))
+    kind = draw(st.sampled_from(["drop", "add", "swap", "count", "path"]))
+    if kind == "path":
+        cfg["output"]["path"] = draw(st.sampled_from(PATH_SWAPS))
+        return cfg
     if kind == "drop":
         path = draw(st.sampled_from([p for p, _ in every]))
     elif kind == "add":
@@ -100,11 +109,12 @@ def mutated(draw, problem):
     return cfg
 
 
-def for_command(cfg, command):
-    """The config `command` reads: compare takes a methods list instead of a method."""
+def for_command(cfg, command, tmp):
+    """The config `command` reads: compare takes a methods list instead of a
+    method, and an output path stands for a file of its own in `tmp`."""
+    cfg = json.loads(json.dumps(cfg).replace(json.dumps(OUT), json.dumps(os.path.join(tmp, f"{command}.out"))))
     if command != "compare" or cfg.get("method") not in METHODS:
         return cfg
-    cfg = dict(cfg)
     method = cfg.pop("method")
     cfg["methods"] = [method, "identity" if method != "identity" else "series"]
     return cfg
@@ -139,7 +149,7 @@ def test_every_mutated_config_keeps_the_contract(problem, data):
         for command in COMMANDS:
             path = os.path.join(tmp, f"{command}.json")
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump(for_command(cfg, command), fh)
+                json.dump(for_command(cfg, command, tmp), fh)
             argv = [command, "--config", path]
             if command == "solve":
                 argv += ["--out", grid]

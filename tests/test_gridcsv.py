@@ -5,12 +5,16 @@ The references format one f-string or repr per cell; the output must
 match byte for byte.
 """
 
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from layerfield import gridcsv
 from layerfield.cli import _write_compare_csv, write_grid_csv
@@ -239,3 +243,52 @@ def test_write_grid_matches_per_cell_writer_at_small_chunks(tmp_path, monkeypatc
     _write_compare_csv(tmp_path / "new.csv", PLANAR, methods, axis1, axis2, grids)
     reference_compare_csv(tmp_path / "old.csv", "x,y", methods, axis1, axis2, grids)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# write_grid on drawn grids, chunk sizes and values, against the references
+# ---------------------------------------------------------------------------
+
+
+def signed(magnitudes):
+    return st.tuples(st.booleans(), magnitudes).map(lambda pair: -pair[1] if pair[0] else pair[1])
+
+
+#: positional and exponent forms, +-0.0, subnormals and magnitudes near 1e308
+MIXED = st.one_of(
+    signed(st.floats(1e-4, 1e16, exclude_max=True)),
+    signed(st.floats(1e-300, 1e-4, exclude_max=True)),
+    signed(st.floats(1e16, 1e300)),
+    st.sampled_from([0.0, -0.0]),
+    signed(st.floats(5e-324, 2.2250738585072014e-308, exclude_max=True)),
+    signed(st.floats(1e307, 1.7976931348623157e308)),
+)
+
+
+@st.composite
+def grids(draw):
+    """A chunk size, axes of 0 to 12 values, grids of that shape and the
+    size of a file already at the output path; a row is longer than a
+    chunk whenever the chunk is below the axis-2 count."""
+    chunk = draw(st.integers(1, 5000))
+    n1, n2 = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    axis = lambda n: draw(arrays(np.float64, n, elements=MIXED))
+    values = [draw(arrays(np.float64, (n1, n2), elements=MIXED)) for _ in range(draw(st.integers(1, 3)))]
+    return chunk, axis(n1), axis(n2), values, draw(st.integers(0, 4000))
+
+
+@settings(max_examples=100, deadline=None)
+@given(grids())
+def test_write_grid_is_the_per_cell_writer(grid):
+    chunk, axis1, axis2, values, old_bytes = grid
+    methods = ["series", "oracle", "identity"][: len(values)]
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(gridcsv, "CHUNK_NODES", chunk), \
+            np.errstate(all="ignore"):
+        tmp = Path(tmp)
+        # an existing file, longer or shorter than the grid's, is rewritten
+        (tmp / "new.csv").write_bytes(b"9" * old_bytes)
+        assert_solve_csv_matches(tmp, axis1, axis2, values[0])
+        if len(values) > 1:
+            _write_compare_csv(tmp / "new.csv", PLANAR, methods, axis1, axis2, values)
+            reference_compare_csv(tmp / "old.csv", "x,y", methods, axis1, axis2, values)
+            assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
