@@ -50,15 +50,24 @@ _EXPORTS = {
 __all__ = sorted(_EXPORTS)
 
 
-def __getattr__(name):
-    try:
-        module = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(importlib.import_module(module, __name__), name)
-    globals()[name] = value  # later lookups skip this hook
-    return value
+def _lazy_exports(namespace, exports):
+    """The PEP 562 `__getattr__` and `__dir__` of the module whose globals
+    are `namespace`: each name in `exports` is looked up in the submodule
+    it maps to, relative to the module's package, on first use."""
+
+    def __getattr__(name):
+        try:
+            module = exports[name]
+        except KeyError:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}") from None
+        value = getattr(importlib.import_module(module, namespace["__package__"]), name)
+        namespace[name] = value  # later lookups skip this hook
+        return value
+
+    def __dir__():
+        return sorted(set(namespace) | set(exports))
+
+    return __getattr__, __dir__
 
 
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -15,32 +15,25 @@ the order-p value of each ladder of amplitude A is
 
 where the alternating forms split the ladder into its even and odd
 images.  No route calls the engine yet: the higher-order terms will.
+
+The exported names are resolved on first use (PEP 562), as on the
+package itself, so the asymptotic route, which needs only `links`, loads
+neither the summation engine nor the Bernoulli numbers.  No submodule
+shares the name of an export: importing a submodule binds its name on
+the package, which would shadow the export.
 """
 
-from .bernoulli import bernoulli
-from .links import (
-    disk_small_contrast,
-    halfplane_small_contrast,
-    thin_layer_solution,
-)
-from .summation import (
-    ExpProfile,
-    em_ray_sum,
-    log_sum_bound,
-    ray_sum_bound,
-    ray_total_variation,
-    total_variation,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "ExpProfile",
-    "bernoulli",
-    "disk_small_contrast",
-    "em_ray_sum",
-    "halfplane_small_contrast",
-    "log_sum_bound",
-    "ray_sum_bound",
-    "ray_total_variation",
-    "thin_layer_solution",
-    "total_variation",
-]
+#: submodule defining each exported name
+_EXPORTS = {
+    "bernoulli": ".bernoulli_numbers",
+    **dict.fromkeys(["disk_small_contrast", "halfplane_small_contrast", "thin_layer_solution"], ".links"),
+    **dict.fromkeys([
+        "ExpProfile", "em_ray_sum", "log_sum_bound", "ray_sum_bound", "ray_total_variation", "total_variation"
+    ], ".summation"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

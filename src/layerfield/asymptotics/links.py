@@ -17,12 +17,17 @@ import math
 
 import numpy as np
 
+from .. import _lazy_exports
 from ..errors import SolvabilityError, ValidationError
 from ..harmonic import DiskField, HalfPlaneField
 from ..series import Geometry, LayeredSolution, PlanarLayerConfig, RadialLayerConfig
+
 # benchmarks/tracer.py times the variation estimators under these names,
-# though no route calls any of them; ROADMAP item 5 unpins them
-from .summation import total_variation, ray_total_variation, ray_window
+# though no route calls any of them; they resolve on first use (PEP 562),
+# so the asymptotic route does not load the summation engine.  ROADMAP
+# item 5 unpins them
+__getattr__ = _lazy_exports(globals(), dict.fromkeys(["total_variation", "ray_total_variation", "ray_window"],
+                                                     ".summation"))[0]
 
 #: terms of the power series, read for |zeta| < 3: the last adds below 3e-22
 _SERIES_TERMS = 32

@@ -22,7 +22,7 @@ from math import factorial
 import numpy as np
 
 from ..errors import EstimationError, ValidationError
-from .bernoulli import bernoulli
+from .bernoulli_numbers import bernoulli
 
 #: maximum number of Bernoulli correction terms
 MAX_ORDER = 5

@@ -12,6 +12,7 @@ Exit codes: 0 ok, 1 verification failure, 2 validation or I/O error,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -630,7 +631,8 @@ def cmd_verify(cfg, args) -> int:
     result = {"problem": problem, "method": method, "checks": checks, "all_pass": all_pass}
 
     if args.grid:
-        mismatches = _check_grid_file(args.grid, solution)
+        nodes = math.prod(count for _, _, count in _grid_spec(cfg, geo)) if "grid" in cfg else None
+        mismatches = _check_grid_file(args.grid, solution, nodes=nodes)
         result["grid_matches"] = mismatches == 0
         result["grid_mismatches"] = mismatches
         all_pass = all_pass and mismatches == 0
@@ -645,21 +647,27 @@ def cmd_verify(cfg, args) -> int:
     return 0 if all_pass else 1
 
 
-def _check_grid_file(path, solution) -> int:
+def _check_grid_file(path, solution, nodes=None) -> int:
     """Re-evaluate the solution at a solve output's nodes; count the rows
     whose region code or value differs.
 
     A value matches when the file holds its repr, so the check shares no
-    code with the CSV writer.  The coordinate columns are parsed as whole
-    arrays; a data row that is not four fields with numeric coordinates
-    is rejected with its line number.
+    code with the CSV writer.  The header must be the solve header of the
+    solution's geometry and at least one data row must follow, or the
+    file is rejected.  The coordinate columns are parsed as whole arrays;
+    a data row that is not four fields with numeric coordinates is
+    rejected with its line number.  Given the grid's node count `nodes`,
+    each row missing from it or extra to it counts as one more mismatch.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()
+        header = fh.readline().strip()
         text = fh.read()
+    expected = ",".join(solution.geometry.axes) + ",region,u"
+    if header != expected:
+        raise ValidationError(f"{path!s} has header {header!r}, not the solve header {expected!r}")
     rows = [line for line in map(str.strip, text.split("\n")) if line]
     if not rows:
-        return 0
+        raise ValidationError(f"{path!s} holds no data rows")
     fields = ",".join(rows).split(",")
     try:
         if set(map(str.count, rows, repeat(","))) != {3}:
@@ -673,7 +681,8 @@ def _check_grid_file(path, solution) -> int:
     values = _layered_values(solution, p, q[:, None])[:, 0]
     regions = np.where(solution.geometry.in_layer2(p), "2", "1").tolist()
     pairs = zip(fields[2::4], fields[3::4], regions, map(repr, values.tolist()))
-    return sum(got != region or written != value for got, written, region, value in pairs)
+    mismatches = sum(got != region or written != value for got, written, region, value in pairs)
+    return mismatches + (abs(len(rows) - nodes) if nodes is not None else 0)
 
 
 def _floats(texts):
@@ -773,5 +782,20 @@ def main(argv=None) -> int:
         return 2
 
 
+def run(argv=None) -> int:
+    """Process entry of the `layerfield` script and of `python -m layerfield.cli`.
+
+    Moves every object the imports built to the collector's permanent
+    generation (`gc.freeze`) before the command runs, so the cyclic
+    collector never walks that heap again, neither during the command
+    nor while the interpreter shuts down; the collector stays enabled
+    for what the command allocates.  `main` itself leaves the collector
+    as it finds it, for callers that run commands in a process of their
+    own.
+    """
+    gc.freeze()
+    return main(argv)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import ArbiterInsufficientError, ValidationError
+from .errors import ArbiterInsufficientError, CapabilityError, ValidationError
 from .series import Geometry, RadialLayerConfig
 
 TWO_PI = 2.0 * math.pi
@@ -441,6 +441,35 @@ def _max_abs(values) -> float:
     return float(np.max(np.abs(values)))
 
 
+def _scale_exponent(field) -> int:
+    """e such that 2^e is the power of two at or above the field's
+    sup_bound; 0 for a zero field, or one whose bound is unknown or not
+    finite."""
+    try:
+        sup = field.sup_bound()
+    except CapabilityError:  # a source on the boundary has no bound there
+        return 0
+    if not 0.0 < sup < math.inf:
+        return 0
+    mantissa, exponent = math.frexp(sup)
+    return exponent - 1 if mantissa == 0.5 else exponent
+
+
+def _scaled(fn, exponent):
+    """fn with its values divided by 2^exponent, which is exact short of underflow."""
+    if not exponent:
+        return fn
+    return lambda *args: np.ldexp(fn(*args), -exponent)
+
+
+def _unscaled(value: float, exponent: int) -> float:
+    """value times 2^exponent, or inf where that leaves the float range."""
+    try:
+        return math.ldexp(value, exponent)
+    except OverflowError:
+        return math.inf
+
+
 #: points on each mean-value ring of residual_report; the ring mean of a
 #: harmonic function is exact up to its terms of degree RING
 RING = 32
@@ -479,7 +508,15 @@ def residual_report(solution, boundary_field, flux: str = "auto") -> ErrorReport
     uses the solution's exact derivatives u1_deriv and u2_deriv; "fd"
     takes one-sided fourth-order differences five steps away from the
     interface instead.
+
+    Every check is made on u/S and reported times S, where S is the
+    power of two at or above the boundary field's `sup_bound` (1 for a
+    zero field), so that no sum overflows on a field near the float
+    range.  Scaling by a power of two is exact: on a field far from
+    that range each report is bit for bit the unscaled one.
     """
+    exponent = _scale_exponent(boundary_field)
+    u1 = _scaled(solution.u1_value, exponent)
     n_samples = 50
     unit_p, unit_q = _r2_plan(n_samples)
     geo = solution.geometry
@@ -505,25 +542,22 @@ def residual_report(solution, boundary_field, flux: str = "auto") -> ErrorReport
         def stencil(fn, x, y, dx, dy):
             return fn(x + dx, y + dy)
 
-    layers = [(solution.u1_value, 1.0)]
+    layers = [(u1, 1.0)]
     if geo.coupled:
-        layers.append((solution.u2_value, geo.a2))
+        u2 = _scaled(solution.u2_value, exponent)
+        layers.append((u2, geo.a2))
     qs = across[0] + (across[1] - across[0]) * unit_q
     pde = 0.0
     for (lo, hi), (fn, a) in zip(spans, layers):
         values = stencil(fn, lo + (hi - lo) * unit_p, qs, h * cos, (h / a) * sin)
         pde = max(pde, _max_abs(4.0 * (a / h) ** 2 * (values[:-1].mean(axis=0) - values[-1])))
-    bmis = _max_abs(solution.u1_value(edge, qs) - boundary_field.value(edge, qs))
+    bmis = _max_abs(u1(edge, qs) - _scaled(boundary_field.value, exponent)(edge, qs))
 
     if not geo.coupled:
-        return ErrorReport(
-            pde_residual=pde,
-            boundary_mismatch=max(bmis, _max_abs(solution.u1_value(s, qs))),
-            value_jump=0.0,
-            flux_jump=0.0,
-        )
+        checks = (pde, max(bmis, _max_abs(u1(s, qs))), 0.0, 0.0)
+        return ErrorReport(*(_unscaled(check, exponent) for check in checks))
 
-    vjump = _max_abs(solution.u1_value(s, qs) - solution.u2_value(s, qs))
+    vjump = _max_abs(u1(s, qs) - u2(s, qs))
     # Geometry's flux condition k u1_x = a2 u2_x, divided by a2
     weight = geo.k * geo.stretch
     if flux == "fd":
@@ -531,9 +565,11 @@ def residual_report(solution, boundary_field, flux: str = "auto") -> ErrorReport
         # plane; r d/dr is the radial flux
         side, scale = (1, s) if geo.radial else (-1, 1.0)
         fjump = _max_abs(
-            weight * scale * _one_sided_dx(solution.u1_value, s, qs, h, side=side)
-            - scale * _one_sided_dx(solution.u2_value, s, qs, h, side=-side)
+            weight * scale * _one_sided_dx(u1, s, qs, h, side=side)
+            - scale * _one_sided_dx(u2, s, qs, h, side=-side)
         )
     else:
-        fjump = _max_abs(weight * solution.u1_deriv(s, qs) - solution.u2_deriv(s, qs))
-    return ErrorReport(pde_residual=pde, boundary_mismatch=bmis, value_jump=vjump, flux_jump=fjump)
+        fjump = _max_abs(
+            weight * _scaled(solution.u1_deriv, exponent)(s, qs) - _scaled(solution.u2_deriv, exponent)(s, qs)
+        )
+    return ErrorReport(*(_unscaled(check, exponent) for check in (pde, bmis, vjump, fjump)))

@@ -297,6 +297,50 @@ def test_verify_grid_counts_each_row_whose_region_or_value_differs(tmp_path, cap
     assert json.loads(stdout)["grid_mismatches"] == 3
 
 
+#: a coupled disk whose solve writes 25 rows
+DISK_25 = {"problem": "disk_coupled", "geometry": {"R": 0.7, "k": 3.0}, "method": "series",
+           "boundary": {"modes": [{"n": 1, "a": 1.0}, {"n": 3, "b": 0.3}]},
+           "grid": {"r": [0.0, 1.0, 5], "theta": [0.0, 6.0, 5]}}
+
+
+@pytest.mark.parametrize("keep, code, message", [
+    (lambda lines: [], 2, "has header '', not the solve header 'r,theta,region,u'"),
+    (lambda lines: lines[:1], 2, "holds no data rows"),
+    (lambda lines: lines[:3], 1, None),
+    (lambda lines: ["x,y,region,u"], 2, "has header 'x,y,region,u', not the solve header 'r,theta,region,u'"),
+], ids=["empty", "header-only", "two-of-25-rows", "planar-header"])
+def test_verify_grid_fails_a_file_that_holds_no_grid(tmp_path, capsys, keep, code, message):
+    # each of these files once passed with grid_mismatches 0
+    cfg = write_config(tmp_path, "disk.json", DISK_25)
+    out = tmp_path / "grid.csv"
+    assert run_cli(["solve", "--config", cfg, "--out", str(out)], capsys)[0] == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 26
+    out.write_text("".join(line + "\n" for line in keep(lines)))
+    got, stdout, err = run_cli(["verify", "--config", cfg, "--grid", str(out)], capsys)
+    assert got == code
+    if code == 2:
+        assert err == f"error: {out} {message}\n" and stdout == ""
+    else:
+        report = json.loads(stdout)
+        assert report["grid_matches"] is False and report["grid_mismatches"] == 23
+
+
+def test_verify_grid_counts_rows_beyond_the_grid(tmp_path, capsys):
+    cfg = write_config(tmp_path, "disk.json", DISK_25)
+    out = tmp_path / "grid.csv"
+    assert run_cli(["solve", "--config", cfg, "--out", str(out)], capsys)[0] == 0
+    lines = out.read_text().splitlines()
+    # two repeated rows match their nodes, but each is a row beyond the grid's 25
+    out.write_text("\n".join(lines + lines[-2:]) + "\n")
+    code, stdout, _ = run_cli(["verify", "--config", cfg, "--grid", str(out)], capsys)
+    assert code == 1 and json.loads(stdout)["grid_mismatches"] == 2
+    # without a grid block the row count is not checked
+    no_grid = write_config(tmp_path, "nogrid.json", {k: v for k, v in DISK_25.items() if k != "grid"})
+    code, stdout, _ = run_cli(["verify", "--config", no_grid, "--grid", str(out)], capsys)
+    assert code == 0 and json.loads(stdout)["grid_mismatches"] == 0
+
+
 @pytest.mark.parametrize("problem, geometry, modes, grid", [
     ("halfplane_coupled", {"l": 0.2, "k": 1.0}, [{"omega": 1.0}], {"x": [0.0, 1.0, 3], "y": [0.0, 1.0, 3]}),
     ("disk_coupled", {"R": 0.5, "k": 1.0}, [{"n": 1}], {"r": [0.0, 1.0, 3], "theta": [0.0, 6.0, 3]}),
@@ -808,8 +852,6 @@ def test_annulus_constant_mode_oracle_matches_series(tmp_path, capsys):
         ("verify", {**strip_config(problem="halfplane_coupled"), "geometry": {"l": 0.1, "k": 0.5, "a2": 1e300}}, None),
         # (1 + |rho|) sup|u| = 2e308 is inf: the tail count has no finite bound to reach
         ("solve", strip_config(boundary={"modes": [{"omega": 1.0, "A": 1e308}]}), None),
-        # the oracle's pde_residual overflows: JSON has no Infinity to print
-        ("verify", strip_config(boundary={"modes": [{"omega": 1.0, "A": 1e308}]}, method="oracle"), None),
         # n copies of one method would hold n + n(n-1)/2 grids
         ("compare", {**strip_config(), "methods": ["identity"] * 16}, None),
         # open() takes an int or a bool as a file descriptor: 1 and true wrote
@@ -831,7 +873,7 @@ def test_annulus_constant_mode_oracle_matches_series(tmp_path, capsys):
         "l-bool", "omega-bool", "J-bool", "k-bool", "J-fraction", "n-fraction", "grid-count-fraction",
         "regime-tol", "regime-threshold",
         "annulus-R-underflow", "disk-R-underflow", "l-underflow-verify", "a2-overflow-verify",
-        "amplitude-overflow-series", "amplitude-overflow-verify", "repeated-methods",
+        "amplitude-overflow-series", "repeated-methods",
         "output-path-1", "output-path-true", "output-path-2", "output-path-list", "output-path-empty", "output-path-null",
         "tiny-k-series", "tiny-k-asymptotic", "tiny-k-oracle", "tiny-k-identity",
     ],
@@ -844,6 +886,23 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, cfg, message):
     assert out == ""
     if message is not None:
         assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("cfg", [
+    strip_config(boundary={"modes": [{"omega": 1.0, "A": 1e308}]}, method="oracle"),
+    *({"problem": "disk_coupled", "geometry": {"R": 0.7, "k": 3.0}, "boundary": {"modes": [{"n": 1, "a": 1e308}]},
+       "method": method, "grid": {"r": [0.0, 1.0, 5], "theta": [0.0, 6.0, 5]}} for method in ("series", "oracle")),
+], ids=["strip-oracle", "disk-series", "disk-oracle"])
+def test_verify_reports_a_field_near_the_float_range(tmp_path, capsys, cfg):
+    # solve writes these finite; the ring sums of the unscaled residual
+    # report overflowed, and verify exited 2 with no report
+    path = write_config(tmp_path, "huge.json", cfg)
+    assert run_cli(["solve", "--config", path, "--out", str(tmp_path / "g.csv")], capsys)[0] == 0
+    code, out, _ = run_cli(["verify", "--config", path], capsys)
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert all(math.isfinite(check["value"]) for check in checks.values())
+    assert not checks["pde_residual"]["pass"]  # rounding at 1e308 is far above 1e-6
 
 
 def run_cli_traced(args, capsys):

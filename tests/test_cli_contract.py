@@ -6,7 +6,8 @@ added, a number swapped for a bool, a string, a list, 0, a negative,
 output.path swapped for a bool, a number, an empty string or a list.
 Every command then runs it in-process.  Each run must exit 0, 2, 3 or 4
 (1 only from `verify`, with every check finite), print strict JSON, and
-end within a fixed time and traced-memory peak.
+end within a fixed time and traced-memory peak.  A solved grid file,
+cut or altered, must fail `verify --grid`.
 """
 
 import contextlib
@@ -165,3 +166,40 @@ def test_every_mutated_config_keeps_the_contract(problem, data):
             report = json.loads(out, parse_constant=reject_constant)
             if code == 1:
                 assert all(math.isfinite(check["value"]) for check in report["checks"].values()), where
+
+
+def _change_one_value(lines):
+    x, y, region, value = lines[4].split(",")
+    lines[4] = ",".join([x, y, region, "1.5" if value != "1.5" else "2.5"])
+    return lines
+
+
+#: (what is done to the solved file's lines, exit code, grid_mismatches)
+GRID_MUTATIONS = {
+    "empty": (lambda lines: [], 2, None),
+    "header-only": (lambda lines: lines[:1], 2, None),
+    "row-dropped": (lambda lines: lines[:5] + lines[6:], 1, 1),
+    "value-changed": (_change_one_value, 1, 1),
+    "wrong-header": (lambda lines: ["a,b,region,u"] + lines[1:], 2, None),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(GRID_MUTATIONS))
+@pytest.mark.parametrize("problem", sorted(VALID))
+def test_every_mutated_grid_file_fails_verify(problem, mutation):
+    change, expected, mismatches = GRID_MUTATIONS[mutation]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, grid = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "grid.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({**base_config(problem, "series"), "output": {}}, fh)
+        assert run(["solve", "--config", path, "--out", grid])[0] == 0
+        with open(grid, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        with open(grid, "w", encoding="utf-8") as fh:
+            fh.writelines(line + "\n" for line in change(lines))
+        code, out, err, _, _ = run(["verify", "--config", path, "--grid", grid])
+    assert code == expected, (err, out)
+    if code == 2:
+        assert err.startswith(f"error: {grid} ") and out == ""
+    else:
+        assert json.loads(out, parse_constant=reject_constant)["grid_mismatches"] == mismatches

@@ -10,6 +10,7 @@ from layerfield import (
     DiskField,
     Geometry,
     HalfPlaneField,
+    MaxTerms,
     PlanarLayerConfig,
     RadialLayerConfig,
     TailTol,
@@ -287,6 +288,23 @@ def test_residual_report_strip_series():
     rep = residual_report(sol, MODE)
     assert rep.pde_residual <= 1e-6
     assert rep.boundary_mismatch <= 1e-9
+
+
+@pytest.mark.parametrize("geometry, field", [
+    (RadialLayerConfig(R=0.7, k=3.0), lambda amplitude: DiskField.single_mode(1, amplitude)),
+    (PlanarLayerConfig(l=0.3, k=0.5), lambda amplitude: HalfPlaneField.single_mode(1.0, amplitude)),
+], ids=["disk", "half-plane"])
+def test_residual_report_holds_a_field_near_the_float_range(geometry, field):
+    # each check is made on u / 2^1024 and reported times 2^1024, where the
+    # unscaled ring sums overflowed.  A power of two scales a fixed-length
+    # ladder and every check exactly, so the report is that of the field
+    # 2^-1000 as large, times 2^1000
+    huge, small = field(1e308), field(1e308 * 2.0**-1000)
+    reports = [residual_report(series_solution(geometry, f, MaxTerms(40)), f) for f in (huge, small)]
+    checks = ("pde_residual", "boundary_mismatch", "value_jump", "flux_jump")
+    got, expected = ([getattr(report, name) for name in checks] for report in reports)
+    assert all(map(math.isfinite, got))
+    assert got == [math.ldexp(value, 1000) for value in expected]
 
 
 def _plus_square(solution, c):

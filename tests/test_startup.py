@@ -151,6 +151,41 @@ def test_compare_solve_and_regimes_load_no_oracle_and_no_fractions(tmp_path):
     assert [m for m in loaded if m in ("layerfield.oracle", "fractions")] == []
 
 
+@pytest.mark.parametrize("problem", sorted(CASES))
+def test_the_asymptotic_route_loads_no_summation_engine(tmp_path, problem):
+    # the route needs only links; the tracer's names in links resolve on first use
+    geometry, grid = CASES[problem]
+    if problem in ("annulus", "disk_coupled"):
+        modes = [{"n": 1, "a": 0.7, "b": 0.1}, {"n": 4, "a": -0.2, "b": 0.5}]
+    else:
+        modes = [{"omega": 1.3, "A": 0.7, "phi": 0.2}, {"omega": 3.1, "A": -0.4, "phi": 1.0}]
+    base = {"problem": problem, "geometry": geometry, "grid": grid, "boundary": {"modes": modes}}
+    (tmp_path / "solve.json").write_text(json.dumps({**base, "method": "asymptotic"}))
+    (tmp_path / "compare.json").write_text(json.dumps({**base, "methods": ["series", "asymptotic"]}))
+    calls = [
+        ["solve", "--config", "solve.json", "--out", "solve.csv"],
+        ["compare", "--config", "compare.json", "--out", "compare.csv"],
+    ]
+    loaded = run_child(_run_commands(calls), tmp_path)[-1]
+    assert "layerfield.asymptotics.links" in loaded
+    unwanted = ("layerfield.asymptotics.summation", "layerfield.asymptotics.bernoulli_numbers", "fractions")
+    assert [m for m in loaded if m in unwanted] == []
+
+
+def test_an_export_resolves_to_itself_after_its_submodule_loads(tmp_path):
+    # importing a submodule binds its name on the package; no export may be
+    # shadowed by it, whichever is loaded first
+    code = (
+        "import layerfield.asymptotics.summation, layerfield.asymptotics.links\n"
+        "import layerfield, layerfield.asymptotics as asymptotics\n"
+        "names = [n for n in asymptotics.__all__ if not callable(getattr(asymptotics, n))]\n"
+        "names += [n for n in layerfield.__all__ if not callable(getattr(layerfield, n))]\n"
+        "print(json.dumps([names, asymptotics.bernoulli(2) == layerfield.bernoulli(2)]))\n"
+    )
+    (shadowed, same), _ = run_child(code, tmp_path)
+    assert shadowed == [] and same
+
+
 def test_verify_loads_no_numpy_random(tmp_path):
     _disk_configs(tmp_path)
     calls = [
@@ -204,3 +239,47 @@ def test_cli_calls_its_entry_points_through_its_globals(tmp_path, monkeypatch):
     assert cli.main(["verify", "--config", str(tmp_path / "modes.json")]) == 0
     assert cli.main(["solve", "--config", str(tmp_path / "fd.json"), "--out", str(tmp_path / "fd.csv")]) == 0
     assert calls == ["residual_report", "fd_strip"]
+
+
+#: prints [the collector's frozen object count, whether it is enabled]
+GC_STATE = "import gc\nprint(json.dumps([gc.get_freeze_count(), gc.isenabled()]))\n"
+
+
+def _regimes_config(tmp_path):
+    geometry, grid = CASES["disk_coupled"]
+    (tmp_path / "disk.json").write_text(json.dumps({"problem": "disk_coupled", "geometry": geometry, "grid": grid,
+                                                     "boundary": {"modes": [{"n": 1, "a": 1.0}]}}))
+
+
+def test_the_process_entry_freezes_the_import_heap(tmp_path):
+    # `python -m layerfield.cli` and the console script run cli.run, which
+    # moves the imports' objects out of the collector's reach and leaves
+    # it enabled
+    _regimes_config(tmp_path)
+    code = (
+        "import contextlib, io, runpy\n"
+        "sys.argv = ['layerfield', 'regimes', '--config', 'disk.json']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        runpy.run_module('layerfield.cli', run_name='__main__')\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, exc.code\n"
+        "    else:\n"
+        "        raise AssertionError('the entry did not exit')\n"
+    ) + GC_STATE
+    (frozen, enabled), _ = run_child(code, tmp_path)
+    assert frozen > 0 and enabled
+
+
+def test_main_leaves_the_collector_as_it_finds_it(tmp_path):
+    # tests, the benchmark's tracer and library users call main in a
+    # process of their own
+    _regimes_config(tmp_path)
+    code = (
+        "import contextlib, io\n"
+        "import layerfield.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['regimes', '--config', 'disk.json']) == 0\n"
+    ) + GC_STATE
+    (frozen, enabled), _ = run_child(code, tmp_path)
+    assert frozen == 0 and enabled
