@@ -2,14 +2,16 @@
 
 A known harmonic field (decaying half-plane modes or a disk Fourier sum)
 is deformed into the solution of a coupled two-layer problem or a thin
-Dirichlet layer, either by summing the image ladder directly or, in thin
-layers, by one leading-order formula: the companion field at the Robin
-parameter h = `Geometry.robin_h` (each mode w divided by w - h, or n by
-n + h), in a one- or two-term ladder weighted by the inverse layer
-thickness.  The Euler-Maclaurin engine in `asymptotics` is one
-primitive, `em_ray_sum` on an `ExpProfile`: on a mode the weighted image
-ladder is an exponential ladder of rate w - h (or n + h), so
-em_ray_sum(ExpProfile(rate), s, p) is its expansion to order p.  No
+Dirichlet layer.  Every route solves the problem's half-plane twin
+(`Geometry.twin`): the disk problems are the strip and the coupled
+half-plane under x = ln(1/r), y = theta, where disk mode n is a mode
+with w = n.  The series sums the image ladder directly; in thin layers
+one leading-order formula takes the companion field at the twin's Robin
+parameter h (each mode w divided by w - h), in a one- or two-term ladder
+weighted by the inverse layer thickness.  The Euler-Maclaurin engine in
+`asymptotics` is one primitive, `em_ray_sum` on an `ExpProfile`: on a
+mode the weighted image ladder is an exponential ladder of rate w - h,
+so em_ray_sum(ExpProfile(rate), s, p) is its expansion to order p.  No
 route calls it yet.  Everything is checkable against built-in
 closed-form and finite-difference oracles.
 
@@ -31,7 +33,7 @@ _EXPORTS = {
     **dict.fromkeys([
         "ArbiterInsufficientError", "CapabilityError", "CapacityError",
         "ConvergenceError", "EstimationError", "LayerFieldError",
-        "SolvabilityError", "UndersamplingError", "ValidationError"
+        "UndersamplingError", "ValidationError"
     ], ".errors"),
     **dict.fromkeys([
         "BoundaryTrace", "DiskField", "HalfPlaneField", "disk_from_boundary"

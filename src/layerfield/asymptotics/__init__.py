@@ -1,20 +1,20 @@
 """Thin-layer approximators and the Euler-Maclaurin summation engine.
 
-Every thin-layer route is `thin_layer_solution`.  The summation engine is
-one primitive, `em_ray_sum` on an `ExpProfile`.  On a mode every weighted
-image ladder is an exponential ladder, since rho^j e^(-w s j) =
-e^(-(w - h) s j) on the plane (rate n + h on the disk).  With
+Every thin-layer route is `thin_layer_solution`, on the problem's
+half-plane twin.  The summation engine is one primitive, `em_ray_sum` on
+an `ExpProfile`.  On a mode every weighted image ladder is an
+exponential ladder, since rho^j e^(-w s j) = e^(-(w - h) s j).  With
 E(rate, s) = em_ray_sum(ExpProfile(rate), s, p),
 the order-p value of each ladder of amplitude A is
 
   sum_j rho^j A e^(-w(x + 2lj)), rho = e^(2hl):   A e^(-wx) E(w - h, 2l)
   the same at rho = -e^(2hl) (k > 1):             A e^(-wx) (2 E(w - h, 4l) - E(w - h, 2l))
-  sum_j rho^j A (r R^(2j))^n, rho = R^(2h):       A r^n E(n + h, s), s = ln(1/R^2)
-  the same at rho = -R^(2h):                      A r^n (2 E(n + h, 2s) - E(n + h, s))
-  sum_j A R^(2jn):                                A E(n, s)
+  sum_j A e^(-w(x + 2lj)) (strip, rho = 1):       A e^(-wx) E(w, 2l)
 
-where the alternating forms split the ladder into its even and odd
-images.  No route calls the engine yet: the higher-order terms will.
+where the alternating form splits the ladder into its even and odd
+images.  The disk rows are these at l = ln(1/R), w = n and e^(-wx) = r^n:
+the coupled disk's are the first two, the annulus's the last.  No route
+calls the engine yet: the higher-order terms will.
 
 The exported names are resolved on first use (PEP 562), as on the
 package itself, so the asymptotic route, which needs only `links`, loads

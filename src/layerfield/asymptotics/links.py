@@ -1,12 +1,12 @@
 """Boundary-link companion fields and thin-layer approximate solutions.
 
 The Robin companion of a model field integrates it against an
-exponential (planar) or power-law (radial) kernel; on modes the link is
-a plain rescaling of each coefficient, and a planar boundary source
-maps to an exponential integral in closed form, evaluated in numpy
-alone (`_exp_e1`), so no route needs scipy.  The Neumann companion is
-the decaying primitive.  `thin_layer_solution` builds the companion
-at the geometry's Robin parameter of a short ladder of the field, a
+exponential kernel; on modes the link is a plain rescaling of each
+coefficient, and a boundary source maps to an exponential integral in
+closed form, evaluated in numpy alone (`_exp_e1`), so no route needs
+scipy.  The Neumann companion is the decaying primitive.
+`thin_layer_solution` builds the companion at the Robin parameter of a
+short ladder of the field on the geometry's half-plane twin, a
 closed-form substitute for the image-ladder solution, with a
 closed-form bound on its layer-2 deviation where one is known.
 """
@@ -18,9 +18,9 @@ import math
 import numpy as np
 
 from .. import _lazy_exports
-from ..errors import SolvabilityError, ValidationError
+from ..errors import ValidationError
 from ..harmonic import DiskField, HalfPlaneField
-from ..series import Geometry, LayeredSolution, PlanarLayerConfig, RadialLayerConfig
+from ..series import Geometry, LayeredSolution, PlanarLayerConfig, RadialLayerConfig, _twin_problem
 
 # benchmarks/tracer.py times the variation estimators under these names,
 # though no route calls any of them; they resolve on first use (PEP 562),
@@ -91,7 +91,7 @@ class _SourceRobinHalfPlane:
 
 
 def _planar_link(field: HalfPlaneField, h: float):
-    """The field with mode w divided by (w - h), for h <= 0.
+    """The field with mode w divided by (w - h), for h <= 0, and h < 0 for a constant mode (w = 0).
 
     A field with sources takes the closed-form companion; at h = 0 it
     has none, since its Neumann primitive need not decay.  The Neumann
@@ -105,72 +105,48 @@ def _planar_link(field: HalfPlaneField, h: float):
     return _SourceRobinHalfPlane(field, h)
 
 
-def _radial_link(field: DiskField, h: float) -> DiskField:
-    """The field with mode n divided by (n + h), for h >= 0.
-
-    At h = 0 this is the Neumann companion, which drops the constant
-    mode and so needs it to vanish.
-    """
-    n = np.arange(field.cos_coeffs.size, dtype=float) + h
-    if h == 0.0:
-        if abs(field.cos_coeffs[0]) > 1e-12 * (field.sup_bound() + 1e-300):
-            raise SolvabilityError(
-                "Neumann companion needs mean-zero boundary data (zero constant mode)"
-            )
-        n[0] = math.inf
-    return DiskField(field.cos_coeffs / n, field.sin_coeffs / n)
-
-
 def thin_layer_solution(geometry: Geometry, field) -> LayeredSolution:
     """The leading-order thin-layer solution of `field` on `geometry`.
 
-    One formula serves every problem.  With the ladder step s = 2l on
-    the plane and ln(1/R^2) on the disk, and the Robin parameter
-    h = `geometry.robin_h` (|rho| = e^(hs) on the plane, e^(-hs) on the
-    disk), the transfer field is the Robin companion of the field's
-    ladder of N images with ratio rho and weight 1/(N*s), where N = 1
-    for rho > 0 and 2 for rho < 0 (the even/odd split of the alternating
-    ladder).  The companion divides mode w by (w - h), or mode n by
-    (n + h), and it commutes with the ladder, so the ladder is built
-    first.  On the strip and the annulus rho = 1 and h = 0, so the
-    companion is the Neumann primitive.
+    One formula serves every problem, on its half-plane twin (see
+    `Geometry`).  With the ladder step s = 2l and the Robin parameter
+    h = ln|rho|/s of the twin, the transfer field is the Robin companion
+    of the field's ladder of N images with ratio rho and weight 1/(N*s),
+    where N = 1 for rho > 0 and 2 for rho < 0 (the even/odd split of the
+    alternating ladder).  The companion divides mode w by (w - h), which
+    is mode n by (n + h) with the disk's own h = -h, and it commutes with
+    the ladder, so the ladder is built first.  On the strip and the
+    annulus rho = 1 and h = 0, so the companion is the Neumann
+    primitive; the constant mode enters apart, exactly (`_twin_problem`).
 
     At rho > 0 on the coupled problems the layer-2 deviation from the
     series is (1 - rho)|sum_j f(js) - (1/s) int f|, which is at most
-    (1 - rho) V(f), the total variation of the profile f (DLMF 2.10):
-    f(e) = e^(he) u(X + e, y) on e >= 0 with X = outer(x), or
-    f(e) = e^h u(re, theta) on e in [0, 1].  The variation of a sum is
-    at most the sum of its terms' variations, and each term has one in
-    closed form that holds for every y or theta:
+    (1 - rho) V(f), the total variation of the profile
+    f(e) = e^(he) u(X + e, y) on e >= 0 with X = outer(x) (DLMF 2.10).
+    The variation of a sum is at most the sum of its terms' variations,
+    and each term has one in closed form that holds for every y:
       - a mode's profile is monotone, so its variation is its end value,
-        at most |A| e^(-wX) or r^n hypot(a_n, b_n), and |a_0|/2 for the
-        constant mode;
+        at most |A| e^(-wX), which is r^n hypot(a_n, b_n) on the disk
+        and |a_0|/2 for its constant mode;
       - a source's at depth d, (|q|/pi) e^(he) u/(u^2 + c^2) with
         u = Y + e and Y = X + d, has the log-slope
         h + (c^2 - u^2)/(u(u^2 + c^2)), which changes sign once; its
         variation is f(0) <= 1/Y per unit |q|/pi when |c| <= Y, and at
         most 1/|c| - Y/(Y^2 + c^2) < 1/Y otherwise.
-    On the plane that sum is `HalfPlaneField.sup_bound(X)`.  The
-    solution's `bound_at(p)` is (1 - rho) times it, and `bound` its value
-    at the interface, the largest over layer 2.  On the disk it adds a
-    projected field's `dropped_mass`, as the series' tail bound does.  On
-    the strip, the annulus and at rho < 0 both are None.
+    That sum is `HalfPlaneField.sup_bound(X)`.  The solution's
+    `bound_at(p)` is (1 - rho) times it, plus a projected field's
+    `dropped_mass`, as the series' tail bound adds; `bound` is its value
+    at the interface, the largest over layer 2.  On the strip, the
+    annulus and at rho < 0 both are None.
     """
-    h = geometry.robin_h
-    rho = geometry.rho
+    twin, view, constant = _twin_problem(geometry, field)
+    h, rho, s = twin.robin_h, twin.rho, twin.step
     images = 1 if rho > 0 else 2
-    if geometry.radial:
-        s, link = math.log(1.0 / geometry.interface**2), _radial_link
-        a, b = field.cos_coeffs, field.sin_coeffs
-        n = np.arange(1, a.size)
-        bound_at = lambda r: (
-            (1.0 - rho) * (abs(a[0]) / 2.0 + float(np.sum(r**n * np.hypot(a[1:], b[1:])))) + field.dropped_mass
-        )
-    else:
-        s, link = 2.0 * geometry.interface, _planar_link
-        bound_at = lambda x: (1.0 - rho) * field.sup_bound(geometry.outer(x))
-    transfer = link(field.ladder(geometry.step, rho, images, 1.0 / (images * s)), h)
-    return LayeredSolution(geometry, transfer, rho, bound_at=bound_at if geometry.coupled and rho > 0 else None)
+    transfer = _planar_link(view.ladder(s, rho, images, 1.0 / (images * s)), h)
+    dropped = getattr(field, "dropped_mass", 0.0)
+    bound_at = lambda p: (1.0 - rho) * view.sup_bound(twin.outer(geometry.to_twin(p))) + dropped
+    return LayeredSolution(geometry, transfer, rho, constant=constant,
+                           bound_at=bound_at if twin.coupled and rho > 0 else None)
 
 
 # benchmarks/workloads.py reads `.bound` through the next two names; ROADMAP item 5 unpins them

@@ -22,7 +22,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import ConvergenceError, LayerFieldError, ValidationError
-from .harmonic import BoundaryTrace, DiskField, HalfPlaneField, disk_from_boundary
+from .harmonic import BoundaryTrace, DiskField, HalfPlaneField, check_circle_trace, disk_from_boundary
 from .series import (
     AXES,
     Geometry,
@@ -212,11 +212,10 @@ def _planar_modes(raw):
         _reject_unknown(m, {"omega", "A", "phi"}, "planar mode")
         if "omega" not in m:
             raise ValidationError("planar mode needs omega")
-        modes.append((
-            _number(m.get("A", 1.0), "planar mode A"),
-            _number(m["omega"], "planar mode omega"),
-            _number(m.get("phi", 0.0), "planar mode phi"),
-        ))
+        omega = _number(m["omega"], "planar mode omega")
+        if not omega > 0:
+            raise ValidationError(f"planar mode omega must be > 0, got {omega!r}")
+        modes.append((_number(m.get("A", 1.0), "planar mode A"), omega, _number(m.get("phi", 0.0), "planar mode phi")))
     return modes
 
 
@@ -283,8 +282,8 @@ def truncation_policy(cfg):
 def build_solution(cfg, method, field, geo, trunc):
     """Assemble the evaluator for one (problem, method) pair."""
     if method == "identity":
-        # the untransformed model field: F = u0 with rho = 0
-        return LayeredSolution(geo, field, 0.0)
+        # the untransformed model field: F = u0 on the twin, with rho = 0
+        return LayeredSolution(geo, geo.on_twin(field), 0.0)
     if method == "series":
         return series_solution(geo, field, trunc)
     if method == "asymptotic":
@@ -460,6 +459,7 @@ def _solve_fd(cfg, args, geo) -> int:
     trace = BoundaryTrace.from_csv(path)
     axis1, axis2 = (np.linspace(*axis) for axis in spec)
     if geo.radial:
+        check_circle_trace(trace)
         fn = lambda t: np.interp(t % TWO_PI, trace.abscissae, trace.values, period=TWO_PI)
         if geo.coupled:
             gs = fd_disk_coupled(fn, geo, axis1.size, axis2.size)

@@ -27,10 +27,6 @@ class CapabilityError(LayerFieldError):
     """Requested operation needs an oracle the representation lacks."""
 
 
-class SolvabilityError(ValidationError):
-    """Boundary data violates a solvability constraint."""
-
-
 class EstimationError(LayerFieldError):
     """A numeric estimate failed to stabilise under refinement."""
 

@@ -3,11 +3,12 @@
 Two concrete representations are used throughout the package: decaying
 cosine modes (optionally with boundary point sources) on the right
 half-plane, and finite Fourier sums on the unit disk.  Both evaluate
-exactly on arrays, expose exact first derivatives (d/dx on the plane,
-r d/dr on the disk) and build their own image ladders as fields of the
-same kind, a rescaling per mode and deeper images per source.  The
-module also reads sampled boundary traces and projects circle traces
-onto disk modes.
+exactly on arrays and expose exact first derivatives (d/dx on the plane,
+r d/dr on the disk).  A disk field has a half-plane view under
+x = ln(1/r), y = theta, so only the half-plane field builds image
+ladders, a rescaling per mode and deeper images per source.  The module
+also reads sampled boundary traces and projects circle traces onto disk
+modes.
 """
 
 from __future__ import annotations
@@ -43,11 +44,13 @@ class HalfPlaneField:
     u(x, y) = sum_m A_m exp(-w_m x) cos(w_m y + phi_m)
             + sum_s (q_s / pi) (x + d_s) / ((x + d_s)^2 + (y - t_s)^2)
 
-    Every mode frequency must be strictly positive; that makes each term
+    Every mode frequency must be >= 0.  A positive one makes its term
     harmonic, decaying along x, and integrable against the half-plane
-    Poisson kernel.  The source terms are Poisson kernels anchored at
-    the points (-d_s, t_s): a source is given as (t, q), on the boundary
-    (d = 0), or as (t, q, d) at a depth d >= 0 behind it.
+    Poisson kernel; w = 0 is the constant mode A cos(phi) of a disk
+    field's view (`DiskField.half_plane`).  The source terms are Poisson
+    kernels anchored at the points (-d_s, t_s): a source is given as
+    (t, q), on the boundary (d = 0), or as (t, q, d) at a depth d >= 0
+    behind it.
     """
 
     def __init__(self, modes=(), sources=()):
@@ -56,8 +59,8 @@ class HalfPlaneField:
         for a, w, p in modes:
             if not (math.isfinite(a) and math.isfinite(w) and math.isfinite(p)):
                 raise ValidationError("mode parameters must be finite")
-            if w <= 0:
-                raise ValidationError("mode frequency must be > 0")
+            if w < 0:
+                raise ValidationError("mode frequency must be >= 0")
         for t, q, d in sources:
             if not (math.isfinite(t) and math.isfinite(q) and math.isfinite(d) and d >= 0):
                 raise ValidationError(f"source parameters must be finite, with depth >= 0, got {(t, q, d)!r}")
@@ -103,7 +106,7 @@ class HalfPlaneField:
         the boundary for d = 0, so a field with boundary sources has no
         automatic bound there.
         """
-        total = float(np.sum(np.abs(self._amp) * np.exp(-self._omega * x_min)))
+        total = float(np.sum(np.abs(self._amp) * np.array([np.exp(-w * x_min) if w else 1.0 for w in self._omega])))
         if self.has_sources:
             reach = x_min + self._src_d
             if np.any(reach <= 0):
@@ -116,10 +119,12 @@ class HalfPlaneField:
 
     def _add_modes(self, out, x, y, deriv):
         for a, w, p in zip(self._amp, self._omega, self._phase):
+            # the constant mode is A cos(phi) at x = inf (r = 0) too, where exp(-0*x) is nan
+            decay = np.exp(-w * x) if w else 1.0
             if deriv:
-                out += -w * a * np.exp(-w * x) * np.cos(w * y + p)
+                out += -w * a * decay * np.cos(w * y + p)
             else:
-                out += a * np.exp(-w * x) * np.cos(w * y + p)
+                out += a * decay * np.cos(w * y + p)
 
     def _add_sources(self, out, x, y, deriv):
         for t, q, d in zip(self._src_t, self._src_q, self._src_d):
@@ -178,8 +183,8 @@ class DiskField:
     coefficients.  `dropped_mass` bounds how far that trace may lie from
     the data the field stands for: the sum over n of hypot(a_n, b_n) of
     what a projection set to 0 (see `disk_from_boundary`).  The routes add
-    it to their bounds; a field built from this one (a ladder, a
-    companion) does not carry it.
+    it to their bounds; a field built from this one (its half-plane view,
+    a ladder, a companion) does not carry it.
     """
 
     def __init__(self, cos_coeffs, sin_coeffs=None, dropped_mass=0.0):
@@ -223,19 +228,6 @@ class DiskField:
     def sin_coeffs(self):
         return self._b.copy()
 
-    @property
-    def constant_coeff(self) -> float:
-        return float(self._a[0])
-
-    def image_factor(self, R: float) -> float:
-        """Slowest per-image decay of this field's Kelvin ladder with interface R.
-
-        Mode n decays by R^(2n) per image, the constant mode by 1; a field
-        with nothing active gives 0.
-        """
-        n = np.flatnonzero((self._a != 0.0) | (self._b != 0.0))
-        return R ** (2 * int(n[0])) if n.size else 0.0
-
     def sup_bound(self) -> float:
         """Upper bound for |u| on the closed unit disk."""
         return float(abs(self._a[0]) / 2 + np.sum(np.abs(self._a[1:])) + np.sum(np.abs(self._b[1:])))
@@ -259,18 +251,16 @@ class DiskField:
         """Radial scaling derivative r * du/dr, exact on Fourier modes."""
         return self._mode_sum(r, theta, deriv=True)
 
-    def ladder(self, scale, ratio, terms, weight=1.0):
-        """The image ladder weight * sum_{j<terms} ratio^j u(scale^j r, theta), as a field.
+    def half_plane(self) -> HalfPlaneField:
+        """This field on the half-plane twin x = ln(1/r), y = theta, as a field of active modes.
 
-        Mode n picks up q = ratio*scale^n per image, so the ladder is the
-        Fourier sum with every coefficient scaled by weight * G(q, terms):
-        its cost does not grow with `terms`.
+        r^n (a_n cos n theta + b_n sin n theta) = hypot(a_n, b_n) e^(-nx)
+        cos(ny + phi_n) with phi_n = atan2(-b_n, a_n), so mode n has w = n;
+        a_0/2 is the constant mode w = 0, |a_0|/2 cos(phi_0) with phi_0 = 0 or -pi.
         """
-        if not scale > 0:
-            raise ValidationError("ladder scale must be > 0")
-        decay = -math.log(scale) * np.arange(self._a.size)
-        weights = weight * geometric_weights(ratio, decay, terms)
-        return DiskField(self._a * weights, self._b * weights)
+        n = np.flatnonzero((self._a != 0.0) | (self._b != 0.0))
+        a, b = self._a[n], self._b[n]
+        return HalfPlaneField(zip(np.where(n == 0, 0.5, 1.0) * np.hypot(a, b), n, np.arctan2(-b, a)))
 
 
 class BoundaryTrace:
@@ -321,11 +311,25 @@ class BoundaryTrace:
         return cls(np.array(t), np.array(v))
 
 
+def check_circle_trace(trace: BoundaryTrace) -> None:
+    """Reject a circle trace that is not one period sampled on a uniform grid.
+
+    Its M samples must lie 2*pi/M apart and cover [0, 2*pi) exactly once,
+    starting anywhere in it.
+    """
+    t = trace.abscissae
+    spacing = TWO_PI / t.size
+    if not np.allclose(np.diff(t), spacing, rtol=1e-8, atol=1e-10):
+        raise ValidationError("circle trace must be sampled on a uniform grid")
+    if not (-1e-9 <= t[0] < TWO_PI) or abs((t[-1] - t[0]) - (TWO_PI - spacing)) > 1e-8:
+        raise ValidationError("circle trace must cover [0, 2*pi) exactly once")
+
+
 def disk_from_boundary(trace: BoundaryTrace, n_max: int) -> DiskField:
     """Fourier projection of uniform circle samples onto disk modes 0..n_max.
 
-    Needs M >= 2*n_max + 1 samples on a uniform grid covering [0, 2*pi),
-    which may start anywhere in it.  One FFT gives every coefficient.
+    Needs M >= 2*n_max + 1 samples on a uniform grid covering [0, 2*pi)
+    (`check_circle_trace`).  One FFT gives every coefficient.
     Every coefficient at or below the FFT's rounding floor M*eps*max|v|
     (Higham, Accuracy and Stability, 24.1) is set to 0, a_0 included,
     and the sum over n of hypot(a_n, b_n) of the zeroed parts is the
@@ -341,12 +345,7 @@ def disk_from_boundary(trace: BoundaryTrace, n_max: int) -> DiskField:
         raise UndersamplingError(
             f"{m} samples cannot resolve modes up to {n_max}; need >= {2 * n_max + 1}"
         )
-    spacing = TWO_PI / m
-    d = np.diff(t)
-    if not np.allclose(d, spacing, rtol=1e-8, atol=1e-10):
-        raise ValidationError("circle trace must be sampled on a uniform grid")
-    if not (-1e-9 <= t[0] < TWO_PI) or abs((t[-1] - t[0]) - (TWO_PI - spacing)) > 1e-8:
-        raise ValidationError("circle trace must cover [0, 2*pi) exactly once")
+    check_circle_trace(trace)
     # sum_j v_j e^(-i n t_j) = e^(-i n t_0) * rfft(v)[n] on the uniform grid
     n = np.arange(n_max + 1)
     c = 2.0 / m * np.exp(-1j * n * t[0]) * np.fft.rfft(v)[: n_max + 1]

@@ -1,11 +1,13 @@
 """Image-ladder solutions for the four layered geometries.
 
 A known harmonic field is deformed into the solution of a coupled or
-Dirichlet problem by summing weighted copies of itself at shifted,
-reflected, or radially scaled arguments.  The ladder weight is the
-reflection ratio rho = (1-k)/(1+k); truncation is controlled either by
-an explicit term count or by a geometric tail tolerance.  One function
-counts the ladder, for the series and for `convergence_diagnostic` alike.
+Dirichlet problem by summing weighted copies of itself at shifted and
+reflected arguments.  The disk problems are solved as their half-plane
+twins (`Geometry.twin`), so every route builds one ladder.  The ladder
+weight is the reflection ratio rho = (1-k)/(1+k); truncation is
+controlled either by an explicit term count or by a geometric tail
+tolerance.  One function counts the ladder, for the series and for
+`convergence_diagnostic` alike.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numbers
 import numpy as np
 
 from .errors import CapabilityError, ConvergenceError, ValidationError
-from .harmonic import DiskField
+from .harmonic import HalfPlaneField
 
 #: hard cap on ladder terms at a tail tolerance, and on a ladder of sources
 MAX_LADDER_TERMS = 100_000
@@ -74,7 +76,7 @@ def geometric_tail_terms(rho: float, tol: float, M: float) -> int:
 
 
 def _ladder_length(geometry: Geometry, field, trunc):
-    """The (terms, tail_bound) of the ladder of `field` on `geometry` under `trunc`.
+    """The (terms, tail_bound) of the ladder of `field` on the half-plane `geometry` under `trunc`.
 
     The terms decay at ratio |rho| times the field's slowest per-image
     decay, from M = (1 + |rho|) sup|u_model|; TailTol.sup_bound stands in
@@ -82,16 +84,10 @@ def _ladder_length(geometry: Geometry, field, trunc):
     tolerance, and a field with sources (summed image by image) under
     either policy, is capped at MAX_LADDER_TERMS; past it ConvergenceError
     carries the count it `needed`.  A field whose M is not finite is
-    rejected, naming the boundary block.  The tail bound adds a projected
-    field's `dropped_mass`: by the maximum principle the solution moves
-    by at most that much when the dropped modes are put back.
+    rejected, naming the boundary block.
     """
     rho = abs(geometry.rho)
-    if geometry.radial:
-        factor = field.image_factor(geometry.interface)
-    else:
-        factor = field.image_factor(geometry.step)
-    ratio = rho * factor
+    ratio = rho * field.image_factor(geometry.step)
     try:
         sup = field.sup_bound()
     except CapabilityError:
@@ -99,7 +95,6 @@ def _ladder_length(geometry: Geometry, field, trunc):
     M = None if sup is None else (1.0 + rho) * sup
     if M is not None and not math.isfinite(M):
         raise ValidationError(f"boundary values too large: the ladder's bound (1 + |rho|) sup|u| is {M!r}")
-    dropped = getattr(field, "dropped_mass", 0.0)
 
     def bound(j):
         return math.inf if M is None or ratio >= 1.0 else M * ratio**j / (1.0 - ratio)
@@ -109,7 +104,7 @@ def _ladder_length(geometry: Geometry, field, trunc):
     elif not isinstance(trunc, TailTol):
         raise ValidationError(f"unknown truncation policy: {trunc!r}")
     elif M == 0.0:
-        return 1, dropped  # identically zero ladder
+        return 1, 0.0  # identically zero ladder
     elif ratio >= 1.0:
         raise CapabilityError(
             "tail control needs a geometrically decaying ladder; use MaxTerms"
@@ -128,23 +123,23 @@ def _ladder_length(geometry: Geometry, field, trunc):
             terms=MAX_LADDER_TERMS,
             needed=j,
         )
-    return j, bound(j) + dropped
+    return j, bound(j)
 
 
-def _ladder_field(geometry: Geometry, field):
-    """The field the ladder sums on `geometry`, and the log profile of what it leaves out.
+def _twin_problem(geometry: Geometry, field):
+    """`geometry`'s twin, `field` on it, and the constant mode c a Dirichlet layer takes apart.
 
-    On the annulus F(p) - F(p*) cancels the constant mode c, term by
-    term, to rounding; so the ladder sums the field without it, and the
-    mode enters as its exact profile c*ln(r/R)/ln(1/R), whose coefficient
-    is the second value (0 on every other problem).
+    On the strip and the annulus (rho = 1) F(x) - F(2l - x) cancels the
+    constant mode, so the routes build the field without it, and c enters
+    as its exact profile c(1 - x/l) (`LayeredSolution`), which is
+    c ln(r/R)/ln(1/R) on the annulus.  On the coupled problems c is 0 and
+    the constant mode goes through the ladder as any other.
     """
-    if geometry.kind != "annulus":
-        return field, 0.0
-    a = field.cos_coeffs
-    a[0] = 0.0
-    log_coeff = field.constant_coeff / 2.0 / math.log(1.0 / geometry.interface)
-    return DiskField(a, field.sin_coeffs, field.dropped_mass), log_coeff
+    view = geometry.on_twin(field)
+    if geometry.coupled:
+        return geometry.twin, view, 0.0
+    constant = sum(a * math.cos(p) for a, w, p in view.modes if w == 0.0)
+    return geometry.twin, HalfPlaneField([m for m in view.modes if m[1] > 0.0], view.sources), constant
 
 
 #: each problem's coordinates: its layers are cut along the first, p
@@ -177,6 +172,13 @@ class Geometry:
     half-plane, which solves a2^2 u_xx + u_yy = 0.  The interface carries
     u1 = u2 and k u1_x = a2 u2_x on the plane, k r u1_r = r u2_r on the
     disk; a2 is 1 on every kind but the coupled half-plane.
+
+    The routes solve every problem on its half-plane `twin`: itself on the
+    plane, and on the disk the strip or coupled half-plane at l = ln(1/R),
+    same k, under the conformal map x = ln(1/r), y = theta (`to_twin`).
+    The map keeps Laplace's equation and the interface conditions, since
+    r d/dr = -d/dx; r^n becomes e^(-nx) and the Kelvin image R^2/r the
+    mirror 2l - x.
 
     Every problem is checked here: l > 0, R in (0, 1), and k and a2
     positive, all finite; only the coupled problems take k, and only the
@@ -216,6 +218,9 @@ class Geometry:
             raise ValidationError(f"k={k!r} is too small: the ladder ratio rho = (1 - k)/(1 + k) rounds to 1")
         if self.coupled and self.rho != 0.0 and not math.isfinite(self.robin_h):
             raise ValidationError(f"the Robin parameter h is {self.robin_h!r}, not finite, {at}")
+        # np.log, as in to_twin, so that r = R maps to x = l exactly
+        self.twin = (Geometry("halfplane_coupled" if self.coupled else "strip", -float(np.log(self.interface)), k)
+                     if self.radial else self)
 
     @property
     def radial(self) -> bool:
@@ -256,7 +261,7 @@ class Geometry:
 
     @property
     def step(self) -> float:
-        """Ladder step: the shift 2l on the plane, the scale R^2 on the disk."""
+        """Ladder step: 2l on the plane; R^2 on the disk, the oracle's Kelvin scale (its twin's is 2 ln(1/R))."""
         return self.interface**2 if self.radial else 2.0 * self.interface
 
     @property
@@ -277,13 +282,22 @@ class Geometry:
         """d outer(p)/dp: 1/a2, which is 1 on every kind but the coupled half-plane."""
         return 1.0 / self.a2
 
-    def image(self, p):
-        """Mirror 2l - x on the plane, Kelvin image R^2/r on the disk."""
-        return self.interface**2 / p if self.radial else 2.0 * self.interface - p
+    def to_twin(self, p):
+        """The map p -> x onto the twin: x = p on the plane, ln(1/r) on the disk (r = 0 maps to inf)."""
+        with np.errstate(divide="ignore"):
+            return -np.log(p) if self.radial else np.asarray(p, dtype=float)
 
-    def outer(self, p):
-        """Layer-2 argument: (x - l)/a2 + l on the plane, r on the disk."""
-        return p if self.radial else self.stretch * (p - self.interface) + self.interface
+    def on_twin(self, field):
+        """`field` on the twin: itself on the plane, its half-plane view on the disk."""
+        return field.half_plane() if self.radial else field
+
+    def image(self, x):
+        """Mirror 2l - x of a plane coordinate (the twin's, on the disk)."""
+        return 2.0 * self.interface - x
+
+    def outer(self, x):
+        """Layer-2 argument (x - l)/a2 + l of a plane coordinate."""
+        return self.stretch * (x - self.interface) + self.interface
 
     def in_layer2(self, p):
         """Region test: True where p lies in layer 2."""
@@ -321,20 +335,20 @@ class RadialLayerConfig(Geometry):
 
 
 class LayeredSolution:
-    """A layered solution built by any route from its transfer field F.
+    """A layered solution built by any route from its transfer field F on the twin.
 
-    With p* the mirror or Kelvin image of p:
+    p maps to x on the geometry's twin on entry (`Geometry.to_twin`); with
+    the mirror x* = 2l - x of the twin's interface l:
 
-        layer 1:  F(p) - rho*F(p*),   derivative F'(p) + rho*F'(p*)
-        layer 2:  (1 - rho)*F(outer(p)), derivative times stretch = 1/a2
+        layer 1:  F(x) - rho*F(x*) + c(1 - x/l),  derivative F'(x) + rho*F'(x*) - c/l
+        layer 2:  (1 - rho)*F(outer(x)),           derivative times stretch = 1/a2
 
-    The derivative is d/dx on the plane and r d/dr on the disk.  F is
-    harmonic, so F(outer(p)) solves layer 2's equation, and at the
-    geometry's rho, k*(1 + rho) = 1 - rho gives `Geometry`'s interface
-    conditions for any F.  The strip and the annulus take rho = 1, so
-    they vanish on the interface; `log_coeff` adds log_coeff*ln(r/R) in
-    layer 1, the annulus profile of a constant boundary mode, which
-    F(p) - F(p*) cancels.
+    The derivative is d/dx on the plane, and r d/dr = -d/dx on the disk,
+    so there its sign flips.  F is harmonic, so F(outer(x)) solves
+    layer 2's equation, and at the geometry's rho, k*(1 + rho) = 1 - rho
+    gives `Geometry`'s interface conditions for any F.  The strip and
+    the annulus take rho = 1, so they vanish on the interface; c is the
+    constant mode that F(x) - F(x*) cancels there (`_twin_problem`).
 
     The series sets `terms` (its ladder length J) and `tail_bound`.  The
     thin-layer route sets `bound_at(p)`, a bound on the layer-2
@@ -344,36 +358,39 @@ class LayeredSolution:
     """
 
     def __init__(self, geometry: Geometry, field, rho: float, *, terms: int | None = None,
-                 tail_bound: float | None = None, log_coeff: float = 0.0, bound_at=None):
+                 tail_bound: float | None = None, constant: float = 0.0, bound_at=None):
         self.geometry = geometry
         self.field = field
         self.rho = float(rho)
         self.terms = terms
         self.tail_bound = None if tail_bound is None else float(tail_bound)
-        self.log_coeff = float(log_coeff)
+        self.constant = float(constant)
         self.bound_at = bound_at
         self.bound = None if bound_at is None else bound_at(geometry.interface)
-        self._field_deriv = field.radial_derivative if geometry.radial else field.deriv_x
+        self._twin = geometry.twin
+        self._sign = -1.0 if geometry.radial else 1.0
 
     def u1_value(self, p, q):
-        p = np.asarray(p, dtype=float)
-        out = self.field.value(p, q) - self.rho * self.field.value(self.geometry.image(p), q)
-        if self.log_coeff:
-            out = out + self.log_coeff * np.log(p / self.geometry.interface)
+        x = self.geometry.to_twin(p)
+        out = self.field.value(x, q) - self.rho * self.field.value(self._twin.image(x), q)
+        if self.constant:
+            out = out + self.constant * (1.0 - x / self._twin.interface)
         return out
 
     def u1_deriv(self, p, q):
-        p = np.asarray(p, dtype=float)
-        out = self._field_deriv(p, q) + self.rho * self._field_deriv(self.geometry.image(p), q)
-        return out + self.log_coeff if self.log_coeff else out
+        x = self.geometry.to_twin(p)
+        out = self.field.deriv_x(x, q) + self.rho * self.field.deriv_x(self._twin.image(x), q)
+        if self.constant:
+            out = out - self.constant / self._twin.interface
+        return self._sign * out
 
     def u2_value(self, p, q):
-        outer = self.geometry.outer(np.asarray(p, dtype=float))
+        outer = self._twin.outer(self.geometry.to_twin(p))
         return (1.0 - self.rho) * self.field.value(outer, q)
 
     def u2_deriv(self, p, q):
-        outer = self.geometry.outer(np.asarray(p, dtype=float))
-        return (1.0 - self.rho) * self.geometry.stretch * self._field_deriv(outer, q)
+        outer = self._twin.outer(self.geometry.to_twin(p))
+        return self._sign * (1.0 - self.rho) * self._twin.stretch * self.field.deriv_x(outer, q)
 
     # the strip and the annulus have layer 1 only
     value = u1_value
@@ -381,13 +398,19 @@ class LayeredSolution:
 
 
 def series_solution(geometry: Geometry, field, trunc) -> LayeredSolution:
-    """The truncated image-ladder solution of `field` on `geometry` (see `_ladder_field`)."""
+    """The truncated image-ladder solution of `field` on `geometry`'s twin.
+
+    The tail bound adds a projected field's `dropped_mass`: by the
+    maximum principle the solution moves by at most that much when the
+    dropped modes are put back.
+    """
     if geometry.coupled and abs(geometry.rho) >= 1.0:
         raise ValidationError("reflection ratio must satisfy |rho| < 1")
-    field, log_coeff = _ladder_field(geometry, field)
-    terms, tail = _ladder_length(geometry, field, trunc)
-    ladder = field.ladder(geometry.step, geometry.rho, terms)
-    return LayeredSolution(geometry, ladder, geometry.rho, terms=terms, tail_bound=tail, log_coeff=log_coeff)
+    twin, view, constant = _twin_problem(geometry, field)
+    terms, tail = _ladder_length(twin, view, trunc)
+    ladder = view.ladder(twin.step, twin.rho, terms)
+    return LayeredSolution(geometry, ladder, twin.rho, terms=terms,
+                           tail_bound=tail + getattr(field, "dropped_mass", 0.0), constant=constant)
 
 
 class RegimeReport:
@@ -405,10 +428,10 @@ def convergence_diagnostic(geometry: Geometry, field, trunc=TailTol(1e-10), thre
     of modes costs the same at any count, so otherwise only a field with
     sources, summed image by image, longer than `threshold` is sent there.
     """
-    field = _ladder_field(geometry, field)[0]
+    twin, field, _ = _twin_problem(geometry, field)
     try:
-        j = _ladder_length(geometry, field, trunc)[0]
-        slow = j > threshold and getattr(field, "has_sources", False)
+        j = _ladder_length(twin, field, trunc)[0]
+        slow = j > threshold and field.has_sources
     except ConvergenceError as exc:
         j, slow = exc.needed, True
     return RegimeReport(geometry.rho, j, getattr(trunc, "tol", None), "asymptotic" if slow else "series")

@@ -39,7 +39,7 @@ from layerfield.asymptotics import (
     log_sum_bound,
     ray_sum_bound,
 )
-from layerfield.asymptotics.links import _planar_link, _radial_link
+from layerfield.asymptotics.links import _planar_link
 from layerfield.cli import main as cli_main
 
 MODE = HalfPlaneField.single_mode(1.0)
@@ -276,15 +276,18 @@ def test_criterion_8_link_identities():
     h = -1.5
     u3 = _planar_link(planar, h)
     u2 = _planar_link(planar, 0.0)  # minus the Neumann companion
+    # the disk's links are the planar ones on its twin x = ln(1/r), where
+    # the disk's h is minus the twin's and r d/dr = -d/dx
     hd = 1.5
-    u3d = _radial_link(disk, hd)
-    u2d = _radial_link(disk, 0.0)
+    u3d = _planar_link(disk.half_plane(), -hd)
+    u2d = _planar_link(disk.half_plane(), 0.0)
+    twin_x = lambda r: -math.log(r)
 
     closed = max(
         max(abs(u3.deriv_x(x, y) + h * u3.value(x, y) + planar.value(x, y)) for x, y in pp),
         max(abs(u2.deriv_x(x, y) + planar.value(x, y)) for x, y in pp),
-        max(abs(u3d.radial_derivative(r, t) + hd * u3d.value(r, t) - disk.value(r, t)) for r, t in dp),
-        max(abs(u2d.radial_derivative(r, t) - disk.value(r, t)) for r, t in dp),
+        max(abs(-u3d.deriv_x(twin_x(r), t) + hd * u3d.value(twin_x(r), t) - disk.value(r, t)) for r, t in dp),
+        max(abs(-u2d.deriv_x(twin_x(r), t) - disk.value(r, t)) for r, t in dp),
     )
 
     step = 1e-5
@@ -295,9 +298,9 @@ def test_criterion_8_link_identities():
         fd = max(fd, abs(dx3 + h * u3.value(x, y) + planar.value(x, y)))
         fd = max(fd, abs(dx2 + planar.value(x, y)))
     for r, t in dp:
-        l03 = r * (u3d.value(r + step, t) - u3d.value(r - step, t)) / (2 * step)
-        l02 = r * (u2d.value(r + step, t) - u2d.value(r - step, t)) / (2 * step)
-        fd = max(fd, abs(l03 + hd * u3d.value(r, t) - disk.value(r, t)))
+        l03 = r * (u3d.value(twin_x(r + step), t) - u3d.value(twin_x(r - step), t)) / (2 * step)
+        l02 = r * (u2d.value(twin_x(r + step), t) - u2d.value(twin_x(r - step), t)) / (2 * step)
+        fd = max(fd, abs(l03 + hd * u3d.value(twin_x(r), t) - disk.value(r, t)))
         fd = max(fd, abs(l02 - disk.value(r, t)))
 
     ok = closed <= 1e-8 and fd <= 1e-6

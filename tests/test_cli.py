@@ -694,7 +694,8 @@ def test_sampled_disk_solves_with_the_terms_of_its_modes(tmp_path, capsys):
         assert code == 0
         summaries.append(json.loads(stdout))
     sampled, configured = summaries
-    assert sampled["terms"] == configured["terms"] == 29
+    # 28: the twin bounds sup|u| by sum hypot(a_n, b_n), not sum |a_n| + |b_n|
+    assert sampled["terms"] == configured["terms"] == 28
     assert configured["tail_bound"] <= sampled["tail_bound"] <= configured["tail_bound"] + 1e-13
 
 
@@ -792,6 +793,44 @@ def test_annulus_constant_mode_solve_and_verify(tmp_path, capsys):
     code, stdout, _ = run_cli(["verify", "--config", path], capsys)
     assert code == 0
     assert json.loads(stdout)["all_pass"] is True
+
+
+@pytest.mark.parametrize("method", ["series", "asymptotic"])
+def test_annulus_constant_mode_on_every_layered_route(tmp_path, capsys, method):
+    # the thin layer takes the constant mode apart as the series does: its
+    # exact profile, 0 at r = R, and a grid that verify re-checks bit for bit
+    cfg = {**annulus_config([{"n": 0, "a": 0.5}, {"n": 2, "a": 0.3}]), "method": method}
+    path = write_config(tmp_path, "const.json", cfg)
+    out = tmp_path / "const.csv"
+    assert run_cli(["solve", "--config", path, "--out", str(out)], capsys)[0] == 0
+    rows = [row.split(",") for row in out.read_text().strip().splitlines()[1:]]
+    assert [float(u) for r, _, _, u in rows if float(r) == 0.7] == [0.0] * 4
+    _, stdout, _ = run_cli(["verify", "--config", path, "--grid", str(out)], capsys)
+    assert json.loads(stdout)["grid_mismatches"] == 0
+
+
+@pytest.mark.parametrize("omega", [0.0, -1.5])
+@pytest.mark.parametrize("method", ["series", "asymptotic", "oracle", "identity"])
+def test_planar_mode_omega_must_be_positive(tmp_path, capsys, omega, method):
+    # a half-plane field takes w = 0, the constant mode of a disk field's
+    # view on its twin; a planar config does not
+    cfg = strip_config(boundary={"modes": [{"omega": omega}]}, method=method)
+    code, _, err = run_cli(["solve", "--config", write_config(tmp_path, "omega.json", cfg)], capsys)
+    assert code == 2 and "planar mode omega must be > 0" in err
+
+
+@pytest.mark.parametrize("problem, geometry", [("annulus", {"R": 0.5}), ("disk_coupled", {"R": 0.5, "k": 0.5})])
+def test_circle_fd_oracle_rejects_a_trace_that_is_not_one_uniform_period(tmp_path, capsys, problem, geometry):
+    # two samples at 0 and 3 cover neither [0, 2*pi) nor a uniform grid; the
+    # FD oracle interpolated linearly across 3 -> 2*pi and exited 0, where
+    # the series exits 2 with the message of the same check
+    (tmp_path / "trace.csv").write_text("0,1\n3,2\n")
+    cfg = {"problem": problem, "geometry": geometry, "boundary": {"samples": "trace.csv"}, "method": "oracle",
+           "grid": {"r": [0.5 if problem == "annulus" else 0.0, 1.0, 9], "theta": [0.0, 2.0 * math.pi, 8]}}
+    path = write_config(tmp_path, "partial.json", cfg)
+    code, _, err = run_cli(["solve", "--config", path, "--out", str(tmp_path / "partial.csv")], capsys)
+    assert code == 2
+    assert "circle trace must be sampled on a uniform grid" in err
 
 
 def test_annulus_repeated_constant_mode_verifies_in_a_thin_layer(tmp_path, capsys):

@@ -146,7 +146,7 @@ def test_annulus_matches_explicit_ladder(modes, R, J):
     R2 = R * R
     # the constant mode c cancels in every ladder pair; the solution adds
     # its profile c ln(r/R)/ln(1/R), whose r d/dr is c/ln(1/R)
-    c, log_R = u0.constant_coeff / 2.0, math.log(1.0 / R)
+    c, log_R = u0.cos_coeffs[0] / 2.0, math.log(1.0 / R)
     total, size = explicit_ladder(
         lambda j: (u0.value(r * R2**j, DISK_THETA), -u0.value(R2 / r * R2**j, DISK_THETA)), J
     )

@@ -104,7 +104,7 @@ def test_fd_solve_from_samples_loads_no_scipy(tmp_path, problem):
         ts = [-3.0 + 0.03 * i for i in range(201)]
         geometry, grid = {"l": 0.5}, {"x": [0.0, 0.5, 9], "y": [-3.0, 3.0, 17]}
     else:
-        ts = [0.0628 * i for i in range(100)]
+        ts = [2.0 * math.pi * i / 100 for i in range(100)]  # one period, as a circle trace must be
         r0 = 0.6 if problem == "annulus" else 0.0
         geometry = {"R": 0.6} if problem == "annulus" else {"R": 0.6, "k": 0.4}
         grid = {"r": [r0, 1.0, 9], "theta": [0.0, 2.0 * math.pi, 16]}

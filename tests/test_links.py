@@ -14,7 +14,6 @@ from layerfield import (
     MaxTerms,
     PlanarLayerConfig,
     RadialLayerConfig,
-    SolvabilityError,
     TailTol,
     ValidationError,
     mode_exact,
@@ -22,7 +21,7 @@ from layerfield import (
 )
 from layerfield.asymptotics import disk_small_contrast, halfplane_small_contrast, thin_layer_solution
 from layerfield.asymptotics import links
-from layerfield.asymptotics.links import _planar_link, _radial_link
+from layerfield.asymptotics.links import _planar_link
 
 PLANAR = HalfPlaneField(modes=[(1.0, 1.0, 0.0), (0.5, 2.0, 0.3)])
 DISK = DiskField(np.array([0.0, 1.0, 0.5]), np.array([0.0, 0.2, 0.0]))
@@ -220,40 +219,42 @@ def test_planar_neumann_identity():
         _planar_link(HalfPlaneField(sources=[(0.0, 1.0)]), 0.0)
 
 
+def _disk_link(field, h):
+    """The disk's Robin companion at its h, as the planar one on the twin
+    x = ln(1/r) at -h, read back at r: (value, r d/dr = -d/dx)."""
+    u3 = _planar_link(field.half_plane(), -h)
+    return (lambda r, t: u3.value(-np.log(r), t)), (lambda r, t: -u3.deriv_x(-np.log(r), t))
+
+
 def test_disk_robin_identity_closed_form():
     h = 1.5
-    u3 = _radial_link(DISK, h)
-    worst = max(
-        abs(u3.radial_derivative(r, t) + h * u3.value(r, t) - DISK.value(r, t))
-        for r, t in _disk_points()
-    )
+    value, radial_derivative = _disk_link(DISK, h)
+    worst = max(abs(radial_derivative(r, t) + h * value(r, t) - DISK.value(r, t)) for r, t in _disk_points())
     assert worst <= 1e-8
 
 
 def test_disk_robin_identity_fd_derivative():
     h = 0.8
-    u3 = _radial_link(DISK, h)
+    value = _disk_link(DISK, h)[0]
     step = 1e-5
     worst = 0.0
     for r, t in _disk_points(100, seed=5):
-        l0 = r * (u3.value(r + step, t) - u3.value(r - step, t)) / (2 * step)
-        worst = max(worst, abs(l0 + h * u3.value(r, t) - DISK.value(r, t)))
+        l0 = r * (value(r + step, t) - value(r - step, t)) / (2 * step)
+        worst = max(worst, abs(l0 + h * value(r, t) - DISK.value(r, t)))
     assert worst <= 1e-6
 
 
 def test_disk_robin_mode_rescaling():
-    u3 = _radial_link(DiskField.single_mode(2), 1.0)
-    assert u3.value(0.5, 0.0) == pytest.approx(0.25 / 3.0)
+    value = _disk_link(DiskField.single_mode(2), 1.0)[0]
+    assert value(0.5, 0.0) == pytest.approx(0.25 / 3.0)
 
 
-def test_disk_neumann_identity_and_solvability():
-    u2 = _radial_link(DISK, 0.0)
-    worst = max(abs(u2.radial_derivative(r, t) - DISK.value(r, t)) for r, t in _disk_points())
+def test_disk_neumann_identity():
+    radial_derivative = _disk_link(DISK, 0.0)[1]
+    worst = max(abs(radial_derivative(r, t) - DISK.value(r, t)) for r, t in _disk_points())
     assert worst <= 1e-10
-    n1 = _radial_link(DiskField.single_mode(1), 0.0)
-    assert n1.value(0.6, 0.9) == pytest.approx(DiskField.single_mode(1).value(0.6, 0.9))
-    with pytest.raises(SolvabilityError):
-        _radial_link(DiskField.single_mode(0, 2.0), 0.0)
+    value = _disk_link(DiskField.single_mode(1), 0.0)[0]
+    assert value(0.6, 0.9) == pytest.approx(DiskField.single_mode(1).value(0.6, 0.9))
 
 
 def test_zero_fields_map_to_zero():
@@ -261,8 +262,8 @@ def test_zero_fields_map_to_zero():
     assert _planar_link(zero_p, -1.0).value(0.5, 0.5) == 0.0
     assert _planar_link(zero_p, 0.0).value(0.5, 0.5) == 0.0
     zero_d = DiskField.single_mode(1, cos_amp=0.0)
-    assert _radial_link(zero_d, 1.0).value(0.5, 0.5) == 0.0
-    assert _radial_link(zero_d, 0.0).value(0.5, 0.5) == 0.0
+    assert _disk_link(zero_d, 1.0)[0](0.5, 0.5) == 0.0
+    assert _disk_link(zero_d, 0.0)[0](0.5, 0.5) == 0.0
 
 
 # --- thin-layer approximators --------------------------------------------------
@@ -514,9 +515,19 @@ def test_annulus_thin_layer_boundary_deviation_first_order():
     assert 1.5 <= devs[0] / devs[1] <= 2.7
 
 
-def test_annulus_thin_layer_needs_mean_zero():
-    with pytest.raises(SolvabilityError):
-        thin_layer_solution(Geometry("annulus", 0.95), DiskField.single_mode(0, 2.0))
+def test_annulus_thin_layer_takes_the_constant_mode_as_its_log_profile():
+    # the Neumann companion has no constant mode: it enters as the exact
+    # profile c ln(r/R)/ln(1/R), as on the series, and vanishes at r = R
+    R, c = 0.95, 0.7
+    field = DiskField([2 * c, 1.0, -0.4], [0.0, 0.3, 0.2])
+    mean_zero = DiskField([0.0, 1.0, -0.4], [0.0, 0.3, 0.2])
+    geometry = Geometry("annulus", R)
+    approx, rest = thin_layer_solution(geometry, field), thin_layer_solution(geometry, mean_zero)
+    r, t = np.linspace(R, 1.0, 9)[:, None], np.linspace(0.0, 2 * math.pi, 13)
+    profile = c * np.log(r / R) / math.log(1.0 / R)
+    assert np.max(np.abs(approx.value(r, t) - rest.value(r, t) - profile)) <= 1e-14
+    assert np.max(np.abs(approx.deriv(r, t) - rest.deriv(r, t) - c / math.log(1.0 / R))) <= 1e-12
+    assert np.all(approx.value(R, t) == 0.0)
 
 
 # --- the closed-form bound ------------------------------------------------------

@@ -381,7 +381,8 @@ def test_projected_disk_counts_the_ladder_of_its_modes():
     geometry = RadialLayerConfig(R=0.8, k=0.2)
     sol = series_solution(geometry, projected, TailTol(1e-10))
     ref = series_solution(geometry, modes, TailTol(1e-10))
-    assert sol.terms == ref.terms == 29
+    # 28: the twin bounds sup|u| by sum hypot(a_n, b_n), not sum |a_n| + |b_n|
+    assert sol.terms == ref.terms == 28
     assert sol.tail_bound == pytest.approx(ref.tail_bound + projected.dropped_mass, rel=1e-12)
     exact = mode_exact(geometry, [(1, 0.35, 0.25), (2, -0.1, 0.3)])
     ts = np.linspace(0.0, 2 * math.pi, 13)
@@ -389,6 +390,30 @@ def test_projected_disk_counts_the_ladder_of_its_modes():
     err = max(np.max(np.abs(sol.u1_value(r1, ts) - exact.u1_value(r1, ts))),
               np.max(np.abs(sol.u2_value(r2, ts) - exact.u2_value(r2, ts))))
     assert err <= sol.tail_bound + 1e-11
+
+
+@pytest.mark.parametrize("k", [0.3, 3.0])
+def test_coupled_disk_centre_on_every_route(k):
+    # r = 0 is x = inf on the twin, where only the constant mode is left
+    from layerfield import LayeredSolution
+    from layerfield.asymptotics import thin_layer_solution
+
+    field = DiskField([0.8, 1.0, 0.0, -0.2], [0.0, 0.5, 0.0, 0.3])
+    modes = [(0, 0.4, 0.0), (1, 1.0, 0.5), (3, -0.2, 0.3)]
+    geometry, unit = RadialLayerConfig(R=0.7, k=k), RadialLayerConfig(R=0.7, k=1.0)
+    ts = np.linspace(0.0, 2 * math.pi, 9)
+    exact = mode_exact(geometry, modes).u2_value(0.0, ts)
+    series = series_solution(geometry, field, TailTol(1e-13))
+    assert np.max(np.abs(series.u2_value(0.0, ts) - exact)) <= 1e-13
+    thin = thin_layer_solution(geometry, field)
+    assert np.all(np.isfinite(thin.u2_value(0.0, ts)))
+    if k < 1:
+        assert np.max(np.abs(thin.u2_value(0.0, ts) - exact)) <= thin.bound_at(0.0)
+    # the identity route is the model field, which k = 1 solves
+    identity = LayeredSolution(unit, unit.on_twin(field), 0.0)
+    assert np.max(np.abs(identity.u2_value(0.0, ts) - mode_exact(unit, modes).u2_value(0.0, ts))) <= 1e-15
+    for route in (series, thin, identity):
+        assert np.all(route.u2_deriv(0.0, ts) == 0.0)
 
 
 def test_convergence_diagnostic_sends_slow_source_ladders_to_asymptotics():
