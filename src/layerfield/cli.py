@@ -263,6 +263,11 @@ def boundary_field(cfg, geo, config_dir="."):
     trace = BoundaryTrace.from_csv(path)
     if geo.radial:
         n_max = (trace.abscissae.size - 1) // 2
+        if n_max > MAX_RADIAL_MODE:
+            raise ValidationError(
+                f"a circle trace of {trace.abscissae.size} samples projects onto modes up to {n_max}, "
+                f"over the cap of {MAX_RADIAL_MODE} (at most {2 * MAX_RADIAL_MODE + 2} samples)"
+            )
         return disk_from_boundary(trace, n_max)
     raise ValidationError(
         "planar sample-backed boundaries are read only by solve with method 'oracle' "

@@ -7,6 +7,12 @@ ladders analytically, and fast-transform finite-difference solves of the
 underlying boundary problems.  A residual report aggregates the checks
 every candidate solution must pass: interior harmonicity, boundary
 match, and interface value/flux continuity.
+
+The disk problems' closed forms are the plane's, on the half-plane twin
+x = ln(1/r), y = theta at l = ln(1/R), which the oracle maps by itself;
+the residual report's harmonicity ring and its "fd" flux run on the
+twin as well.  The finite-difference solves stay in r, as the check of
+that map.
 """
 
 from __future__ import annotations
@@ -70,27 +76,39 @@ def brute_series(term, rho: float, M: float = 1.0, J: int | None = None,
 class ModeExact:
     """Closed-form solution for boundary modes, summed mode by mode.
 
-    Each method sums profile(p, *mode) * wave(q, *mode) over the modes,
-    with p = x or r and q = y or theta.  `profiles` maps u1_value,
-    u1_deriv and, on the coupled problems, u2_value and u2_deriv to the
-    problem's closed-form profile.  Derivatives are d/dx on the plane
-    and r d/dr on the disk.
+    Every problem is solved on its half-plane twin, the geometry `twin`,
+    at modes (a, w, phi): each method sums profile(x, a, w) cos(w y + phi)
+    over them.  `profiles` maps u1_value, u1_deriv and, on the coupled
+    problems, u2_value and u2_deriv to the twin's closed-form profile,
+    with derivatives d/dx.  On the disk the methods take (r, theta) and
+    read them as x = ln(1/r), y = theta, where r d/dr = -d/dx; on the
+    plane the twin is the geometry itself.
     """
 
-    def __init__(self, geometry: Geometry, modes, wave, profiles: dict):
+    def __init__(self, geometry: Geometry, twin: Geometry, modes, profiles: dict):
         self.geometry = geometry
         self.modes = modes
         self.tail_bound = 0.0
-        self._wave = wave
+        self._twin = twin
         self._profiles = profiles
+
+    def on_twin(self) -> ModeExact:
+        """This solution on the twin geometry, read in (x, y)."""
+        return ModeExact(self._twin, self._twin, self.modes, self._profiles)
 
     def _sum(self, name, p, q):
         profile = self._profiles[name]
-        p = np.asarray(p, dtype=float)
+        x = np.asarray(p, dtype=float)
         q = np.asarray(q, dtype=float)
-        out = np.zeros(np.broadcast(p, q).shape)
-        for mode in self.modes:
-            out += profile(p, *mode) * self._wave(q, *mode)
+        radial = self.geometry.radial
+        if radial:
+            with np.errstate(divide="ignore"):  # r = 0 is x = inf
+                x = -np.log(x)
+        out = np.zeros(np.broadcast(x, q).shape)
+        for a, w, phi in self.modes:
+            out += profile(x, a, w) * np.cos(w * q + phi)
+        if radial and name.endswith("deriv"):
+            out = -out
         return out if out.shape else float(out)
 
     def u1_value(self, p, q):
@@ -109,88 +127,54 @@ class ModeExact:
     deriv = u1_deriv
 
 
-def _planar_wave(y, a, w, phi):
-    return np.cos(w * y + phi)
-
-
-def _radial_wave(theta, n, a, b):
-    return a * np.cos(n * theta) + b * np.sin(n * theta)
-
-
-def _strip_exact(modes, geometry: Geometry) -> ModeExact:
+def _strip_exact(geometry: Geometry, twin: Geometry, modes) -> ModeExact:
     """A cos(w y + phi) extends to A sinh(w (l - x)) cos(w y + phi) / sinh(w l).
 
     The ratio is written e^(-w x) expm1(-2 w (l - x)) / expm1(-2 w l),
     which stays finite at any w l, where sinh(w l) overflows past 710.
+    The constant mode w = 0 extends to A (1 - x/l).
     """
-    l = geometry.interface
-    return ModeExact(geometry, modes, _planar_wave, {
-        "u1_value": lambda x, a, w, _: (
-            a * (np.expm1(-2.0 * w * (l - x)) / np.expm1(-2.0 * w * l)) * np.exp(-w * x)
-        ),
-        "u1_deriv": lambda x, a, w, _: (
-            a * w * np.exp(-w * x) * (1.0 + np.exp(-2.0 * w * (l - x))) / np.expm1(-2.0 * w * l)
-        ),
-    })
+    l = twin.interface
+
+    def value(x, a, w):
+        if not w:
+            return a * (1.0 - x / l)
+        return a * (np.expm1(-2.0 * w * (l - x)) / np.expm1(-2.0 * w * l)) * np.exp(-w * x)
+
+    def deriv(x, a, w):
+        if not w:
+            return -a / l
+        return a * w * np.exp(-w * x) * (1.0 + np.exp(-2.0 * w * (l - x))) / np.expm1(-2.0 * w * l)
+
+    return ModeExact(geometry, twin, modes, {"u1_value": value, "u1_deriv": deriv})
 
 
-def _planar_coupled_exact(modes, geometry: Geometry) -> ModeExact:
-    """The coupled half-plane ladder summed geometrically: denominator 1 - rho e^(-2 l w)."""
-    l, rho, stretch = geometry.interface, geometry.rho, geometry.stretch
-    transmit = 2 * geometry.k / (geometry.k + 1)
+def _planar_coupled_exact(geometry: Geometry, twin: Geometry, modes) -> ModeExact:
+    """The coupled half-plane ladder summed geometrically: denominator 1 - rho e^(-2 l w).
+
+    The constant mode w = 0 is A in both layers, at x = inf too.
+    """
+    l, rho, stretch = twin.interface, twin.rho, twin.stretch
+    transmit = 2 * twin.k / (twin.k + 1)
 
     def denom(w):
         return 1.0 - rho * math.exp(-2.0 * l * w)
 
-    return ModeExact(geometry, modes, _planar_wave, {
-        "u1_value": lambda x, a, w, _: a / denom(w) * (np.exp(-w * x) - rho * np.exp(-w * (2 * l - x))),
-        "u1_deriv": lambda x, a, w, _: a / denom(w) * w * (-np.exp(-w * x) - rho * np.exp(-w * (2 * l - x))),
-        "u2_value": lambda x, a, w, _: transmit * a / denom(w) * np.exp(-w * (stretch * (x - l) + l)),
-        "u2_deriv": lambda x, a, w, _: (
-            -w * stretch * (transmit * a / denom(w)) * np.exp(-w * (stretch * (x - l) + l))
-        ),
+    def u1_value(x, a, w):
+        return a / denom(w) * (np.exp(-w * x) - rho * np.exp(-w * (2 * l - x))) if w else a
+
+    def u1_deriv(x, a, w):
+        return a / denom(w) * w * (-np.exp(-w * x) - rho * np.exp(-w * (2 * l - x))) if w else 0.0
+
+    def u2_value(x, a, w):
+        return transmit * a / denom(w) * np.exp(-w * (stretch * (x - l) + l)) if w else a
+
+    def u2_deriv(x, a, w):
+        return -w * stretch * (transmit * a / denom(w)) * np.exp(-w * (stretch * (x - l) + l)) if w else 0.0
+
+    return ModeExact(geometry, twin, modes, {
+        "u1_value": u1_value, "u1_deriv": u1_deriv, "u2_value": u2_value, "u2_deriv": u2_deriv,
     })
-
-
-def _radial_exact(modes, geometry: Geometry) -> ModeExact:
-    """(r^n - rho (R^2/r)^n) / (1 - rho R^(2n)) per mode, and the transmitted r^n inside.
-
-    rho = 1 is the annulus Dirichlet solution (r^n - (R^2/r)^n)/(1 - R^(2n)),
-    whose constant mode n = 0 is ln(r/R)/ln(1/R), with r d/dr = 1/ln(1/R);
-    otherwise the coupled disk ladder summed geometrically, where the
-    constant mode is 1 in both layers.
-    """
-    R, rho = geometry.interface, geometry.rho
-    log_constant = not geometry.coupled
-
-    def denom(n):
-        return 1.0 - rho * R ** (2 * n)
-
-    def value(r, n, *_):
-        if n == 0 and log_constant:
-            return np.log(r / R) / math.log(1.0 / R)
-        return (r**n - rho * (R**2 / r) ** n) / denom(n)
-
-    def deriv(r, n, *_):
-        if n == 0 and log_constant:
-            return np.full(r.shape, 1.0 / math.log(1.0 / R))
-        return n * (r**n + rho * (R**2 / r) ** n) / denom(n)
-
-    profiles = {"u1_value": value, "u1_deriv": deriv}
-    if geometry.coupled:
-        transmit = 2 * geometry.k / (geometry.k + 1)
-        profiles["u2_value"] = lambda r, n, *_: transmit * r**n / denom(n)
-        profiles["u2_deriv"] = lambda r, n, *_: transmit * n * r**n / denom(n)
-    return ModeExact(geometry, modes, _radial_wave, profiles)
-
-
-def _radial_modes(modes):
-    out = []
-    for n, a, b in modes:
-        if n < 0:
-            raise ValidationError("radial mode solution needs n >= 0")
-        out.append((int(n), float(a), float(b)))
-    return out
 
 
 def mode_exact(geometry: Geometry, modes) -> ModeExact:
@@ -198,16 +182,24 @@ def mode_exact(geometry: Geometry, modes) -> ModeExact:
 
     Planar modes are (amplitude, frequency, phase); radial modes are
     (n, cos_amp, sin_amp) with n >= 0, where n = 0 is the constant
-    boundary value cos_amp.
+    boundary value cos_amp.  A disk problem is solved as its half-plane
+    twin at l = ln(1/R), the strip or the coupled half-plane with the
+    same k, under x = ln(1/r), y = theta.
     """
     if not isinstance(geometry, Geometry):
         raise ValidationError(f"mode_exact needs a Geometry, got {geometry!r}")
     if geometry.radial:
-        return _radial_exact(_radial_modes(modes), geometry)
-    modes = [(float(a), float(w), float(p)) for a, w, p in modes]
-    if geometry.coupled:
-        return _planar_coupled_exact(modes, geometry)
-    return _strip_exact(modes, geometry)
+        # np.log, so that r = R lands on x = l exactly
+        kind = "halfplane_coupled" if geometry.coupled else "strip"
+        twin = Geometry(kind, -float(np.log(geometry.interface)), geometry.k)
+        # r^n (a cos n theta + b sin n theta) is hypot(a, b) e^(-n x) cos(n y + atan2(-b, a))
+        modes = [(math.hypot(a, b), int(n), math.atan2(-b, a)) for n, a, b in modes]
+        if any(n < 0 for _, n, _ in modes):
+            raise ValidationError("radial mode solution needs n >= 0")
+    else:
+        twin = geometry
+        modes = [(float(a), float(w), float(p)) for a, w, p in modes]
+    return (_planar_coupled_exact if geometry.coupled else _strip_exact)(geometry, twin, modes)
 
 
 # ---------------------------------------------------------------------------
@@ -497,17 +489,24 @@ def residual_report(solution, boundary_field, flux: str = "auto") -> ErrorReport
     (k r u1_r = r u2_r on the disk).  Each check is one array call per
     layer over 50 samples, placed by the R2 sequence (`_r2_plan`) over
     each layer's span, and over the boundary and the interface by its
-    second coordinate.  The PDE residual is the discrete
-    mean-value property, 4 (ring mean - centre) / rho^2, on a ring of
-    RING points of radius rho = h about each sample, given as Cartesian
-    offsets (mapped back to polar coordinates on the disk).  Layer 2 of
-    the half-plane takes the ring in its stretched coordinate: x offsets
-    h cos(t), y offsets (h/a2) sin(t).  The step h is the geometry's
-    `residual_step`, so that every sample sits at least two steps inside
-    its layer.  flux: "auto"
-    uses the solution's exact derivatives u1_deriv and u2_deriv; "fd"
-    takes one-sided fourth-order differences five steps away from the
-    interface instead.
+    second coordinate: y in (-1, 1), or theta in (-pi, pi), where the
+    phase n theta rounds least.
+
+    The PDE residual and the "fd" flux are read on the half-plane twin,
+    through the solution's `on_twin()` view on the disk (x = ln(1/r),
+    y = theta), where the disk's Laplacian is r^-2 (u_xx + u_yy): every
+    problem is then a layer 0 < x < l with, when coupled, layer 2 beyond
+    it.  The PDE residual is the discrete mean-value property,
+    4 (ring mean - centre) / h^2, on a ring of RING points of radius h
+    about each sample; layer 2 of the half-plane takes the ring in its
+    stretched coordinate: x offsets h cos(t), y offsets (h/a2) sin(t).
+    The step h is the geometry's `residual_step`, so that every sample
+    sits at least two steps inside its layer.  flux: "auto" uses the
+    solution's exact derivatives u1_deriv and u2_deriv; "fd" takes
+    one-sided fourth-order differences in x five steps away from the
+    interface instead.  The boundary, value-jump and "auto" flux checks
+    read the solution in its own coordinates, so on the disk they also
+    check the map onto the twin.
 
     Every check is made on u/S and reported times S, where S is the
     power of two at or above the boundary field's `sup_bound` (1 for a
@@ -521,35 +520,21 @@ def residual_report(solution, boundary_field, flux: str = "auto") -> ErrorReport
     unit_p, unit_q = _r2_plan(n_samples)
     geo = solution.geometry
     s = geo.interface
-    h = geo.residual_step
+    across, edge = ((-math.pi, math.pi), 1.0) if geo.radial else ((-1.0, 1.0), 0.0)
+    qs = across[0] + (across[1] - across[0]) * unit_q
+    twin = solution.on_twin() if geo.radial else solution
+    l, h = twin.geometry.interface, twin.geometry.residual_step
 
     # the ring's points, then the centre
     angles = TWO_PI * np.arange(RING) / RING
     cos = np.append(np.cos(angles), 0.0)[:, None]
     sin = np.append(np.sin(angles), 0.0)[:, None]
-    if geo.radial:
-        across, edge = (0.0, TWO_PI), 1.0
-        spans = [(s + 2 * h, 1.0 - 2 * h), (2 * h, s - 2 * h)]
-
-        def stencil(fn, r, t, dx, dy):
-            x = r * np.cos(t) + dx
-            y = r * np.sin(t) + dy
-            return fn(np.hypot(x, y), np.arctan2(y, x))
-    else:
-        across, edge = (-1.0, 1.0), 0.0
-        spans = [(2 * h, s - 2 * h), (s + 2 * h, s + 2.0)]
-
-        def stencil(fn, x, y, dx, dy):
-            return fn(x + dx, y + dy)
-
-    layers = [(u1, 1.0)]
+    layers = [(_scaled(twin.u1_value, exponent), 1.0, 2 * h, l - 2 * h)]
     if geo.coupled:
-        u2 = _scaled(solution.u2_value, exponent)
-        layers.append((u2, geo.a2))
-    qs = across[0] + (across[1] - across[0]) * unit_q
+        layers.append((_scaled(twin.u2_value, exponent), geo.a2, l + 2 * h, l + 2.0))
     pde = 0.0
-    for (lo, hi), (fn, a) in zip(spans, layers):
-        values = stencil(fn, lo + (hi - lo) * unit_p, qs, h * cos, (h / a) * sin)
+    for fn, a, lo, hi in layers:
+        values = fn(lo + (hi - lo) * unit_p + h * cos, qs + (h / a) * sin)
         pde = max(pde, _max_abs(4.0 * (a / h) ** 2 * (values[:-1].mean(axis=0) - values[-1])))
     bmis = _max_abs(u1(edge, qs) - _scaled(boundary_field.value, exponent)(edge, qs))
 
@@ -557,17 +542,13 @@ def residual_report(solution, boundary_field, flux: str = "auto") -> ErrorReport
         checks = (pde, max(bmis, _max_abs(u1(s, qs))), 0.0, 0.0)
         return ErrorReport(*(_unscaled(check, exponent) for check in checks))
 
+    u2 = _scaled(solution.u2_value, exponent)
     vjump = _max_abs(u1(s, qs) - u2(s, qs))
     # Geometry's flux condition k u1_x = a2 u2_x, divided by a2
     weight = geo.k * geo.stretch
     if flux == "fd":
-        # layer 1 lies above the interface on the disk, below it on the
-        # plane; r d/dr is the radial flux
-        side, scale = (1, s) if geo.radial else (-1, 1.0)
-        fjump = _max_abs(
-            weight * scale * _one_sided_dx(u1, s, qs, h, side=side)
-            - scale * _one_sided_dx(u2, s, qs, h, side=-side)
-        )
+        (fn1, *_), (fn2, *_) = layers
+        fjump = _max_abs(weight * _one_sided_dx(fn1, l, qs, h, side=-1) - _one_sided_dx(fn2, l, qs, h, side=1))
     else:
         fjump = _max_abs(
             weight * _scaled(solution.u1_deriv, exponent)(s, qs) - _scaled(solution.u2_deriv, exponent)(s, qs)

@@ -184,9 +184,9 @@ class Geometry:
     positive, all finite; only the coupled problems take k, and only the
     coupled half-plane takes an a2 other than 1.  So is every number the
     routes and `oracle.residual_report` derive from them: the ladder step
-    (2l or R^2), its inverse and (a2/h)^2 for the `residual_step` h must
-    be finite and non-zero, the Robin parameter finite, and the ladder
-    ratio rho = (1 - k)/(1 + k) must not round to 1.
+    (2l, or R^2 on the disk), its inverse and (a2/h)^2 for the
+    `residual_step` h must be finite and non-zero, the Robin parameter
+    finite, and the ladder ratio rho = (1 - k)/(1 + k) must not round to 1.
     """
 
     def __init__(self, kind: str, interface: float, k: float | None = None, a2: float = 1.0):
@@ -261,21 +261,18 @@ class Geometry:
 
     @property
     def step(self) -> float:
-        """Ladder step: 2l on the plane; R^2 on the disk, the oracle's Kelvin scale (its twin's is 2 ln(1/R))."""
+        """Ladder step: 2l on the plane.  On the disk R^2, which nothing steps
+        by (the routes and the oracle take the twin's 2 ln(1/R)); it is kept
+        as a range check, so that R below about 1e-154 still exits 2."""
         return self.interface**2 if self.radial else 2.0 * self.interface
 
     @property
     def residual_step(self) -> float:
-        """The stencil step of `oracle.residual_report`: 1e-3, or an eighth of
-        the thinnest bounded layer if that is smaller, so that every sample
-        sits at least two steps inside its layer (the plane's layer 2 is
-        unbounded)."""
-        s = self.interface
-        if self.radial:
-            thickness = min(1.0 - s, s) if self.coupled else 1.0 - s
-        else:
-            thickness = s
-        return min(1e-3, thickness / 8.0)
+        """The stencil step of `oracle.residual_report`, which runs on the twin:
+        1e-3, or an eighth of the twin's layer 1 (l, or ln(1/R) on the disk)
+        if that is smaller, so that every sample sits at least two steps
+        inside its layer (the twin's layer 2 is unbounded)."""
+        return min(1e-3, float(self.to_twin(self.interface)) / 8.0)
 
     @property
     def stretch(self) -> float:
@@ -369,6 +366,10 @@ class LayeredSolution:
         self.bound = None if bound_at is None else bound_at(geometry.interface)
         self._twin = geometry.twin
         self._sign = -1.0 if geometry.radial else 1.0
+
+    def on_twin(self) -> LayeredSolution:
+        """This solution on the geometry's twin, read in (x, y)."""
+        return LayeredSolution(self._twin, self.field, self.rho, constant=self.constant)
 
     def u1_value(self, p, q):
         x = self.geometry.to_twin(p)

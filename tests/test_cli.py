@@ -431,6 +431,16 @@ def test_verify_layer_thinner_than_four_stencil_steps(tmp_path, capsys, cfg):
     assert json.loads(stdout)["all_pass"] is True
 
 
+def test_verify_thin_annulus_oracle_passes(tmp_path, capsys):
+    # the ring runs on the twin x = ln(1/r), so no r near 1 is rounded on
+    # the way to the stencil: pde_residual reads 5.7e-8, where it read 2.2e-5
+    cfg = {"problem": "annulus", "geometry": {"R": 0.999}, "boundary": {"modes": [{"n": 1}]}, "method": "oracle"}
+    path = write_config(tmp_path, "thin.json", cfg)
+    code, stdout, _ = run_cli(["verify", "--config", path], capsys)
+    assert code == 0
+    assert json.loads(stdout)["checks"]["pde_residual"]["value"] <= 1e-7
+
+
 def test_compare_repeated_methods_exit_2(tmp_path, capsys):
     # n copies of one method would hold n + n(n-1)/2 grids, every added one a copy
     cfg = strip_config()
@@ -963,6 +973,31 @@ def test_huge_radial_mode_index_rejected_before_allocation(tmp_path, capsys):
     assert code == 2
     assert "radial mode n" in err
     assert peak < 10 * 2**20
+
+
+def _sampled_disk_config(tmp_path, samples):
+    theta = np.arange(samples) * (2 * math.pi / samples)
+    (tmp_path / "trace.csv").write_text("".join(f"{t!r},{v!r}\n" for t, v in zip(theta.tolist(), np.cos(theta).tolist())))
+    cfg = {"problem": "disk_coupled", "geometry": {"R": 0.5, "k": 0.5}, "boundary": {"samples": "trace.csv"},
+           "method": "series", "grid": {"r": [0.0, 1.0, 3], "theta": [0.0, 6.0, 3]}}
+    return write_config(tmp_path, "sampled.json", cfg)
+
+
+@pytest.mark.parametrize("command", ["regimes", "solve"])
+def test_sampled_circle_trace_over_the_mode_cap_exits_2(tmp_path, capsys, command):
+    # 20003 samples project onto modes up to 10001, one over MAX_RADIAL_MODE
+    path = _sampled_disk_config(tmp_path, 20_003)
+    code, stdout, err = run_cli([command, "--config", path, "--out", str(tmp_path / "out")], capsys)
+    assert code == 2 and stdout == ""
+    assert f"over the cap of {cli.MAX_RADIAL_MODE}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sampled_circle_trace_at_the_mode_cap_is_accepted(tmp_path, capsys):
+    path = _sampled_disk_config(tmp_path, 20_001)
+    code, stdout, _ = run_cli(["regimes", "--config", path], capsys)
+    assert code == 0
+    assert json.loads(stdout)["recommendation"] == "series"
 
 
 #: one node over the cap; should the check go, a case costs a few 80 MB arrays, not more

@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from layerfield import oracle
 from layerfield import (
@@ -308,11 +310,16 @@ def test_residual_report_holds_a_field_near_the_float_range(geometry, field):
 
 
 def _plus_square(solution, c):
-    """`solution` plus c p^2, with p = x on the plane and r on the disk, in every layer."""
+    """`solution` plus c x^2 in every layer; on the disk, whose ring runs on
+    the twin, its twin view plus c x^2 with x = ln(1/r)."""
+    if solution.geometry.radial:
+        names = ("geometry", "u1_value", "u2_value", "u1_deriv", "u2_deriv")
+        twin = _plus_square(solution.on_twin(), c)
+        return SimpleNamespace(**{name: getattr(solution, name) for name in names}, on_twin=lambda: twin)
     return SimpleNamespace(
         geometry=solution.geometry,
-        u1_value=lambda p, q: solution.u1_value(p, q) + c * np.square(p),
-        u2_value=lambda p, q: solution.u2_value(p, q) + c * np.square(p),
+        u1_value=lambda x, y: solution.u1_value(x, y) + c * np.square(x),
+        u2_value=lambda x, y: solution.u2_value(x, y) + c * np.square(x),
         u1_deriv=solution.u1_deriv,
         u2_deriv=solution.u2_deriv,
     )
@@ -321,16 +328,65 @@ def _plus_square(solution, c):
 @pytest.mark.parametrize(
     "geometry, modes, laplacian",
     [
-        (Geometry("annulus", 0.5), [(1, 1.0, 0.0)], 4.0),
+        (Geometry("annulus", 0.5), [(1, 1.0, 0.0)], 2.0),
+        (RadialLayerConfig(R=0.5, k=3.0), [(1, 1.0, 0.0)], 2.0),
         (Geometry("strip", 0.5), [(1.0, 3.0, 0.0)], 2.0),
         # layer 2 solves a2^2 u_xx + u_yy = 0, so c x^2 reads 2 c a2^2 there
         (PlanarLayerConfig(l=0.3, k=0.5, a2=2.0), [(1.0, 3.0, 0.0)], 8.0),
     ],
-    ids=["annulus-r2", "strip-x2", "halfplane-a2-x2"],
+    ids=["annulus-twin-x2", "disk-twin-x2", "strip-x2", "halfplane-a2-x2"],
 )
 def test_residual_report_reads_the_operator_of_a_non_harmonic_field(geometry, modes, laplacian):
-    # the exact solution plus c p^2: the mean-value ring is exact on p^2,
+    # the exact solution plus c x^2: the mean-value ring is exact on x^2,
     # so pde_residual is the added operator value, c times `laplacian`
     c = 1e-2
     rep = residual_report(_plus_square(mode_exact(geometry, modes), c), MODE)
     assert rep.pde_residual == pytest.approx(laplacian * c, rel=1e-6)
+
+
+@pytest.mark.parametrize("R", [0.005, 0.02, 0.1])
+@pytest.mark.parametrize("k", [0.5, 3.0])
+@pytest.mark.parametrize("route", ["series", "oracle"])
+def test_fd_flux_holds_on_a_small_core(R, k, route):
+    # the one-sided differences run in x on the twin, where the core r < R
+    # is the unbounded layer 2, so the step no longer shrinks with R
+    cfg = RadialLayerConfig(R=R, k=k)
+    sol = series_solution(cfg, DISK1, TailTol(1e-12)) if route == "series" else mode_exact(cfg, [(1, 1.0, 0.0)])
+    flux_jump = residual_report(sol, DISK1, flux="fd").flux_jump
+    assert math.isfinite(flux_jump) and flux_jump <= 1e-8
+
+
+def _disk_coefficients(modes):
+    """The cos and sin coefficients of the disk field with boundary modes (n, a, b), a_0 = 2 a."""
+    a, b = np.zeros(9), np.zeros(9)
+    for n, ca, sa in modes:
+        a[n] += 2.0 * ca if n == 0 else ca
+        b[n] += sa
+    return a, b
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    problem=st.sampled_from(["annulus", "disk_coupled"]),
+    thickness=st.floats(1e-3, 0.7),
+    k=st.floats(0.05, 20.0),
+    modes=st.lists(
+        st.tuples(st.integers(0, 8), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        min_size=1, max_size=3, unique_by=lambda mode: mode[0],
+    ),
+)
+def test_closed_forms_are_harmonic_in_thin_layers(problem, thickness, k, modes):
+    # on a field scaled to sup|u0| = 1 the ring on the twin reads rounding:
+    # 4 eps / h^2 is 6e-8 at 1 - R = 1e-3 (h = l/8), times up to about
+    # n |theta| from the rounded phase n theta; 500 random draws read <= 5.3e-7.
+    # Below k = 0.05 the coupled closed form's own layer-1 difference
+    # e^(-n x) - rho e^(-n (2l - x)) cancels as rho nears 1 and adds its
+    # rounding to the ring's (1.3e-6 at k = 0.01, 1 - R = 1e-3)
+    modes = [(n, a, b if n else 0.0) for n, a, b in modes]
+    sup = DiskField(*_disk_coefficients(modes)).sup_bound()
+    assume(sup > 1e-3)
+    modes = [(n, a / sup, b / sup) for n, a, b in modes]
+    R = 1.0 - thickness
+    geometry = Geometry("annulus", R) if problem == "annulus" else RadialLayerConfig(R=R, k=k)
+    rep = residual_report(mode_exact(geometry, modes), DiskField(*_disk_coefficients(modes)))
+    assert rep.pde_residual <= 1e-6
