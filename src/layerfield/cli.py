@@ -79,6 +79,9 @@ MAX_GRID_NODES = 10_000_000
 #: largest number of thicknesses in a compare sweep; each builds and
 #: evaluates two solutions
 MAX_SWEEP_VALUES = 1_000
+#: characters of a solve CSV that verify --grid reads and checks at a
+#: time, in whole lines
+GRID_CHUNK = 1 << 18
 
 _DEFAULT_TOLS = {
     "pde_residual": 1e-6,
@@ -659,35 +662,43 @@ def _check_grid_file(path, solution, nodes=None) -> int:
     A value matches when the file holds its repr, so the check shares no
     code with the CSV writer.  The header must be the solve header of the
     solution's geometry and at least one data row must follow, or the
-    file is rejected.  The coordinate columns are parsed as whole arrays;
-    a data row that is not four fields with numeric coordinates is
-    rejected with its line number.  Given the grid's node count `nodes`,
-    each row missing from it or extra to it counts as one more mismatch.
+    file is rejected.  The data rows are read GRID_CHUNK characters at a
+    time, in whole lines, and each chunk is checked before the next is
+    read, so memory does not grow with the file.  A chunk's coordinate
+    columns are parsed as whole arrays; a data row that is not four
+    fields with numeric coordinates is rejected with its line number.
+    Given the grid's node count `nodes`, each row missing from it or extra
+    to it counts as one more mismatch.
     """
+    expected = ",".join(solution.geometry.axes) + ",region,u"
+    count = mismatches = 0
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-        text = fh.read()
-    expected = ",".join(solution.geometry.axes) + ",region,u"
-    if header != expected:
-        raise ValidationError(f"{path!s} has header {header!r}, not the solve header {expected!r}")
-    rows = [line for line in map(str.strip, text.split("\n")) if line]
-    if not rows:
+        if header != expected:
+            raise ValidationError(f"{path!s} has header {header!r}, not the solve header {expected!r}")
+        number = 2  # the line number of the chunk's first line
+        for lines in iter(lambda: fh.readlines(GRID_CHUNK), []):
+            rows = [line for line in map(str.strip, lines) if line]
+            if rows:
+                fields = ",".join(rows).split(",")
+                try:
+                    if set(map(str.count, rows, repeat(","))) != {3}:
+                        raise ValueError("a row without four fields")
+                    p, q = _floats(fields[0::4]), _floats(fields[1::4])
+                except ValueError:
+                    number, line = _first_malformed_row(lines, number)
+                    raise ValidationError(
+                        f"expected four fields with numeric coordinates in {path!s}, line {number}: {line!r}"
+                    ) from None
+                values = _layered_values(solution, p, q[:, None])[:, 0]
+                regions = np.where(solution.geometry.in_layer2(p), "2", "1").tolist()
+                pairs = zip(fields[2::4], fields[3::4], regions, map(repr, values.tolist()))
+                mismatches += sum(got != region or written != value for got, written, region, value in pairs)
+                count += len(rows)
+            number += len(lines)
+    if not count:
         raise ValidationError(f"{path!s} holds no data rows")
-    fields = ",".join(rows).split(",")
-    try:
-        if set(map(str.count, rows, repeat(","))) != {3}:
-            raise ValueError("a row without four fields")
-        p, q = _floats(fields[0::4]), _floats(fields[1::4])
-    except ValueError:
-        number, line = _first_malformed_row(text)
-        raise ValidationError(
-            f"expected four fields with numeric coordinates in {path!s}, line {number}: {line!r}"
-        ) from None
-    values = _layered_values(solution, p, q[:, None])[:, 0]
-    regions = np.where(solution.geometry.in_layer2(p), "2", "1").tolist()
-    pairs = zip(fields[2::4], fields[3::4], regions, map(repr, values.tolist()))
-    mismatches = sum(got != region or written != value for got, written, region, value in pairs)
-    return mismatches + (abs(len(rows) - nodes) if nodes is not None else 0)
+    return mismatches + (abs(count - nodes) if nodes is not None else 0)
 
 
 def _floats(texts):
@@ -697,18 +708,18 @@ def _floats(texts):
     return np.fromiter(map(parsed.__getitem__, texts), float, len(texts))
 
 
-def _first_malformed_row(text):
-    """(line number, text) of the first data row that is not four fields
-    with numeric coordinates; the header is line 1."""
-    for number, line in enumerate(text.split("\n"), start=2):
-        row = line.strip().split(",")
+def _first_malformed_row(lines, number):
+    """(line number, text) of the first of the data `lines` that is not
+    four fields with numeric coordinates; the first of them is line `number`."""
+    for number, line in enumerate(map(str.strip, lines), start=number):
+        row = line.split(",")
         if row == [""]:
             continue
         try:
             c1, c2, _, _ = row
             float(c1), float(c2)
         except ValueError:
-            return number, line.strip()
+            return number, line
     raise AssertionError("every row parses")
 
 

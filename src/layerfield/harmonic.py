@@ -3,10 +3,10 @@
 Two concrete representations are used throughout the package: decaying
 cosine modes (optionally with boundary point sources) on the right
 half-plane, and finite Fourier sums on the unit disk.  Both evaluate
-exactly on arrays and expose exact first derivatives (d/dx on the plane,
-r d/dr on the disk).  A disk field has a half-plane view under
+exactly on arrays.  A disk field has a half-plane view under
 x = ln(1/r), y = theta, so only the half-plane field builds image
-ladders, a rescaling per mode and deeper images per source.  The module
+ladders (a rescaling per mode and deeper images per source) and exposes
+an exact first derivative, d/dx, which is -r d/dr on the disk.  The module
 also reads sampled boundary traces and projects circle traces onto disk
 modes.
 """
@@ -232,24 +232,16 @@ class DiskField:
         """Upper bound for |u| on the closed unit disk."""
         return float(abs(self._a[0]) / 2 + np.sum(np.abs(self._a[1:])) + np.sum(np.abs(self._b[1:])))
 
-    def _mode_sum(self, r, theta, deriv):
+    def value(self, r, theta):
         a, b = self._a, self._b
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float)
-        out = np.full(np.broadcast(r, theta).shape, 0.0 if deriv else a[0] / 2.0)
+        out = np.full(np.broadcast(r, theta).shape, a[0] / 2.0)
         for n in range(1, a.size):
             if a[n] == 0.0 and b[n] == 0.0:
                 continue
-            rn = n * r**n if deriv else r**n
-            out += rn * (a[n] * np.cos(n * theta) + b[n] * np.sin(n * theta))
+            out += r**n * (a[n] * np.cos(n * theta) + b[n] * np.sin(n * theta))
         return out if out.shape else float(out)
-
-    def value(self, r, theta):
-        return self._mode_sum(r, theta, deriv=False)
-
-    def radial_derivative(self, r, theta):
-        """Radial scaling derivative r * du/dr, exact on Fourier modes."""
-        return self._mode_sum(r, theta, deriv=True)
 
     def half_plane(self) -> HalfPlaneField:
         """This field on the half-plane twin x = ln(1/r), y = theta, as a field of active modes.

@@ -8,7 +8,9 @@ underlying boundary problems.  A residual report aggregates the checks
 every candidate solution must pass: interior harmonicity, boundary
 match, and interface value/flux continuity.
 
-The disk problems' closed forms are the plane's, on the half-plane twin
+The closed forms are one family, `ModeExact`: the coupled half-plane
+ladder summed geometrically, whose k = 0 case is the strip.  The disk
+problems' closed forms are the plane's, on the half-plane twin
 x = ln(1/r), y = theta at l = ln(1/R), which the oracle maps by itself;
 the residual report's harmonicity ring and its "fd" flux run on the
 twin as well.  The finite-difference solves stay in r, as the check of
@@ -74,30 +76,43 @@ def brute_series(term, rho: float, M: float = 1.0, J: int | None = None,
 
 
 class ModeExact:
-    """Closed-form solution for boundary modes, summed mode by mode.
+    """Closed-form solution for boundary modes: the coupled image ladder summed geometrically.
 
     Every problem is solved on its half-plane twin, the geometry `twin`,
     at modes (a, w, phi): each method sums profile(x, a, w) cos(w y + phi)
-    over them.  `profiles` maps u1_value, u1_deriv and, on the coupled
-    problems, u2_value and u2_deriv to the twin's closed-form profile,
-    with derivatives d/dx.  On the disk the methods take (r, theta) and
-    read them as x = ln(1/r), y = theta, where r d/dr = -d/dx; on the
-    plane the twin is the geometry itself.
+    over them, with derivatives d/dx.  On the coupled half-plane a mode is
+
+        layer 1:  a (e^(-w x) - rho e^(-w (2l - x))) / (1 - rho e^(-2 l w))
+        layer 2:  t a e^(-w ((x - l)/a2 + l)) / (1 - rho e^(-2 l w))
+
+    with t = 2k/(k + 1) = 1 - rho, and the strip is its k = 0 case:
+    rho = 1, t = 0 and no layer 2.  Every factor 1 - rho e^(-s) is
+    written t - rho expm1(-s), which keeps its digits as rho nears 1 and,
+    on the strip, gives the ratio expm1(-2 w (l - x)) / expm1(-2 w l),
+    finite where sinh(w l) overflows past 710.  The constant mode w = 0
+    is a (1 - x/l) on the strip and a in both coupled layers, x = inf
+    included.  On the disk the methods take (r, theta) and read them as
+    x = ln(1/r), y = theta, where r d/dr = -d/dx; on the plane the twin
+    is the geometry itself.
     """
 
-    def __init__(self, geometry: Geometry, twin: Geometry, modes, profiles: dict):
+    def __init__(self, geometry: Geometry, twin: Geometry, modes):
         self.geometry = geometry
         self.modes = modes
         self.tail_bound = 0.0
         self._twin = twin
-        self._profiles = profiles
+        self._l, self._rho, self._stretch = twin.interface, twin.rho, twin.stretch
+        self._transmit = 2 * twin.k / (twin.k + 1) if twin.coupled else 0.0
 
     def on_twin(self) -> ModeExact:
         """This solution on the twin geometry, read in (x, y)."""
-        return ModeExact(self._twin, self._twin, self.modes, self._profiles)
+        return ModeExact(self._twin, self._twin, self.modes)
 
-    def _sum(self, name, p, q):
-        profile = self._profiles[name]
+    def _gap(self, s):
+        """1 - rho e^(-s), as t - rho expm1(-s)."""
+        return self._transmit - self._rho * np.expm1(-s)
+
+    def _sum(self, profile, p, q, deriv=False):
         x = np.asarray(p, dtype=float)
         q = np.asarray(q, dtype=float)
         radial = self.geometry.radial
@@ -107,74 +122,43 @@ class ModeExact:
         out = np.zeros(np.broadcast(x, q).shape)
         for a, w, phi in self.modes:
             out += profile(x, a, w) * np.cos(w * q + phi)
-        if radial and name.endswith("deriv"):
+        if radial and deriv:
             out = -out
         return out if out.shape else float(out)
 
+    def _u1(self, x, a, w):
+        l = self._l
+        if not w:
+            return a if self._twin.coupled else a * (1.0 - x / l)
+        return a * (self._gap(2.0 * w * (l - x)) / self._gap(2.0 * w * l)) * np.exp(-w * x)
+
+    def _u1_deriv(self, x, a, w):
+        l = self._l
+        if not w:
+            return 0.0 if self._twin.coupled else -a / l
+        return -a * w * np.exp(-w * x) * (1.0 + self._rho * np.exp(-2.0 * w * (l - x))) / self._gap(2.0 * w * l)
+
+    def _u2(self, x, a, w):
+        l = self._l
+        return self._transmit * a / self._gap(2.0 * w * l) * np.exp(-w * (self._stretch * (x - l) + l)) if w else a
+
+    def _u2_deriv(self, x, a, w):
+        return -w * self._stretch * self._u2(x, a, w) if w else 0.0
+
     def u1_value(self, p, q):
-        return self._sum("u1_value", p, q)
+        return self._sum(self._u1, p, q)
 
     def u1_deriv(self, p, q):
-        return self._sum("u1_deriv", p, q)
+        return self._sum(self._u1_deriv, p, q, deriv=True)
 
     def u2_value(self, p, q):
-        return self._sum("u2_value", p, q)
+        return self._sum(self._u2, p, q)
 
     def u2_deriv(self, p, q):
-        return self._sum("u2_deriv", p, q)
+        return self._sum(self._u2_deriv, p, q, deriv=True)
 
     value = u1_value
     deriv = u1_deriv
-
-
-def _strip_exact(geometry: Geometry, twin: Geometry, modes) -> ModeExact:
-    """A cos(w y + phi) extends to A sinh(w (l - x)) cos(w y + phi) / sinh(w l).
-
-    The ratio is written e^(-w x) expm1(-2 w (l - x)) / expm1(-2 w l),
-    which stays finite at any w l, where sinh(w l) overflows past 710.
-    The constant mode w = 0 extends to A (1 - x/l).
-    """
-    l = twin.interface
-
-    def value(x, a, w):
-        if not w:
-            return a * (1.0 - x / l)
-        return a * (np.expm1(-2.0 * w * (l - x)) / np.expm1(-2.0 * w * l)) * np.exp(-w * x)
-
-    def deriv(x, a, w):
-        if not w:
-            return -a / l
-        return a * w * np.exp(-w * x) * (1.0 + np.exp(-2.0 * w * (l - x))) / np.expm1(-2.0 * w * l)
-
-    return ModeExact(geometry, twin, modes, {"u1_value": value, "u1_deriv": deriv})
-
-
-def _planar_coupled_exact(geometry: Geometry, twin: Geometry, modes) -> ModeExact:
-    """The coupled half-plane ladder summed geometrically: denominator 1 - rho e^(-2 l w).
-
-    The constant mode w = 0 is A in both layers, at x = inf too.
-    """
-    l, rho, stretch = twin.interface, twin.rho, twin.stretch
-    transmit = 2 * twin.k / (twin.k + 1)
-
-    def denom(w):
-        return 1.0 - rho * math.exp(-2.0 * l * w)
-
-    def u1_value(x, a, w):
-        return a / denom(w) * (np.exp(-w * x) - rho * np.exp(-w * (2 * l - x))) if w else a
-
-    def u1_deriv(x, a, w):
-        return a / denom(w) * w * (-np.exp(-w * x) - rho * np.exp(-w * (2 * l - x))) if w else 0.0
-
-    def u2_value(x, a, w):
-        return transmit * a / denom(w) * np.exp(-w * (stretch * (x - l) + l)) if w else a
-
-    def u2_deriv(x, a, w):
-        return -w * stretch * (transmit * a / denom(w)) * np.exp(-w * (stretch * (x - l) + l)) if w else 0.0
-
-    return ModeExact(geometry, twin, modes, {
-        "u1_value": u1_value, "u1_deriv": u1_deriv, "u2_value": u2_value, "u2_deriv": u2_deriv,
-    })
 
 
 def mode_exact(geometry: Geometry, modes) -> ModeExact:
@@ -199,7 +183,7 @@ def mode_exact(geometry: Geometry, modes) -> ModeExact:
     else:
         twin = geometry
         modes = [(float(a), float(w), float(p)) for a, w, p in modes]
-    return (_planar_coupled_exact if geometry.coupled else _strip_exact)(geometry, twin, modes)
+    return ModeExact(geometry, twin, modes)
 
 
 # ---------------------------------------------------------------------------

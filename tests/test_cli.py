@@ -419,12 +419,20 @@ def test_verify_coupled_disk_series(tmp_path, capsys):
          "boundary": {"modes": [{"n": 1, "a": 1}]}, "method": "series"},
         {"problem": "halfplane_coupled", "geometry": {"l": 0.002, "k": 0.05},
          "boundary": {"modes": [{"omega": 1.0, "A": 1.0}]}, "method": "series"},
+        {"problem": "halfplane_coupled", "geometry": {"l": 0.001, "k": 0.01},
+         "boundary": {"modes": [{"omega": 1.0}]}, "method": "oracle"},
+        {"problem": "disk_coupled", "geometry": {"R": 0.999, "k": 0.01},
+         "boundary": {"modes": [{"n": 1}]}, "method": "oracle"},
+        {"problem": "halfplane_coupled", "geometry": {"l": 0.001, "k": 1e-4},
+         "boundary": {"modes": [{"omega": 1.0}]}, "method": "oracle"},
     ],
-    ids=["disk-R0.999", "halfplane-l0.002"],
+    ids=["disk-R0.999", "halfplane-l0.002", "oracle-halfplane-k0.01", "oracle-disk-k0.01", "oracle-halfplane-k1e-4"],
 )
 def test_verify_layer_thinner_than_four_stencil_steps(tmp_path, capsys, cfg):
     # the stencil step shrinks to an eighth of the layer, so every sample
-    # span stays inside it; at the default 1e-3 the spans would invert
+    # span stays inside it; at the default 1e-3 the spans would invert.
+    # At small k the closed form's 1 - rho e^(-s) must be t_k - rho expm1(-s),
+    # or it cancels as rho nears 1 and the ring reads that rounding
     path = write_config(tmp_path, "thin.json", cfg)
     code, stdout, _ = run_cli(["verify", "--config", path], capsys)
     assert code == 0
@@ -439,6 +447,18 @@ def test_verify_thin_annulus_oracle_passes(tmp_path, capsys):
     code, stdout, _ = run_cli(["verify", "--config", path], capsys)
     assert code == 0
     assert json.loads(stdout)["checks"]["pde_residual"]["value"] <= 1e-7
+
+
+def test_verify_grid_memory_does_not_grow_with_the_file(tmp_path, capsys):
+    # 200,000 rows, about 10 MB of text, which as lines and fields in
+    # memory at once would take about 100 MB
+    grid = {"x": [0.0, 0.5, 500], "y": [-1.0, 1.0, 400]}
+    cfg = write_config(tmp_path, "big.json", strip_config(method="oracle", grid=grid))
+    out = tmp_path / "grid.csv"
+    assert run_cli(["solve", "--config", cfg, "--out", str(out)], capsys)[0] == 0
+    code, _, peak = run_cli_traced(["verify", "--config", cfg, "--grid", str(out)], capsys)
+    assert code == 0
+    assert peak < 16 * 2**20
 
 
 def test_compare_repeated_methods_exit_2(tmp_path, capsys):

@@ -7,7 +7,9 @@ output.path swapped for a bool, a number, an empty string or a list.
 Every command then runs it in-process.  Each run must exit 0, 2, 3 or 4
 (1 only from `verify`, with every check finite), print strict JSON, and
 end within a fixed time and traced-memory peak.  A solved grid file,
-cut or altered, must fail `verify --grid`.
+cut or altered, must fail `verify --grid`.  Sampled boundaries keep the
+same contract: odd circle traces and a strip trace shorter than the grid
+run through every command that reads a trace.
 """
 
 import contextlib
@@ -24,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layerfield.cli import METHODS, main
+from layerfield.cli import MAX_RADIAL_MODE, METHODS, main
 
 PLANAR = [{"omega": 1.3, "A": 0.7, "phi": 0.2}, {"omega": 3.1, "A": -0.4}]
 RADIAL = [{"n": 1, "a": 0.7, "b": 0.1}, {"n": 3, "a": -0.2}]
@@ -203,3 +205,72 @@ def test_every_mutated_grid_file_fails_verify(problem, mutation):
         assert err.startswith(f"error: {grid} ") and out == ""
     else:
         assert json.loads(out, parse_constant=reject_constant)["grid_mismatches"] == mismatches
+
+
+def _circle(count, start=0.0, stop=2.0 * math.pi):
+    """`count` evenly spaced abscissae over [start, stop)."""
+    return [start + (stop - start) * j / count for j in range(count)]
+
+
+#: sampled boundary traces as (the abscissae of their rows, the problems that read them)
+CIRCLE_PROBLEMS = ("annulus", "disk_coupled")
+TRACES = {
+    "circle-non-uniform": ([t + 0.05 * math.sin(3.0 * t) for t in _circle(32)], CIRCLE_PROBLEMS),
+    "circle-repeated-abscissa": (sorted(_circle(32) + [math.pi]), CIRCLE_PROBLEMS),
+    "circle-header-only": ([], CIRCLE_PROBLEMS),
+    "circle-partial-period": (_circle(32, stop=math.pi), CIRCLE_PROBLEMS),
+    "circle-over-the-mode-cap": (_circle(2 * MAX_RADIAL_MODE + 3), CIRCLE_PROBLEMS),
+    "strip-shorter-than-the-grid": ([-0.5 + j / 40 for j in range(41)], ("strip",)),
+}
+#: grids the finite-difference solves honour: the whole domain in x or
+#: r, and the periodic theta nodes
+TRACE_GRIDS = {
+    "strip": {"x": [0.0, 0.4, 4], "y": [-1.0, 1.0, 4]},
+    "annulus": {"r": [0.6, 1.0, 8], "theta": [0.0, 2.0 * math.pi * 7 / 8, 8]},
+    "disk_coupled": {"r": [0.0, 1.0, 8], "theta": [0.0, 2.0 * math.pi * 7 / 8, 8]},
+}
+#: (command, extra arguments, config changes) of each run over a trace
+TRACE_RUNS = [
+    ("solve", [], {"method": "oracle"}),
+    ("solve", [], {"method": "series"}),
+    ("solve", ["--strict"], {"method": "series"}),
+    ("compare", [], {"methods": ["series", "asymptotic"], "sweep": {"R": [0.6, 0.7], "l": [0.2, 0.4]}}),
+    ("regimes", [], {"method": "series"}),
+]
+
+
+def _trace_config(problem, changes):
+    cfg = {**base_config(problem, "series"), "boundary": {"samples": "trace.csv"}, "output": {}}
+    cfg["grid"] = copy.deepcopy(TRACE_GRIDS[problem])
+    cfg.update(copy.deepcopy(changes))
+    if "sweep" in cfg:
+        del cfg["method"]
+        # each problem sweeps its own thickness key
+        cfg["sweep"] = {key: value for key, value in cfg["sweep"].items() if key in cfg["geometry"]}
+    return cfg
+
+
+@pytest.mark.parametrize("trace", sorted(TRACES))
+def test_every_odd_trace_keeps_the_contract(trace):
+    abscissae, problems = TRACES[trace]
+    for problem in problems:
+        with tempfile.TemporaryDirectory() as tmp:
+            with open(os.path.join(tmp, "trace.csv"), "w", encoding="utf-8") as fh:
+                fh.write("t,u\n" + "".join(f"{t!r},{math.cos(t)!r}\n" for t in abscissae))
+            for command, extra, changes in TRACE_RUNS:
+                path = os.path.join(tmp, f"{command}.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(_trace_config(problem, changes), fh)
+                argv = [command, "--config", path, *extra]
+                if command == "solve":
+                    argv += ["--out", os.path.join(tmp, "grid.csv")]
+                code, out, err, seconds, peak = run(argv)
+                where = (problem, argv, changes, code, err)
+                assert code in (0, 2, 3, 4), where
+                assert seconds <= SECONDS and peak <= PEAK_BYTES, (where, seconds, peak)
+                if code in (2, 3):
+                    assert err.startswith(("error: ", "convergence failure: ")) and out == "", where
+                elif code == 4:
+                    assert out == "" and json.loads(err, parse_constant=reject_constant), where
+                else:
+                    json.loads(out, parse_constant=reject_constant)

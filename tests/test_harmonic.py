@@ -159,25 +159,6 @@ def test_disk_boundary_roundtrip_trig_polynomial():
     assert np.max(np.abs(field.value(1.0, probe) - src.value(1.0, probe))) <= 1e-10
 
 
-def test_radial_derivative_closed_form():
-    assert DiskField.single_mode(2).radial_derivative(0.5, 0.0) == pytest.approx(0.5)
-    assert DiskField.single_mode(0, 2.0).radial_derivative(0.3, 1.0) == 0.0
-    d = DiskField.single_mode(3, cos_amp=0.0, sin_amp=1.0)
-    assert d.radial_derivative(1.0, math.pi / 6) == pytest.approx(3.0)
-
-
-def test_radial_derivative_matches_finite_difference():
-    d = DiskField(np.array([0.5, 1.0, 0.0, 0.25]), np.array([0.0, 0.3, -0.2, 0.0]))
-    r, theta = 0.6, 1.1
-    exact = d.radial_derivative(r, theta)
-    errs = []
-    for step in (1e-2, 5e-3):
-        fd = r * (d.value(r + step, theta) - d.value(r - step, theta)) / (2 * step)
-        errs.append(abs(fd - exact))
-    ratio = errs[0] / errs[1]
-    assert 3.0 <= ratio <= 5.0  # second-order stencil: halving the step quarters the error
-
-
 def test_laplacian_residual_mode_fields():
     f = HalfPlaneField.single_mode(1.0)
     assert abs(laplacian_residual(f.value, (0.5, 0.3), 1e-3)) <= 1e-6

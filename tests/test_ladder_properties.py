@@ -57,6 +57,12 @@ def disk_field(modes):
     return DiskField(a, b)
 
 
+def radial_derivative(field, r, theta):
+    """r d/dr of the disk field: sum over n of n r^n (a_n cos n theta + b_n sin n theta)."""
+    a, b = field.cos_coeffs, field.sin_coeffs
+    return sum(n * r**n * (a[n] * np.cos(n * theta) + b[n] * np.sin(n * theta)) for n in range(1, a.size))
+
+
 def explicit_ladder(images, J):
     """Sum images(j) over j < J one image at a time.
 
@@ -154,8 +160,8 @@ def test_annulus_matches_explicit_ladder(modes, R, J):
     assert_matches_ladder(sol.value(r, DISK_THETA), (total + profile, size + np.abs(profile)))
     total, size = explicit_ladder(
         lambda j: (
-            u0.radial_derivative(r * R2**j, DISK_THETA),
-            u0.radial_derivative(R2 / r * R2**j, DISK_THETA),
+            radial_derivative(u0, r * R2**j, DISK_THETA),
+            radial_derivative(u0, R2 / r * R2**j, DISK_THETA),
         ),
         J,
     )
@@ -185,8 +191,8 @@ def test_disk_matches_explicit_ladder(modes, R, k, J):
         sol.u1_deriv(r1, DISK_THETA),
         explicit_ladder(
             lambda j: (
-                rho**j * u0.radial_derivative(r1 * R2**j, DISK_THETA),
-                rho ** (j + 1) * u0.radial_derivative(R2 / r1 * R2**j, DISK_THETA),
+                rho**j * radial_derivative(u0, r1 * R2**j, DISK_THETA),
+                rho ** (j + 1) * radial_derivative(u0, R2 / r1 * R2**j, DISK_THETA),
             ),
             J,
         ),
@@ -197,7 +203,7 @@ def test_disk_matches_explicit_ladder(modes, R, k, J):
     )
     assert_matches_ladder(
         sol.u2_deriv(r2, DISK_THETA),
-        explicit_ladder(lambda j: (w0 * rho**j * u0.radial_derivative(r2 * R2**j, DISK_THETA),), J),
+        explicit_ladder(lambda j: (w0 * rho**j * radial_derivative(u0, r2 * R2**j, DISK_THETA),), J),
     )
 
 
