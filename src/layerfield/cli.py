@@ -17,12 +17,12 @@ import json
 import math
 import os
 import sys
-from itertools import repeat
+from itertools import chain, combinations, repeat
 
 import numpy as np
 
 from .errors import ConvergenceError, LayerFieldError, ValidationError
-from .harmonic import BoundaryTrace, DiskField, HalfPlaneField, check_circle_trace, disk_from_boundary
+from .harmonic import BoundaryTrace, DiskField, HalfPlaneField, check_circle_trace, disk_from_boundary, read_lines
 from .series import (
     AXES,
     Geometry,
@@ -79,9 +79,9 @@ MAX_GRID_NODES = 10_000_000
 #: largest number of thicknesses in a compare sweep; each builds and
 #: evaluates two solutions
 MAX_SWEEP_VALUES = 1_000
-#: characters of a solve CSV that verify --grid reads and checks at a
-#: time, in whole lines
-GRID_CHUNK = 1 << 18
+#: largest number of modes times grid nodes accepted from a config; grid
+#: evaluation sums every mode at every node, about 2 s at the cap
+MAX_MODE_NODES = 10**9
 
 _DEFAULT_TOLS = {
     "pde_residual": 1e-6,
@@ -168,30 +168,23 @@ def load_config(path) -> dict:
     problem = cfg.get("problem")
     if problem not in PROBLEMS:
         raise ValidationError(f"problem must be one of {PROBLEMS}")
-    geometry = cfg.get("geometry")
-    if not isinstance(geometry, dict):
-        raise ValidationError("config needs a geometry object")
-    _reject_unknown(geometry, _GEOMETRY_KEYS[problem], f"{problem} geometry")
-    boundary = cfg.get("boundary")
-    if not isinstance(boundary, dict):
-        raise ValidationError("config needs a boundary object")
-    _reject_unknown(boundary, {"modes", "samples"}, "boundary")
-    if ("modes" in boundary) == ("samples" in boundary):
+    for block, allowed, where in (("geometry", _GEOMETRY_KEYS[problem], f"{problem} geometry"),
+                                  ("boundary", {"modes", "samples"}, "boundary")):
+        if not isinstance(cfg.get(block), dict):
+            raise ValidationError(f"config needs a {block} object")
+        _reject_unknown(cfg[block], allowed, where)
+    if ("modes" in cfg["boundary"]) == ("samples" in cfg["boundary"]):
         raise ValidationError("boundary needs exactly one of 'modes' or 'samples'")
-    if "truncation" in cfg:
-        _reject_unknown(cfg["truncation"], {"J", "tol"}, "truncation")
-    if "grid" in cfg:
-        _reject_unknown(cfg["grid"], AXES[problem], "grid")
-    if "sweep" in cfg:
-        _reject_unknown(cfg["sweep"], {"l", "R"}, "sweep")
-    if "tolerances" in cfg:
-        _reject_unknown(cfg["tolerances"], set(_DEFAULT_TOLS), "tolerances")
-    if "output" in cfg:
-        _reject_unknown(cfg["output"], {"path"}, "output")
-        path = cfg["output"].get("path")
+    optional = {"truncation": {"J", "tol"}, "grid": AXES[problem], "sweep": {"l", "R"},
+                "tolerances": _DEFAULT_TOLS, "output": {"path"}}
+    for block, allowed in optional.items():
+        if block in cfg:
+            _reject_unknown(cfg[block], allowed, block)
+    for block, key in (("boundary", "samples"), ("output", "path")):
+        given = cfg.get(block, {})
         # open() would take an int or a bool as a file descriptor
-        if "path" in cfg["output"] and not (isinstance(path, str) and path):
-            raise ValidationError(f"output.path must be a non-empty string, got {path!r}")
+        if key in given and not (isinstance(given[key], str) and given[key]):
+            raise ValidationError(f"{block}.{key} must be a non-empty string, got {given[key]!r}")
     return cfg
 
 
@@ -207,63 +200,52 @@ def geometry_config(cfg):
     return RadialLayerConfig(R=g.get("R"), k=g.get("k"))
 
 
-def _planar_modes(raw):
+def _modes(raw, radial):
+    """The boundary modes as (n, a, b) on the disk or (A, omega, phi) on the plane.
+
+    A mode's first key, its index n or frequency omega, is required; the
+    other two default to an amplitude of 1 and a phase or sine part of 0.
+    """
     if not isinstance(raw, list):
         raise ValidationError("boundary modes must be a list")
+    kind, keys = ("radial", ("n", "a", "b")) if radial else ("planar", ("omega", "A", "phi"))
     modes = []
     for m in raw:
-        _reject_unknown(m, {"omega", "A", "phi"}, "planar mode")
-        if "omega" not in m:
-            raise ValidationError("planar mode needs omega")
-        omega = _number(m["omega"], "planar mode omega")
-        if not omega > 0:
-            raise ValidationError(f"planar mode omega must be > 0, got {omega!r}")
-        modes.append((_number(m.get("A", 1.0), "planar mode A"), omega, _number(m.get("phi", 0.0), "planar mode phi")))
+        _reject_unknown(m, keys, f"{kind} mode")
+        if keys[0] not in m:
+            raise ValidationError(f"{kind} mode needs {keys[0]}")
+        index = _number(m[keys[0]], f"{kind} mode {keys[0]}", int if radial else float)
+        if radial and not 0 <= index <= MAX_RADIAL_MODE:
+            raise ValidationError(f"radial mode n must lie in [0, {MAX_RADIAL_MODE}], got {index}")
+        if not radial and not index > 0:
+            raise ValidationError(f"planar mode omega must be > 0, got {index!r}")
+        amplitude = _number(m.get(keys[1], 1.0), f"{kind} mode {keys[1]}")
+        phase = _number(m.get(keys[2], 0.0), f"{kind} mode {keys[2]}")
+        modes.append((index, amplitude, phase) if radial else (amplitude, index, phase))
     return modes
 
 
-def _radial_modes(raw):
-    if not isinstance(raw, list):
-        raise ValidationError("boundary modes must be a list")
-    modes = []
-    for m in raw:
-        _reject_unknown(m, {"n", "a", "b"}, "radial mode")
-        if "n" not in m:
-            raise ValidationError("radial mode needs n")
-        n = _number(m["n"], "radial mode n", int)
-        if not 0 <= n <= MAX_RADIAL_MODE:
-            raise ValidationError(f"radial mode n must lie in [0, {MAX_RADIAL_MODE}], got {n}")
-        modes.append((
-            n,
-            _number(m.get("a", 1.0), "radial mode a"),
-            _number(m.get("b", 0.0), "radial mode b"),
-        ))
-    return modes
+def _read_trace(cfg, config_dir):
+    """The boundary block's sampled trace; a relative path is read from `config_dir`."""
+    return BoundaryTrace.from_csv(os.path.join(config_dir, cfg["boundary"]["samples"]))
 
 
 def boundary_field(cfg, geo, config_dir="."):
     """Build the model field on `geo` from the boundary block."""
     boundary = cfg["boundary"]
     if "modes" in boundary:
+        modes = _modes(boundary["modes"], geo.radial)
         if geo.radial:
-            modes = _radial_modes(boundary["modes"])
             n_max = max(n for n, _, _ in modes) if modes else 0
-            a = np.zeros(n_max + 1)
-            b = np.zeros(n_max + 1)
+            a, b = np.zeros((2, n_max + 1))
             for n, ca, sa in modes:
-                if n == 0:
-                    a[0] += 2.0 * ca  # constant boundary value ca -> coefficient 2*ca
-                    if sa:
-                        raise ValidationError("constant mode has no sine part")
-                else:
-                    a[n] += ca
-                    b[n] += sa
+                if n == 0 and sa:
+                    raise ValidationError("constant mode has no sine part")
+                a[n] += 2.0 * ca if n == 0 else ca  # constant boundary value ca -> coefficient 2*ca
+                b[n] += sa
             return DiskField(a, b)
-        return HalfPlaneField(modes=_planar_modes(boundary["modes"]))
-    path = boundary["samples"]
-    if not os.path.isabs(path):
-        path = os.path.join(config_dir, path)
-    trace = BoundaryTrace.from_csv(path)
+        return HalfPlaneField(modes=modes)
+    trace = _read_trace(cfg, config_dir)
     if geo.radial:
         n_max = (trace.abscissae.size - 1) // 2
         if n_max > MAX_RADIAL_MODE:
@@ -302,8 +284,7 @@ def build_solution(cfg, method, field, geo, trunc):
     if method == "oracle":
         if "modes" not in cfg["boundary"]:
             raise ValidationError("the closed-form oracle needs mode boundary data")
-        modes = (_radial_modes if geo.radial else _planar_modes)(cfg["boundary"]["modes"])
-        return mode_exact(geo, modes)
+        return mode_exact(geo, _modes(cfg["boundary"]["modes"], geo.radial))
     raise ValidationError(f"method must be one of {METHODS}")
 
 
@@ -326,8 +307,9 @@ def _axis(triple, name):
     return start, stop, count
 
 
-def _grid_spec(cfg, geo):
-    """The config grid's two axes as (start, stop, count), with their node count bounded."""
+def _grid_spec(cfg, geo, field=None):
+    """The config grid's two axes as (start, stop, count), with their node count
+    bounded, and with it the work of evaluating the modes of `field` there."""
     grid = cfg.get("grid")
     if grid is None:
         raise ValidationError("config needs a grid for this command")
@@ -335,12 +317,19 @@ def _grid_spec(cfg, geo):
     nodes = axes[0][2] * axes[1][2]
     if nodes > MAX_GRID_NODES:
         raise ValidationError(f"grid has {nodes} nodes; at most {MAX_GRID_NODES} are allowed")
+    modes = 0 if field is None else len(geo.on_twin(field).modes)
+    if modes * nodes > MAX_MODE_NODES:
+        raise ValidationError(
+            f"{modes} boundary modes on {nodes} grid nodes are {modes * nodes} mode evaluations; "
+            f"at most {MAX_MODE_NODES} are allowed"
+        )
     return axes
 
 
-def build_grid(cfg, geo):
-    """The config grid's two axes, allocated once their node count is bounded, within the domain."""
-    axis1, axis2 = (np.linspace(*axis) for axis in _grid_spec(cfg, geo))
+def build_grid(cfg, geo, field):
+    """The config grid's two axes, allocated once their node count and the
+    evaluations of `field` on them are bounded, within the domain."""
+    axis1, axis2 = (np.linspace(*axis) for axis in _grid_spec(cfg, geo, field))
     lo, hi = geo.domain
     eps = 1e-9
     if axis1[0] < lo - eps or axis1[-1] > hi + eps:
@@ -384,11 +373,7 @@ def write_grid_csv(path, problem, solution, axis1, axis2, values):
 
 
 def _out_path(cfg, args, default):
-    if args.out:
-        return args.out
-    if "output" in cfg and "path" in cfg["output"]:
-        return cfg["output"]["path"]
-    return default
+    return args.out or cfg.get("output", {}).get("path", default)
 
 
 def _config_dir(args):
@@ -408,28 +393,26 @@ def cmd_solve(cfg, args) -> int:
     if args.strict and method == "series" and geo.coupled:
         diag = convergence_diagnostic(geo, field, trunc)
         if diag.recommendation != "series":
-            escalated = {
-                "error": "regime warning escalated",
-                "rho": diag.rho,
-                "j_needed": diag.j_needed,
-                "recommendation": diag.recommendation,
-            }
-            print(_strict_json(escalated), file=sys.stderr)
+            print(_strict_json({"error": "regime warning escalated", **_verdict(diag)}), file=sys.stderr)
             return 4
     solution = build_solution(cfg, method, field, geo, trunc)
-    axis1, axis2 = build_grid(cfg, geo)
+    axis1, axis2 = build_grid(cfg, geo, field)
     values = _finite_grid(evaluate_grid(solution, problem, axis1, axis2), f"the {method} solution")
     out = _out_path(cfg, args, "grid.csv")
     write_grid_csv(out, problem, solution, axis1, axis2, values)
-    summary = {"problem": problem, "method": method, "rows": int(values.size), "output": out}
-    if getattr(solution, "tail_bound", None) not in (None, float("inf")):
-        summary["tail_bound"] = solution.tail_bound
-    if getattr(solution, "terms", None) is not None:
-        summary["terms"] = solution.terms
-    if getattr(solution, "bound", None) is not None:
-        summary["layer2_bound"] = solution.bound
+    summary = {"problem": problem, "method": method, "rows": int(values.size), "output": out, **_bounds(solution)}
     print(_strict_json(summary))
     return 0
+
+
+def _bounds(solution):
+    """The bounds and ladder length that `solution` states, under the keys of
+    a solve summary: tail_bound, unless it is infinite, terms and layer2_bound."""
+    stated = {"tail_bound": getattr(solution, "tail_bound", None), "terms": getattr(solution, "terms", None),
+              "layer2_bound": getattr(solution, "bound", None)}
+    if stated["tail_bound"] == math.inf:
+        del stated["tail_bound"]
+    return {key: value for key, value in stated.items() if value is not None}
 
 
 def _check_fd_span(geo, spec):
@@ -461,10 +444,7 @@ def _solve_fd(cfg, args, geo) -> int:
         raise ValidationError("no bounded-domain oracle for the coupled half-plane")
     spec = _grid_spec(cfg, geo)
     _check_fd_span(geo, spec)
-    path = cfg["boundary"]["samples"]
-    if not os.path.isabs(path):
-        path = os.path.join(_config_dir(args), path)
-    trace = BoundaryTrace.from_csv(path)
+    trace = _read_trace(cfg, _config_dir(args))
     axis1, axis2 = (np.linspace(*axis) for axis in spec)
     if geo.radial:
         check_circle_trace(trace)
@@ -513,13 +493,11 @@ def _sweep_geometry(geo, value):
     """
     h = geo.robin_h
     sign = 1.0 if geo.rho > 0 else -1.0
-    if not geo.radial:
-        rho = sign * math.exp(2.0 * h * value)
-        k = (1.0 - rho) / (1.0 + rho)
-        return PlanarLayerConfig(l=value, k=k, a2=geo.a2), value
-    rho = sign * value ** (2.0 * h)
+    rho = sign * (value ** (2.0 * h) if geo.radial else math.exp(2.0 * h * value))
     k = (1.0 - rho) / (1.0 + rho)
-    return RadialLayerConfig(R=value, k=k), 1.0 - value
+    if geo.radial:
+        return RadialLayerConfig(R=value, k=k), 1.0 - value
+    return PlanarLayerConfig(l=value, k=k, a2=geo.a2), value
 
 
 def _sweep_values(cfg, geo, methods):
@@ -549,16 +527,15 @@ def cmd_compare(cfg, args) -> int:
     methods = cfg.get("methods")
     if not isinstance(methods, list) or len(methods) < 2:
         raise ValidationError("compare needs a methods list with at least two entries")
-    for m in methods:
-        if m not in METHODS:
-            raise ValidationError(f"method must be one of {METHODS}")
+    if any(m not in METHODS for m in methods):
+        raise ValidationError(f"method must be one of {METHODS}")
     if len(set(methods)) < len(methods):
         # n copies of one method would hold n + n(n-1)/2 grids
         raise ValidationError(f"compare methods must be distinct, got {methods}")
     sweep = _sweep_values(cfg, geo, methods)
     field = boundary_field(cfg, geo, config_dir=_config_dir(args))
     trunc = truncation_policy(cfg)
-    axis1, axis2 = build_grid(cfg, geo)
+    axis1, axis2 = build_grid(cfg, geo, field)
 
     solutions = [build_solution(cfg, m, field, geo, trunc) for m in methods]
     grids = [
@@ -566,22 +543,14 @@ def cmd_compare(cfg, args) -> int:
     ]
 
     summary = {"problem": problem, "methods": methods, "grid_points": int(grids[0].size)}
-    diffs = {}
-    for i in range(len(methods)):
-        for j in range(i + 1, len(methods)):
-            key = f"{methods[i]}|{methods[j]}"
-            diffs[key] = float(np.max(np.abs(grids[i] - grids[j])))
-    summary["max_abs_diff"] = diffs
-    bounds = {}
-    for m, s in zip(methods, solutions):
-        tb = getattr(s, "tail_bound", None)
-        if tb is not None and math.isfinite(tb):
-            bounds[m] = tb
-    if bounds:
-        summary["bounds"] = bounds
-    layer2_bounds = {m: s.bound for m, s in zip(methods, solutions) if getattr(s, "bound", None) is not None}
-    if layer2_bounds:
-        summary["layer2_bounds"] = layer2_bounds
+    summary["max_abs_diff"] = {
+        f"{a}|{b}": float(np.max(np.abs(ga - gb))) for (a, ga), (b, gb) in combinations(zip(methods, grids), 2)
+    }
+    stated = [_bounds(s) for s in solutions]
+    for key, name in (("tail_bound", "bounds"), ("layer2_bound", "layer2_bounds")):
+        per_method = {m: bounds[key] for m, bounds in zip(methods, stated) if key in bounds}
+        if per_method:
+            summary[name] = per_method
 
     if sweep is not None:
         thicknesses, errs, ks = [], [], []
@@ -608,51 +577,47 @@ def cmd_compare(cfg, args) -> int:
 
 
 def _write_compare_csv(path, geo, methods, axis1, axis2, grids):
-    cols = ",".join(geo.axes)
-    names = ",".join(f"u_{m}" for m in methods)
-    pairs = [(a, b) for a in range(len(methods)) for b in range(a + 1, len(methods))]
-    pair_names = ",".join(f"absdiff_{methods[a]}_{methods[b]}" for a, b in pairs)
-    diffs = [np.abs(grids[a] - grids[b]) for a, b in pairs]
+    pairs = list(combinations(zip(methods, grids), 2))
+    names = [*geo.axes, *(f"u_{m}" for m in methods), *(f"absdiff_{a}_{b}" for (a, _), (b, _) in pairs)]
     from .gridcsv import write_grid
 
-    write_grid(path, f"{cols},{names},{pair_names}", axis1, axis2, grids + diffs)
+    write_grid(path, ",".join(names), axis1, axis2, grids + [np.abs(ga - gb) for (_, ga), (_, gb) in pairs])
 
 
 def cmd_verify(cfg, args) -> int:
-    problem = cfg["problem"]
     geo = geometry_config(cfg)
     method = cfg.get("method", "series")
     field = boundary_field(cfg, geo, config_dir=_config_dir(args))
     trunc = truncation_policy(cfg)
     solution = build_solution(cfg, method, field, geo, trunc)
     report = residual_report(solution, field)
-    tols = dict(_DEFAULT_TOLS)
-    tols.update({k: _number(v, f"tolerances {k}") for k, v in cfg.get("tolerances", {}).items()})
+    tols = {**_DEFAULT_TOLS, **{k: _number(v, f"tolerances {k}") for k, v in cfg.get("tolerances", {}).items()}}
     checks = {}
-    all_pass = True
-    for name in ("pde_residual", "boundary_mismatch", "value_jump", "flux_jump"):
+    for name, tol in tols.items():
         value = getattr(report, name)
-        ok = value <= tols[name]
-        checks[name] = {"value": value, "tol": tols[name], "pass": ok}
-        all_pass = all_pass and ok
+        checks[name] = {"value": value, "tol": tol, "pass": value <= tol}
+    all_pass = all(check["pass"] for check in checks.values())
 
-    result = {"problem": problem, "method": method, "checks": checks, "all_pass": all_pass}
+    result = {"problem": cfg["problem"], "method": method, "checks": checks, "all_pass": all_pass}
 
     if args.grid:
-        nodes = math.prod(count for _, _, count in _grid_spec(cfg, geo)) if "grid" in cfg else None
+        nodes = math.prod(count for _, _, count in _grid_spec(cfg, geo, field)) if "grid" in cfg else None
         mismatches = _check_grid_file(args.grid, solution, nodes=nodes)
-        result["grid_matches"] = mismatches == 0
-        result["grid_mismatches"] = mismatches
         all_pass = all_pass and mismatches == 0
-        result["all_pass"] = all_pass
+        result.update(grid_matches=mismatches == 0, grid_mismatches=mismatches, all_pass=all_pass)
 
+    _report(cfg, args, result)
+    return 0 if all_pass else 1
+
+
+def _report(cfg, args, result):
+    """Print `result` as indented JSON, and write the same text to the output path if there is one."""
     out = _out_path(cfg, args, None)
     text = _strict_json(result, indent=2)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     print(text)
-    return 0 if all_pass else 1
 
 
 def _check_grid_file(path, solution, nodes=None) -> int:
@@ -662,40 +627,40 @@ def _check_grid_file(path, solution, nodes=None) -> int:
     A value matches when the file holds its repr, so the check shares no
     code with the CSV writer.  The header must be the solve header of the
     solution's geometry and at least one data row must follow, or the
-    file is rejected.  The data rows are read GRID_CHUNK characters at a
-    time, in whole lines, and each chunk is checked before the next is
-    read, so memory does not grow with the file.  A chunk's coordinate
-    columns are parsed as whole arrays; a data row that is not four
-    fields with numeric coordinates is rejected with its line number.
-    Given the grid's node count `nodes`, each row missing from it or extra
-    to it counts as one more mismatch.
+    file is rejected.  The file is read a block at a time (`read_lines`),
+    and each block is checked before the next is read, so memory does not
+    grow with the file.  A block's coordinate columns are parsed as whole
+    arrays; a data row that is not four fields with numeric coordinates is
+    rejected with its line number.  Given the grid's node count `nodes`,
+    each row missing from it or extra to it counts as one more mismatch.
     """
     expected = ",".join(solution.geometry.axes) + ",region,u"
     count = mismatches = 0
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
+        blocks = read_lines(fh)
+        _, lines = next(blocks, (1, [""]))
+        header = lines[0].strip()
         if header != expected:
             raise ValidationError(f"{path!s} has header {header!r}, not the solve header {expected!r}")
-        number = 2  # the line number of the chunk's first line
-        for lines in iter(lambda: fh.readlines(GRID_CHUNK), []):
+        for number, lines in chain([(2, lines[1:])], blocks):
             rows = [line for line in map(str.strip, lines) if line]
-            if rows:
-                fields = ",".join(rows).split(",")
-                try:
-                    if set(map(str.count, rows, repeat(","))) != {3}:
-                        raise ValueError("a row without four fields")
-                    p, q = _floats(fields[0::4]), _floats(fields[1::4])
-                except ValueError:
-                    number, line = _first_malformed_row(lines, number)
-                    raise ValidationError(
-                        f"expected four fields with numeric coordinates in {path!s}, line {number}: {line!r}"
-                    ) from None
-                values = _layered_values(solution, p, q[:, None])[:, 0]
-                regions = np.where(solution.geometry.in_layer2(p), "2", "1").tolist()
-                pairs = zip(fields[2::4], fields[3::4], regions, map(repr, values.tolist()))
-                mismatches += sum(got != region or written != value for got, written, region, value in pairs)
-                count += len(rows)
-            number += len(lines)
+            if not rows:
+                continue
+            fields = ",".join(rows).split(",")
+            try:
+                if set(map(str.count, rows, repeat(","))) != {3}:
+                    raise ValueError("a row without four fields")
+                p, q = _floats(fields[0::4]), _floats(fields[1::4])
+            except ValueError:
+                number, line = _first_malformed_row(lines, number)
+                raise ValidationError(
+                    f"expected four fields with numeric coordinates in {path!s}, line {number}: {line!r}"
+                ) from None
+            values = _layered_values(solution, p, q[:, None])[:, 0]
+            regions = np.where(solution.geometry.in_layer2(p), "2", "1").tolist()
+            pairs = zip(fields[2::4], fields[3::4], regions, map(repr, values.tolist()))
+            mismatches += sum(got != region or written != value for got, written, region, value in pairs)
+            count += len(rows)
     if not count:
         raise ValidationError(f"{path!s} holds no data rows")
     return mismatches + (abs(count - nodes) if nodes is not None else 0)
@@ -723,27 +688,21 @@ def _first_malformed_row(lines, number):
     raise AssertionError("every row parses")
 
 
+def _verdict(diag):
+    """What the regime diagnostic `diag` says: the ladder ratio, its length and the route to take."""
+    return {"rho": diag.rho, "j_needed": diag.j_needed, "recommendation": diag.recommendation}
+
+
 def cmd_regimes(cfg, args) -> int:
-    problem = cfg["problem"]
     geo = geometry_config(cfg)
     if not geo.coupled:
         raise ValidationError("the regime diagnostic applies to the coupled problems")
     field = boundary_field(cfg, geo, config_dir=_config_dir(args))
     diag = convergence_diagnostic(geo, field, truncation_policy(cfg))
-    result = {
-        "problem": problem,
-        "rho": diag.rho,
-        "j_needed": diag.j_needed,
-        "recommendation": diag.recommendation,
-    }
+    result = {"problem": cfg["problem"], **_verdict(diag)}
     if diag.tol is not None:
         result["tol"] = diag.tol
-    out = _out_path(cfg, args, None)
-    text = _strict_json(result, indent=2)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
+    _report(cfg, args, result)
     return 0
 
 
@@ -784,7 +743,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, LayerFieldError) as exc:
+    except (LayerFieldError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
@@ -792,9 +751,6 @@ def main(argv=None) -> int:
         return 2
     except UnicodeDecodeError as exc:
         print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -14,12 +14,15 @@ modes.
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
 from .errors import CapabilityError, UndersamplingError, ValidationError
 
 TWO_PI = 2.0 * math.pi
+#: characters of a text input read at a time; a longer line is refused
+LINE_CHUNK = 1 << 18
 
 
 def geometric_weights(ratio: float, decay, terms: int) -> np.ndarray:
@@ -282,25 +285,53 @@ class BoundaryTrace:
 
         The first non-empty line may be a header if it has no digit in it;
         any other row that is not two numbers is rejected with its line
-        number.
+        number.  The file is read a block at a time (`read_lines`), and
+        the samples are kept as machine doubles, not as Python objects.
         """
+        samples, header = array("d"), True
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [(number, line.strip()) for number, line in enumerate(fh, start=1) if line.strip()]
-        if lines and not any(c.isdigit() for c in lines[0][1]):
-            lines = lines[1:]  # header
-        rows = []
-        for number, line in lines:
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 2:
-                raise ValidationError(f"expected two columns in {path!s}, line {number}: {line!r}")
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                raise ValidationError(f"non-numeric row in {path!s}, line {number}: {line!r}") from None
+            for number, lines in read_lines(fh):
+                for number, line in enumerate(map(str.strip, lines), start=number):
+                    if not line:
+                        continue
+                    if header:
+                        header = False
+                        if not any(c.isdigit() for c in line):
+                            continue
+                    parts = [p.strip() for p in line.split(",")]
+                    if len(parts) != 2:
+                        raise ValidationError(f"expected two columns in {path!s}, line {number}: {line!r}")
+                    try:
+                        samples.extend((float(parts[0]), float(parts[1])))
+                    except ValueError:
+                        raise ValidationError(f"non-numeric row in {path!s}, line {number}: {line!r}") from None
+        rows = np.array(samples).reshape(-1, 2)
         if len(rows) < 2:
             raise ValidationError(f"no usable samples in {path!s}")
-        t, v = zip(*rows)
-        return cls(np.array(t), np.array(v))
+        return cls(*rows.T.copy())
+
+
+def read_lines(fh):
+    """(number of the first line, lines without their newlines) for each block of the open text file `fh`.
+
+    Each read takes at most LINE_CHUNK characters, split at newlines here;
+    the unfinished last line is carried over to the next block, so memory
+    is bounded by the chunk, not by the file or a line.  A line longer
+    than LINE_CHUNK characters fails validation with its number.
+    """
+    number, tail = 1, ""
+    for block in iter(lambda: fh.read(LINE_CHUNK), ""):
+        lines = (tail + block).split("\n")
+        # only the first line and the unfinished last one span two reads
+        for at in (0, len(lines) - 1):
+            if len(lines[at]) > LINE_CHUNK:
+                raise ValidationError(f"a line longer than {LINE_CHUNK} characters in {fh.name!s}, line {number + at}")
+        tail = lines.pop()
+        if lines:
+            yield number, lines
+            number += len(lines)
+    if tail:
+        yield number, [tail]
 
 
 def check_circle_trace(trace: BoundaryTrace) -> None:

@@ -10,6 +10,7 @@ import pytest
 import layerfield
 from layerfield import cli
 from layerfield.cli import main
+from layerfield.errors import ValidationError
 from layerfield.harmonic import HalfPlaneField
 from layerfield.series import MAX_LADDER_TERMS, PlanarLayerConfig
 
@@ -1335,3 +1336,146 @@ def test_asymptotic_layer2_bound_is_printed(tmp_path, capsys, problem):
     rows = np.loadtxt(out, delimiter=",", skiprows=1)
     layer2 = geo.in_layer2(rows[:, 0])
     assert layer2.any() and np.max(rows[layer2, 4]) <= bound + compared["bounds"]["series"]
+
+
+def _planar(*modes, **overrides):
+    return strip_config(boundary={"modes": list(modes)}, **overrides)
+
+
+def _radial(*modes, **overrides):
+    return {**annulus_config(list(modes)), **overrides}
+
+
+#: (command, config, the exact message) of every rule of the mode grammar
+#: and of the optional blocks, on both the layered routes and the oracle
+GRAMMAR = {
+    "planar-not-a-list": ("solve", strip_config(boundary={"modes": {"omega": 1.0}}), "boundary modes must be a list"),
+    "radial-not-a-list": ("solve", annulus_config(3), "boundary modes must be a list"),
+    "planar-mode-not-an-object": ("solve", _planar(1.0), "planar mode must be a JSON object, got 1.0"),
+    "radial-mode-not-an-object": ("solve", _radial([1]), "radial mode must be a JSON object, got [1]"),
+    "planar-unknown-key": ("solve", _planar({"omega": 1.0, "n": 1}), "unknown planar mode field(s): ['n']"),
+    "radial-unknown-key": ("solve", _radial({"n": 1, "A": 1.0}), "unknown radial mode field(s): ['A']"),
+    "planar-missing-omega": ("solve", _planar({"A": 1.0}), "planar mode needs omega"),
+    "radial-missing-n": ("solve", _radial({"a": 1.0}), "radial mode needs n"),
+    "omega-text": ("solve", _planar({"omega": "one"}), "planar mode omega must be a number, got 'one'"),
+    "omega-zero": ("solve", _planar({"omega": 0}), "planar mode omega must be > 0, got 0.0"),
+    "omega-negative": ("solve", _planar({"omega": -2.5}), "planar mode omega must be > 0, got -2.5"),
+    "omega-negative-oracle": ("solve", _planar({"omega": -2.5}, method="oracle"),
+                              "planar mode omega must be > 0, got -2.5"),
+    "n-negative": ("solve", _radial({"n": -1}), "radial mode n must lie in [0, 10000], got -1"),
+    "n-over-the-cap": ("solve", _radial({"n": 10_001}), "radial mode n must lie in [0, 10000], got 10001"),
+    "n-over-the-cap-oracle": ("solve", _radial({"n": 10_001}, method="oracle"),
+                              "radial mode n must lie in [0, 10000], got 10001"),
+    "n-fraction": ("solve", _radial({"n": 1.5}), "radial mode n must be an integer, got 1.5"),
+    "n-bool": ("solve", _radial({"n": True}), "radial mode n must be a number, got True"),
+    "A-text": ("solve", _planar({"omega": 1.0, "A": "x"}), "planar mode A must be a number, got 'x'"),
+    "phi-list": ("solve", _planar({"omega": 1.0, "phi": [0.0]}), "planar mode phi must be a number, got [0.0]"),
+    "a-bool": ("solve", _radial({"n": 1, "a": False}), "radial mode a must be a number, got False"),
+    "b-text": ("solve", _radial({"n": 1, "b": "0,1"}), "radial mode b must be a number, got '0,1'"),
+    "b-text-oracle": ("solve", _radial({"n": 1, "b": "0,1"}, method="oracle"),
+                      "radial mode b must be a number, got '0,1'"),
+    "constant-mode-sine": ("solve", _radial({"n": 0, "b": 1.0}), "constant mode has no sine part"),
+    "truncation-not-an-object": ("solve", strip_config(truncation=[1]), "truncation must be a JSON object, got [1]"),
+    "truncation-unknown-key": ("solve", strip_config(truncation={"terms": 5}), "unknown truncation field(s): ['terms']"),
+    "truncation-J-text": ("solve", strip_config(truncation={"J": "five"}), "truncation J must be a number, got 'five'"),
+    "truncation-tol-bool": ("solve", strip_config(truncation={"tol": True}), "truncation tol must be a number, got True"),
+    "grid-not-an-object": ("solve", strip_config(grid="x"), "grid must be a JSON object, got 'x'"),
+    "grid-unknown-key": ("solve", strip_config(grid={"x": [0.0, 0.5, 3], "r": [0.0, 1.0, 3]}),
+                         "unknown grid field(s): ['r']"),
+    "grid-count-text": ("solve", strip_config(grid={"x": [0.0, 0.5, "three"], "y": [0.0, 1.0, 3]}),
+                        "grid axis x count must be a number, got 'three'"),
+    "sweep-not-an-object": ("compare", {**strip_config(), "methods": ["series", "asymptotic"], "sweep": [0.1]},
+                            "sweep must be a JSON object, got [0.1]"),
+    "sweep-unknown-key": ("compare", {**strip_config(), "methods": ["series", "asymptotic"], "sweep": {"k": [1]}},
+                          "unknown sweep field(s): ['k']"),
+    "tolerances-not-an-object": ("verify", strip_config(tolerances=1e-6), "tolerances must be a JSON object, got 1e-06"),
+    "tolerances-unknown-key": ("verify", strip_config(tolerances={"pde": 1e-6}), "unknown tolerances field(s): ['pde']"),
+    "tolerances-value-text": ("verify", strip_config(tolerances={"flux_jump": "tight"}),
+                              "tolerances flux_jump must be a number, got 'tight'"),
+    "output-not-an-object": ("solve", strip_config(output="g.csv"), "output must be a JSON object, got 'g.csv'"),
+    "output-unknown-key": ("solve", strip_config(output={"file": "g.csv"}), "unknown output field(s): ['file']"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAMMAR))
+def test_every_grammar_rule_states_its_message(tmp_path, capsys, case):
+    command, cfg, message = GRAMMAR[case]
+    code, stdout, err = run_cli([command, "--config", write_config(tmp_path, "c.json", cfg)], capsys)
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+
+
+#: one line of 20 MB with no newline, as a file input may hold
+LONG_LINE = "0.5," + "1" * 20_000_000
+
+
+def test_verify_grid_refuses_a_data_line_over_the_chunk_in_bounded_memory(tmp_path, capsys):
+    # the whole line was held before the row was rejected: a 60 MB peak
+    from layerfield.harmonic import LINE_CHUNK
+
+    cfg = write_config(tmp_path, "strip.json", strip_config())
+    grid = tmp_path / "grid.csv"
+    grid.write_text("x,y,region,u\n" + LONG_LINE)
+    code, err, peak = run_cli_traced(["verify", "--config", cfg, "--grid", str(grid)], capsys)
+    assert code == 2
+    assert err == f"error: a line longer than {LINE_CHUNK} characters in {grid}, line 2\n"
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("command", ["solve", "compare", "regimes"])
+def test_a_trace_line_over_the_chunk_is_refused_in_bounded_memory(tmp_path, capsys, command):
+    from layerfield.harmonic import LINE_CHUNK
+
+    (tmp_path / "trace.csv").write_text(LONG_LINE)
+    cfg = {"problem": "disk_coupled", "geometry": {"R": 0.5, "k": 0.5}, "boundary": {"samples": "trace.csv"},
+           "grid": {"r": [0.0, 1.0, 3], "theta": [0.0, 6.0, 3]}}
+    cfg.update({"methods": ["series", "asymptotic"]} if command == "compare" else {"method": "series"})
+    path = write_config(tmp_path, "trace.json", cfg)
+    code, err, peak = run_cli_traced([command, "--config", path, "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert err == f"error: a line longer than {LINE_CHUNK} characters in {tmp_path / 'trace.csv'}, line 1\n"
+    assert peak < 16 * 2**20 and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "compare", "verify"])
+def test_modes_times_nodes_over_the_cap_exit_2_before_evaluation(tmp_path, capsys, monkeypatch, command):
+    # 10,000 modes on 400 x 300 nodes: the grid alone evaluated for seconds
+    import time
+
+    modes = [{"omega": 1.0 + j / 100.0} for j in range(10_000)]
+    cfg = strip_config(boundary={"modes": modes}, grid={"x": [0.0, 0.5, 400], "y": [-1.0, 1.0, 300]})
+    if command == "compare":
+        cfg = {**cfg, "methods": [cfg.pop("method"), "identity"]}
+    grid = tmp_path / "grid.csv"
+    grid.write_text("x,y,region,u\n0.0,0.0,1,1.0\n")
+    argv = [command, "--config", write_config(tmp_path, "many.json", cfg), "--out", str(tmp_path / "out")]
+    for name in ("evaluate_grid", "_check_grid_file"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("a grid was evaluated"))
+    start = time.perf_counter()
+    code, stdout, err = run_cli(argv + (["--grid", str(grid)] if command == "verify" else []), capsys)
+    # verify's residual report sums the 10,000 modes on its rings first, about 1 s
+    assert command == "verify" or time.perf_counter() - start < 1.0
+    assert (code, stdout) == (2, "")
+    assert err == (f"error: 10000 boundary modes on 120000 grid nodes are 1200000000 mode evaluations; "
+                   f"at most {cli.MAX_MODE_NODES} are allowed\n")
+
+
+def test_modes_times_nodes_at_the_cap_is_accepted():
+    # 200 active disk modes on 5e6 nodes are the cap; a mode of amplitude 0 is not evaluated
+    cfg = annulus_config([{"n": n} for n in range(1, 201)] + [{"n": 201, "a": 0.0}])
+    geo = cli.geometry_config(cfg)
+    field = cli.boundary_field(cfg, geo)
+    cfg["grid"] = {"r": [0.7, 1.0, 2_000], "theta": [0.0, 6.0, 2_500]}
+    assert [count for _, _, count in cli._grid_spec(cfg, geo, field)] == [2_000, 2_500]
+    cfg["grid"]["theta"][2] += 1
+    with pytest.raises(ValidationError, match="^200 boundary modes on 5002000 grid nodes are 1000400000 mode"):
+        cli._grid_spec(cfg, geo, field)
+
+
+@pytest.mark.parametrize("samples", [5, None, True, ["trace.csv"], ""], ids=["int", "null", "bool", "list", "empty"])
+@pytest.mark.parametrize("command", ["solve", "regimes"])
+def test_boundary_samples_must_be_a_path(tmp_path, capsys, command, samples):
+    # a number, null, a bool or a list raised TypeError out of os.path: a traceback and exit 1
+    cfg = {"problem": "disk_coupled", "geometry": {"R": 0.5, "k": 0.5}, "boundary": {"samples": samples},
+           "method": "series", "grid": {"r": [0.0, 1.0, 3], "theta": [0.0, 6.0, 3]}}
+    code, stdout, err = run_cli([command, "--config", write_config(tmp_path, "c.json", cfg)], capsys)
+    assert (code, stdout, err) == (2, "", f"error: boundary.samples must be a non-empty string, got {samples!r}\n")

@@ -2,8 +2,11 @@
 
 A valid config of each problem takes one mutation: a key dropped or
 added, a number swapped for a bool, a string, a list, 0, a negative,
-+-1e+-300, a subnormal or a 300-digit integer, a count set to 10^9, or
-output.path swapped for a bool, a number, an empty string or a list.
++-1e+-300, a subnormal or a 300-digit integer, a count set to 10^9,
+output.path swapped for a bool, a number, an empty string or a list, or
+the boundary modes swapped for a drawn trace file: a valid one, one that
+is not a uniform period, a header alone, a malformed row or a line over
+the reader's chunk.
 Every command then runs it in-process.  Each run must exit 0, 2, 3 or 4
 (1 only from `verify`, with every check finite), print strict JSON, and
 end within a fixed time and traced-memory peak.  A solved grid file,
@@ -27,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerfield.cli import MAX_RADIAL_MODE, METHODS, main
+from layerfield.harmonic import LINE_CHUNK
 
 PLANAR = [{"omega": 1.3, "A": 0.7, "phi": 0.2}, {"omega": 3.1, "A": -0.4}]
 RADIAL = [{"n": 1, "a": 0.7, "b": 0.1}, {"n": 3, "a": -0.2}]
@@ -81,14 +85,45 @@ def is_count(path):
     return path[-1] == "n" or (path[0] == "grid" and path[-1] == 2) or path == ("truncation",)
 
 
+def _rows(abscissae):
+    return "".join(f"{t!r},{math.cos(t)!r}\n" for t in abscissae)
+
+
+def _samples(count, circle):
+    """`count` evenly spaced abscissae over one period of the circle, or over [-1, 1] on a line."""
+    return [2.0 * math.pi * j / count if circle else -1.0 + 2.0 * j / (count - 1) for j in range(count)]
+
+
+#: the text of each trace file a mutation may name in boundary.samples,
+#: given whether the problem reads a circle
+TRACE_FILES = {
+    "uniform": lambda circle: "t,u\n" + _rows(_samples(32, circle)),
+    "non-uniform": lambda circle: _rows(t + 0.05 * math.sin(3.0 * t) for t in _samples(32, circle)),
+    "repeated-abscissa": lambda circle: _rows(_samples(32, circle)[:1] + _samples(32, circle)),
+    "header-only": lambda circle: "t,u\n",
+    "three-columns": lambda circle: "0.0,1.0\n0.5,1.0,2.0\n1.0,0.5\n",
+    "non-numeric": lambda circle: "0.0,1.0\n0.5,one\n1.0,0.5\n",
+    "over-the-chunk": lambda circle: "0.0,1.0\n0.5," + "1" * LINE_CHUNK + "\n1.0,0.5\n",
+}
+
+
+def with_trace(cfg, trace):
+    """`cfg` with its boundary modes swapped for the trace file `trace`, on a
+    grid the finite-difference solve honours."""
+    grid = TRACE_GRIDS.get(cfg["problem"], cfg["grid"])
+    return {**cfg, "boundary": {"samples": f"{trace}.csv"}, "grid": copy.deepcopy(grid)}
+
+
 @st.composite
 def mutated(draw, problem):
     cfg = base_config(problem, draw(st.sampled_from(METHODS)))
     every = list(nodes(cfg))
-    kind = draw(st.sampled_from(["drop", "add", "swap", "count", "path"]))
+    kind = draw(st.sampled_from(["drop", "add", "swap", "count", "path", "samples"]))
     if kind == "path":
         cfg["output"]["path"] = draw(st.sampled_from(PATH_SWAPS))
         return cfg
+    if kind == "samples":
+        return with_trace(cfg, draw(st.sampled_from(sorted(TRACE_FILES))))
     if kind == "drop":
         path = draw(st.sampled_from([p for p, _ in every]))
     elif kind == "add":
@@ -142,13 +177,15 @@ def run(argv):
     return code, out.getvalue(), err.getvalue(), seconds, peak
 
 
-@pytest.mark.parametrize("problem", sorted(VALID))
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_every_mutated_config_keeps_the_contract(problem, data):
-    cfg = data.draw(mutated(problem))
+def keeps_the_contract(problem, cfg):
+    """Run `cfg` through every command in a directory of its own, with the
+    trace file it names, and check each run's exit code, output, time and peak."""
     with tempfile.TemporaryDirectory() as tmp:
         grid = os.path.join(tmp, "grid.csv")
+        if "samples" in cfg.get("boundary", {}):
+            name = cfg["boundary"]["samples"]
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(TRACE_FILES[name[:-len(".csv")]](problem in CIRCLE_PROBLEMS))
         for command in COMMANDS:
             path = os.path.join(tmp, f"{command}.json")
             with open(path, "w", encoding="utf-8") as fh:
@@ -168,6 +205,21 @@ def test_every_mutated_config_keeps_the_contract(problem, data):
             report = json.loads(out, parse_constant=reject_constant)
             if code == 1:
                 assert all(math.isfinite(check["value"]) for check in report["checks"].values()), where
+
+
+@pytest.mark.parametrize("problem", sorted(VALID))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_every_mutated_config_keeps_the_contract(problem, data):
+    keeps_the_contract(problem, data.draw(mutated(problem)))
+
+
+@pytest.mark.parametrize("method", ["series", "oracle"])
+@pytest.mark.parametrize("trace", sorted(TRACE_FILES))
+@pytest.mark.parametrize("problem", sorted(VALID))
+def test_every_trace_file_of_the_grammar_keeps_the_contract(problem, trace, method):
+    # the oracle method on a trace is the finite-difference solve
+    keeps_the_contract(problem, with_trace(base_config(problem, method), trace))
 
 
 def _change_one_value(lines):

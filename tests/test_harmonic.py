@@ -260,3 +260,62 @@ def test_trace_csv_rejects_a_non_numeric_row_by_line(tmp_path, text, line):
     path.write_text(text)
     with pytest.raises(ValidationError, match=f"line {line}\\b"):
         BoundaryTrace.from_csv(path)
+
+
+def _block_lines(path):
+    """Every line that read_lines yields, with its number, and how many blocks held them."""
+    from layerfield.harmonic import read_lines
+
+    with open(path, encoding="utf-8") as fh:
+        blocks = list(read_lines(fh))
+    return [(start + i, line) for start, lines in blocks for i, line in enumerate(lines)], len(blocks)
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", ""], ids=["LF", "CRLF", "no-final-newline"])
+def test_read_lines_numbers_every_line_across_blocks(tmp_path, ending):
+    from layerfield.harmonic import LINE_CHUNK
+
+    # lines of every length up to the chunk, so that reads end at every place in a line
+    lines = ["", "a,b", "x" * LINE_CHUNK, "", "1" * (LINE_CHUNK - 1), *(str(j) * (j % 97) for j in range(20_000))]
+    path = tmp_path / "lines.csv"
+    path.write_bytes((ending or "\n").join(lines).encode() + ending.encode())
+    got, blocks = _block_lines(path)
+    assert got == list(enumerate(lines, start=1))
+    assert blocks > 5
+
+
+@pytest.mark.parametrize("where", ["first", "after-a-block", "last-without-newline"])
+def test_read_lines_refuses_a_line_over_the_chunk_with_its_number(tmp_path, where):
+    from layerfield.harmonic import LINE_CHUNK, read_lines
+
+    # one character over the chunk, wherever the reads split it
+    long = "7" * (LINE_CHUNK + 1)
+    lines = {"first": [long, "1,2"], "after-a-block": ["1,2"] * 30_000 + [long, "3,4"],
+             "last-without-newline": ["1,2"] * 5 + [long]}[where]
+    path = tmp_path / "long.csv"
+    path.write_text("\n".join(lines) + ("" if where == "last-without-newline" else "\n"))
+    number = lines.index(long) + 1
+    with open(path, encoding="utf-8") as fh, pytest.raises(ValidationError) as info:
+        list(read_lines(fh))
+    assert str(info.value) == f"a line longer than {LINE_CHUNK} characters in {path}, line {number}"
+
+
+def test_trace_csv_of_many_samples_reads_in_bounded_memory(tmp_path):
+    # 400,000 samples, 15 MB of text: as one string per line, as the reader
+    # once held them, the read peaked at about 140 MiB
+    import tracemalloc
+
+    t = np.arange(400_000) * (2.0 * math.pi / 400_000)
+    v = np.cos(3.0 * t) + 0.1 * np.sin(7.0 * t)
+    path = tmp_path / "trace.csv"
+    path.write_text("t,u\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), v.tolist())))
+    tracemalloc.start()
+    try:
+        trace = BoundaryTrace.from_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    for got, written in ((trace.abscissae, t), (trace.values, v)):
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tobytes() == written.tobytes()
