@@ -19,8 +19,8 @@ import numpy as np
 
 from .. import _lazy_exports
 from ..errors import ValidationError
-from ..harmonic import DiskField, HalfPlaneField
-from ..series import Geometry, LayeredSolution, PlanarLayerConfig, RadialLayerConfig, _twin_problem
+from ..harmonic import HalfPlaneField
+from ..series import Geometry, LayeredSolution, _twin_problem
 
 # benchmarks/tracer.py times the variation estimators under these names,
 # though no route calls any of them; they resolve on first use (PEP 562),
@@ -150,21 +150,18 @@ def thin_layer_solution(geometry: Geometry, field) -> LayeredSolution:
 
 
 # benchmarks/workloads.py reads `.bound` through the next two names; ROADMAP item 5 unpins them
-def halfplane_small_contrast(field: HalfPlaneField, config: PlanarLayerConfig) -> LayeredSolution:
-    """Low-contrast (k < 1) thin-layer approximation of the coupled half-plane.
+def halfplane_small_contrast(field, config: Geometry) -> LayeredSolution:
+    """Low-contrast (k < 1) thin-layer approximation of a coupled problem:
+    the half-plane, or the disk as `disk_small_contrast`, which is this function.
 
-    u2 ~ (1 - rho)/(2l) * u3(outer(x),y) and u1 ~ (u3(x,y) - rho*u3(2l-x,y))/(2l),
-    where u3 is the Robin companion at h = ln(rho)/(2l).  bound_at(x)
-    bounds |u2 - series| at every y, in closed form; bound is its value
-    at x = l (see `thin_layer_solution`).
+    On the half-plane u2 ~ (1 - rho)/(2l) * u3(outer(x),y) and
+    u1 ~ (u3(x,y) - rho*u3(2l-x,y))/(2l), where u3 is the Robin companion
+    at h = ln(rho)/(2l).  bound_at(x) bounds |u2 - series| at every y, in
+    closed form; bound is its value at x = l (see `thin_layer_solution`).
     """
     if not (0.0 < config.k < 1.0):
         raise ValidationError("low-contrast approximation needs 0 < k < 1")
     return thin_layer_solution(config, field)
 
 
-def disk_small_contrast(field: DiskField, config: RadialLayerConfig) -> LayeredSolution:
-    """Low-contrast (k < 1) thin-shell approximation of the coupled disk."""
-    if not (0.0 < config.k < 1.0):
-        raise ValidationError("low-contrast approximation needs 0 < k < 1")
-    return thin_layer_solution(config, field)
+disk_small_contrast = halfplane_small_contrast

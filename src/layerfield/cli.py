@@ -28,8 +28,6 @@ from .series import (
     Geometry,
     LayeredSolution,
     MaxTerms,
-    PlanarLayerConfig,
-    RadialLayerConfig,
     TailTol,
     convergence_diagnostic,
     series_solution,
@@ -82,6 +80,9 @@ MAX_SWEEP_VALUES = 1_000
 #: largest number of modes times grid nodes accepted from a config; grid
 #: evaluation sums every mode at every node, about 2 s at the cap
 MAX_MODE_NODES = 10**9
+#: largest number of modes times compare sweep values accepted from a config;
+#: each value solves every mode by two routes, about 2 s at the cap
+MAX_SWEEP_MODES = 30_000
 
 _DEFAULT_TOLS = {
     "pde_residual": 1e-6,
@@ -102,14 +103,16 @@ def _reject_unknown(mapping, allowed, where):
 def _number(value, what, kind=float):
     """Convert a config value with `kind`, failing validation instead of raising.
 
-    A JSON boolean is not a number, and an integer field takes no
-    fraction: int(2.5) would silently truncate it to 2.
+    Only a JSON number is a number: kind() would also read a string such
+    as "1e400" or "5", and a JSON boolean is an int to Python.  An
+    integer field takes no fraction: int(2.5) would silently truncate it
+    to 2.
     """
     try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
+        number = kind(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else None
+    except (ValueError, OverflowError):
         number = None
-    if number is None or isinstance(value, bool):
+    if number is None:
         raise ValidationError(f"{what} must be a number, got {value!r}")
     if kind is int and isinstance(value, float) and number != value:
         raise ValidationError(f"{what} must be an integer, got {value!r}")
@@ -189,15 +192,8 @@ def load_config(path) -> dict:
 
 
 def geometry_config(cfg):
-    problem = cfg["problem"]
-    g = cfg["geometry"]
-    if problem == "strip":
-        return Geometry(problem, g.get("l"))
-    if problem == "annulus":
-        return Geometry(problem, g.get("R"))
-    if problem == "halfplane_coupled":
-        return PlanarLayerConfig(l=g.get("l"), k=g.get("k"), a2=g.get("a2", 1.0))
-    return RadialLayerConfig(R=g.get("R"), k=g.get("k"))
+    problem, g = cfg["problem"], cfg["geometry"]
+    return Geometry(problem, g.get("R" if AXES[problem][0] == "r" else "l"), g.get("k"), g.get("a2", 1.0))
 
 
 def _modes(raw, radial):
@@ -449,10 +445,7 @@ def _solve_fd(cfg, args, geo) -> int:
     if geo.radial:
         check_circle_trace(trace)
         fn = lambda t: np.interp(t % TWO_PI, trace.abscissae, trace.values, period=TWO_PI)
-        if geo.coupled:
-            gs = fd_disk_coupled(fn, geo, axis1.size, axis2.size)
-        else:
-            gs = fd_annulus(fn, geo.interface, axis1.size, axis2.size)
+        gs = (fd_disk_coupled if geo.coupled else fd_annulus)(fn, geo, axis1.size, axis2.size)
     else:
         (lo, hi), (y0, y1, _) = trace.window, spec[1]
         if y0 < lo - 1e-9 or y1 > hi + 1e-9:
@@ -461,7 +454,7 @@ def _solve_fd(cfg, args, geo) -> int:
         # the lateral edges carry the harmonic f(y_edge) (1 - x/l), which
         # meets the trace at x = 0 and the zero side at x = l
         lateral = lambda xx, yy: fn(yy) * (1.0 - xx / geo.interface)
-        gs = fd_strip(fn, geo.interface, (axis2[0], axis2[-1]), axis1.size, axis2.size, lateral_fn=lateral)
+        gs = fd_strip(fn, geo, (axis2[0], axis2[-1]), axis1.size, axis2.size, lateral_fn=lateral)
     _finite_grid(gs.values, "the finite-difference solution")
     out = _out_path(cfg, args, "grid.csv")
     gs.to_csv(out)
@@ -471,13 +464,13 @@ def _solve_fd(cfg, args, geo) -> int:
 
 def _sweep_points(geo):
     """Relative sample plan reused across a thickness sweep: (rows of both layers, columns)."""
+    s = geo.interface
     if not geo.radial:
-        x1 = geo.l * np.linspace(0.05, 0.95, 10)
-        x2 = geo.l + np.linspace(0.02, 1.0, 10)
+        x1 = s * np.linspace(0.05, 0.95, 10)
+        x2 = s + np.linspace(0.02, 1.0, 10)
         return np.concatenate([x1, x2]), np.linspace(-1.0, 1.0, 7)
-    R = geo.R
-    r1 = R + (1.0 - R) * np.linspace(0.05, 0.95, 10)
-    r2 = R * np.linspace(0.3, 0.95, 10)
+    r1 = s + (1.0 - s) * np.linspace(0.05, 0.95, 10)
+    r2 = s * np.linspace(0.3, 0.95, 10)
     return np.concatenate([r1, r2]), np.linspace(0.0, TWO_PI, 9)
 
 
@@ -495,9 +488,7 @@ def _sweep_geometry(geo, value):
     sign = 1.0 if geo.rho > 0 else -1.0
     rho = sign * (value ** (2.0 * h) if geo.radial else math.exp(2.0 * h * value))
     k = (1.0 - rho) / (1.0 + rho)
-    if geo.radial:
-        return RadialLayerConfig(R=value, k=k), 1.0 - value
-    return PlanarLayerConfig(l=value, k=k, a2=geo.a2), value
+    return Geometry(geo.kind, value, k, geo.a2), (1.0 - value if geo.radial else value)
 
 
 def _sweep_values(cfg, geo, methods):
@@ -534,6 +525,9 @@ def cmd_compare(cfg, args) -> int:
         raise ValidationError(f"compare methods must be distinct, got {methods}")
     sweep = _sweep_values(cfg, geo, methods)
     field = boundary_field(cfg, geo, config_dir=_config_dir(args))
+    modes = len(geo.on_twin(field).modes)
+    if sweep is not None and modes * len(sweep) > MAX_SWEEP_MODES:
+        raise ValidationError(f"{modes} modes times {len(sweep)} sweep values exceed {MAX_SWEEP_MODES} mode solves")
     trunc = truncation_policy(cfg)
     axis1, axis2 = build_grid(cfg, geo, field)
 

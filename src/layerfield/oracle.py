@@ -10,11 +10,11 @@ match, and interface value/flux continuity.
 
 The closed forms are one family, `ModeExact`: the coupled half-plane
 ladder summed geometrically, whose k = 0 case is the strip.  The disk
-problems' closed forms are the plane's, on the half-plane twin
-x = ln(1/r), y = theta at l = ln(1/R), which the oracle maps by itself;
-the residual report's harmonicity ring and its "fd" flux run on the
-twin as well.  The finite-difference solves stay in r, as the check of
-that map.
+problems' closed forms are the plane's, on the geometry's half-plane
+`twin` at l = ln(1/R), onto which the oracle maps points, x = ln(1/r),
+y = theta, and modes by itself; the residual report's harmonicity ring
+and its "fd" flux run on the twin as well.  The finite-difference
+solves stay in r, as the check of that map.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import ArbiterInsufficientError, CapabilityError, ValidationError
-from .series import Geometry, RadialLayerConfig
+from .series import Geometry
 
 TWO_PI = 2.0 * math.pi
 #: most terms brute_series sums to reach a tail tolerance
@@ -167,23 +167,19 @@ def mode_exact(geometry: Geometry, modes) -> ModeExact:
     Planar modes are (amplitude, frequency, phase); radial modes are
     (n, cos_amp, sin_amp) with n >= 0, where n = 0 is the constant
     boundary value cos_amp.  A disk problem is solved as its half-plane
-    twin at l = ln(1/R), the strip or the coupled half-plane with the
+    `twin` at l = ln(1/R), the strip or the coupled half-plane with the
     same k, under x = ln(1/r), y = theta.
     """
     if not isinstance(geometry, Geometry):
         raise ValidationError(f"mode_exact needs a Geometry, got {geometry!r}")
     if geometry.radial:
-        # np.log, so that r = R lands on x = l exactly
-        kind = "halfplane_coupled" if geometry.coupled else "strip"
-        twin = Geometry(kind, -float(np.log(geometry.interface)), geometry.k)
         # r^n (a cos n theta + b sin n theta) is hypot(a, b) e^(-n x) cos(n y + atan2(-b, a))
         modes = [(math.hypot(a, b), int(n), math.atan2(-b, a)) for n, a, b in modes]
         if any(n < 0 for _, n, _ in modes):
             raise ValidationError("radial mode solution needs n >= 0")
     else:
-        twin = geometry
         modes = [(float(a), float(w), float(p)) for a, w, p in modes]
-    return ModeExact(geometry, twin, modes)
+    return ModeExact(geometry, geometry.twin, modes)
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +190,8 @@ def mode_exact(geometry: Geometry, modes) -> ModeExact:
 class GridSolution:
     """Node values of a finite-difference solve on a structured grid of `geometry`."""
 
-    def __init__(self, geometry: Geometry, axes: tuple, values: np.ndarray, spacings: tuple,
-                 meta: dict | None = None):
-        self.geometry, self.axes, self.values, self.spacings = geometry, axes, values, spacings
-        self.meta = {} if meta is None else meta
+    def __init__(self, geometry: Geometry, axes: tuple, values: np.ndarray):
+        self.geometry, self.axes, self.values = geometry, axes, values
 
     def to_csv(self, path):
         """Write the grid in the solve format, as the CLI's solve does."""
@@ -255,7 +249,17 @@ def _dst1(v):
     return -0.5 * np.fft.rfft(odd, axis=-1).imag[..., 1:v.shape[-1] + 1]
 
 
-def fd_strip(boundary_fn, l: float, y_window, n_x: int, n_y: int, lateral_fn=None) -> GridSolution:
+def _check_fd_input(geometry, kind, grid_ok, need):
+    """Refuse a `geometry` of another problem than the FD solve's `kind`,
+    and a grid that is not `grid_ok`, saying what the solve `need`s."""
+    if not isinstance(geometry, Geometry) or geometry.kind != kind:
+        got = getattr(geometry, "kind", geometry)
+        raise ValidationError(f"the {kind} FD solve needs a {kind} Geometry, got {got!r}")
+    if not grid_ok:
+        raise ValidationError(need)
+
+
+def fd_strip(boundary_fn, geometry: Geometry, y_window, n_x: int, n_y: int, lateral_fn=None) -> GridSolution:
     """5-point solve of the strip Dirichlet problem, by a DST-I in y.
 
     boundary_fn(y) supplies the data on x=0; the x=l side is 0; lateral
@@ -263,11 +267,9 @@ def fd_strip(boundary_fn, l: float, y_window, n_x: int, n_y: int, lateral_fn=Non
     Both are called once, on the node arrays: boundary_fn(y) and
     lateral_fn(x, y_edge) for each lateral edge.
     """
-    geometry = Geometry("strip", l)
-    if n_x < 3 or n_y < 3:
-        raise ValidationError("need at least a 3x3 grid")
+    _check_fd_input(geometry, "strip", n_x >= 3 and n_y >= 3, "need at least a 3x3 grid")
     y0, y1 = float(y_window[0]), float(y_window[1])
-    x = np.linspace(0.0, l, n_x)
+    x = np.linspace(0.0, geometry.interface, n_x)
     y = np.linspace(y0, y1, n_y)
     dx = x[1] - x[0]
     dy = y[1] - y[0]
@@ -286,50 +288,57 @@ def fd_strip(boundary_fn, l: float, y_window, n_x: int, n_y: int, lateral_fn=Non
     side = np.broadcast_to(cx, rhs.shape)
     system = ModeSystem(side, np.broadcast_to(-2.0 * cx - 4.0 * cy * wave, rhs.shape), side, rhs.size)
     u[1:-1, 1:-1] = _dst1(spsolve(system, _dst1(rhs))) * (2.0 / (n_y - 1))
-    return GridSolution(geometry, (x, y), u, (dx, dy))
+    return GridSolution(geometry, (x, y), u)
 
 
-def _theta_waves(n_theta):
-    """sin^2(pi m / n_theta) for the rfft modes m: the theta neighbours of
-    mode m sum to 2 cos(2 pi m / n_theta) = 2 - 4 sin^2(pi m / n_theta) times it."""
-    return np.sin(np.pi * np.arange(n_theta // 2 + 1) / n_theta) ** 2
-
-
-def _polar_rows(ring, dr, dth, wave):
-    """Lower, diagonal and upper per-mode coefficients of the polar 5-point rows at radii `ring`."""
+def _polar_rows(ring, dr, n_theta):
+    """Lower, diagonal and upper coefficients of the polar 5-point rows at radii `ring`,
+    per rfft mode m of the n_theta nodes: the theta neighbours of mode m sum to
+    2 cos(2 pi m / n_theta) = 2 - 4 sin^2(pi m / n_theta) times it."""
     ring = ring[:, None]
+    wave = np.sin(np.pi * np.arange(n_theta // 2 + 1) / n_theta) ** 2
     cr = 1.0 / dr**2
     cc = 1.0 / (2.0 * ring * dr)
-    ct = 1.0 / (np.float_power(ring, 2) * dth**2)
+    ct = 1.0 / (np.float_power(ring, 2) * (TWO_PI / n_theta) ** 2)
     return cr - cc, -2.0 * cr - 4.0 * ct * wave, cr + cc
 
 
-def fd_annulus(boundary_fn, R: float, n_r: int, n_theta: int) -> GridSolution:
+def _polar_solve(geometry, boundary_fn, radii, n_theta, lower, diag, upper) -> GridSolution:
+    """The FD solve on the rings `radii` by the theta nodes 2 pi j / n_theta, by an rfft in theta.
+
+    lower, diag and upper are the per-mode rows of the rings between the
+    first and the last, after a row for the centre's mode 0 when the
+    first ring is r = 0.  The last ring holds boundary_fn(theta), called
+    once, and the first is 0 unless it is the centre, which is its mode 0
+    over n_theta: a batched irfft rounds it differently.
+    """
+    theta = np.arange(n_theta) * (TWO_PI / n_theta)
+    u = np.zeros((radii.size, n_theta))
+    u[-1, :] = boundary_fn(theta)
+    centre = int(radii[0] == 0.0)
+    rhs = np.zeros(diag.shape, dtype=complex)
+    rhs[-1] = -upper[-1] * np.fft.rfft(u[-1])
+    sol = spsolve(ModeSystem(lower, diag, upper, centre + (radii.size - 2) * n_theta), rhs)
+    if centre:
+        u[0] = sol[0, 0].real / n_theta
+    u[1:-1] = np.fft.irfft(sol[centre:], n=n_theta, axis=1)
+    return GridSolution(geometry, (radii, theta), u)
+
+
+def fd_annulus(boundary_fn, geometry: Geometry, n_r: int, n_theta: int) -> GridSolution:
     """Polar 5-point solve of the annulus Dirichlet problem, by an rfft in theta.
 
     boundary_fn(theta) on r=1, called once on the theta nodes; zero data
     on r=R, periodic in theta.
     """
-    geometry = Geometry("annulus", R)
-    if n_r < 3 or n_theta < 8:
-        raise ValidationError("need n_r >= 3, n_theta >= 8")
-    r = np.linspace(R, 1.0, n_r)
-    theta = np.arange(n_theta) * (TWO_PI / n_theta)
-    dr = r[1] - r[0]
-    dth = TWO_PI / n_theta
-    u = np.zeros((n_r, n_theta))
-    u[-1, :] = boundary_fn(theta)
-
+    _check_fd_input(geometry, "annulus", n_r >= 3 and n_theta >= 8, "need n_r >= 3, n_theta >= 8")
+    r = np.linspace(geometry.interface, 1.0, n_r)
     # rows: rings 1..n_r-2
-    lower, diag, upper = np.broadcast_arrays(*_polar_rows(r[1:-1], dr, dth, _theta_waves(n_theta)))
-    rhs = np.zeros(diag.shape, dtype=complex)
-    rhs[-1] = -upper[-1] * np.fft.rfft(u[-1])
-    sol = spsolve(ModeSystem(lower, diag, upper, (n_r - 2) * n_theta), rhs)
-    u[1:-1] = np.fft.irfft(sol, n=n_theta, axis=1)
-    return GridSolution(geometry, (r, theta), u, (dr, dth))
+    rows = np.broadcast_arrays(*_polar_rows(r[1:-1], r[1] - r[0], n_theta))
+    return _polar_solve(geometry, boundary_fn, r, n_theta, *rows)
 
 
-def fd_disk_coupled(boundary_fn, config: RadialLayerConfig, n_r: int, n_theta: int) -> GridSolution:
+def fd_disk_coupled(boundary_fn, geometry: Geometry, n_r: int, n_theta: int) -> GridSolution:
     """Two-region polar solve of the coupled disk problem, by an rfft in theta.
 
     Value continuity holds by sharing the interface unknowns; the flux
@@ -338,31 +347,23 @@ def fd_disk_coupled(boundary_fn, config: RadialLayerConfig, n_r: int, n_theta: i
     boundary_fn(theta) on r=1 is called once on the theta nodes.  The
     interface ring is at r = R exactly.
     """
-    if not isinstance(config, RadialLayerConfig):
-        raise ValidationError("config must be a RadialLayerConfig")
-    if n_r < 8 or n_theta < 8:
-        raise ValidationError("need n_r >= 8 and n_theta >= 8")
-    R, k = config.R, config.k
+    _check_fd_input(geometry, "disk_coupled", n_r >= 8 and n_theta >= 8, "need n_r >= 8 and n_theta >= 8")
+    R, k = geometry.interface, geometry.k
     m_in = max(3, round(n_r * R))
     m_out = max(3, n_r - m_in)
     dr_in = R / m_in
     dr_out = (1.0 - R) / m_out
     radii = np.concatenate([np.arange(m_in) * dr_in, R + np.arange(m_out + 1) * dr_out])
     n_rad = radii.size  # index of interface is m_in, boundary is n_rad-1
-    theta = np.arange(n_theta) * (TWO_PI / n_theta)
-    dth = TWO_PI / n_theta
-    u = np.zeros((n_rad, n_theta))
-    u[-1, :] = boundary_fn(theta)
 
     # rows: the centre, then rings 1..n_rad-2; row 0 holds the rfft of a
     # ring of centre values, n_theta u(0) in mode 0 and nothing elsewhere
-    wave = _theta_waves(n_theta)
-    lower, diag, upper = (np.zeros((n_rad - 1, wave.size)) for _ in range(3))
+    lower, diag, upper = (np.zeros((n_rad - 1, n_theta // 2 + 1)) for _ in range(3))
     # centre: the mean-value property over the first ring, mode 0 only
     diag[0] = 1.0
     upper[0, 0] = -1.0
     for lo, hi, dr in ((1, m_in, dr_in), (m_in + 1, n_rad - 1, dr_out)):
-        lower[lo:hi], diag[lo:hi], upper[lo:hi] = _polar_rows(radii[lo:hi], dr, dth, wave)
+        lower[lo:hi], diag[lo:hi], upper[lo:hi] = _polar_rows(radii[lo:hi], dr, n_theta)
     # flux matching row: k * forward(R+) - backward(R-) = 0; its entries
     # -b at ring m_in-2 and -f at m_in+2 are eliminated with the rows of
     # rings m_in-1 and m_in+1, whose right-hand sides are zero
@@ -374,12 +375,7 @@ def fd_disk_coupled(boundary_fn, config: RadialLayerConfig, n_r: int, n_theta: i
     diag[m_in] = -3.0 * f - 3.0 * b + below * upper[m_in - 1] + above * lower[m_in + 1]
     upper[m_in] = 4.0 * f + above * diag[m_in + 1]
 
-    rhs = np.zeros(diag.shape, dtype=complex)
-    rhs[-1] = -upper[-1] * np.fft.rfft(u[-1])
-    sol = spsolve(ModeSystem(lower, diag, upper, 1 + (n_rad - 2) * n_theta), rhs)
-    u[0] = sol[0, 0].real / n_theta
-    u[1:-1] = np.fft.irfft(sol[1:], n=n_theta, axis=1)
-    return GridSolution(config, (radii, theta), u, (dr_in, dr_out, dth), {"interface_index": m_in})
+    return _polar_solve(geometry, boundary_fn, radii, n_theta, lower, diag, upper)
 
 
 # ---------------------------------------------------------------------------

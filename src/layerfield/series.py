@@ -165,8 +165,8 @@ class Geometry:
     theta) is never mapped.  Layer 1 is 0 <= x <= l (interface l) or
     R <= r <= 1 (interface R).  The coupled problems (k given) add
     layer 2 beyond the interface, x > l or r < R; the strip and the
-    annulus have none.  `PlanarLayerConfig` and `RadialLayerConfig` are
-    the coupled problems with their named parameters.
+    annulus have none.  `PlanarLayerConfig` and `RadialLayerConfig` build
+    the coupled problems from their named parameters.
 
     Every layer solves Laplace's equation, except layer 2 of the coupled
     half-plane, which solves a2^2 u_xx + u_yy = 0.  The interface carries
@@ -304,31 +304,19 @@ class Geometry:
         return p < self.interface if self.radial else p > self.interface
 
 
-class PlanarLayerConfig(Geometry):
-    """Coupled half-plane geometry: layer 1 on 0 < x < l, layer 2 beyond.
+def PlanarLayerConfig(l: float, k: float, a2: float = 1.0) -> Geometry:
+    """The coupled half-plane's `Geometry`: layer 1 on 0 < x < l, layer 2 beyond.
 
     k couples the fluxes, k u1_x = a2 u2_x, and a2 is layer 2's
     anisotropy (see `Geometry`).  From conductivities, with
     lambda1 u1_x = lambda2 u2_x, k = (lambda1/lambda2) a2.
     """
-
-    def __init__(self, l: float, k: float, a2: float = 1.0):
-        super().__init__("halfplane_coupled", l, k, a2)
-
-    @property
-    def l(self) -> float:
-        return self.interface
+    return Geometry("halfplane_coupled", l, k, a2)
 
 
-class RadialLayerConfig(Geometry):
-    """Coupled disk geometry: annulus R < r < 1 (layer 1) over a core r < R."""
-
-    def __init__(self, R: float, k: float):
-        super().__init__("disk_coupled", R, k)
-
-    @property
-    def R(self) -> float:
-        return self.interface
+def RadialLayerConfig(R: float, k: float) -> Geometry:
+    """The coupled disk's `Geometry`: annulus R < r < 1 (layer 1) over a core r < R."""
+    return Geometry("disk_coupled", R, k)
 
 
 class LayeredSolution:

@@ -321,7 +321,7 @@ def test_criterion_9_fd_convergence():
     errs = []
     grids = []
     for nx, ny in ((17, 65), (33, 129)):
-        gs = fd_strip(np.cos, 0.5, (-3.0, 3.0), nx, ny, lateral_fn=exact.value)
+        gs = fd_strip(np.cos, Geometry("strip", 0.5), (-3.0, 3.0), nx, ny, lateral_fn=exact.value)
         X, Y = np.meshgrid(gs.axes[0], gs.axes[1], indexing="ij")
         errs.append(float(np.max(np.abs(gs.values - exact.value(X, Y)))))
         grids.append(gs)
@@ -336,7 +336,7 @@ def test_criterion_9_fd_convergence():
     aexact = mode_exact(Geometry("annulus", 0.7), [(1, 1.0, 0.0)])
     errs = []
     for nr, nt in ((17, 64), (33, 128)):
-        gs = fd_annulus(np.cos, 0.7, nr, nt)
+        gs = fd_annulus(np.cos, Geometry("annulus", 0.7), nr, nt)
         Rg, Tg = np.meshgrid(gs.axes[0], gs.axes[1], indexing="ij")
         errs.append(float(np.max(np.abs(gs.values - aexact.value(Rg, Tg)))))
         agrid = gs
@@ -353,7 +353,7 @@ def test_criterion_9_fd_convergence():
     for nr, nt in ((20, 64), (40, 128)):
         gs = fd_disk_coupled(np.cos, cfg, nr, nt)
         radii, theta = gs.axes
-        iface = gs.meta["interface_index"]
+        (iface,) = np.flatnonzero(radii == 0.7)
         vals = np.empty_like(gs.values)
         for i, r in enumerate(radii):
             fn = dexact.u2_value if i < iface else dexact.u1_value
@@ -363,7 +363,7 @@ def test_criterion_9_fd_convergence():
     ratio_disk = errs[0] / errs[1]
     dseries = series_solution(cfg, DiskField.single_mode(1), TailTol(1e-12))
     radii, theta = dgrid.axes
-    iface = dgrid.meta["interface_index"]
+    (iface,) = np.flatnonzero(radii == 0.7)
     vals = np.empty_like(dgrid.values)
     for i, r in enumerate(radii):
         fn = dseries.u2_value if i < iface else dseries.u1_value

@@ -511,7 +511,7 @@ def test_compare_thickness_sweep_first_order(tmp_path, capsys):
 def test_sweep_keeps_the_half_plane_anisotropy(k):
     geo = PlanarLayerConfig(l=0.1, k=k, a2=4.0)
     swept, thickness = cli._sweep_geometry(geo, 0.05)
-    assert (swept.l, thickness) == (0.05, 0.05)
+    assert (swept.interface, thickness) == (0.05, 0.05)
     assert (swept.a2, swept.stretch) == (4.0, 0.25)
     assert swept.robin_h == pytest.approx(geo.robin_h, rel=1e-12)
     assert (swept.rho > 0) == (geo.rho > 0)
@@ -937,6 +937,19 @@ def test_annulus_constant_mode_oracle_matches_series(tmp_path, capsys):
         # rho = (1 - k)/(1 + k) rounds to 1: each route failed by a side effect
         *(("solve", {**TINY_K, "method": method}, "k=1e-17 is too small: the ladder ratio rho = (1 - k)/(1 + k) rounds to 1")
           for method in ("series", "asymptotic", "oracle", "identity")),
+        # a JSON string is not a number, though float() and int() read it: a
+        # tol of "1e400" solved with 1 term, and a tolerance of "1" loosened
+        # its check to 1.0, each with exit 0
+        ("solve", strip_config(truncation={"tol": "1e400"}), "truncation tol must be a number, got '1e400'"),
+        ("solve", strip_config(truncation={"J": "5"}), "truncation J must be a number, got '5'"),
+        ("solve", strip_config(boundary={"modes": [{"omega": "1"}]}), "planar mode omega must be a number, got '1'"),
+        ("solve", strip_config(boundary={"modes": [{"omega": 1.0, "A": "2"}]}), "planar mode A must be a number, got '2'"),
+        ("solve", strip_config(grid={"x": [0.0, 0.5, "6"], "y": [-1.0, 1.0, 5]}),
+         "grid axis x count must be a number, got '6'"),
+        ("verify", strip_config(tolerances={"pde_residual": "1"}), "tolerances pde_residual must be a number, got '1'"),
+        ("compare", {**strip_config(problem="halfplane_coupled"), "geometry": {"l": 0.1, "k": 0.5},
+                     "methods": ["series", "asymptotic"], "sweep": {"l": [0.1, "0.05"]}},
+         "sweep l must be a number, got '0.05'"),
     ],
     ids=[
         "J-text", "tol-text", "grid-count-text", "mode-not-object", "negative-n",
@@ -946,6 +959,7 @@ def test_annulus_constant_mode_oracle_matches_series(tmp_path, capsys):
         "amplitude-overflow-series", "repeated-methods",
         "output-path-1", "output-path-true", "output-path-2", "output-path-list", "output-path-empty", "output-path-null",
         "tiny-k-series", "tiny-k-asymptotic", "tiny-k-oracle", "tiny-k-identity",
+        "tol-string", "J-string", "omega-string", "A-string", "grid-count-string", "tolerance-string", "sweep-string",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, command, cfg, message):
@@ -1469,6 +1483,49 @@ def test_modes_times_nodes_at_the_cap_is_accepted():
     cfg["grid"]["theta"][2] += 1
     with pytest.raises(ValidationError, match="^200 boundary modes on 5002000 grid nodes are 1000400000 mode"):
         cli._grid_spec(cfg, geo, field)
+
+
+def sweep_config(problem, modes, values):
+    """A compare [series, asymptotic] config of `modes` with a sweep over `values`."""
+    planar = problem == "halfplane_coupled"
+    return {"problem": problem, "geometry": {"l": 0.1, "k": 0.5} if planar else {"R": 0.9, "k": 0.5},
+            "boundary": {"modes": modes}, "methods": ["series", "asymptotic"],
+            "sweep": {"l" if planar else "R": values},
+            "grid": {"x": [0.0, 1.0, 3], "y": [-1.0, 1.0, 3]} if planar
+            else {"r": [0.0, 1.0, 3], "theta": [0.0, 6.0, 3]}}
+
+
+@pytest.mark.parametrize("problem", ["halfplane_coupled", "disk_coupled"])
+def test_sweep_modes_over_the_cap_exit_2_before_any_solution(tmp_path, capsys, monkeypatch, problem):
+    # 3,001 modes by 10 sweep values: each value solved every mode twice, about 50 us
+    # a mode, so 10,000 modes by 1000 values ran for minutes
+    import time
+
+    count = cli.MAX_SWEEP_MODES // 10 + 1
+    if problem == "halfplane_coupled":
+        modes, values = [{"omega": 1.0 + j / 100.0} for j in range(count)], [0.1 / (1 + j) for j in range(10)]
+    else:
+        modes, values = [{"n": n} for n in range(1, count + 1)], [0.9 + j / 1000 for j in range(10)]
+    path = write_config(tmp_path, "c.json", sweep_config(problem, modes, values))
+    monkeypatch.setattr(cli, "build_solution", lambda *args: pytest.fail("a solution was built"))
+    start = time.perf_counter()
+    code, stdout, err = run_cli(["compare", "--config", path], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, stdout) == (2, "")
+    assert err == f"error: {count} modes times 10 sweep values exceed {cli.MAX_SWEEP_MODES} mode solves\n"
+
+
+def test_sweep_modes_at_the_cap_are_accepted(tmp_path, capsys, monkeypatch):
+    # two active modes by five values; a mode of amplitude 0 is not solved
+    modes = [{"n": 1}, {"n": 2, "a": 0.5}, {"n": 3, "a": 0.0}]
+    values = [0.9, 0.92, 0.94, 0.96, 0.98]
+    path = write_config(tmp_path, "c.json", sweep_config("disk_coupled", modes, values))
+    monkeypatch.setattr(cli, "MAX_SWEEP_MODES", 10)
+    code, stdout, _ = run_cli(["compare", "--config", path], capsys)
+    assert code == 0 and len(json.loads(stdout)["sweep"]["thickness"]) == 5
+    monkeypatch.setattr(cli, "MAX_SWEEP_MODES", 9)
+    code, _, err = run_cli(["compare", "--config", path], capsys)
+    assert (code, err) == (2, "error: 2 modes times 5 sweep values exceed 9 mode solves\n")
 
 
 @pytest.mark.parametrize("samples", [5, None, True, ["trace.csv"], ""], ids=["int", "null", "bool", "list", "empty"])

@@ -72,7 +72,7 @@ SHAPES = [(9, 7), (1, 11), (11, 1)]
 
 def planar_axes(shape):
     # rows straddle the interface x = l, and one sits on it
-    axis1 = np.linspace(0.0, 0.8, shape[0]) if shape[0] > 1 else np.array([PLANAR.l])
+    axis1 = np.linspace(0.0, 0.8, shape[0]) if shape[0] > 1 else np.array([PLANAR.interface])
     return axis1, np.linspace(-1.5, 1.5, shape[1])
 
 
@@ -111,7 +111,7 @@ def test_fd_to_csv_matches_per_cell_writer(tmp_path, shape, kind, interface):
     vals = values((axis1.size, axis2.size), 3)
     # the strip and the annulus have one region whatever their interface
     geometry = Geometry(kind, 0.5) if interface is None else RadialLayerConfig(R=interface, k=2.0)
-    GridSolution(geometry, (axis1, axis2), vals, (0.1, 0.1)).to_csv(tmp_path / "new.csv")
+    GridSolution(geometry, (axis1, axis2), vals).to_csv(tmp_path / "new.csv")
     header = "x,y,region,u" if kind == "strip" else "r,theta,region,u"
     reference_grid_csv(tmp_path / "old.csv", header, axis1, axis2, vals,
                        lambda c1: "2" if interface is not None and c1 < interface else "1")

@@ -279,7 +279,7 @@ def test_halfplane_small_contrast_bounded_by_assessment():
     series = series_solution(cfg, MODE, TailTol(1e-12))
     rng = np.random.default_rng(8)
     for _ in range(50):
-        x = rng.uniform(cfg.l, cfg.l + 1.5)
+        x = rng.uniform(cfg.interface, cfg.interface + 1.5)
         y = rng.uniform(-2.0, 2.0)
         dev = abs(float(approx.u2_value(x, y)) - float(series.u2_value(x, y)))
         assert dev <= approx.bound_at(x) * (1 + 1e-6) + 1e-14
@@ -292,7 +292,7 @@ def test_halfplane_small_contrast_layer2_follows_anisotropic_stretch():
     cfg = PlanarLayerConfig(l=0.01, k=0.02, a2=2.0)
     approx = halfplane_small_contrast(MODE, cfg)
     series = series_solution(cfg, MODE, TailTol(1e-12))
-    xs = cfg.l + np.linspace(0.0, 1.5, 31)[:, None]
+    xs = cfg.interface + np.linspace(0.0, 1.5, 31)[:, None]
     ys = np.linspace(-2.0, 2.0, 21)
     dev = np.max(np.abs(approx.u2_value(xs, ys) - series.u2_value(xs, ys)))
     assert dev <= approx.bound
@@ -318,7 +318,7 @@ def test_halfplane_bound_covers_the_interface_across_from_sources():
     approx = thin_layer_solution(cfg, field)
     series = series_solution(cfg, field, TailTol(1e-10, sup_bound=100))
     ys = np.linspace(-1.0, 1.0, 401)
-    xs = np.full_like(ys, cfg.l)
+    xs = np.full_like(ys, cfg.interface)
     dev = np.max(np.abs(approx.value(xs, ys) - series.value(xs, ys)))
     assert dev > 0.8
     assert approx.bound >= dev
@@ -329,19 +329,19 @@ def test_sourced_thin_layer_at_large_contrast_is_the_two_image_link(k):
     # rho < 0: F = (u3(x) + rho u3(x + 2l))/(4l) with u3 the Robin companion,
     # reflected as F(x) - rho F(2l - x) in layer 1 and (1 - rho) F(outer(x)) in layer 2
     cfg = PlanarLayerConfig(l=0.05, k=k, a2=2.0)
-    rho, s = cfg.rho, 2.0 * cfg.l
+    rho, s = cfg.rho, 2.0 * cfg.interface
     assert rho < 0
     u3 = _planar_link(SOURCED, cfg.robin_h)
     F = lambda x, y: (u3.value(x, y) + rho * u3.value(x + s, y)) / (2.0 * s)
     dF = lambda x, y: (u3.deriv_x(x, y) + rho * u3.deriv_x(x + s, y)) / (2.0 * s)
     approx = thin_layer_solution(cfg, SOURCED)
     ys = np.linspace(-1.0, 1.0, 41)
-    x1 = np.linspace(0.005, cfg.l, 10)[:, None]
-    x2 = np.linspace(cfg.l, 2.0, 10)[:, None]
+    x1 = np.linspace(0.005, cfg.interface, 10)[:, None]
+    x2 = np.linspace(cfg.interface, 2.0, 10)[:, None]
     outer = cfg.outer(x2)
     pairs = [
-        (approx.u1_value(x1, ys), F(x1, ys) - rho * F(2 * cfg.l - x1, ys)),
-        (approx.u1_deriv(x1, ys), dF(x1, ys) + rho * dF(2 * cfg.l - x1, ys)),
+        (approx.u1_value(x1, ys), F(x1, ys) - rho * F(2 * cfg.interface - x1, ys)),
+        (approx.u1_deriv(x1, ys), dF(x1, ys) + rho * dF(2 * cfg.interface - x1, ys)),
         (approx.u2_value(x2, ys), (1.0 - rho) * F(outer, ys)),
         (approx.u2_deriv(x2, ys), (1.0 - rho) / cfg.a2 * dF(outer, ys)),
     ]
@@ -439,7 +439,7 @@ def test_disk_small_contrast_bounded_by_assessment():
     series = series_solution(cfg, DISK1, TailTol(1e-12))
     rng = np.random.default_rng(9)
     for _ in range(50):
-        r = rng.uniform(0.1, cfg.R)
+        r = rng.uniform(0.1, cfg.interface)
         t = rng.uniform(0.0, 2 * math.pi)
         dev = abs(float(approx.u2_value(r, t)) - float(series.u2_value(r, t)))
         assert dev <= approx.bound_at(r) * (1 + 1e-6) + 1e-14

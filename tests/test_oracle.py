@@ -112,7 +112,7 @@ def _strip_fd_error(nx, ny):
     exact = mode_exact(Geometry("strip", 0.5), [(1.0, 1.0, 0.0)])
     gs = fd_strip(
         np.cos,
-        0.5,
+        Geometry("strip", 0.5),
         (-3.0, 3.0),
         nx,
         ny,
@@ -129,12 +129,12 @@ def test_fd_strip_second_order_convergence():
 
 
 def test_fd_strip_zero_data():
-    gs = fd_strip(lambda y: 0.0, 0.5, (-2.0, 2.0), 9, 17)
+    gs = fd_strip(lambda y: 0.0, Geometry("strip", 0.5), (-2.0, 2.0), 9, 17)
     assert np.max(np.abs(gs.values)) == 0.0
 
 
 def test_fd_strip_linear_profile_for_constant_data():
-    gs = fd_strip(lambda y: 1.0, 0.5, (-6.0, 6.0), 17, 97, lateral_fn=lambda x, y: 1.0 - x / 0.5)
+    gs = fd_strip(lambda y: 1.0, Geometry("strip", 0.5), (-6.0, 6.0), 17, 97, lateral_fn=lambda x, y: 1.0 - x / 0.5)
     x = gs.axes[0]
     mid = gs.values[:, 48]
     assert np.max(np.abs(mid - (1.0 - x / 0.5))) <= 1e-10
@@ -142,7 +142,7 @@ def test_fd_strip_linear_profile_for_constant_data():
 
 def _annulus_fd_error(nr, nt):
     exact = mode_exact(Geometry("annulus", 0.7), [(1, 1.0, 0.0)])
-    gs = fd_annulus(np.cos, 0.7, nr, nt)
+    gs = fd_annulus(np.cos, Geometry("annulus", 0.7), nr, nt)
     Rg, Tg = np.meshgrid(gs.axes[0], gs.axes[1], indexing="ij")
     return float(np.max(np.abs(gs.values - exact.value(Rg, Tg))))
 
@@ -154,10 +154,10 @@ def test_fd_annulus_second_order_convergence():
 
 
 def test_fd_annulus_zero_and_log_profile():
-    gs = fd_annulus(lambda t: 0.0, 0.7, 9, 16)
+    gs = fd_annulus(lambda t: 0.0, Geometry("annulus", 0.7), 9, 16)
     assert np.max(np.abs(gs.values)) == 0.0
     # constant outer data relaxes to the radial log-harmonic profile
-    gs = fd_annulus(lambda t: 1.0, 0.5, 65, 16)
+    gs = fd_annulus(lambda t: 1.0, Geometry("annulus", 0.5), 65, 16)
     r = gs.axes[0]
     expected = np.log(r / 0.5) / math.log(1 / 0.5)
     assert np.max(np.abs(gs.values - expected[:, None])) <= 2e-5
@@ -168,7 +168,7 @@ def _disk_fd_error(nr, nt):
     exact = mode_exact(cfg, [(1, 1.0, 0.0)])
     gs = fd_disk_coupled(np.cos, cfg, nr, nt)
     radii, theta = gs.axes
-    iface = gs.meta["interface_index"]
+    (iface,) = np.flatnonzero(radii == cfg.interface)
     vals = np.empty_like(gs.values)
     for i, r in enumerate(radii):
         fn = exact.u2_value if i < iface else exact.u1_value
@@ -198,7 +198,7 @@ def test_fd_disk_coupled_zero_data():
 
 
 def test_grid_solution_csv(tmp_path):
-    gs = fd_strip(np.cos, 0.5, (-1.0, 1.0), 5, 5)
+    gs = fd_strip(np.cos, Geometry("strip", 0.5), (-1.0, 1.0), 5, 5)
     path = tmp_path / "grid.csv"
     gs.to_csv(path)
     lines = path.read_text().strip().splitlines()
@@ -228,13 +228,56 @@ def test_fd_disk_coupled_refuses_another_geometry():
         fd_disk_coupled(np.cos, Geometry("annulus", 0.5), 8, 8)
 
 
+#: each FD solve on a small grid of the geometry it is given
+FD_SOLVES = {
+    "strip": lambda geometry: fd_strip(np.cos, geometry, (-1.0, 1.0), 5, 5),
+    "annulus": lambda geometry: fd_annulus(np.cos, geometry, 5, 8),
+    "disk_coupled": lambda geometry: fd_disk_coupled(np.cos, geometry, 8, 8),
+}
+GEOMETRIES = {
+    "strip": Geometry("strip", 0.5),
+    "halfplane_coupled": Geometry("halfplane_coupled", 0.5, 0.3),
+    "annulus": Geometry("annulus", 0.5),
+    "disk_coupled": Geometry("disk_coupled", 0.5, 0.3),
+}
+
+
+@pytest.mark.parametrize("kind", list(GEOMETRIES))
+@pytest.mark.parametrize("solve", list(FD_SOLVES))
+def test_each_fd_solve_takes_the_geometry_of_its_problem_only(solve, kind):
+    geometry = GEOMETRIES[kind]
+    if kind == solve:
+        gs = FD_SOLVES[solve](geometry)
+        assert gs.geometry is geometry and np.all(np.isfinite(gs.values))
+        return
+    with pytest.raises(ValidationError, match=f"the {solve} FD solve needs a {solve} Geometry, got '{kind}'"):
+        FD_SOLVES[solve](geometry)
+
+
+@pytest.mark.parametrize("solve", list(FD_SOLVES))
+def test_each_fd_solve_refuses_a_bare_interface(solve):
+    with pytest.raises(ValidationError, match=f"needs a {solve} Geometry, got 0.5"):
+        FD_SOLVES[solve](0.5)
+
+
+def test_fd_disk_coupled_solves_from_a_plain_geometry():
+    geometry = Geometry("disk_coupled", 0.6, 2.0)
+    exact = mode_exact(geometry, [(1, 1.0, 0.0)])
+    gs = fd_disk_coupled(np.cos, geometry, 40, 64)
+    radii, theta = gs.axes
+    (inner,) = np.flatnonzero(radii == 0.6)
+    want = np.concatenate([exact.u2_value(radii[:inner, None], theta), exact.u1_value(radii[inner:, None], theta)])
+    assert gs.geometry is geometry
+    assert np.max(np.abs(gs.values - want)) <= 1e-3
+
+
 @pytest.mark.parametrize("R, n_r", [(0.75, 392), (0.2, 57), (0.1, 106), (0.05, 211), (0.5, 8), (0.8, 300)])
 def test_fd_disk_interface_ring_is_at_R_in_layer_1(tmp_path, R, n_r):
     # on all pairs but (0.5, 8) and (0.8, 300), m_in steps of R / m_in
     # sum to 1 ulp below R
     gs = fd_disk_coupled(np.cos, RadialLayerConfig(R=R, k=0.5), n_r, 8)
-    inner = gs.meta["interface_index"]
-    assert gs.axes[0][inner] == R
+    (inner,) = np.flatnonzero(gs.axes[0] == R)
+    assert np.all(gs.axes[0][inner + 1:] > R) and np.all(gs.axes[0][:inner] < R)
     gs.to_csv(tmp_path / "disk.csv")
     row = (tmp_path / "disk.csv").read_text().splitlines()[1 + 8 * inner].split(",")
     assert (float(row[0]), row[2]) == (R, "1")

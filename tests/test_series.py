@@ -87,11 +87,24 @@ def test_geometry_takes_a2_on_the_coupled_half_plane_only(kind):
     assert Geometry("halfplane_coupled", 0.4, 0.5, a2=2.0).stretch == 0.5
 
 
+@pytest.mark.parametrize("build, kind, args", [
+    (lambda: PlanarLayerConfig(l=0.2, k=0.3), "halfplane_coupled", (0.2, 0.3, 1.0)),
+    (lambda: PlanarLayerConfig(l=0.2, k=0.3, a2=2.0), "halfplane_coupled", (0.2, 0.3, 2.0)),
+    (lambda: RadialLayerConfig(R=0.8, k=3.0), "disk_coupled", (0.8, 3.0, 1.0)),
+])
+def test_named_coupled_configs_are_the_geometry(build, kind, args):
+    # the one problem record: no subclass and no .l or .R alias of its interface
+    geo = build()
+    assert type(geo) is Geometry
+    assert (geo.kind, geo.interface, geo.k, geo.a2) == (kind, *args)
+    assert not hasattr(geo, "l") and not hasattr(geo, "R")
+
+
 def test_radial_robin_parameter_sign():
     cfg = RadialLayerConfig(R=0.9, k=0.5)
     # rho in (0,1) and R < 1 make h positive
     assert cfg.robin_h > 0
-    assert cfg.R ** (2 * cfg.robin_h) == pytest.approx(cfg.rho)
+    assert cfg.interface ** (2 * cfg.robin_h) == pytest.approx(cfg.rho)
 
 
 def test_geometric_tail_terms_examples():
@@ -216,8 +229,8 @@ def test_halfplane_coupling_conditions_on_modes():
         cfg = PlanarLayerConfig(l=0.25, k=k)
         sol = series_solution(cfg, MODE, TailTol(1e-10))
         ys = np.linspace(-2, 2, 50)
-        vj = np.max(np.abs(sol.u1_value(cfg.l, ys) - sol.u2_value(cfg.l, ys)))
-        fj = np.max(np.abs(k * sol.u1_deriv(cfg.l, ys) - sol.u2_deriv(cfg.l, ys)))
+        vj = np.max(np.abs(sol.u1_value(cfg.interface, ys) - sol.u2_value(cfg.interface, ys)))
+        fj = np.max(np.abs(k * sol.u1_deriv(cfg.interface, ys) - sol.u2_deriv(cfg.interface, ys)))
         assert vj <= 10 * 1e-10
         assert fj <= 10 * 1e-10
 
@@ -230,7 +243,7 @@ def test_halfplane_anisotropic_stretch():
     for x in (0.4, 0.8):
         assert np.max(np.abs(sol.u2_value(x, ys) - exact.u2_value(x, ys))) <= 1e-9
     # interface conditions still hold with the stretched argument
-    vj = np.max(np.abs(sol.u1_value(cfg.l, ys) - sol.u2_value(cfg.l, ys)))
+    vj = np.max(np.abs(sol.u1_value(cfg.interface, ys) - sol.u2_value(cfg.interface, ys)))
     assert vj <= 1e-9
 
 
@@ -271,9 +284,9 @@ def test_disk_coupling_conditions_on_modes():
         cfg = RadialLayerConfig(R=0.7, k=k)
         sol = series_solution(cfg, DISK1, TailTol(1e-10))
         ts = np.linspace(0, 2 * math.pi, 50)
-        vj = np.max(np.abs(sol.u1_value(cfg.R, ts) - sol.u2_value(cfg.R, ts)))
+        vj = np.max(np.abs(sol.u1_value(cfg.interface, ts) - sol.u2_value(cfg.interface, ts)))
         fj = np.max(
-            np.abs(k * sol.u1_deriv(cfg.R, ts) - sol.u2_deriv(cfg.R, ts))
+            np.abs(k * sol.u1_deriv(cfg.interface, ts) - sol.u2_deriv(cfg.interface, ts))
         )
         assert vj <= 10 * 1e-10
         assert fj <= 10 * 1e-10
