@@ -17,12 +17,13 @@ import json
 import math
 import os
 import sys
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, islice
 
 import numpy as np
 
 from .errors import ConvergenceError, LayerFieldError, ValidationError
-from .harmonic import BoundaryTrace, DiskField, HalfPlaneField, check_circle_trace, disk_from_boundary, read_lines
+from .harmonic import BoundaryTrace, DiskField, HalfPlaneField, check_circle_trace, disk_from_boundary
+from .harmonic import parse_rows, read_lines
 from .series import (
     AXES,
     Geometry,
@@ -71,6 +72,12 @@ _GEOMETRY_KEYS = {
 #: largest radial mode index accepted from a config; a disk field stores
 #: dense coefficient arrays up to its highest index
 MAX_RADIAL_MODE = 10_000
+#: longest boundary mode list accepted from a config, one entry per radial
+#: index; building a field costs about 50 us per planar mode
+MAX_BOUNDARY_MODES = MAX_RADIAL_MODE + 1
+#: largest config file accepted, in bytes; it is read whole before parsing,
+#: and a larger one no further than this
+MAX_CONFIG_BYTES = 16 * 2**20
 #: largest number of grid nodes accepted from a config; a grid holds one
 #: value per node and route
 MAX_GRID_NODES = 10_000_000
@@ -162,9 +169,33 @@ def _finite_grid(values, what):
     return values
 
 
+def _unique_keys(pairs):
+    """A JSON object's pairs as a dict, failing validation on a repeated key
+    instead of keeping its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValidationError(f"config repeats the key {key!r} in one object")
+        obj[key] = value
+    return obj
+
+
 def load_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh, parse_constant=_non_finite, parse_float=_finite(float), parse_int=_finite(int))
+    """The config at `path`: at most MAX_CONFIG_BYTES of UTF-8 JSON text,
+    with finite numbers, no key repeated in an object and no nesting
+    deeper than the JSON decoder takes, and the problem's blocks checked."""
+    text = bytearray()
+    with open(path, "rb") as fh:
+        # 64 KiB at a time, since read(n) allocates all n bytes at once
+        for block in islice(iter(lambda: fh.read(2**16), b""), MAX_CONFIG_BYTES // 2**16 + 1):
+            text += block
+    if len(text) > MAX_CONFIG_BYTES:
+        raise ValidationError(f"config is larger than {MAX_CONFIG_BYTES} bytes")
+    try:
+        cfg = json.loads(text.decode("utf-8"), object_pairs_hook=_unique_keys, parse_constant=_non_finite,
+                         parse_float=_finite(float), parse_int=_finite(int))
+    except RecursionError:
+        raise ValidationError("config is nested deeper than the JSON decoder takes") from None
     if not isinstance(cfg, dict):
         raise ValidationError("config must be a JSON object")
     _reject_unknown(cfg, _TOP_KEYS, "config")
@@ -204,6 +235,8 @@ def _modes(raw, radial):
     """
     if not isinstance(raw, list):
         raise ValidationError("boundary modes must be a list")
+    if len(raw) > MAX_BOUNDARY_MODES:
+        raise ValidationError(f"boundary modes lists {len(raw)} modes; at most {MAX_BOUNDARY_MODES} are allowed")
     kind, keys = ("radial", ("n", "a", "b")) if radial else ("planar", ("omega", "A", "phi"))
     modes = []
     for m in raw:
@@ -581,11 +614,14 @@ def _write_compare_csv(path, geo, methods, axis1, axis2, grids):
 def cmd_verify(cfg, args) -> int:
     geo = geometry_config(cfg)
     method = cfg.get("method", "series")
+    tols = {**_DEFAULT_TOLS, **{k: _number(v, f"tolerances {k}") for k, v in cfg.get("tolerances", {}).items()}}
+    for name, tol in tols.items():
+        if not tol > 0:
+            raise ValidationError(f"tolerances {name} must be > 0, got {tol!r}")
     field = boundary_field(cfg, geo, config_dir=_config_dir(args))
     trunc = truncation_policy(cfg)
     solution = build_solution(cfg, method, field, geo, trunc)
     report = residual_report(solution, field)
-    tols = {**_DEFAULT_TOLS, **{k: _number(v, f"tolerances {k}") for k, v in cfg.get("tolerances", {}).items()}}
     checks = {}
     for name, tol in tols.items():
         value = getattr(report, name)
@@ -637,49 +673,15 @@ def _check_grid_file(path, solution, nodes=None) -> int:
         if header != expected:
             raise ValidationError(f"{path!s} has header {header!r}, not the solve header {expected!r}")
         for number, lines in chain([(2, lines[1:])], blocks):
-            rows = [line for line in map(str.strip, lines) if line]
-            if not rows:
-                continue
-            fields = ",".join(rows).split(",")
-            try:
-                if set(map(str.count, rows, repeat(","))) != {3}:
-                    raise ValueError("a row without four fields")
-                p, q = _floats(fields[0::4]), _floats(fields[1::4])
-            except ValueError:
-                number, line = _first_malformed_row(lines, number)
-                raise ValidationError(
-                    f"expected four fields with numeric coordinates in {path!s}, line {number}: {line!r}"
-                ) from None
+            fields, p, q = parse_rows(lines, number, 4, f"expected four fields with numeric coordinates in {path!s}")
             values = _layered_values(solution, p, q[:, None])[:, 0]
             regions = np.where(solution.geometry.in_layer2(p), "2", "1").tolist()
             pairs = zip(fields[2::4], fields[3::4], regions, map(repr, values.tolist()))
             mismatches += sum(got != region or written != value for got, written, region, value in pairs)
-            count += len(rows)
+            count += p.size
     if not count:
         raise ValidationError(f"{path!s} holds no data rows")
     return mismatches + (abs(count - nodes) if nodes is not None else 0)
-
-
-def _floats(texts):
-    """The numbers in a column of texts as an array; each distinct text is
-    parsed once, since a grid repeats every coordinate along the other axis."""
-    parsed = {text: float(text) for text in set(texts)}
-    return np.fromiter(map(parsed.__getitem__, texts), float, len(texts))
-
-
-def _first_malformed_row(lines, number):
-    """(line number, text) of the first of the data `lines` that is not
-    four fields with numeric coordinates; the first of them is line `number`."""
-    for number, line in enumerate(map(str.strip, lines), start=number):
-        row = line.split(",")
-        if row == [""]:
-            continue
-        try:
-            c1, c2, _, _ = row
-            float(c1), float(c2)
-        except ValueError:
-            return number, line
-    raise AssertionError("every row parses")
 
 
 def _verdict(diag):

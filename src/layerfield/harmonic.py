@@ -14,7 +14,7 @@ modes.
 from __future__ import annotations
 
 import math
-from array import array
+from itertools import repeat
 
 import numpy as np
 
@@ -285,30 +285,23 @@ class BoundaryTrace:
 
         The first non-empty line may be a header if it has no digit in it;
         any other row that is not two numbers is rejected with its line
-        number.  The file is read a block at a time (`read_lines`), and
-        the samples are kept as machine doubles, not as Python objects.
+        number.  The file is read a block at a time (`read_lines`), each
+        block's rows are parsed as whole arrays (`parse_rows`), and the
+        samples are kept as machine doubles, not as Python objects.
         """
-        samples, header = array("d"), True
+        columns, header = [((), ())], True  # an empty pair, so a file of no rows joins to no samples
         with open(path, "r", encoding="utf-8") as fh:
             for number, lines in read_lines(fh):
-                for number, line in enumerate(map(str.strip, lines), start=number):
-                    if not line:
-                        continue
-                    if header:
-                        header = False
-                        if not any(c.isdigit() for c in line):
-                            continue
-                    parts = [p.strip() for p in line.split(",")]
-                    if len(parts) != 2:
-                        raise ValidationError(f"expected two columns in {path!s}, line {number}: {line!r}")
-                    try:
-                        samples.extend((float(parts[0]), float(parts[1])))
-                    except ValueError:
-                        raise ValidationError(f"non-numeric row in {path!s}, line {number}: {line!r}") from None
-        rows = np.array(samples).reshape(-1, 2)
-        if len(rows) < 2:
+                if header:
+                    first = next((i for i, line in enumerate(lines) if line.strip()), None)
+                    header = first is None
+                    if first is not None and not any(c.isdigit() for c in lines[first]):
+                        lines[first] = ""  # a header is not a row
+                columns.append(parse_rows(lines, number, 2, f"expected two numeric columns in {path!s}")[1:])
+        t, v = map(np.concatenate, zip(*columns))
+        if len(t) < 2:
             raise ValidationError(f"no usable samples in {path!s}")
-        return cls(*rows.T.copy())
+        return cls(t, v)
 
 
 def read_lines(fh):
@@ -332,6 +325,35 @@ def read_lines(fh):
             number += len(lines)
     if tail:
         yield number, [tail]
+
+
+def parse_rows(lines, number, width, what):
+    """(fields, first column, second column) of the comma-separated rows among
+    `lines`, the first of which is line `number`.
+
+    Blank lines are skipped and each row is stripped.  `fields` lists the
+    fields of every row in order; the first two columns are parsed as
+    float arrays, each distinct text once, since a grid repeats every
+    coordinate along the other axis.  The first row that is not `width`
+    fields with two numbers first fails validation as
+    `<what>, line N: '<row>'`: a block that fails is parsed again a line
+    at a time to find it.
+    """
+    rows = [line for line in map(str.strip, lines) if line]
+    fields = ",".join(rows).split(",") if rows else []
+    columns = []
+    try:
+        if set(map(str.count, rows, repeat(","))) - {width - 1}:
+            raise ValueError("a row of another width")
+        for texts in (fields[0::width], fields[1::width]):
+            parsed = {text: float(text) for text in set(texts)}
+            columns.append(np.fromiter(map(parsed.__getitem__, texts), float, len(texts)))
+    except ValueError:
+        if len(lines) > 1:
+            for number, line in enumerate(lines, start=number):
+                parse_rows([line], number, width, what)
+        raise ValidationError(f"{what}, line {number}: {rows[0]!r}") from None
+    return fields, *columns
 
 
 def check_circle_trace(trace: BoundaryTrace) -> None:

@@ -950,6 +950,23 @@ def test_annulus_constant_mode_oracle_matches_series(tmp_path, capsys):
         ("compare", {**strip_config(problem="halfplane_coupled"), "geometry": {"l": 0.1, "k": 0.5},
                      "methods": ["series", "asymptotic"], "sweep": {"l": [0.1, "0.05"]}},
          "sweep l must be a number, got '0.05'"),
+        # config text, written as it is: the last of two values of a key won
+        # (this strip solved at tol 0.5 with exit 0), JSON nested 100,000 deep
+        # raised RecursionError, and a config over MAX_CONFIG_BYTES was read whole
+        ("solve", json.dumps(strip_config()).replace('"tol": 1e-10', '"tol": 1e-10, "tol": 0.5'),
+         "config repeats the key 'tol' in one object"),
+        ("verify", json.dumps(strip_config(boundary={"modes": [{"omega": 1.0, "A": 2.0}]})).replace(
+            '"A": 2.0', '"A": 1.0, "A": 2.0'), "config repeats the key 'A' in one object"),
+        ("solve", "[" * 100_000 + "]" * 100_000, "config is nested deeper than the JSON decoder takes"),
+        ("solve", lambda: " " * 16 * 2**20 + json.dumps(strip_config()),
+         f"config is larger than {16 * 2**20} bytes"),
+        # a tolerance no check can meet exited 1, "verification failed"
+        ("verify", strip_config(tolerances={"pde_residual": -1.0}), "tolerances pde_residual must be > 0, got -1.0"),
+        ("verify", strip_config(tolerances={"flux_jump": 0}), "tolerances flux_jump must be > 0, got 0"),
+        # a mode list over the cap solved, at about 50 us per planar mode
+        ("solve", strip_config(boundary={"modes": [{"omega": 1.0}] * 10_002}),
+         "boundary modes lists 10002 modes; at most 10001 are allowed"),
+        ("solve", annulus_config([{"n": 1}] * 10_002), "boundary modes lists 10002 modes; at most 10001 are allowed"),
     ],
     ids=[
         "J-text", "tol-text", "grid-count-text", "mode-not-object", "negative-n",
@@ -960,11 +977,16 @@ def test_annulus_constant_mode_oracle_matches_series(tmp_path, capsys):
         "output-path-1", "output-path-true", "output-path-2", "output-path-list", "output-path-empty", "output-path-null",
         "tiny-k-series", "tiny-k-asymptotic", "tiny-k-oracle", "tiny-k-identity",
         "tol-string", "J-string", "omega-string", "A-string", "grid-count-string", "tolerance-string", "sweep-string",
+        "repeated-tol", "repeated-mode-key", "nested-100000-deep", "over-max-config-bytes",
+        "negative-tolerance", "zero-tolerance", "planar-modes-over-the-cap", "radial-modes-over-the-cap",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, command, cfg, message):
-    path = write_config(tmp_path, "bad.json", cfg)
-    code, out, err = run_cli([command, "--config", path, "--out", str(tmp_path / "g.csv")], capsys)
+    # a config given as text (or as a function that makes it) is written as it is
+    text = cfg() if callable(cfg) else cfg
+    path = tmp_path / "bad.json"
+    path.write_text(text if isinstance(text, str) else json.dumps(text))
+    code, out, err = run_cli([command, "--config", str(path), "--out", str(tmp_path / "g.csv")], capsys)
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
     assert out == ""
@@ -1008,6 +1030,13 @@ def test_huge_radial_mode_index_rejected_before_allocation(tmp_path, capsys):
     assert code == 2
     assert "radial mode n" in err
     assert peak < 10 * 2**20
+
+
+def test_mode_list_at_the_cap_is_accepted(tmp_path, capsys):
+    assert cli.MAX_BOUNDARY_MODES == cli.MAX_RADIAL_MODE + 1 == 10_001
+    path = write_config(tmp_path, "cap.json", annulus_config([{"n": 1, "a": 1e-4}] * cli.MAX_BOUNDARY_MODES))
+    code, out, _ = run_cli(["solve", "--config", path, "--out", str(tmp_path / "g.csv")], capsys)
+    assert code == 0 and json.loads(out)["rows"] > 0
 
 
 def _sampled_disk_config(tmp_path, samples):

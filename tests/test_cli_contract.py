@@ -1,7 +1,7 @@
 """The CLI contract holds under adversarial configs.
 
-A valid config of each problem takes one mutation: a key dropped or
-added, a number swapped for a bool, a string, a list, 0, a negative,
+A valid config of each problem takes one mutation: a key dropped,
+added or repeated in its object, a number swapped for a bool, a string, a list, 0, a negative,
 +-1e+-300, a subnormal or a 300-digit integer, a count set to 10^9,
 output.path swapped for a bool, a number, an empty string or a list, or
 the boundary modes swapped for a drawn trace file: a valid one, one that
@@ -50,6 +50,8 @@ COUNT = 10**9
 PATH_SWAPS = [True, False, 0, 1, 2, -1, 1.5, "", ["a"], {"path": "x"}, None]
 #: stands for a file in the run's temporary directory
 OUT = "<tmp>/out"
+#: a key that starts with this is written as the key after it, a second time in its object
+REPEAT = "repeat-of:"
 #: per run: wall time, and tracemalloc's peak
 SECONDS = 10.0
 PEAK_BYTES = 64 * 2**20
@@ -118,9 +120,15 @@ def with_trace(cfg, trace):
 def mutated(draw, problem):
     cfg = base_config(problem, draw(st.sampled_from(METHODS)))
     every = list(nodes(cfg))
-    kind = draw(st.sampled_from(["drop", "add", "swap", "count", "path", "samples"]))
+    kind = draw(st.sampled_from(["drop", "add", "swap", "count", "path", "samples", "repeat"]))
     if kind == "path":
         cfg["output"]["path"] = draw(st.sampled_from(PATH_SWAPS))
+        return cfg
+    if kind == "repeat":
+        target = draw(st.sampled_from([cfg] + [v for _, v in every if isinstance(v, dict)]))
+        # not the top-level method, which compare swaps for a methods list
+        key = draw(st.sampled_from(sorted(set(target) - ({"method"} if target is cfg else set()))))
+        target[REPEAT + key] = target[key]
         return cfg
     if kind == "samples":
         return with_trace(cfg, draw(st.sampled_from(sorted(TRACE_FILES))))
@@ -189,7 +197,7 @@ def keeps_the_contract(problem, cfg):
         for command in COMMANDS:
             path = os.path.join(tmp, f"{command}.json")
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump(for_command(cfg, command, tmp), fh)
+                fh.write(json.dumps(for_command(cfg, command, tmp)).replace(json.dumps(REPEAT)[:-1], '"'))
             argv = [command, "--config", path]
             if command == "solve":
                 argv += ["--out", grid]
@@ -199,6 +207,8 @@ def keeps_the_contract(problem, cfg):
             where = (command, cfg, code, err)
             assert code in (0, 2, 3, 4) or (code == 1 and command == "verify"), where
             assert seconds <= SECONDS and peak <= PEAK_BYTES, (where, seconds, peak)
+            # a repeated key is refused wherever it is, not read as its last value
+            assert code == 2 or REPEAT not in json.dumps(cfg), where
             if code in (2, 3):
                 assert err.startswith(("error: ", "convergence failure: ")) and out == "", where
                 continue

@@ -319,3 +319,140 @@ def test_trace_csv_of_many_samples_reads_in_bounded_memory(tmp_path):
     for got, written in ((trace.abscissae, t), (trace.values, v)):
         assert got.dtype == np.float64 and got.flags.c_contiguous
         assert got.tobytes() == written.tobytes()
+
+
+#: texts a numeric field may hold: float() reads each, padding and underscores included
+NUMBERS = st.floats(-10.0, 10.0).map(repr) | st.sampled_from(["0", "-0.0", "1e-1", ".5", "5.", "1_0", " 2.5", "3 \t"])
+#: texts no numeric field may hold
+NON_NUMBERS = st.sampled_from(["", "x", "1.0.0", "np.float64(1.0)", "0x10", "nan?", "--1", "t"])
+
+
+@st.composite
+def csv_lines(draw, width, good_row):
+    """The lines of a CSV of `width` columns: blank lines, rows drawn by
+    `good_row(i)` for the i-th good row, rows of another width and rows with
+    a field that is not a number, each row padded or not with whitespace."""
+    kinds = ["blank", "good", "good", "good"] + (["width", "text"] if draw(st.booleans()) else [])
+    lines, good = [], 0
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=40)):
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t "])))
+        elif kind == "good":
+            lines.append(draw(good_row(good)))
+            good += 1
+        else:
+            fields = [draw(NUMBERS) for _ in range(width)]
+            if kind == "width":
+                fields = fields[:1] if draw(st.booleans()) else fields + ["7"]
+            else:
+                fields[draw(st.sampled_from([0, 1]))] = draw(NON_NUMBERS)
+            lines.append(",".join(fields))
+        if kind != "blank":
+            lines[-1] = draw(st.sampled_from(["", " ", "\t"])) + lines[-1] + draw(st.sampled_from(["", " \t"]))
+    return lines
+
+
+def _trace_row(i):
+    """A trace row whose abscissa is i, so that the good rows increase."""
+    return st.tuples(st.sampled_from([f"{i}", f"{i}.0", f" {i}e0", f"{i}.25"]), NUMBERS).map(",".join)
+
+
+def _grid_row(i):
+    coordinate = NUMBERS | st.sampled_from(["0.1", "0.5", "1.5"])  # repeated texts, parsed once
+    value = st.sampled_from(["0.0", "0.0", "-0.0", "0", "0.5"])  # the zero solution's repr is "0.0"
+    return st.tuples(coordinate, coordinate, st.sampled_from(["1", "2", " 1"]), value).map(",".join)
+
+
+def reference_rows(lines, width, header):
+    """(first malformed (number, row) or None, first column, second column) of
+    `lines`, read one line at a time: the first line is the header, or for
+    header "optional" the first non-blank line is one if it has no digit."""
+    p, q, seen = [], [], header != "optional"
+    for number, line in enumerate(lines[1:] if header == "first" else lines, start=2 if header == "first" else 1):
+        row = line.strip()
+        if not row:
+            continue
+        if not seen:
+            seen = True
+            if not any(c.isdigit() for c in line):
+                continue
+        fields = row.split(",")
+        try:
+            if len(fields) != width:
+                raise ValueError("a row of another width")
+            a, b = float(fields[0]), float(fields[1])
+        except ValueError:
+            return (number, row), p, q
+        p.append(a)
+        q.append(b)
+    return None, p, q
+
+
+def _bits(column):
+    return np.asarray(column, dtype=float).tobytes()
+
+
+def _read_or_message(read):
+    """What `read()` returns, or the message of the ValidationError it raises."""
+    try:
+        return read()
+    except ValidationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_both_csv_readers_match_a_line_at_a_time_reference(data):
+    import pathlib
+    import tempfile
+
+    from layerfield import cli, harmonic
+    from layerfield.series import Geometry, LayeredSolution
+
+    chunk = data.draw(st.integers(100, 400), label="LINE_CHUNK")
+    header = data.draw(st.sampled_from(["", "t,u", " angle , value ", "x,y,z", "t1,u1", "t,u(2)"]), label="header")
+    # blank lines before the header, sometimes more than a block holds
+    lead = [""] * data.draw(st.integers(0, 150), label="blank lines before the header")
+    trace = lead + ([header] if header else []) + data.draw(csv_lines(2, _trace_row), label="trace")
+    grid = ["x,y,region,u"] + data.draw(csv_lines(4, _grid_row), label="grid")
+    solution = LayeredSolution(Geometry("halfplane_coupled", 0.3, 0.5), HalfPlaneField(), 0.0)
+    recorded = []
+
+    def recording(solution, p, q):
+        """cli._layered_values, keeping each block's coordinates and values."""
+        values = layered_values(solution, p, q)
+        recorded.append((p, q[:, 0], values[:, 0]))
+        return values
+
+    layered_values = cli._layered_values
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harmonic, "LINE_CHUNK", chunk)
+        mp.setattr(cli, "_layered_values", recording)
+        paths = {}
+        for name, lines in (("trace", trace), ("grid", grid)):
+            endings = data.draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+            text = "".join(line + end for line, end in zip(lines, endings)).encode()
+            paths[name] = pathlib.Path(tmp) / f"{name}.csv"
+            paths[name].write_bytes(text if data.draw(st.booleans(), label="final newline") else text[:-1])
+
+        bad, t, v = reference_rows(trace, 2, "optional")
+        got = _read_or_message(lambda: BoundaryTrace.from_csv(paths["trace"]))
+        if bad:
+            assert got == f"expected two numeric columns in {paths['trace']}, line {bad[0]}: {bad[1]!r}"
+        elif len(t) < 2:
+            assert got == f"no usable samples in {paths['trace']}"
+        else:
+            assert _bits(got.abscissae) == _bits(t) and _bits(got.values) == _bits(v)
+
+        bad, x, y = reference_rows(grid, 4, "first")
+        got = _read_or_message(lambda: cli._check_grid_file(paths["grid"], solution))
+        if bad:
+            assert got == f"expected four fields with numeric coordinates in {paths['grid']}, line {bad[0]}: {bad[1]!r}"
+        elif not x:
+            assert got == f"{paths['grid']} holds no data rows"
+        else:
+            px, py, u = (np.concatenate(column) for column in zip(*recorded))
+            assert _bits(px) == _bits(x) and _bits(py) == _bits(y)
+            rows = [line.strip().split(",") for line in grid[1:] if line.strip()]
+            assert got == sum(region != ("2" if xi > 0.3 else "1") or value != repr(ui)
+                              for (_, _, region, value), xi, ui in zip(rows, x, u.tolist()))
